@@ -1,181 +1,97 @@
-"""Batch kernels for circular walk simulation.
+"""Batch kernels for circular walk simulation, carried as forward half-walks.
 
-Two implementations of each kernel: a numba-compiled one and a pure numpy
-one.  The numba path is used when numba imports cleanly and the
-RELQ_DISABLE_NUMBA environment variable is unset/0; both paths are written
-to produce bit-identical float64 results (same operation order, sequential
-prefix sums, no fastmath), which the test suite pins.
+A canonical walk of length s = 2*half is antipodal: values[half + k] =
+-values[k] exactly (the mirror is a sign flip, and values[half] = a - 2a
+is exact), and labels flip with it.  Everything the Monte-Carlo drivers
+need therefore follows from the forward half, and no kernel builds the
+mirror.
 
 Kernels:
-  canonical_values_batch: per-trial normal increments -> full walk values.
-    values[t, 0] = a with a = sqrt(2/s) * (sum of the row), values[t, k] =
-    a - 2*sqrt(2/s)*prefix[k-1] for 1 <= k <= s/2, antipodal mirror beyond.
-  trace_stats_batch: walk values + threshold -> per trial the circular
-    up-crossing count, the first up-crossing start index, and the number of
-    collapsed nonzero label runs in the first half of the trace.
-"""
+  canonical_values_batch: per-trial normal increments -> forward half of
+    the walk.  values[t, 0] = a with a = sqrt(2/s) * (sum of the row), and
+    values[t, k] = a - 2*sqrt(2/s)*prefix[k-1] for 1 <= k < half.
+  trace_stats_batch: forward half + threshold -> per trial the circular
+    up-crossing count of the full antipodal trace, its first up-crossing
+    start index in [0, s), and the number of collapsed nonzero label runs
+    in the forward half.
 
-import os
+Why the half suffices: collapse the forward half's nonzero labels into R
+alternating runs l_1, ..., l_R.  The full circle reads l_1..l_R, -l_1..-l_R,
+and the two seams merge exactly when l_R = -l_1, i.e. when R is even.  So
+the circle has 2R runs (R odd) or 2R - 2 runs (R even), and half of them
+are up-crossings.  The up-crossings in the forward half are the '-'->'+'
+run starts, where the first run's circular predecessor is the label just
+before the seam, -l_R; those in the mirrored half sit at half + the
+'+'->'-' run starts.
+"""
 
 import numpy as np
 
-_DISABLED = os.environ.get("RELQ_DISABLE_NUMBA", "") not in ("", "0")
 
-HAS_NUMBA = False
-if not _DISABLED:
-    try:
-        import numba
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-
-def _canonical_values_np(increments: np.ndarray) -> np.ndarray:
-    trials, half = increments.shape
-    s = 2 * half
+def canonical_values_batch(increments: np.ndarray) -> np.ndarray:
+    """Forward-half walk values (trials, half) from normal increments (trials, half)."""
+    increments = np.asarray(increments, dtype=np.float64)
+    if increments.ndim != 2 or increments.shape[1] < 1:
+        raise ValueError("increments must be a (trials, half) array")
+    s = 2 * increments.shape[1]
     c = np.sqrt(2.0 / s)
-    tc = 2.0 * c
     prefix = np.cumsum(increments, axis=1)
-    values = np.empty((trials, s))
+    values = np.empty_like(prefix)
     a = c * prefix[:, -1]
     values[:, 0] = a
-    values[:, 1 : half + 1] = a[:, None] - tc * prefix
-    values[:, half + 1 :] = -values[:, 1:half]
+    tail = values[:, 1:]
+    np.multiply(prefix[:, :-1], 2.0 * c, out=tail)
+    np.subtract(a[:, None], tail, out=tail)
     return values
 
 
-def _trace_stats_np(values: np.ndarray, alpha: float):
-    trials, s = values.shape
-    half = s // 2
-    labels = np.zeros((trials, s), dtype=np.int64)
-    labels[values >= alpha] = 1
-    labels[values <= -alpha] = -1
+def trace_stats_batch(half_values: np.ndarray, alpha: float):
+    """Per-trial (up-crossing count, first up-crossing index, half-trace runs).
 
-    nonzero = labels != 0
-    cols = np.arange(s)
-    idx = np.where(nonzero, cols[None, :], -1)
-    last = np.maximum.accumulate(idx, axis=1)
-    prev = np.empty_like(last)
-    prev[:, 1:] = last[:, :-1]
-    prev[:, 0] = -1
-    # circular wrap: positions before the row's first nonzero take the row's
-    # last nonzero as their predecessor
-    prev = np.where(prev >= 0, prev, last[:, -1:])
-    prev_label = np.where(
-        prev >= 0, np.take_along_axis(labels, np.maximum(prev, 0), axis=1), 0
-    )
-    up = (labels == 1) & (prev_label == -1)
-    counts = up.sum(axis=1).astype(np.int64)
-    first_plus = np.where(counts > 0, up.argmax(axis=1), -1).astype(np.int64)
-
-    lh = labels[:, :half]
-    nzh = lh != 0
-    idxh = np.where(nzh, cols[None, :half], -1)
-    lasth = np.maximum.accumulate(idxh, axis=1)
-    prevh = np.empty_like(lasth)
-    prevh[:, 1:] = lasth[:, :-1]
-    prevh[:, 0] = -1  # linear scan, no wrap
-    prevh_label = np.where(
-        prevh >= 0, np.take_along_axis(lh, np.maximum(prevh, 0), axis=1), 0
-    )
-    run_start = nzh & (lh != prevh_label)
-    half_runs = run_start.sum(axis=1).astype(np.int64)
-    return counts, first_plus, half_runs
-
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _canonical_values_nb(increments):  # pragma: no cover - mirrored by numpy path
-        trials, half = increments.shape
-        s = 2 * half
-        c = np.sqrt(2.0 / s)
-        tc = 2.0 * c
-        values = np.empty((trials, s))
-        prefix = np.empty(half)
-        for t in range(trials):
-            acc = 0.0
-            for m in range(half):
-                acc += increments[t, m]
-                prefix[m] = acc
-            a = c * prefix[half - 1]
-            values[t, 0] = a
-            for k in range(1, half + 1):
-                values[t, k] = a - tc * prefix[k - 1]
-            for k in range(half + 1, s):
-                values[t, k] = -values[t, k - half]
-        return values
-
-    @numba.njit(cache=True)
-    def _trace_stats_nb(values, alpha):  # pragma: no cover - mirrored by numpy path
-        trials, s = values.shape
-        half = s // 2
-        counts = np.empty(trials, dtype=np.int64)
-        first_plus = np.empty(trials, dtype=np.int64)
-        half_runs = np.empty(trials, dtype=np.int64)
-        for t in range(trials):
-            last_label = 0
-            for k in range(s - 1, -1, -1):
-                v = values[t, k]
-                if v >= alpha:
-                    last_label = 1
-                    break
-                if v <= -alpha:
-                    last_label = -1
-                    break
-            count = 0
-            first = -1
-            prev = last_label
-            for k in range(s):
-                v = values[t, k]
-                lab = 0
-                if v >= alpha:
-                    lab = 1
-                elif v <= -alpha:
-                    lab = -1
-                if lab != 0:
-                    if lab == 1 and prev == -1:
-                        count += 1
-                        if first < 0:
-                            first = k
-                    prev = lab
-            runs = 0
-            prev = 0
-            for k in range(half):
-                v = values[t, k]
-                lab = 0
-                if v >= alpha:
-                    lab = 1
-                elif v <= -alpha:
-                    lab = -1
-                if lab != 0:
-                    if lab != prev:
-                        runs += 1
-                    prev = lab
-            counts[t] = count
-            first_plus[t] = first if count > 0 else -1
-            half_runs[t] = runs
-        return counts, first_plus, half_runs
-
-
-def canonical_values_batch(increments: np.ndarray) -> np.ndarray:
-    """Walk values (trials, s) from normal increments (trials, s/2)."""
-    increments = np.ascontiguousarray(increments, dtype=np.float64)
-    if increments.ndim != 2 or increments.shape[1] < 1:
-        raise ValueError("increments must be a (trials, half) array")
-    if HAS_NUMBA:
-        return _canonical_values_nb(increments)
-    return _canonical_values_np(increments)
-
-
-def trace_stats_batch(values: np.ndarray, alpha: float):
-    """Per-trial (up-crossing count, first up-crossing index, half-trace runs)."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] % 2 != 0:
-        raise ValueError("values must be a (trials, s) array with even s")
+    half_values is the (trials, half) forward half of antipodal walks of
+    length 2*half.  The count and the first up-crossing index (-1 when
+    there is none) describe the full circular trace; the runs count the
+    linear forward half.
+    """
+    half_values = np.asarray(half_values, dtype=np.float64)
+    if half_values.ndim != 2 or half_values.shape[1] < 1:
+        raise ValueError("half_values must be a (trials, half) array")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if HAS_NUMBA:
-        return _trace_stats_nb(values, float(alpha))
-    return _trace_stats_np(values, float(alpha))
+    trials, half = half_values.shape
+    labels = (half_values >= alpha).view(np.int8) - (half_values <= -alpha).view(np.int8)
+
+    # the nonzero labels in row-major order; a run starts where the label
+    # changes or a new row begins
+    flat = labels.ravel()
+    nz = np.flatnonzero(flat)
+    seq = flat[nz]
+    per_row = np.count_nonzero(labels, axis=1)
+    row_first = (np.cumsum(per_row) - per_row)[per_row > 0]
+    is_start = np.empty(seq.size, dtype=bool)
+    np.not_equal(seq[1:], seq[:-1], out=is_start[1:])
+    is_start[row_first] = True
+    starts = np.flatnonzero(is_start)
+
+    run_label = seq[starts]
+    run_row, run_col = np.divmod(nz[starts], half)
+    half_runs = np.bincount(run_row, minlength=trials)
+    counts = np.where(half_runs % 2 == 1, half_runs, np.maximum(half_runs - 1, 0))
+
+    # predecessor of each run: the run before it, or -l_R for a row's first
+    pred = np.empty_like(run_label)
+    pred[1:] = run_label[:-1]
+    first_run = np.cumsum(half_runs) - half_runs
+    last_run = first_run + half_runs - 1
+    has_runs = half_runs > 0
+    pred[first_run[has_runs]] = -run_label[last_run[has_runs]]
+
+    first_plus = np.full(trials, -1, dtype=np.int64)
+    # mirrored-half up-crossings first, so forward-half ones overwrite them
+    for want, offset in ((-1, half), (1, 0)):
+        hit = np.flatnonzero((run_label == want) & (pred == -want))
+        rows = run_row[hit]
+        keep = np.ones(rows.size, dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=keep[1:])
+        first_plus[rows[keep]] = run_col[hit[keep]] + offset
+    return counts, first_plus, half_runs

@@ -55,6 +55,8 @@ def parse_angle(text: str) -> float:
     if m:
         num = float(m.group(1)) if m.group(1) else 1.0
         den = float(m.group(2)) if m.group(2) else 1.0
+        if den == 0.0:
+            raise ValueError(f"cannot parse angle {text!r}: zero denominator")
         return num * math.pi / den
     try:
         return float(text)

@@ -117,7 +117,8 @@ def compute_walk(vectors: np.ndarray, r: np.ndarray, assume_canonical: bool = Fa
 
     The general path is a matrix-vector product.  With assume_canonical the
     constellation is taken to be the canonical one (dim = s/2) and the walk
-    is built from prefix sums of r in O(s).
+    is built from prefix sums of r in O(s): the forward half from the batch
+    kernel, the second half as its antipodal mirror.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
@@ -129,7 +130,8 @@ def compute_walk(vectors: np.ndarray, r: np.ndarray, assume_canonical: bool = Fa
     if assume_canonical:
         if dim != s // 2:
             raise ValueError(f"canonical fast path needs dim = s/2, got dim={dim}, s={s}")
-        values = canonical_values_batch(r[None, :])[0]
+        half = canonical_values_batch(r[None, :])[0]
+        values = np.concatenate((half, -half))
     else:
         values = vectors @ r
     return WalkTrace(s=s, values=values)

@@ -31,6 +31,8 @@ def test_parse_angle_forms():
     assert parse_angle("0.25") == 0.25
     with pytest.raises(ValueError):
         parse_angle("quarter turn")
+    with pytest.raises(ValueError):
+        parse_angle("pi/0")
 
 
 def test_gen_round_trips_and_is_deterministic(tmp_path, capsys):
@@ -144,6 +146,20 @@ def test_missing_file_and_bad_angle(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mc-correlation", "--theta", "sideways", "--trials", "10"])
     assert exc.value.code == 2
+
+
+def test_zero_denominator_angle_is_a_usage_error():
+    runs = {
+        theta: subprocess.run(
+            [sys.executable, "-m", "relq.cli", "mc-correlation", "--theta", theta, "--trials", "10"],
+            capture_output=True,
+            text=True,
+        )
+        for theta in ("pi/0", "quarter")
+    }
+    assert "Traceback" not in runs["pi/0"].stderr
+    assert "pi/0" in runs["pi/0"].stderr
+    assert runs["pi/0"].returncode == runs["quarter"].returncode == 2
 
 
 def test_installed_script_entry_point():

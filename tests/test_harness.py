@@ -120,6 +120,42 @@ def test_mc_sign_change_validation_and_determinism():
     assert format_report_csv(a) == format_report_csv(b)
 
 
+# Report rows of small seeded runs, pinned so that a kernel rewrite that
+# changes any crossing statistic, or the stream use, shows up here.
+SIGN_CHANGE_S200_SEED3 = [
+    ["count_zero", 137 / 5000, 0.002308646356634121, 0.014383188584137896],
+    ["count_one", 4818 / 5000, 0.0026485860378700175, 0.9678828976117606],
+    ["count_two_plus", 45 / 5000, 0.001335589757373124, 0.017733913804101525],
+    ["half_alternations_three_plus", 45 / 5000, 0.001335589757373124, 0.017733913804101525],
+]
+
+CONJECTURE_S200_SEED3 = [
+    [0.2617993877991494, 0.9659258262890683, 200, 2000, 1878, 0.939, 0.961,
+     0.0449174653887114, 0.001816554482156345, 0.041666666666666664, True],
+    [0.7853981633974483, 0.7071067811865476, 200, 2000, 1837, 0.9185, 0.957,
+     0.12503266194882962, 0.002898086047936553, 0.125, True],
+]
+
+
+def _assert_rows_exact(got, want):
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        assert len(got_row) == len(want_row)
+        for g, w in zip(got_row, want_row):
+            assert type(g) is type(w), (g, w)
+            assert repr(g) == repr(w), (got_row, want_row)
+
+
+def test_mc_sign_change_rows_pinned():
+    report = mc_sign_change(s=200, trials=5000, seed=3)
+    _assert_rows_exact(report.rows, SIGN_CHANGE_S200_SEED3)
+
+
+def test_conjecture_experiment_rows_pinned():
+    report = conjecture_experiment((math.pi / 12, math.pi / 4), s=200, trials=2000, seed=3)
+    _assert_rows_exact(report.rows, CONJECTURE_S200_SEED3)
+
+
 def test_mc_correlation_gap_closed_forms():
     assert correlation_gap_closed_form(math.pi) == pytest.approx(1.595769, abs=1e-6)
     assert correlation_gap_closed_form(math.pi / 2) == pytest.approx(1.128379, abs=1e-6)

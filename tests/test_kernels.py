@@ -1,33 +1,42 @@
-"""Batch kernel correctness, dual-path parity, and the count relation."""
-
-import os
-import subprocess
-import sys
+"""Half-walk kernel correctness against explicit walks and the full-circle detector."""
 
 import numpy as np
 import pytest
 
-from relq import _kernels
 from relq._kernels import canonical_values_batch, trace_stats_batch
 from relq.constellation import canonical_constellation
+from relq.rounding import WalkTrace, compute_walk, detect_extreme_sign_changes
 
 
 def test_values_match_explicit_dot_products():
     rng = np.random.default_rng(7)
     for s in (2, 4, 8, 30, 128):
+        half = s // 2
         cons = canonical_constellation(s)
-        inc = rng.standard_normal((5, s // 2))
+        inc = rng.standard_normal((5, half))
         got = canonical_values_batch(inc)
+        assert got.shape == (5, half)
         want = inc @ cons.vectors.T  # values[k] = v^k . r with r = the increments row
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(got, want[:, :half], atol=1e-12)
+        # the second half of the explicit walk is the mirror the kernel omits
+        np.testing.assert_allclose(-got, want[:, half:], atol=1e-12)
 
 
 def test_values_antipodal_mirror_is_exact():
     rng = np.random.default_rng(8)
-    inc = rng.standard_normal((50, 16))
-    vals = canonical_values_batch(inc)
     half = 16
-    np.testing.assert_array_equal(vals[:, half:], -vals[:, :half])
+    inc = rng.standard_normal((50, half))
+    vals = canonical_values_batch(inc)
+    # continuing the forward recursion one step past the half lands exactly
+    # on -values[0], so the mirror is an exact sign flip
+    c = np.sqrt(2.0 / (2 * half))
+    seam = vals[:, 0] - 2.0 * c * np.cumsum(inc, axis=1)[:, -1]
+    np.testing.assert_array_equal(seam, -vals[:, 0])
+    cons = canonical_constellation(2 * half)
+    for row in range(5):
+        trace = compute_walk(cons.vectors, inc[row], assume_canonical=True)
+        np.testing.assert_array_equal(trace.values[:half], vals[row])
+        np.testing.assert_array_equal(trace.values[half:], -vals[row])
 
 
 def test_values_rejects_bad_shape():
@@ -37,16 +46,21 @@ def test_values_rejects_bad_shape():
         canonical_values_batch(np.zeros((3, 0)))
 
 
-# hand-labeled traces: (values, alpha, count, first_plus, half_runs)
+# hand-labeled forward halves: (half values, alpha, count, first_plus, half_runs)
+# of the antipodal trace concat(half, -half)
 STAT_CASES = [
-    ([2.0, 0.0, -2.0, 0.0], 1.0, 1, 0, 1),  # wraps: - at 2, + at 0
-    ([0.0, 2.0, 0.0, -2.0], 1.0, 1, 1, 1),  # wraps with first nonzero past 0
-    ([-2.0, 0.0, 2.0, 0.0], 1.0, 1, 2, 1),
-    ([2.0, -2.0, 2.0, -2.0], 1.0, 2, 0, 2),
-    ([0.0, 0.5, -0.5, 0.0], 1.0, 0, -1, 0),  # never leaves the tube
-    ([2.0, 2.0, 2.0, 2.0], 1.0, 0, -1, 1),  # one circular run, no alternation
-    ([1.0, -1.0, 1.0, -1.0], 1.0, 2, 0, 2),  # boundary values count
-    ([0.0, -3.0, 0.0, 3.0, 0.0, 1.5], 1.0, 1, 3, 1),
+    ([2.0, 0.0], 1.0, 1, 0, 1),  # wraps: - at 2, + at 0
+    ([0.0, 2.0], 1.0, 1, 1, 1),  # wraps with first nonzero past 0
+    ([-2.0, 0.0], 1.0, 1, 2, 1),  # the only up-crossing is in the mirror
+    ([2.0, -2.0, 2.0, -2.0], 1.0, 3, 2, 4),  # alternates every step; seams merge
+    ([0.0, 0.5], 1.0, 0, -1, 0),  # never leaves the tube
+    ([2.0, 2.0], 1.0, 1, 0, 1),  # one run in the half, no alternation
+    ([1.0, -1.0, 1.0], 1.0, 3, 0, 3),  # boundary values count; seams stay apart
+    ([0.0, 0.0, 0.0, 3.0, 0.0, 1.5], 1.0, 1, 3, 1),  # a run collapses across a gap
+    ([0.0, -3.0, 0.0, 3.0, 0.0, 1.5], 1.0, 1, 3, 2),  # - then +: first up in the half
+    ([2.0, -2.0], 1.0, 1, 3, 2),  # + then -: first up in the mirror
+    ([0.99, -0.99, 0.0], 1.0, 0, -1, 0),  # just inside the tube
+    ([-1.0, 0.0, 1.0, 0.0, -1.0], 1.0, 3, 2, 3),
 ]
 
 
@@ -60,9 +74,22 @@ def test_stats_frozen_cases(values, alpha, count, first, runs):
 
 def test_stats_rejects_bad_input():
     with pytest.raises(ValueError):
-        trace_stats_batch(np.zeros((2, 3)), 1.0)  # odd s
+        trace_stats_batch(np.zeros(4), 1.0)  # not a batch
+    with pytest.raises(ValueError):
+        trace_stats_batch(np.zeros((2, 0)), 1.0)  # empty half
     with pytest.raises(ValueError):
         trace_stats_batch(np.zeros((2, 4)), 0.0)
+
+
+def _half_runs_reference(row, alpha):
+    runs, prev = 0, 0
+    for v in row:
+        lab = 1 if v >= alpha else -1 if v <= -alpha else 0
+        if lab != 0 and lab != prev:
+            runs += 1
+        if lab != 0:
+            prev = lab
+    return runs
 
 
 def test_crossing_count_vs_half_runs_on_canonical_traces():
@@ -72,40 +99,41 @@ def test_crossing_count_vs_half_runs_on_canonical_traces():
         inc = rng.standard_normal((400, s // 2))
         vals = canonical_values_batch(inc)
         counts, _, runs = trace_stats_batch(vals, 1.0)
+        np.testing.assert_array_equal(runs, [_half_runs_reference(row, 1.0) for row in vals])
         want = np.where(runs % 2 == 1, runs, np.maximum(runs - 1, 0))
         np.testing.assert_array_equal(counts, want)
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba unavailable or disabled")
-def test_paths_bit_identical():
-    rng = np.random.default_rng(10)
-    inc = rng.standard_normal((200, 100))
-    fast = _kernels._canonical_values_nb(inc)
-    slow = _kernels._canonical_values_np(inc)
-    np.testing.assert_array_equal(fast, slow)
-
-    vals = slow.copy()
-    vals[0] = 0.0  # all-zero row edge
-    vals[1] = 5.0  # all-plus row edge
-    for impl_fast, impl_slow in [(_kernels._trace_stats_nb, _kernels._trace_stats_np)]:
-        cf, ff, mf = impl_fast(vals, 1.0)
-        cs, fs, ms = impl_slow(vals, 1.0)
-        np.testing.assert_array_equal(cf, cs)
-        np.testing.assert_array_equal(ff, fs)
-        np.testing.assert_array_equal(mf, ms)
+def _edge_rows(half, alpha):
+    rows = np.zeros((10, half))  # row 0: all zero
+    rows[1] = 2.0 * alpha  # all '+'
+    rows[2] = -2.0 * alpha  # all '-'
+    rows[3, -1] = alpha  # a single nonzero at the last half index
+    rows[4, -1] = -alpha
+    rows[5, ::2] = alpha  # values exactly +-alpha
+    rows[5, 1::2] = -alpha
+    rows[6, half // 2] = -alpha  # first nonzero past index 0
+    rows[6, -1] = alpha
+    rows[7, 1] = alpha
+    rows[8, 0] = np.nextafter(alpha, 0.0)  # just inside the tube, then on the edge
+    rows[8, 1] = -alpha
+    rows[9, 2:] = np.where(np.arange(half - 2) % 3 == 0, -alpha, 0.0)
+    return rows
 
 
-def test_numpy_fallback_selected_by_env_flag():
-    code = (
-        "import relq._kernels as k; "
-        "assert not k.HAS_NUMBA; "
-        "import numpy as np; "
-        "v = k.canonical_values_batch(np.ones((2, 4))); "
-        "print(v.shape)"
-    )
-    env = dict(os.environ, RELQ_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "(2, 8)"
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.0])
+def test_stats_match_full_circle_reference(alpha):
+    rng = np.random.default_rng(11)
+    half = 25
+    walks = canonical_values_batch(rng.standard_normal((2000, half)))
+    rows = np.vstack([walks, _edge_rows(half, alpha)])
+    counts, first, runs = trace_stats_batch(rows, alpha)
+    for t, row in enumerate(rows):
+        trace = WalkTrace(s=2 * half, values=np.concatenate((row, -row)))
+        events = detect_extreme_sign_changes(trace, alpha)
+        assert counts[t] == len(events), t
+        assert first[t] == (min(e.t_plus for e in events) if events else -1), t
+        assert runs[t] == _half_runs_reference(row, alpha), t
+    # the random walks reach several counts, and first up-crossings in both halves
+    assert len(set(counts[:2000].tolist())) >= 2
+    assert (first[:2000] >= half).any() and ((first[:2000] >= 0) & (first[:2000] < half)).any()

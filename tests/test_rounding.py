@@ -103,9 +103,10 @@ def test_walk_antipodal_antisymmetry():
 def test_walk_correlations_match_gram():
     s = 8
     inc = GaussianSampler(seed=9).sample(10**5 * (s // 2)).reshape(10**5, s // 2)
-    vals = canonical_values_batch(inc)
+    half_vals = canonical_values_batch(inc)
+    vals = np.concatenate((half_vals, -half_vals), axis=1)  # the antipodal mirror
     cons = canonical_constellation(s)
-    for a, b in [(0, 1), (0, 4), (2, 5), (3, 3)]:
+    for a, b in [(0, 1), (0, 4), (2, 5), (3, 3), (1, 6), (7, 7)]:
         want = float(cons.vectors[a] @ cons.vectors[b])
         got = float(np.mean(vals[:, a] * vals[:, b]))
         assert abs(got - want) <= 0.01
@@ -168,12 +169,14 @@ def test_detect_agrees_with_batch_kernel():
     cons = canonical_constellation(60)
     for seed in range(40):
         r = GaussianSampler(seed=seed, stream=9).sample(30)
-        trace = compute_walk(cons.vectors, r)
-        events = detect_extreme_sign_changes(trace, 1.0)
-        counts, first, _ = trace_stats_batch(trace.values[None, :], 1.0)
-        assert counts[0] == len(events)
-        if len(events) == 1:
-            assert first[0] == events[0].t_plus
+        for canonical in (False, True):
+            trace = compute_walk(cons.vectors, r, assume_canonical=canonical)
+            events = detect_extreme_sign_changes(trace, 1.0)
+            counts, first, _ = trace_stats_batch(trace.values[None, :30], 1.0)
+            assert counts[0] == len(events)
+            assert first[0] == (min(e.t_plus for e in events) if events else -1)
+            if len(events) == 1:
+                assert first[0] == events[0].t_plus
 
 
 # --- position assignment ---------------------------------------------------
