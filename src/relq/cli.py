@@ -104,7 +104,7 @@ def _cmd_brute(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    cfg = SolverConfig(max_iterations=args.max_iterations) if args.max_iterations else None
+    cfg = SolverConfig(max_iterations=args.max_iterations) if args.max_iterations is not None else None
     sol, rep = solve_p_plus(inst, cfg)
     print(f"objective {rep.objective!r}")
     print(f"max_residual {rep.max_residual!r}")

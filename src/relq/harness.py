@@ -33,6 +33,13 @@ from relq.rounding import GaussianSampler, round_lifted_solution
 from relq.sdp import SolverConfig, convert_to_p, feasibility_report, solve_p_plus
 
 _CHUNK = 4096
+# walk values per block of rows: 4 MB of float64, so a block's increments,
+# walk values and crossing statistics stay small next to a whole chunk
+_BLOCK_VALUES = 1 << 19
+
+
+def _block_rows(width: int) -> int:
+    return max(1, _BLOCK_VALUES // width)
 
 
 @dataclass
@@ -179,9 +186,10 @@ def mc_sign_change(s: int, trials: int, seed: int, alpha: float = 1.0) -> Report
         raise ValueError(f"trials must be >= 1, got {trials}")
     sampler = GaussianSampler(seed)
     zero = one = two_plus = alt3 = 0
+    block = _block_rows(s)
     done = 0
     while done < trials:
-        rows = min(_CHUNK, trials - done)
+        rows = min(block, trials - done)
         incr = sampler.sample(rows * s).reshape(rows, s)
         values = canonical_values_batch(incr)
         counts, _, half_runs = trace_stats_batch(values, alpha)
@@ -257,25 +265,24 @@ def mc_correlation_gap(theta: float, trials: int, seed: int) -> Report:
 # correlated-pair walk experiment
 
 
-def _audit_correlated_pair(theta: float, s: int, tol: float = 1e-9) -> bool:
+def _audit_correlated_pair(
+    theta: float, s: int, picks: list[int], base: np.ndarray, tol: float = 1e-9
+) -> bool:
     """Spot-check the two-variable construction against its target Gram.
 
     Variable i carries the canonical constellation in the first s ambient
     coordinates, variable j carries cos(theta) times the same constellation
     plus sin(theta) times a copy in the second s coordinates.  Norms stay 1
-    and cross inner products must equal cos(theta) * (1 - 4 d(k,l)/s) on a
-    deterministic sample of index pairs.
+    and cross inner products must equal cos(theta) * (1 - 4 d(k,l)/s) on the
+    sampled labels picks, whose constellation rows are base.
     """
-    base = canonical_constellation(s).vectors
-    step = max(1, s // 8)
-    picks = list(range(0, s, step))
     cos_t = math.cos(theta)
-    for k in picks:
-        if abs(float(base[k] @ base[k]) - 1.0) > tol:
+    for a, k in enumerate(picks):
+        if abs(float(base[a] @ base[a]) - 1.0) > tol:
             return False
-        for l in picks:
+        for b, l in enumerate(picks):
             want = cos_t * (1.0 - 4.0 * circular_distance(k, l, s) / s)
-            got = cos_t * float(base[k] @ base[l])
+            got = cos_t * float(base[a] @ base[b])
             if abs(got - want) > tol:
                 return False
     return True
@@ -303,9 +310,14 @@ def conjecture_experiment(
             raise ValueError(f"angles must lie in [0, pi], got {theta}")
     sampler = GaussianSampler(seed)
     half = s // 2
+    block = _block_rows(half)
+    # the audit reads only the sampled rows; fancy indexing copies them, so
+    # the full s x s/2 constellation is freed before the walks start
+    picks = list(range(0, s, max(1, s // 8)))
+    base = canonical_constellation(s).vectors[picks]
     rows_out = []
     for cell, theta in enumerate(thetas):
-        audit_ok = _audit_correlated_pair(theta, s)
+        audit_ok = _audit_correlated_pair(theta, s, picks, base)
         if not audit_ok:
             rows_out.append(
                 [theta, math.cos(theta), s, trials, 0, 0.0, 0.0, float("nan"), float("nan"), theta / (2.0 * math.pi), False]
@@ -321,16 +333,19 @@ def conjecture_experiment(
         while done < trials:
             rows = min(_CHUNK, trials - done)
             r1 = sub.sample(rows * half).reshape(rows, half)
-            r2 = sub.sample(rows * half).reshape(rows, half)
-            vi = canonical_values_batch(r1)
-            vj = canonical_values_batch(cos_t * r1 + sin_t * r2)
-            ci, fi, _ = trace_stats_batch(vi, alpha)
-            cj, fj, _ = trace_stats_batch(vj, alpha)
-            one_i += int(np.sum(ci == 1))
-            mask = (ci == 1) & (cj == 1)
-            both += int(np.sum(mask))
-            delta = (fj[mask] - fi[mask]) % s
-            dists.append(np.minimum(delta, s - delta) / s)
+            # the chunk's r2 follows all of its r1 in the stream; draw it a block at a time
+            for b0 in range(0, rows, block):
+                r1b = r1[b0 : b0 + block]
+                ci, fi, _ = trace_stats_batch(canonical_values_batch(r1b), alpha)
+                r2b = sub.sample(r1b.size).reshape(r1b.shape)
+                r2b *= sin_t
+                r2b += cos_t * r1b  # cos_t * r1 + sin_t * r2, bit for bit
+                cj, fj, _ = trace_stats_batch(canonical_values_batch(r2b), alpha)
+                one_i += int(np.sum(ci == 1))
+                mask = (ci == 1) & (cj == 1)
+                both += int(np.sum(mask))
+                delta = (fj[mask] - fi[mask]) % s
+                dists.append(np.minimum(delta, s - delta) / s)
             done += rows
         sample = np.concatenate(dists) if dists else np.empty(0)
         mean, stderr = _mean_stderr(sample)

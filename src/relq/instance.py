@@ -168,6 +168,8 @@ def generate_instance(
         raise ValueError(f"need at least two variables, got {n}")
     if p <= 0 or p % 2 != 0:
         raise ValueError(f"domain size must be a positive even integer, got {p}")
+    if m < 0:
+        raise ValueError(f"equation count must be >= 0, got {m}")
     rng = np.random.Generator(np.random.Philox(key=np.array([seed & (2**64 - 1), 0xB5], dtype=np.uint64)))
     hidden = None
     positions = rng.integers(0, p, size=n) if planted else None

@@ -24,15 +24,19 @@ NO_CROSSING = "NoCrossing"
 MANY_CROSSINGS = "ManyCrossings"
 
 _MASK64 = (1 << 64) - 1
+# uniform pairs per Box-Muller block: 512 KB of uniforms, cache-resident
+_BLOCK_PAIRS = 1 << 15
 
 
 class GaussianSampler:
     """Deterministic N(0,1) source: Box-Muller over counter-based uniforms.
 
-    Identical (seed, stream) always yields the identical sequence.  Draws
-    are buffered so the sequence does not depend on how requests are
-    chunked.  substreams derived via spawn(tag) are independent for
-    distinct tags.
+    Identical (seed, stream) always yields the identical sequence.  Normals
+    are generated in blocks of _BLOCK_PAIRS uniform pairs, written straight
+    into the returned array, and an odd request keeps the second normal of
+    its last pair for the next call; the sequence depends neither on how
+    requests are chunked nor on the block size.  Substreams derived via
+    spawn(tag) are independent for distinct tags.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -45,25 +49,30 @@ class GaussianSampler:
     def sample(self, dim: int) -> np.ndarray:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        out = np.empty(dim)
-        start = 0
-        if self._spare is not None:
+        start = 0 if self._spare is None else 1
+        pairs = (dim - start + 1) // 2
+        out = np.empty(start + 2 * pairs)
+        if start:
             out[0] = self._spare
             self._spare = None
-            start = 1
-        need = dim - start
-        if need > 0:
-            pairs = (need + 1) // 2
-            u = self._rng.random(size=(pairs, 2))
-            radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-            angle = 2.0 * np.pi * u[:, 1]
-            z = np.empty(2 * pairs)
-            z[0::2] = radius * np.cos(angle)
-            z[1::2] = radius * np.sin(angle)
-            out[start:] = z[:need]
-            if 2 * pairs > need:
-                self._spare = float(z[need])
-        return out
+        z = out[start:].reshape(pairs, 2)
+        for p0 in range(0, pairs, _BLOCK_PAIRS):
+            # the Philox stream is sequential, so blocked draws see the same uniforms
+            u = self._rng.random((min(_BLOCK_PAIRS, pairs - p0), 2))
+            radius, angle = u[:, 0], u[:, 1]
+            np.negative(radius, radius)
+            np.log1p(radius, radius)
+            np.multiply(radius, -2.0, radius)
+            np.sqrt(radius, radius)
+            np.multiply(angle, 2.0 * np.pi, angle)
+            even, odd = z[p0 : p0 + _BLOCK_PAIRS, 0], z[p0 : p0 + _BLOCK_PAIRS, 1]
+            np.cos(angle, even)
+            np.multiply(even, radius, even)
+            np.sin(angle, odd)
+            np.multiply(odd, radius, odd)
+        if out.size > dim:
+            self._spare = float(out[dim])
+        return out[:dim]
 
     def uniform_below(self, n: int) -> int:
         if n < 1:

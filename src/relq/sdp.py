@@ -65,6 +65,10 @@ class SolverConfig:
     final_cycles: int = 40000
     rank_cutoff: float = 1e-12
 
+    def __post_init__(self):
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
+
 
 @dataclass
 class FeasibilityReport:

@@ -10,7 +10,7 @@ import pytest
 from relq.cli import main, parse_angle
 from relq.harness import Report
 from relq.instance import load_instance
-from relq.sdp import load_solution
+from relq.sdp import SolverConfig, load_solution, solve_p_plus
 
 TRIANGLE_TEXT = "relq 1\n4 3 3\n0 1 2\n1 2 2\n2 0 2\n"
 
@@ -51,6 +51,10 @@ def test_gen_round_trips_and_is_deterministic(tmp_path, capsys):
 def test_gen_rejects_bad_parameters(capsys):
     assert main(["gen", "--n", "2", "--p", "3", "--m", "2", "--seed", "0"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert main(["gen", "--n", "3", "--p", "4", "--m", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
 
 
 def test_brute_reports_optimum(triangle_file, capsys):
@@ -88,6 +92,28 @@ def test_solve_round_pipeline(triangle_file, tmp_path, capsys):
     # same seed, fresh run: identical rounding
     assert main(["round", str(triangle_file), str(sol_path), "--seed", "3", "--ell", "5"]) == 0
     assert out.splitlines()[:3] == capsys.readouterr().out.splitlines()[:3]
+
+
+def test_solve_max_iterations_zero_is_honoured(triangle_file, capsys):
+    assert main(["solve", str(triangle_file), "--max-iterations", "0"]) == 0
+    out = capsys.readouterr().out
+    iterations = int(out.split("iterations ", 1)[1].splitlines()[0])
+    _, rep = solve_p_plus(load_instance(triangle_file), SolverConfig(max_iterations=0))
+    assert iterations == rep.iterations
+    assert rep.iterations != solve_p_plus(load_instance(triangle_file))[1].iterations
+
+
+def test_solve_rejects_negative_max_iterations(triangle_file):
+    proc = subprocess.run(
+        [sys.executable, "-m", "relq.cli", "solve", str(triangle_file), "--max-iterations", "-1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    with pytest.raises(ValueError):
+        SolverConfig(max_iterations=-3)
 
 
 def test_round_rejects_mismatched_solution(triangle_file, tmp_path, capsys):

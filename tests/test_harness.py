@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,12 @@ CONJECTURE_S200_SEED3 = [
      0.12503266194882962, 0.002898086047936553, 0.125, True],
 ]
 
+# 5000 trials span two 4096-row chunks, so this pins the per-chunk draw order
+CONJECTURE_S100_SEED5 = [
+    [0.5235987755982988, 0.8660254037844387, 100, 5000, 4482, 0.8964, 0.9412,
+     0.08470548862115126, 0.0015848009995481865, 0.08333333333333333, True],
+]
+
 
 def _assert_rows_exact(got, want):
     assert len(got) == len(want)
@@ -154,6 +161,28 @@ def test_mc_sign_change_rows_pinned():
 def test_conjecture_experiment_rows_pinned():
     report = conjecture_experiment((math.pi / 12, math.pi / 4), s=200, trials=2000, seed=3)
     _assert_rows_exact(report.rows, CONJECTURE_S200_SEED3)
+
+
+def test_conjecture_experiment_multi_chunk_rows_pinned():
+    report = conjecture_experiment((math.pi / 6,), s=100, trials=5000, seed=5)
+    _assert_rows_exact(report.rows, CONJECTURE_S100_SEED5)
+
+
+def _traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_drivers_stream_in_bounded_memory():
+    # a whole 4096 x 2000 chunk of float64 increments alone is 65 MB
+    sign = _traced_peak_mb(lambda: mc_sign_change(s=2000, trials=4096, seed=1))
+    assert sign <= 32.0
+    conj = _traced_peak_mb(lambda: conjecture_experiment((math.pi / 6,), s=2000, trials=1024, seed=1))
+    assert conj <= 32.0
 
 
 def test_mc_correlation_gap_closed_forms():

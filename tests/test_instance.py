@@ -194,6 +194,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_instance(1, 4, 1, seed=0)
 
+    def test_rejects_negative_equation_count(self):
+        with pytest.raises(ValueError, match="equation count"):
+            generate_instance(3, 4, -1, seed=0)
+        inst, _ = generate_instance(3, 4, 0, seed=0)
+        assert inst.m == 0
+
 
 class TestTextFormat:
     def test_round_trip_bit_exact(self):

@@ -8,6 +8,7 @@ from relq._kernels import canonical_values_batch, trace_stats_batch
 from relq.constellation import SdpSolutionP, canonical_constellation, lift_solution
 from relq.instance import Assignment, Instance, circular_distance
 from relq.rounding import (
+    _BLOCK_PAIRS,
     MANY_CROSSINGS,
     NO_CROSSING,
     ONE_CROSSING,
@@ -40,6 +41,47 @@ def test_sampler_sequence_independent_of_chunking():
     s = GaussianSampler(seed=1)
     parts = np.concatenate([s.sample(3), s.sample(1), s.sample(7)])
     np.testing.assert_array_equal(whole, parts)
+
+
+class _UnblockedSampler:
+    """The sampler's original one-shot Box-Muller, kept as a bit-level oracle."""
+
+    def __init__(self, seed: int, stream: int = 0):
+        key = np.array([seed, stream], dtype=np.uint64)
+        self._rng = np.random.Generator(np.random.Philox(key=key))
+        self._spare = None
+
+    def sample(self, dim: int) -> np.ndarray:
+        out = np.empty(dim)
+        start = 0
+        if self._spare is not None:
+            out[0] = self._spare
+            self._spare = None
+            start = 1
+        need = dim - start
+        if need > 0:
+            pairs = (need + 1) // 2
+            u = self._rng.random(size=(pairs, 2))
+            radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+            angle = 2.0 * np.pi * u[:, 1]
+            z = np.empty(2 * pairs)
+            z[0::2] = radius * np.cos(angle)
+            z[1::2] = radius * np.sin(angle)
+            out[start:] = z[:need]
+            if 2 * pairs > need:
+                self._spare = float(z[need])
+        return out
+
+
+def test_blocked_sampler_matches_unblocked_oracle():
+    # odd requests carry a spare across calls; the long ones cross block edges
+    b = _BLOCK_PAIRS
+    fast = GaussianSampler(seed=11, stream=4)
+    oracle = _UnblockedSampler(seed=11, stream=4)
+    for dim in (1, 7, 2 * b - 1, 2 * b, 2 * b + 1, 3, 6 * b + 5, 2):
+        got = fast.sample(dim)
+        assert got.shape == (dim,)
+        np.testing.assert_array_equal(got, oracle.sample(dim))
 
 
 def test_sampler_streams_differ():
