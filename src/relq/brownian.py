@@ -329,7 +329,9 @@ def discretization_margin_check(
         raise ValueError("s and trials must be positive")
     if eta <= 0 or c <= 0:
         raise ValueError("eta and c must be positive")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed & ((1 << 64) - 1), 0xD15C], dtype=np.uint64)))
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xD15C], dtype=np.uint64)))
     hits = 0
     done = 0
     while done < trials:

@@ -74,6 +74,43 @@ def gram_residual(cons: Constellation) -> float:
     return float(np.max(np.abs(gram - target_gram(cons.p))))
 
 
+def _diagonal_class_index(p: int) -> np.ndarray:
+    """idx[h, k] = (k - h) mod p, the shift class of entry (h, k) of a block."""
+    k = np.arange(p)
+    return (k[None, :] - k[:, None]) % p
+
+
+def _covariance_residual(block: np.ndarray, cls: np.ndarray, p: int) -> tuple[float, np.ndarray]:
+    """Max deviation from the per-shift-class mean, and the class means."""
+    means = np.zeros(p)
+    np.add.at(means, cls.ravel(), block.ravel())
+    means /= p
+    return float(np.max(np.abs(block - means[cls]))), means
+
+
+def solution_residuals(sol: SdpSolutionP) -> dict[str, float]:
+    """Max residual of each constraint family, measured from the vectors.
+
+    gram_law: each variable's Gram matrix against the target; unit_norm:
+    the vector norms; shift_covariance: every cross-variable block against
+    its per-shift-class means.
+    """
+    p, n = sol.p, sol.n
+    cls = _diagonal_class_index(p)
+    target = target_gram(p)
+    r_gram = 0.0
+    r_unit = 0.0
+    r_cov = 0.0
+    for i in range(n):
+        gram = sol.v[i] @ sol.v[i].T
+        r_gram = max(r_gram, float(np.max(np.abs(gram - target))))
+        r_unit = max(r_unit, float(np.max(np.abs(np.diag(gram) - 1.0))))
+        for j in range(i + 1, n):
+            block = sol.v[i] @ sol.v[j].T
+            r_cov = max(r_cov, _covariance_residual(block, cls, p)[0])
+    return {"gram_law": r_gram, "unit_norm": r_unit, "shift_covariance": r_cov}
+
+
 def difference_vectors(cons: Constellation) -> np.ndarray:
     """Half-step differences (v^k - v^{k-1}) / 2 for k = 1..p/2, as rows.
 

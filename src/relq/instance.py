@@ -98,19 +98,27 @@ def evaluate(inst: Instance, asg: Assignment) -> EvalBreakdown:
     return EvalBreakdown(total=total, per_equation=per)
 
 
-def _score_chunk(inst: Instance, states: np.ndarray) -> np.ndarray:
-    """Integer scores sum(p - 2y) for a chunk of assignments encoded in mixed radix."""
+def _decode_states(inst: Instance, states: np.ndarray) -> np.ndarray:
+    """Positions (states, n) of assignments encoded in mixed radix, first variable at 0."""
     p = inst.p
-    n = inst.n
-    pos = np.empty((states.shape[0], n), dtype=np.int64)
+    pos = np.empty((states.shape[0], inst.n), dtype=np.int64)
     pos[:, 0] = 0  # shift invariance: pin the first variable
     rest = states
-    for k in range(1, n):
+    for k in range(1, inst.n):
         pos[:, k] = rest % p
         rest = rest // p
-    score = np.zeros(states.shape[0], dtype=np.int64)
+    return pos
+
+
+def score_positions(inst: Instance, positions: np.ndarray) -> np.ndarray:
+    """Integer scores sum(p - 2y) of a batch of assignments, one per row of positions.
+
+    A row's objective value is its score / p exactly.
+    """
+    p = inst.p
+    score = np.zeros(positions.shape[0], dtype=np.int64)
     for i, j, d in inst.equations:
-        delta = (pos[:, j] - pos[:, i] - d) % p
+        delta = (positions[:, j] - positions[:, i] - d) % p
         y = np.minimum(delta, p - delta)
         score += p - 2 * y
     return score
@@ -129,7 +137,7 @@ def brute_force_optimum(inst: Instance) -> tuple[Assignment, Fraction]:
     best_state = 0
     for start in range(0, total_states, _CHUNK):
         states = np.arange(start, min(start + _CHUNK, total_states), dtype=np.int64)
-        scores = _score_chunk(inst, states)
+        scores = score_positions(inst, _decode_states(inst, states))
         k = int(np.argmax(scores))
         if scores[k] > best_score:
             best_score = int(scores[k])
@@ -170,7 +178,9 @@ def generate_instance(
         raise ValueError(f"domain size must be a positive even integer, got {p}")
     if m < 0:
         raise ValueError(f"equation count must be >= 0, got {m}")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed & (2**64 - 1), 0xB5], dtype=np.uint64)))
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xB5], dtype=np.uint64)))
     hidden = None
     positions = rng.integers(0, p, size=n) if planted else None
     equations = []

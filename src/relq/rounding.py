@@ -1,31 +1,73 @@
-"""Threshold rounding of constellation solutions via a shared Gaussian draw.
+"""Threshold rounding of constellation solutions via Gaussian walks.
 
-One standard normal vector r is drawn for the whole solution.  Each
-variable's circular walk values[k] = v^k . r is scanned for extreme sign
-changes at threshold alpha: indices with value >= alpha are labeled '+',
-value <= -alpha labeled '-', runs of equal labels are collapsed circularly,
-and every (-,+) adjacency of the collapsed sequence is an up-crossing.
-A variable with exactly one up-crossing is assigned the index where the
-'+' run starts; otherwise it falls back to a uniform position drawn from a
-per-variable substream.
+A trial draws one standard normal vector r.  Each variable's circular walk
+values[k] = v^k . r is scanned for extreme sign changes at threshold alpha:
+indices with value >= alpha are labeled '+', value <= -alpha labeled '-',
+runs of equal labels are collapsed circularly, and every (-,+) adjacency of
+the collapsed sequence is an up-crossing.  A variable with exactly one
+up-crossing is assigned the index where the '+' run starts; otherwise it
+falls back to a uniform position drawn from a per-variable substream.
+
+Rounding the ell-fold lift needs no lifted vectors: its walk is the anchor
+plus prefix sums of the base difference steps projected on r, split into
+ell sub-steps (ell = 1 is plain rounding).  The walk is antipodal, so only
+its forward half is built and the crossing kernel of relq._kernels reads
+it.
+
+Batch path and stream keys.  A sampler GaussianSampler(seed, stream) draws
+from Philox keyed [seed, stream]; spawn(tag) derives the key of a
+substream.  Trial t of a batch is the fresh sampler given for it, and the
+fallback of its variable i comes from that sampler's spawn(i).  Philox is
+counter-based, so re-keying one scratch bit generator to a sampler's key
+and resetting its counter yields exactly the uniforms that sampler would
+draw.  round_lifted_solution therefore draws the normals of a block of
+trials from re-keyed streams, runs Box-Muller and the walk construction
+once over the block and classifies every (trial, variable) walk in one
+kernel call; positions are bit for bit those of rounding trial by trial.
+The one tolerance is the seam: the kernel takes walk index s/2 to be
+exactly -anchor, where a walk computed in full carries anchor + 2*prefix,
+so a label there can differ only if alpha lies within about one ulp of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from relq._kernels import canonical_values_batch
-from relq.constellation import SdpSolutionP, _variable_difference_steps
+from relq._kernels import trace_stats_batch
+from relq.constellation import SdpSolutionP, _variable_difference_steps, solution_residuals
 
 ONE_CROSSING = "OneCrossing"
 NO_CROSSING = "NoCrossing"
 MANY_CROSSINGS = "ManyCrossings"
+_STATUS_BY_COUNT = (NO_CROSSING, ONE_CROSSING, MANY_CROSSINGS)  # indexed by min(count, 2)
 
 _MASK64 = (1 << 64) - 1
 # uniform pairs per Box-Muller block: 512 KB of uniforms, cache-resident
 _BLOCK_PAIRS = 1 << 15
+# walk values plus normals per block of trials in round_lifted_solution
+_BLOCK_VALUES = 1 << 14
+
+
+def _box_muller(u: np.ndarray, z: np.ndarray) -> None:
+    """Normals from (k, 2) uniform pairs into the (k, 2) array z; u is overwritten.
+
+    The op order (-u0 -> log1p -> x(-2) -> sqrt, u1 x 2pi, cos/sin x radius)
+    is part of every seeded number.
+    """
+    radius, angle = u[:, 0], u[:, 1]
+    np.negative(radius, radius)
+    np.log1p(radius, radius)
+    np.multiply(radius, -2.0, radius)
+    np.sqrt(radius, radius)
+    np.multiply(angle, 2.0 * np.pi, angle)
+    even, odd = z[:, 0], z[:, 1]
+    np.cos(angle, even)
+    np.multiply(even, radius, even)
+    np.sin(angle, odd)
+    np.multiply(odd, radius, odd)
 
 
 class GaussianSampler:
@@ -36,15 +78,34 @@ class GaussianSampler:
     into the returned array, and an odd request keeps the second normal of
     its last pair for the next call; the sequence depends neither on how
     requests are chunked nor on the block size.  Substreams derived via
-    spawn(tag) are independent for distinct tags.
+    spawn(tag) are independent for distinct tags.  The Philox generator is
+    built on the first draw, so spawning costs almost nothing.
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
+        seed = int(seed)
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        self.seed = seed
         self.stream = int(stream)
-        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
-        self._rng = np.random.Generator(np.random.Philox(key=key))
+        self._generator: np.random.Generator | None = None
         self._spare: float | None = None
+
+    @property
+    def key(self) -> np.ndarray:
+        """The Philox key [seed, stream] of this sampler's stream."""
+        return np.array([self.seed, self.stream & _MASK64], dtype=np.uint64)
+
+    @property
+    def fresh(self) -> bool:
+        """True until the first draw."""
+        return self._generator is None
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        if self._generator is None:
+            self._generator = np.random.Generator(np.random.Philox(key=self.key))
+        return self._generator
 
     def sample(self, dim: int) -> np.ndarray:
         if dim < 1:
@@ -59,17 +120,7 @@ class GaussianSampler:
         for p0 in range(0, pairs, _BLOCK_PAIRS):
             # the Philox stream is sequential, so blocked draws see the same uniforms
             u = self._rng.random((min(_BLOCK_PAIRS, pairs - p0), 2))
-            radius, angle = u[:, 0], u[:, 1]
-            np.negative(radius, radius)
-            np.log1p(radius, radius)
-            np.multiply(radius, -2.0, radius)
-            np.sqrt(radius, radius)
-            np.multiply(angle, 2.0 * np.pi, angle)
-            even, odd = z[p0 : p0 + _BLOCK_PAIRS, 0], z[p0 : p0 + _BLOCK_PAIRS, 1]
-            np.cos(angle, even)
-            np.multiply(even, radius, even)
-            np.sin(angle, odd)
-            np.multiply(odd, radius, odd)
+            _box_muller(u, z[p0 : p0 + _BLOCK_PAIRS])
         if out.size > dim:
             self._spare = float(out[dim])
         return out[:dim]
@@ -83,11 +134,6 @@ class GaussianSampler:
         if tag < 0:
             raise ValueError(f"tag must be >= 0, got {tag}")
         return GaussianSampler(self.seed, self.stream * (1 << 20) + tag + 1)
-
-
-def sample_gaussian(sampler: GaussianSampler, dim: int) -> np.ndarray:
-    """i.i.d. standard normals, deterministic per (seed, stream)."""
-    return sampler.sample(dim)
 
 
 @dataclass
@@ -114,36 +160,17 @@ class CrossingEvent:
 
 @dataclass
 class RoundingOutcome:
+    """Positions in [0, s), one status string and crossing count per rounded variable.
+
+    Rounding with one sampler gives positions of shape (n,) and a list of
+    counts; with a sequence of samplers positions and crossing_counts are
+    (trials, n) arrays and statuses lists them row by row.
+    """
+
     s: int
     positions: np.ndarray
     statuses: list[str]
-    crossing_counts: list[int]
-    events: list[CrossingEvent | None] = field(default_factory=list)
-
-
-def compute_walk(vectors: np.ndarray, r: np.ndarray, assume_canonical: bool = False) -> WalkTrace:
-    """values[k] = v^k . r for one variable's constellation.
-
-    The general path is a matrix-vector product.  With assume_canonical the
-    constellation is taken to be the canonical one (dim = s/2) and the walk
-    is built from prefix sums of r in O(s): the forward half from the batch
-    kernel, the second half as its antipodal mirror.
-    """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    if vectors.ndim != 2:
-        raise ValueError("vectors must be a (s, dim) array")
-    s, dim = vectors.shape
-    if r.shape != (dim,):
-        raise ValueError(f"r has shape {r.shape}, expected ({dim},)")
-    if assume_canonical:
-        if dim != s // 2:
-            raise ValueError(f"canonical fast path needs dim = s/2, got dim={dim}, s={s}")
-        half = canonical_values_batch(r[None, :])[0]
-        values = np.concatenate((half, -half))
-    else:
-        values = vectors @ r
-    return WalkTrace(s=s, values=values)
+    crossing_counts: list[int] | np.ndarray
 
 
 def _labels(values: np.ndarray, alpha: float) -> np.ndarray:
@@ -158,7 +185,8 @@ def detect_extreme_sign_changes(trace: WalkTrace, alpha: float) -> list[Crossing
 
     t_minus is the last index of the '-' run, t_plus the first index of the
     following '+' run.  A trace that never leaves (-alpha, alpha) has no
-    events.
+    events.  The rounding path uses the half-walk kernel; this is the
+    per-trace reference for any walk, antipodal or not.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -193,64 +221,23 @@ def detect_extreme_sign_changes(trace: WalkTrace, alpha: float) -> list[Crossing
     return events
 
 
-def assign_position(trace: WalkTrace, alpha: float, sampler: GaussianSampler) -> tuple[int, str, int]:
-    """Position plus status for one variable.
+def _lifted_prefix(sol: SdpSolutionP, ell: int, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Anchors (trials, n) and step prefix sums (trials, n, s/2) of the lifted walks.
 
-    Exactly one up-crossing assigns its t_plus; zero or several fall back to
-    a uniform draw from the given sampler.  Returns (position, status,
-    crossing count).
+    normals is (trials, dim*ell).  Walk value k of variable i is anchor +
+    2*prefix[k-1] for 1 <= k <= s/2.  Every (p/2 x dim) @ (dim x ell)
+    product is one BLAS call and every anchor one dot product, as for a
+    single trial, so a block of trials gives bit for bit the values of its
+    trials taken one at a time.
     """
-    events = detect_extreme_sign_changes(trace, alpha)
-    if len(events) == 1:
-        return events[0].t_plus, ONE_CROSSING, 1
-    position = sampler.uniform_below(trace.s)
-    status = NO_CROSSING if not events else MANY_CROSSINGS
-    return position, status, len(events)
-
-
-def round_solution(
-    sol: SdpSolutionP,
-    sampler: GaussianSampler,
-    alpha: float = 1.0,
-    audit: bool = True,
-) -> RoundingOutcome:
-    """Round a constellation solution with one shared Gaussian draw.
-
-    The shared r spans sol.dim coordinates.  Fallback positions come from
-    substreams keyed by variable index, so they do not depend on the order
-    variables are processed.  With audit=True the solution's feasibility is
-    checked first (max residual 1e-5); skip it when rounding the same
-    solution many times.
-    """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if audit:
-        from relq.sdp import feasibility_report
-
-        rep = feasibility_report(sol)
-        if rep.max_residual > 1e-5:
-            raise ValueError(f"solution infeasible: max residual {rep.max_residual:.3e}")
-    r = sampler.sample(sol.dim)
-    positions = np.empty(sol.n, dtype=np.int64)
-    statuses = []
-    counts = []
-    events_out: list[CrossingEvent | None] = []
-    for i in range(sol.n):
-        trace = compute_walk(sol.v[i], r)
-        events = detect_extreme_sign_changes(trace, alpha)
-        if len(events) == 1:
-            positions[i] = events[0].t_plus
-            statuses.append(ONE_CROSSING)
-            counts.append(1)
-            events_out.append(events[0])
-        else:
-            positions[i] = sampler.spawn(i).uniform_below(sol.p)
-            statuses.append(NO_CROSSING if not events else MANY_CROSSINGS)
-            counts.append(len(events))
-            events_out.append(None)
-    return RoundingOutcome(
-        s=sol.p, positions=positions, statuses=statuses, crossing_counts=counts, events=events_out
-    )
+    R = normals.reshape(normals.shape[0], sol.dim, ell)
+    scale = 1.0 / np.sqrt(ell)
+    steps = _variable_difference_steps(sol)  # (n, p/2, dim)
+    sub = (steps[None] @ R[:, None]) * scale  # (trials, n, p/2, ell), row-major = sub-step order
+    anchor_dot = R.sum(axis=2)[:, None, None, :] @ sol.v[None, :, 0, :, None]  # (trials, n, 1, 1)
+    anchor = anchor_dot[:, :, 0, 0] * scale
+    prefix = np.cumsum(sub.reshape(sub.shape[0], sol.n, -1), axis=2)
+    return anchor, prefix
 
 
 def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray, i: int) -> np.ndarray:
@@ -263,66 +250,100 @@ def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray, i: int) -> np
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    p, dim = sol.p, sol.dim
-    s = ell * p
-    half = s // 2
-    expected = dim * ell
+    expected = sol.dim * ell
     if r.shape != (expected,):
         raise ValueError(f"r has shape {r.shape}, expected ({expected},)")
-    R = r.reshape(dim, ell)
-    scale = 1.0 / np.sqrt(ell)
-    steps = _variable_difference_steps(sol)[i]  # (p/2, dim)
-    sub = (steps @ R) * scale  # (p/2, ell), row-major = sub-step order
-    anchor = float(sol.v[i, 0] @ R.sum(axis=1)) * scale
-    prefix = np.cumsum(sub.ravel())
-    values = np.empty(s)
+    anchor, prefix = _lifted_prefix(sol, ell, r[None])
+    anchor, prefix = anchor[0, i], prefix[0, i]
+    half = prefix.size
+    values = np.empty(2 * half)
     values[0] = anchor
     values[1 : half + 1] = anchor + 2.0 * prefix
     values[half + 1 :] = -values[1:half]
     return values
 
 
+def _round_block(
+    sol: SdpSolutionP, ell: int, normals: np.ndarray, samplers: Sequence[GaussianSampler], alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and crossing counts (trials, n) for one block of trials."""
+    anchor, prefix = _lifted_prefix(sol, ell, normals)
+    half_walks = np.empty_like(prefix)
+    half_walks[..., 0] = anchor
+    tail = half_walks[..., 1:]
+    np.multiply(prefix[..., :-1], 2.0, out=tail)
+    tail += anchor[..., None]
+    trials, n, half = half_walks.shape
+    counts, first_plus, _ = trace_stats_batch(half_walks.reshape(trials * n, half), alpha)
+    positions = first_plus
+    for cell in np.flatnonzero(counts != 1).tolist():
+        t, i = divmod(cell, n)
+        positions[cell] = samplers[t].spawn(i).uniform_below(2 * half)
+    return positions.reshape(trials, n), counts.reshape(trials, n)
+
+
+def _round_trials(
+    sol: SdpSolutionP, ell: int, samplers: list[GaussianSampler], alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and crossing counts (trials, n), one trial per fresh sampler, in blocks."""
+    dim = sol.dim * ell
+    pairs = (dim + 1) // 2
+    block = max(1, _BLOCK_VALUES // (sol.n * sol.p * ell // 2 + dim))
+    positions = np.empty((len(samplers), sol.n), dtype=np.int64)
+    counts = np.empty_like(positions)
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state  # zero counter, empty buffer
+    for t0 in range(0, len(samplers), block):
+        chunk = samplers[t0 : t0 + block]
+        u = np.empty((len(chunk), pairs, 2))
+        for row, smp in zip(u, chunk):
+            fresh["state"]["key"] = smp.key
+            bitgen.state = fresh
+            rng.random(out=row)
+        z = np.empty((len(chunk), 2 * pairs))
+        _box_muller(u.reshape(-1, 2), z.reshape(-1, 2))
+        # an odd dim drops each trial's spare normal
+        rows = slice(t0, t0 + len(chunk))
+        positions[rows], counts[rows] = _round_block(sol, ell, z[:, :dim], chunk, alpha)
+    return positions, counts
+
+
 def round_lifted_solution(
     sol: SdpSolutionP,
     ell: int,
-    sampler: GaussianSampler,
+    sampler: GaussianSampler | Sequence[GaussianSampler],
     alpha: float = 1.0,
     audit: bool = True,
 ) -> RoundingOutcome:
     """Round the ell-fold lifted solution directly from the base solution.
 
-    Positions land in [0, ell*p).  The base solution is audited; the lifted
-    walks are exact functions of it, so no lifted vectors are built.
+    Positions land in [0, ell*p).  With one sampler, one trial draws its
+    normals from it and falls back through its spawn(i).  With a sequence
+    of fresh samplers, trial t rounds with samplers[t] exactly as if it
+    were passed alone; the trials run in blocks of about _BLOCK_VALUES
+    walk values plus normals.  With audit=True the base solution's
+    feasibility is checked first (max residual 1e-5); the lifted walks are
+    exact functions of it, so no lifted vectors are built.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if audit:
-        from relq.sdp import feasibility_report
-
-        rep = feasibility_report(sol)
-        if rep.max_residual > 1e-5:
-            raise ValueError(f"solution infeasible: max residual {rep.max_residual:.3e}")
+        worst = max(solution_residuals(sol).values())
+        if worst > 1e-5:
+            raise ValueError(f"solution infeasible: max residual {worst:.3e}")
+    single = isinstance(sampler, GaussianSampler)
+    if single:
+        positions, counts = _round_block(sol, ell, sampler.sample(sol.dim * ell)[None], [sampler], alpha)
+    else:
+        samplers = list(sampler)
+        if not all(smp.fresh for smp in samplers):
+            raise ValueError("a batch of trials needs fresh samplers, one per trial")
+        positions, counts = _round_trials(sol, ell, samplers, alpha)
+    statuses = [_STATUS_BY_COUNT[c] for c in np.minimum(counts, 2).ravel().tolist()]
     s = ell * sol.p
-    r = sampler.sample(sol.dim * ell)
-    positions = np.empty(sol.n, dtype=np.int64)
-    statuses = []
-    counts = []
-    events_out: list[CrossingEvent | None] = []
-    for i in range(sol.n):
-        trace = WalkTrace(s=s, values=lifted_walk_values(sol, ell, r, i))
-        events = detect_extreme_sign_changes(trace, alpha)
-        if len(events) == 1:
-            positions[i] = events[0].t_plus
-            statuses.append(ONE_CROSSING)
-            counts.append(1)
-            events_out.append(events[0])
-        else:
-            positions[i] = sampler.spawn(i).uniform_below(s)
-            statuses.append(NO_CROSSING if not events else MANY_CROSSINGS)
-            counts.append(len(events))
-            events_out.append(None)
-    return RoundingOutcome(
-        s=s, positions=positions, statuses=statuses, crossing_counts=counts, events=events_out
-    )
+    if single:
+        return RoundingOutcome(s=s, positions=positions[0], statuses=statuses, crossing_counts=counts[0].tolist())
+    return RoundingOutcome(s=s, positions=positions, statuses=statuses, crossing_counts=counts)

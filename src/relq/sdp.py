@@ -25,7 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from relq.constellation import SdpSolutionP, target_gram
+from relq.constellation import (
+    SdpSolutionP,
+    _covariance_residual,
+    _diagonal_class_index,
+    solution_residuals,
+)
 from relq.instance import Instance, Assignment, circular_distance
 
 SOLUTION_MAGIC = "relqsol"
@@ -148,20 +153,6 @@ def _check_instance(sol, inst):
         raise ValueError(f"solution shape (p={sol.p}, n={sol.n}) does not match instance (p={inst.p}, n={inst.n})")
 
 
-def _diagonal_class_index(p: int) -> np.ndarray:
-    """idx[h, k] = (k - h) mod p, the shift class of entry (h, k) of a block."""
-    k = np.arange(p)
-    return (k[None, :] - k[:, None]) % p
-
-
-def _covariance_residual(block: np.ndarray, cls: np.ndarray, p: int) -> tuple[float, np.ndarray]:
-    """Max deviation from the per-shift-class mean, and the class means."""
-    means = np.zeros(p)
-    np.add.at(means, cls.ravel(), block.ravel())
-    means /= p
-    return float(np.max(np.abs(block - means[cls]))), means
-
-
 def feasibility_report(sol, inst: Instance | None = None) -> FeasibilityReport:
     """Max residual per constraint family, measured from the vectors."""
     if isinstance(sol, SdpSolutionPPlus):
@@ -204,22 +195,8 @@ def _feasibility_pplus(sol: SdpSolutionPPlus, inst: Instance | None) -> Feasibil
 
 
 def _feasibility_p(sol: SdpSolutionP, inst: Instance | None) -> FeasibilityReport:
-    p, n = sol.p, sol.n
-    cls = _diagonal_class_index(p)
-    target = target_gram(p)
-    r_gram = 0.0
-    r_unit = 0.0
-    r_cov = 0.0
-    for i in range(n):
-        gram = sol.v[i] @ sol.v[i].T
-        r_gram = max(r_gram, float(np.max(np.abs(gram - target))))
-        r_unit = max(r_unit, float(np.max(np.abs(np.diag(gram) - 1.0))))
-        for j in range(i + 1, n):
-            block = sol.v[i] @ sol.v[j].T
-            r_cov = max(r_cov, _covariance_residual(block, cls, p)[0])
-    residuals = {"gram_law": r_gram, "unit_norm": r_unit, "shift_covariance": r_cov}
     obj = objective_p(sol, inst) if inst is not None else None
-    return FeasibilityReport(kind="p", residuals=residuals, objective=obj)
+    return FeasibilityReport(kind="p", residuals=solution_residuals(sol), objective=obj)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,8 @@ def test_margin_check_validation():
         discretization_margin_check(s=100, eta=0.01, c=-1.0, trials=10, seed=0)
     with pytest.raises(ValueError):
         discretization_margin_check(s=100, eta=0.01, c=1e-4, trials=0, seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        discretization_margin_check(s=100, eta=0.01, c=1e-4, trials=10, seed=-1)
 
 
 def test_discrete_walks_match_quadrature_totals():

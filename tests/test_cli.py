@@ -94,6 +94,43 @@ def test_solve_round_pipeline(triangle_file, tmp_path, capsys):
     assert out.splitlines()[:3] == capsys.readouterr().out.splitlines()[:3]
 
 
+# `relq round` stdout for the solved triangle, captured from the per-trial
+# rounding loop before rounding was batched
+ROUND_STDOUT = {
+    1: ["value 2.0", "positions 2 0 2", "statuses OneCrossing OneCrossing OneCrossing"],
+    5: ["value 2.0", "positions 6 12 1", "statuses OneCrossing OneCrossing OneCrossing"],
+}
+
+
+@pytest.mark.parametrize("ell", sorted(ROUND_STDOUT))
+def test_round_stdout_pinned(ell, triangle_file, tmp_path, capsys):
+    sol_path = tmp_path / "sol.txt"
+    assert main(["solve", str(triangle_file), "--out", str(sol_path)]) == 0
+    capsys.readouterr()
+    assert main(["round", str(triangle_file), str(sol_path), "--seed", "3", "--ell", str(ell)]) == 0
+    assert capsys.readouterr().out.splitlines() == ROUND_STDOUT[ell]
+
+
+def test_out_of_range_seeds_are_errors(triangle_file, tmp_path, capsys):
+    sol_path = tmp_path / "sol.txt"
+    assert main(["solve", str(triangle_file), "--out", str(sol_path)]) == 0
+    capsys.readouterr()
+    commands = (
+        ["gen", "--n", "3", "--p", "4", "--m", "2"],
+        ["round", str(triangle_file), str(sol_path)],
+        ["e2e", str(triangle_file), "--trials", "4"],
+        ["mc-signchange", "--s", "100", "--trials", "10"],
+        ["mc-correlation", "--theta", "pi/4", "--trials", "10"],
+        ["conjecture", "--s", "100", "--trials", "10"],
+    )
+    for command in commands:
+        for seed in ("-1", str(2**64)):
+            assert main(command + ["--seed", seed]) == 1, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: seed must lie in"), command
+
+
 def test_solve_max_iterations_zero_is_honoured(triangle_file, capsys):
     assert main(["solve", str(triangle_file), "--max-iterations", "0"]) == 0
     out = capsys.readouterr().out

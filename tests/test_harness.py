@@ -39,13 +39,9 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
-        ExperimentConfig(s=999)
-    with pytest.raises(ValueError):
         ExperimentConfig(alpha=0.0)
     with pytest.raises(ValueError):
         ExperimentConfig(ell=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(theta_grid=(0.1, 4.0))
 
 
 def test_report_csv_round_trip():
@@ -168,6 +164,30 @@ def test_conjecture_experiment_multi_chunk_rows_pinned():
     _assert_rows_exact(report.rows, CONJECTURE_S100_SEED5)
 
 
+# end_to_end_ratio rows of the planted (4, 8, 6, seed 21) instance and the
+# triangle, 2000 trials each, captured from the per-trial rounding loop
+# before rounding was batched
+E2E_ROWS = {
+    ("planted", 1, 0): [8, 4, 6, 1, 2000, 1.0, 5.9999999999826885, 6.0, 5.11, 0.03227570077365037,
+                        0.8516666666666667, 0.8516666666691239, True, 1.423096601014412e-10, True],
+    ("planted", 1, 1): [8, 4, 6, 1, 2000, 1.0, 5.9999999999826885, 6.0, 5.1445, 0.03225996323019924,
+                        0.8574166666666666, 0.8574166666691405, True, 1.423096601014412e-10, True],
+    ("planted", 4, 0): [8, 4, 6, 4, 2000, 1.0, 5.9999999999826885, 6.0, 5.68275, 0.02159723799689551,
+                        0.9471250000000001, 0.9471250000027328, True, 1.423096601014412e-10, True],
+    ("planted", 4, 1): [8, 4, 6, 4, 2000, 1.0, 5.9999999999826885, 6.0, 5.6511875, 0.022435815598784603,
+                        0.9418645833333333, 0.9418645833360508, True, 1.423096601014412e-10, True],
+    ("triangle", 5, 1): [4, 3, 3, 5, 2000, 1.0, 2.2500000000222093, 2.0, 1.897, 0.005158372262855901,
+                         0.9485, 0.8431111111027889, True, 3.701983164461353e-12, True],
+}
+
+
+@pytest.mark.parametrize("name,ell,seed", list(E2E_ROWS))
+def test_end_to_end_rows_pinned(name, ell, seed):
+    inst = generate_instance(n=4, p=8, m=6, seed=21, planted=True)[0] if name == "planted" else TRIANGLE
+    report = end_to_end_ratio(inst, ExperimentConfig(trials=2000, seed=seed, ell=ell))
+    _assert_rows_exact(report.rows, [E2E_ROWS[name, ell, seed]])
+
+
 def _traced_peak_mb(fn) -> float:
     tracemalloc.start()
     try:
@@ -183,6 +203,19 @@ def test_mc_drivers_stream_in_bounded_memory():
     assert sign <= 32.0
     conj = _traced_peak_mb(lambda: conjecture_experiment((math.pi / 6,), s=2000, trials=1024, seed=1))
     assert conj <= 32.0
+
+
+def test_end_to_end_rounds_in_bounded_memory():
+    # trials run in blocks; at ell = 1000 one trial alone fills a block
+    inst, _ = generate_instance(n=4, p=8, m=6, seed=21, planted=True)
+    assert _traced_peak_mb(lambda: end_to_end_ratio(inst, ExperimentConfig(trials=2000, seed=1, ell=4))) <= 4.0
+    assert _traced_peak_mb(lambda: end_to_end_ratio(inst, ExperimentConfig(trials=2000, seed=1, ell=1000))) <= 4.0
+
+
+def test_end_to_end_rejects_out_of_range_seeds():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            end_to_end_ratio(TRIANGLE, ExperimentConfig(trials=4, seed=seed))
 
 
 def test_mc_correlation_gap_closed_forms():

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from relq.instance import (
@@ -14,6 +15,7 @@ from relq.instance import (
     generate_instance,
     parse_instance,
     scale_instance,
+    score_positions,
 )
 
 
@@ -101,6 +103,20 @@ class TestEvaluate:
             t = random.randrange(p)
             shifted = [(x + t) % p for x in pos]
             assert evaluate(inst, Assignment(pos)).total == evaluate(inst, Assignment(shifted)).total
+
+    def test_batch_scores_match_exact_totals(self):
+        random.seed(14)
+        for _ in range(30):
+            p = 2 * random.randint(1, 12)
+            n = random.randint(2, 5)
+            inst, _ = generate_instance(n, p, random.randint(0, 8), seed=random.randrange(10**6))
+            rows = np.array([[random.randrange(p) for _ in range(n)] for _ in range(20)], dtype=np.int64)
+            scores = score_positions(inst, rows)
+            assert scores.dtype == np.int64 and scores.shape == (20,)
+            for row, score in zip(rows.tolist(), scores.tolist()):
+                total = evaluate(inst, Assignment(row)).total
+                assert Fraction(score, p) == total
+                assert score / p == float(total)  # the float e2e averages
 
     def test_rejects_mismatch(self):
         inst = Instance(p=4, n=2, equations=[(0, 1, 1)])
@@ -193,6 +209,13 @@ class TestGenerate:
     def test_rejects_single_variable(self):
         with pytest.raises(ValueError):
             generate_instance(1, 4, 1, seed=0)
+
+    def test_rejects_out_of_range_seeds(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                generate_instance(3, 4, 2, seed=seed)
+        a, _ = generate_instance(3, 4, 2, seed=2**64 - 1)
+        assert a.m == 2
 
     def test_rejects_negative_equation_count(self):
         with pytest.raises(ValueError, match="equation count"):

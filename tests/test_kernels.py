@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from relq._kernels import canonical_values_batch, trace_stats_batch
-from relq.constellation import canonical_constellation
-from relq.rounding import WalkTrace, compute_walk, detect_extreme_sign_changes
+from relq.constellation import SdpSolutionP, canonical_constellation
+from relq.rounding import WalkTrace, detect_extreme_sign_changes, lifted_walk_values
 
 
 def test_values_match_explicit_dot_products():
@@ -32,11 +32,15 @@ def test_values_antipodal_mirror_is_exact():
     c = np.sqrt(2.0 / (2 * half))
     seam = vals[:, 0] - 2.0 * c * np.cumsum(inc, axis=1)[:, -1]
     np.testing.assert_array_equal(seam, -vals[:, 0])
+    # the rounding path's walk of the canonical constellation is the same
+    # walk, mirrored exactly past its seam index
     cons = canonical_constellation(2 * half)
+    sol = SdpSolutionP(p=2 * half, n=1, dim=half, v=cons.vectors[None])
     for row in range(5):
-        trace = compute_walk(cons.vectors, inc[row], assume_canonical=True)
-        np.testing.assert_array_equal(trace.values[:half], vals[row])
-        np.testing.assert_array_equal(trace.values[half:], -vals[row])
+        values = lifted_walk_values(sol, 1, inc[row], 0)
+        np.testing.assert_allclose(values[:half], vals[row], atol=1e-12)
+        np.testing.assert_allclose(values[half], -vals[row, 0], atol=1e-12)
+        np.testing.assert_array_equal(values[half + 1 :], -values[1:half])
 
 
 def test_values_rejects_bad_shape():

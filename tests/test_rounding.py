@@ -4,27 +4,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import relq.rounding
 from relq._kernels import canonical_values_batch, trace_stats_batch
-from relq.constellation import SdpSolutionP, canonical_constellation, lift_solution
-from relq.instance import Assignment, Instance, circular_distance
+from relq.constellation import SdpSolutionP, _variable_difference_steps, canonical_constellation, lift_solution
+from relq.instance import Assignment, Instance
 from relq.rounding import (
     _BLOCK_PAIRS,
     MANY_CROSSINGS,
     NO_CROSSING,
     ONE_CROSSING,
-    CrossingEvent,
     GaussianSampler,
-    RoundingOutcome,
     WalkTrace,
-    assign_position,
-    compute_walk,
     detect_extreme_sign_changes,
     lifted_walk_values,
     round_lifted_solution,
-    round_solution,
-    sample_gaussian,
 )
-from relq.sdp import convert_to_p, integral_embedding
+from relq.sdp import convert_to_p, feasibility_report, integral_embedding, solve_p_plus
 
 
 # --- sampler ---------------------------------------------------------------
@@ -93,7 +88,7 @@ def test_sampler_streams_differ():
 
 
 def test_sampler_moments():
-    draws = sample_gaussian(GaussianSampler(seed=101), 10**6)
+    draws = GaussianSampler(seed=101).sample(10**6)
     assert abs(draws.mean()) <= 0.005
     assert abs(draws.var() - 1.0) <= 0.01
 
@@ -113,33 +108,69 @@ def test_sampler_spawn_and_uniform():
         s.spawn(-1)
 
 
+def test_sampler_is_fresh_until_its_first_draw():
+    s = GaussianSampler(seed=7, stream=2)
+    np.testing.assert_array_equal(s.key, np.array([7, 2], dtype=np.uint64))
+    child = s.spawn(3)
+    assert s.fresh and child.fresh
+    s.sample(1)
+    assert not s.fresh
+    child.uniform_below(4)
+    assert not child.fresh
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**64) + 1, 2**64, 2**70])
+def test_sampler_rejects_out_of_range_seeds(seed):
+    # masking used to alias these onto valid seeds: -1 drew what 2**64 - 1 draws
+    with pytest.raises(ValueError, match="seed"):
+        GaussianSampler(seed)
+
+
+def test_sampler_accepts_the_seed_range_ends():
+    top = GaussianSampler(2**64 - 1).sample(8)
+    np.testing.assert_array_equal(top, _UnblockedSampler(2**64 - 1).sample(8))
+    assert not np.array_equal(top, GaussianSampler(0).sample(8))
+
+
 # --- walks -----------------------------------------------------------------
 
 
+def _canonical_solution(p):
+    cons = canonical_constellation(p)
+    return SdpSolutionP(p=p, n=1, dim=cons.dim, v=cons.vectors[None, :, :])
+
+
 def test_compute_walk_hand_case():
-    cons = canonical_constellation(8)
+    sol = _canonical_solution(8)
     r = np.zeros(4)
     r[1] = 1.0
-    trace = compute_walk(cons.vectors, r)
-    assert trace.s == 8
-    assert abs(trace.values[0] - 0.5) <= 1e-15
-    assert abs(trace.values[4] + 0.5) <= 1e-15
-    assert trace.anchor == trace.values[0]
+    want = [0.5, 0.5, -0.5, -0.5, -0.5, -0.5, 0.5, 0.5]  # v^k . r: the sign of entry 1 of v^k
+    np.testing.assert_allclose(sol.v[0] @ r, want, atol=1e-15)
+    values = lifted_walk_values(sol, 1, r, 0)
+    np.testing.assert_allclose(values, want, atol=1e-15)
+    half = canonical_values_batch(r[None])[0]
+    np.testing.assert_allclose(np.concatenate((half, -half)), want, atol=1e-15)
+    trace = WalkTrace(s=8, values=values)
+    assert trace.anchor == values[0] == 0.5
 
 
 def test_fast_and_slow_paths_agree():
-    cons = canonical_constellation(128)
+    sol = _canonical_solution(128)
     r = GaussianSampler(seed=3).sample(64)
-    slow = compute_walk(cons.vectors, r)
-    fast = compute_walk(cons.vectors, r, assume_canonical=True)
-    np.testing.assert_allclose(fast.values, slow.values, atol=1e-12)
+    explicit = sol.v[0] @ r
+    np.testing.assert_allclose(lifted_walk_values(sol, 1, r, 0), explicit, atol=1e-12)
+    half = canonical_values_batch(r[None])[0]
+    np.testing.assert_allclose(np.concatenate((half, -half)), explicit, atol=1e-12)
 
 
 def test_walk_antipodal_antisymmetry():
-    cons = canonical_constellation(30)
+    sol = _canonical_solution(30)
     r = GaussianSampler(seed=4).sample(15)
-    trace = compute_walk(cons.vectors, r)
-    np.testing.assert_allclose(trace.values[15:], -trace.values[:15], atol=1e-12)
+    for values in (sol.v[0] @ r, lifted_walk_values(sol, 1, r, 0)):
+        np.testing.assert_allclose(values[15:], -values[:15], atol=1e-12)
+    values = lifted_walk_values(sol, 1, r, 0)
+    # the lifted walk mirrors its forward half exactly past the seam index
+    np.testing.assert_array_equal(values[16:], -values[1:15])
 
 
 def test_walk_correlations_match_gram():
@@ -155,11 +186,13 @@ def test_walk_correlations_match_gram():
 
 
 def test_compute_walk_validates():
-    cons = canonical_constellation(8)
+    sol = _canonical_solution(8)
     with pytest.raises(ValueError):
-        compute_walk(cons.vectors, np.zeros(3))
+        lifted_walk_values(sol, 1, np.zeros(3), 0)
     with pytest.raises(ValueError):
-        compute_walk(np.zeros((8, 5)), np.zeros(5), assume_canonical=True)
+        lifted_walk_values(sol, 0, np.zeros(4), 0)
+    with pytest.raises(ValueError):
+        canonical_values_batch(np.zeros(5))
     with pytest.raises(ValueError):
         WalkTrace(s=4, values=np.zeros(5))
 
@@ -200,7 +233,7 @@ def test_up_and_down_crossings_balance_on_canonical_traces():
     cons = canonical_constellation(40)
     for seed in range(30):
         r = GaussianSampler(seed=seed).sample(20)
-        trace = compute_walk(cons.vectors, r)
+        trace = WalkTrace(s=40, values=cons.vectors @ r)
         ups = detect_extreme_sign_changes(trace, 1.0)
         mirrored = WalkTrace(s=trace.s, values=-trace.values)
         downs = detect_extreme_sign_changes(mirrored, 1.0)
@@ -211,46 +244,70 @@ def test_detect_agrees_with_batch_kernel():
     cons = canonical_constellation(60)
     for seed in range(40):
         r = GaussianSampler(seed=seed, stream=9).sample(30)
-        for canonical in (False, True):
-            trace = compute_walk(cons.vectors, r, assume_canonical=canonical)
-            events = detect_extreme_sign_changes(trace, 1.0)
-            counts, first, _ = trace_stats_batch(trace.values[None, :30], 1.0)
+        half = canonical_values_batch(r[None])[0]
+        for values in (cons.vectors @ r, np.concatenate((half, -half))):
+            events = detect_extreme_sign_changes(WalkTrace(s=60, values=values), 1.0)
+            counts, first, _ = trace_stats_batch(values[None, :30], 1.0)
             assert counts[0] == len(events)
             assert first[0] == (min(e.t_plus for e in events) if events else -1)
             if len(events) == 1:
                 assert first[0] == events[0].t_plus
 
 
-# --- position assignment ---------------------------------------------------
+# --- the per-trial rounding loop, kept as the oracle of the batched path ----
 
 
-def test_assign_position_single_crossing():
-    trace = WalkTrace(s=4, values=np.array([-2.0, 0.0, 2.0, 0.0]))
-    pos, status, count = assign_position(trace, 1.0, GaussianSampler(seed=0))
-    assert (pos, status, count) == (2, ONE_CROSSING, 1)
+def _lifted_walk_values_oracle(sol, ell, r, i):
+    """lifted_walk_values as it was before the batched path, verbatim."""
+    if ell < 1:
+        raise ValueError(f"ell must be >= 1, got {ell}")
+    p, dim = sol.p, sol.dim
+    s = ell * p
+    half = s // 2
+    expected = dim * ell
+    if r.shape != (expected,):
+        raise ValueError(f"r has shape {r.shape}, expected ({expected},)")
+    R = r.reshape(dim, ell)
+    scale = 1.0 / np.sqrt(ell)
+    steps = _variable_difference_steps(sol)[i]  # (p/2, dim)
+    sub = (steps @ R) * scale  # (p/2, ell), row-major = sub-step order
+    anchor = float(sol.v[i, 0] @ R.sum(axis=1)) * scale
+    prefix = np.cumsum(sub.ravel())
+    values = np.empty(s)
+    values[0] = anchor
+    values[1 : half + 1] = anchor + 2.0 * prefix
+    values[half + 1 :] = -values[1:half]
+    return values
 
 
-def test_assign_position_quiet_trace_falls_back():
-    trace = WalkTrace(s=8, values=np.zeros(8))
-    s1 = GaussianSampler(seed=12)
-    s2 = GaussianSampler(seed=12)
-    pos1, status, count = assign_position(trace, 1.0, s1)
-    pos2, _, _ = assign_position(trace, 1.0, s2)
-    assert status == NO_CROSSING
-    assert count == 0
-    assert pos1 == pos2
-    assert 0 <= pos1 < 8
-
-
-def test_assign_position_many_crossings():
-    trace = WalkTrace(s=6, values=np.array([2.0, -2.0, 2.0, -2.0, 2.0, -2.0]))
-    pos, status, count = assign_position(trace, 1.0, GaussianSampler(seed=1))
-    assert status == MANY_CROSSINGS
-    assert count == 3
-    assert 0 <= pos < 6
-
-
-# --- rounding --------------------------------------------------------------
+def _round_lifted_oracle(sol, ell, sampler, alpha=1.0, audit=True):
+    """The per-trial round_lifted_solution loop before batching, verbatim up
+    to its return value: (positions, statuses, crossing counts)."""
+    if ell < 1:
+        raise ValueError(f"ell must be >= 1, got {ell}")
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if audit:
+        rep = feasibility_report(sol)
+        if rep.max_residual > 1e-5:
+            raise ValueError(f"solution infeasible: max residual {rep.max_residual:.3e}")
+    s = ell * sol.p
+    r = sampler.sample(sol.dim * ell)
+    positions = np.empty(sol.n, dtype=np.int64)
+    statuses = []
+    counts = []
+    for i in range(sol.n):
+        trace = WalkTrace(s=s, values=_lifted_walk_values_oracle(sol, ell, r, i))
+        events = detect_extreme_sign_changes(trace, alpha)
+        if len(events) == 1:
+            positions[i] = events[0].t_plus
+            statuses.append(ONE_CROSSING)
+            counts.append(1)
+        else:
+            positions[i] = sampler.spawn(i).uniform_below(s)
+            statuses.append(NO_CROSSING if not events else MANY_CROSSINGS)
+            counts.append(len(events))
+    return positions, statuses, counts
 
 
 def _integral_p_solution(p, positions):
@@ -258,10 +315,86 @@ def _integral_p_solution(p, positions):
     return convert_to_p(integral_embedding(inst, Assignment(positions=positions)))
 
 
+def _rotated_pair(p, theta):
+    cons = canonical_constellation(p)
+    z = np.zeros_like(cons.vectors)
+    v0 = np.hstack([cons.vectors, z])
+    v1 = np.hstack([np.cos(theta) * cons.vectors, np.sin(theta) * cons.vectors])
+    return SdpSolutionP(p=p, n=2, dim=2 * cons.dim, v=np.stack([v0, v1]))
+
+
+def _padded(sol):
+    """The same solution with one more, unused, ambient coordinate: odd dim."""
+    v = np.concatenate([sol.v, np.zeros((sol.n, sol.p, 1))], axis=2)
+    return SdpSolutionP(p=sol.p, n=sol.n, dim=sol.dim + 1, v=v)
+
+
+def _triangle_solution():
+    inst = Instance(p=4, n=3, equations=[(0, 1, 2), (1, 2, 2), (2, 0, 2)])
+    return convert_to_p(solve_p_plus(inst)[0])
+
+
+@pytest.mark.parametrize("ell", [1, 2, 5, 50])
+def test_lifted_walk_values_match_the_oracle_bit_for_bit(ell):
+    sol = _triangle_solution()
+    r = GaussianSampler(seed=8).sample(sol.dim * ell)
+    for i in range(sol.n):
+        np.testing.assert_array_equal(lifted_walk_values(sol, ell, r, i), _lifted_walk_values_oracle(sol, ell, r, i))
+
+
+# --- position assignment ---------------------------------------------------
+
+
+def test_assign_position_single_crossing():
+    sol = _canonical_solution(8)
+    seen = 0
+    for seed in range(20):
+        out = round_lifted_solution(sol, 1, GaussianSampler(seed=seed))
+        r = GaussianSampler(seed=seed).sample(sol.dim)
+        events = detect_extreme_sign_changes(WalkTrace(s=8, values=lifted_walk_values(sol, 1, r, 0)), 1.0)
+        assert out.crossing_counts == [len(events)]
+        if len(events) == 1:
+            assert out.statuses == [ONE_CROSSING]
+            assert out.positions[0] == events[0].t_plus
+            seen += 1
+    assert seen >= 10
+
+
+def test_assign_position_quiet_trace_falls_back():
+    sol = _rotated_pair(8, theta=0.4)
+    for seed in (12, 13):
+        out1 = round_lifted_solution(sol, 1, GaussianSampler(seed=seed), alpha=50.0)
+        out2 = round_lifted_solution(sol, 1, GaussianSampler(seed=seed), alpha=50.0)
+        assert out1.statuses == [NO_CROSSING, NO_CROSSING]
+        assert out1.crossing_counts == [0, 0]
+        np.testing.assert_array_equal(out1.positions, out2.positions)
+        want = [GaussianSampler(seed=seed).spawn(i).uniform_below(8) for i in range(2)]
+        assert out1.positions.tolist() == want
+        assert all(0 <= x < 8 for x in want)
+
+
+def test_assign_position_many_crossings():
+    sol = _canonical_solution(40)
+    many = 0
+    for seed in range(30):
+        out = round_lifted_solution(sol, 1, GaussianSampler(seed=seed), alpha=0.05)
+        r = GaussianSampler(seed=seed).sample(sol.dim)
+        events = detect_extreme_sign_changes(WalkTrace(s=40, values=lifted_walk_values(sol, 1, r, 0)), 0.05)
+        assert out.crossing_counts == [len(events)]
+        if len(events) >= 2:
+            assert out.statuses == [MANY_CROSSINGS]
+            assert out.positions[0] == GaussianSampler(seed=seed).spawn(0).uniform_below(40)
+            many += 1
+    assert many >= 5
+
+
+# --- rounding --------------------------------------------------------------
+
+
 def test_round_solution_deterministic():
     sol = _integral_p_solution(8, [0, 3, 5])
-    out1 = round_solution(sol, GaussianSampler(seed=21))
-    out2 = round_solution(sol, GaussianSampler(seed=21))
+    out1 = round_lifted_solution(sol, 1, GaussianSampler(seed=21))
+    out2 = round_lifted_solution(sol, 1, GaussianSampler(seed=21))
     np.testing.assert_array_equal(out1.positions, out2.positions)
     assert out1.statuses == out2.statuses
     assert out1.crossing_counts == out2.crossing_counts
@@ -272,7 +405,7 @@ def test_round_solution_positions_track_integral_differences():
     sol = _integral_p_solution(8, positions)
     seen = 0
     for seed in range(40):
-        out = round_solution(sol, GaussianSampler(seed=seed), audit=(seed == 0))
+        out = round_lifted_solution(sol, 1, GaussianSampler(seed=seed), audit=(seed == 0))
         for i in range(3):
             for j in range(i + 1, 3):
                 if out.statuses[i] == ONE_CROSSING and out.statuses[j] == ONE_CROSSING:
@@ -286,19 +419,18 @@ def test_round_solution_positions_track_integral_differences():
 def test_round_solution_rejects_infeasible():
     sol = _integral_p_solution(4, [0, 1])
     sol.v[0] *= 1.5
-    with pytest.raises(ValueError):
-        round_solution(sol, GaussianSampler(seed=0))
+    with pytest.raises(ValueError, match="infeasible"):
+        round_lifted_solution(sol, 1, GaussianSampler(seed=0))
+    with pytest.raises(ValueError, match="infeasible"):
+        round_lifted_solution(sol, 2, [GaussianSampler(seed=0)])
 
 
 def test_round_solution_one_crossing_frequency():
     s = 2000
-    cons = canonical_constellation(s)
-    sol = SdpSolutionP(p=s, n=1, dim=s // 2, v=cons.vectors[None, :, :])
-    hits = 0
+    sol = _canonical_solution(s)
     trials = 2500
-    for seed in range(trials):
-        out = round_solution(sol, GaussianSampler(seed=seed, stream=77), audit=False)
-        hits += out.statuses[0] == ONE_CROSSING
+    out = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed, stream=77) for seed in range(trials)], audit=False)
+    hits = sum(status == ONE_CROSSING for status in out.statuses)
     assert hits / trials >= 0.96
 
 
@@ -318,14 +450,6 @@ def test_one_crossing_positions_are_uniform():
 # --- lifted rounding -------------------------------------------------------
 
 
-def _rotated_pair(p, theta):
-    cons = canonical_constellation(p)
-    z = np.zeros_like(cons.vectors)
-    v0 = np.hstack([cons.vectors, z])
-    v1 = np.hstack([np.cos(theta) * cons.vectors, np.sin(theta) * cons.vectors])
-    return SdpSolutionP(p=p, n=2, dim=2 * cons.dim, v=np.stack([v0, v1]))
-
-
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_lifted_walks_match_materialized_lift(ell):
     sol = _rotated_pair(8, theta=0.6)
@@ -342,7 +466,7 @@ def test_round_lifted_matches_rounding_the_lift(ell):
     sol = _rotated_pair(4, theta=0.8)
     lifted = lift_solution(sol, ell)
     out_trick = round_lifted_solution(sol, ell, GaussianSampler(seed=17))
-    out_direct = round_solution(lifted, GaussianSampler(seed=17))
+    out_direct = round_lifted_solution(lifted, 1, GaussianSampler(seed=17))  # ell = 1 is plain rounding
     assert out_trick.s == out_direct.s == 4 * ell
     np.testing.assert_array_equal(out_trick.positions, out_direct.positions)
     assert out_trick.statuses == out_direct.statuses
@@ -363,3 +487,79 @@ def test_round_lifted_validates():
     r = GaussianSampler(seed=0).sample(sol.dim * 2)
     with pytest.raises(ValueError):
         lifted_walk_values(sol, 3, r, 0)  # r sized for ell=2, not 3
+
+
+# --- batched trials --------------------------------------------------------
+
+# (solution, ell, alpha): dim*ell odd for the padded pair at odd ell, so each
+# trial's last uniform pair leaves a spare normal; small and large alpha
+# force NoCrossing and ManyCrossings fallbacks
+BATCH_CASES = [
+    ("triangle", 1, 1.0),
+    ("triangle", 5, 1.0),
+    ("triangle", 2, 0.3),
+    ("padded_pair", 1, 1.0),
+    ("padded_pair", 3, 0.2),
+    ("padded_pair", 3, 1.6),
+    ("canonical_40", 1, 0.1),
+]
+
+
+def _batch_solution(name):
+    if name == "triangle":
+        return _triangle_solution()
+    if name == "padded_pair":
+        return _padded(_rotated_pair(6, theta=0.9))
+    return _canonical_solution(40)
+
+
+@pytest.mark.parametrize("block_values", [relq.rounding._BLOCK_VALUES, 50])
+@pytest.mark.parametrize("name,ell,alpha", BATCH_CASES)
+def test_batched_trials_match_the_per_trial_oracle(name, ell, alpha, block_values, monkeypatch):
+    monkeypatch.setattr(relq.rounding, "_BLOCK_VALUES", block_values)
+    sol = _batch_solution(name)
+    trials = 300
+    base = GaussianSampler(seed=6, stream=2)
+    out = round_lifted_solution(sol, ell, [base.spawn(t) for t in range(trials)], alpha=alpha)
+    assert out.s == ell * sol.p
+    assert out.positions.shape == out.crossing_counts.shape == (trials, sol.n)
+    assert len(out.statuses) == trials * sol.n
+    want_statuses = []
+    for t in range(trials):
+        positions, statuses, counts = _round_lifted_oracle(sol, ell, base.spawn(t), alpha=alpha)
+        np.testing.assert_array_equal(out.positions[t], positions)
+        assert out.crossing_counts[t].tolist() == counts
+        want_statuses += statuses
+        # one trial rounded alone agrees too
+        alone = round_lifted_solution(sol, ell, base.spawn(t), alpha=alpha, audit=False)
+        np.testing.assert_array_equal(alone.positions, positions)
+        assert (alone.statuses, alone.crossing_counts) == (statuses, counts)
+    assert out.statuses == want_statuses
+
+
+def test_batched_cases_reach_every_status_and_a_spare_normal():
+    seen = set()
+    for name, ell, alpha in BATCH_CASES:
+        sol = _batch_solution(name)
+        base = GaussianSampler(seed=6, stream=2)
+        seen |= set(round_lifted_solution(sol, ell, [base.spawn(t) for t in range(300)], alpha=alpha).statuses)
+        seen.add("odd" if sol.dim * ell % 2 else "even")
+    assert seen == {ONE_CROSSING, NO_CROSSING, MANY_CROSSINGS, "odd", "even"}
+
+
+def test_batch_takes_any_fresh_sampler_keys():
+    sol = _rotated_pair(4, theta=0.5)
+    samplers = [GaussianSampler(seed, stream) for seed, stream in ((0, 0), (9, 3), (2**64 - 1, 7), (5, 2**70))]
+    out = round_lifted_solution(sol, 3, samplers)
+    fresh = [GaussianSampler(smp.seed, smp.stream) for smp in samplers]
+    for t, smp in enumerate(fresh):
+        positions, statuses, counts = _round_lifted_oracle(sol, 3, smp)
+        np.testing.assert_array_equal(out.positions[t], positions)
+
+
+def test_batch_rejects_used_samplers():
+    sol = _rotated_pair(4, theta=0.5)
+    used = GaussianSampler(seed=1)
+    used.sample(3)
+    with pytest.raises(ValueError, match="fresh"):
+        round_lifted_solution(sol, 1, [GaussianSampler(seed=0), used])
