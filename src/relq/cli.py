@@ -211,7 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = subs.add_parser("solve", help="solve the covariance relaxation")
     solve.add_argument("instance", type=Path)
-    solve.add_argument("--max-iterations", type=int, default=None)
+    solve.add_argument(
+        "--max-iterations",
+        type=int,
+        default=None,
+        help=f"cap on the splitting engine's cycles (default {SolverConfig().max_iterations})",
+    )
     solve.add_argument("--out", type=Path, default=None, help="save the solution vectors here")
     solve.set_defaults(func=_cmd_solve)
 

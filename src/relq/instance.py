@@ -238,9 +238,5 @@ def parse_instance(text: str) -> Instance:
     return Instance(p=p, n=n, equations=equations)
 
 
-def save_instance(inst: Instance, path: str | Path) -> None:
-    Path(path).write_text(format_instance(inst))
-
-
 def load_instance(path: str | Path) -> Instance:
     return parse_instance(Path(path).read_text())

@@ -221,10 +221,13 @@ def detect_extreme_sign_changes(trace: WalkTrace, alpha: float) -> list[Crossing
     return events
 
 
-def _lifted_prefix(sol: SdpSolutionP, ell: int, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lifted_prefix(
+    sol: SdpSolutionP, steps: np.ndarray, ell: int, normals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Anchors (trials, n) and step prefix sums (trials, n, s/2) of the lifted walks.
 
-    normals is (trials, dim*ell).  Walk value k of variable i is anchor +
+    steps is _variable_difference_steps(sol), (n, p/2, dim); normals is
+    (trials, dim*ell).  Walk value k of variable i is anchor +
     2*prefix[k-1] for 1 <= k <= s/2.  Every (p/2 x dim) @ (dim x ell)
     product is one BLAS call and every anchor one dot product, as for a
     single trial, so a block of trials gives bit for bit the values of its
@@ -232,7 +235,6 @@ def _lifted_prefix(sol: SdpSolutionP, ell: int, normals: np.ndarray) -> tuple[np
     """
     R = normals.reshape(normals.shape[0], sol.dim, ell)
     scale = 1.0 / np.sqrt(ell)
-    steps = _variable_difference_steps(sol)  # (n, p/2, dim)
     sub = (steps[None] @ R[:, None]) * scale  # (trials, n, p/2, ell), row-major = sub-step order
     anchor_dot = R.sum(axis=2)[:, None, None, :] @ sol.v[None, :, 0, :, None]  # (trials, n, 1, 1)
     anchor = anchor_dot[:, :, 0, 0] * scale
@@ -253,7 +255,7 @@ def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray, i: int) -> np
     expected = sol.dim * ell
     if r.shape != (expected,):
         raise ValueError(f"r has shape {r.shape}, expected ({expected},)")
-    anchor, prefix = _lifted_prefix(sol, ell, r[None])
+    anchor, prefix = _lifted_prefix(sol, _variable_difference_steps(sol), ell, r[None])
     anchor, prefix = anchor[0, i], prefix[0, i]
     half = prefix.size
     values = np.empty(2 * half)
@@ -264,10 +266,15 @@ def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray, i: int) -> np
 
 
 def _round_block(
-    sol: SdpSolutionP, ell: int, normals: np.ndarray, samplers: Sequence[GaussianSampler], alpha: float
+    sol: SdpSolutionP,
+    steps: np.ndarray,
+    ell: int,
+    normals: np.ndarray,
+    samplers: Sequence[GaussianSampler],
+    alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positions and crossing counts (trials, n) for one block of trials."""
-    anchor, prefix = _lifted_prefix(sol, ell, normals)
+    anchor, prefix = _lifted_prefix(sol, steps, ell, normals)
     half_walks = np.empty_like(prefix)
     half_walks[..., 0] = anchor
     tail = half_walks[..., 1:]
@@ -283,7 +290,7 @@ def _round_block(
 
 
 def _round_trials(
-    sol: SdpSolutionP, ell: int, samplers: list[GaussianSampler], alpha: float
+    sol: SdpSolutionP, steps: np.ndarray, ell: int, samplers: list[GaussianSampler], alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positions and crossing counts (trials, n), one trial per fresh sampler, in blocks."""
     dim = sol.dim * ell
@@ -305,7 +312,7 @@ def _round_trials(
         _box_muller(u.reshape(-1, 2), z.reshape(-1, 2))
         # an odd dim drops each trial's spare normal
         rows = slice(t0, t0 + len(chunk))
-        positions[rows], counts[rows] = _round_block(sol, ell, z[:, :dim], chunk, alpha)
+        positions[rows], counts[rows] = _round_block(sol, steps, ell, z[:, :dim], chunk, alpha)
     return positions, counts
 
 
@@ -334,14 +341,15 @@ def round_lifted_solution(
         worst = max(solution_residuals(sol).values())
         if worst > 1e-5:
             raise ValueError(f"solution infeasible: max residual {worst:.3e}")
+    steps = _variable_difference_steps(sol)
     single = isinstance(sampler, GaussianSampler)
     if single:
-        positions, counts = _round_block(sol, ell, sampler.sample(sol.dim * ell)[None], [sampler], alpha)
+        positions, counts = _round_block(sol, steps, ell, sampler.sample(sol.dim * ell)[None], [sampler], alpha)
     else:
         samplers = list(sampler)
         if not all(smp.fresh for smp in samplers):
             raise ValueError("a batch of trials needs fresh samplers, one per trial")
-        positions, counts = _round_trials(sol, ell, samplers, alpha)
+        positions, counts = _round_trials(sol, steps, ell, samplers, alpha)
     statuses = [_STATUS_BY_COUNT[c] for c in np.minimum(counts, 2).ravel().tolist()]
     s = ell * sol.p
     if single:

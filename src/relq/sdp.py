@@ -9,13 +9,14 @@ per variable and label obeying the canonical Gram law within a variable
 and shift covariance across variables.  A signed half-window sum maps the
 first form onto the second, preserving the objective.
 
-The solver performs projected ascent on the (p*n) x (p*n) Gram matrix:
-gradient step on the linear objective, exact projection onto the
-structural constraints (diagonal averaging plus a per-pair simplex
-projection), and projection onto the positive semidefinite cone by
-symmetric eigendecomposition with negative eigenvalues clipped.  Steps
-that fail to improve the polished objective are rejected and halved, so
-the recorded objective sequence is nondecreasing.
+The solver works on the (p*n) x (p*n) Gram matrix in three steps.  An
+ADMM splitting engine (Wen, Goldfarb & Yin 2010) alternates a
+gradient-shifted projection onto the structural constraints (diagonal
+averaging plus a per-pair simplex projection) with a projection onto the
+positive semidefinite cone (symmetric eigendecomposition, negative
+eigenvalues clipped).  One Dykstra polish then moves its iterate onto the
+intersection of the two sets, and the polished Gram matrix is factored
+into vectors.
 """
 
 from __future__ import annotations
@@ -36,6 +37,13 @@ from relq.instance import Instance, Assignment, circular_distance
 SOLUTION_MAGIC = "relqsol"
 SOLUTION_VERSION = 1
 SIZE_GUARD = 1000  # p * n beyond this is out of desk scale for the dense solver
+ENGINE_RHO = 1.0  # initial penalty; the engine rebalances it every 50 cycles
+ENGINE_TOL = 1e-10  # engine stops once primal and dual residuals are below this
+FINAL_TOL = 1e-11  # polish stops once the two per-set iterates agree to this
+FINAL_CYCLES = 40000
+# eigenvalues below this fraction of the largest are float noise of the PSD
+# projection (<= 2.5e-10 measured), far under the smallest real ones (>= 7.7e-5)
+RANK_CUTOFF = 1e-7
 
 
 @dataclass
@@ -55,20 +63,9 @@ class SdpSolutionPPlus:
 
 @dataclass
 class SolverConfig:
-    max_iterations: int = 100
-    initial_step: float = 1.0
-    min_step: float = 1e-7
-    max_step: float = 4.0
-    step_growth: float = 1.25
-    max_extrapolation: float = 256.0
-    engine_rho: float = 1.0
-    engine_tol: float = 1e-10
-    engine_cycles: int = 30000
-    linesearch_tol: float = 1e-10
-    linesearch_cycles: int = 2000
-    final_tol: float = 1e-11
-    final_cycles: int = 40000
-    rank_cutoff: float = 1e-12
+    """max_iterations caps the splitting engine's cycles."""
+
+    max_iterations: int = 30000
 
     def __post_init__(self):
         if self.max_iterations < 0:
@@ -270,21 +267,20 @@ def _project_psd(G: np.ndarray) -> np.ndarray:
     return (V * w) @ V.T
 
 
-def _polish(G: np.ndarray, p: int, n: int, cls: np.ndarray, tol: float, max_cycles: int) -> tuple[np.ndarray, float, int]:
+def _polish(G: np.ndarray, p: int, n: int, cls: np.ndarray, tol: float, max_cycles: int) -> tuple[np.ndarray, float]:
     """Dykstra's alternating projections onto structure set intersect PSD cone.
 
     Unlike plain alternating projections this converges to the nearest point
-    of the intersection, which keeps the ascent's line search honest: a small
-    gradient step followed by this polish cannot silently lose objective.
-    Returns the final iterate (exactly PSD), the gap between the two
-    per-set iterates, and the cycle count.
+    of the intersection, so the engine's nearly feasible iterate moves only
+    as far as it lies from the feasible set, and its objective by at most
+    |W| times that distance.  Returns the final iterate (exactly PSD) and
+    the gap between the two per-set iterates.
     """
     x = G
     corr_s = np.zeros_like(G)
     corr_p = np.zeros_like(G)
     gap = np.inf
-    cycles = 0
-    for cycles in range(1, max_cycles + 1):
+    for _ in range(max_cycles):
         y = _project_structure(x + corr_s, p, n, cls)
         corr_s = x + corr_s - y
         x = _project_psd(y + corr_p)
@@ -292,31 +288,31 @@ def _polish(G: np.ndarray, p: int, n: int, cls: np.ndarray, tol: float, max_cycl
         gap = float(np.max(np.abs(y - x)))
         if gap <= tol:
             break
-    return x, gap, cycles
+    return x, gap
 
 
-def _splitting_engine(W: np.ndarray, G0: np.ndarray, p: int, n: int, cls: np.ndarray, cfg: SolverConfig) -> tuple[np.ndarray, int]:
-    """Douglas-Rachford style splitting between the two constraint sets.
+def _splitting_engine(W: np.ndarray, G0: np.ndarray, p: int, n: int, cls: np.ndarray, max_cycles: int) -> tuple[np.ndarray, int, bool]:
+    """ADMM splitting between the two constraint sets, maximizing <W, G>.
 
     Per cycle: one gradient-shifted structure projection, one PSD projection,
-    one dual correction.  The step length 1/rho is rebalanced from the primal
-    and dual residuals.  Used as a candidate generator; the returned iterate
-    is PSD-exact but only near the structure set, so callers polish it before
-    accepting.
+    one scaled dual update.  The penalty rho is rebalanced from the primal
+    and dual residuals.  Returns the last PSD iterate, which is only near
+    the structure set, the cycle count, and whether both residuals met
+    ENGINE_TOL within max_cycles.
     """
-    rho = cfg.engine_rho
+    rho = ENGINE_RHO
     Z = G0.copy()
     U = np.zeros_like(G0)
     cycles = 0
-    for cycles in range(1, cfg.engine_cycles + 1):
+    for cycles in range(1, max_cycles + 1):
         G = _project_structure(Z - U + W / rho, p, n, cls)
         Znew = _project_psd(G + U)
         primal = float(np.max(np.abs(G - Znew)))
         dual = rho * float(np.max(np.abs(Znew - Z)))
         Z = Znew
         U += G - Z
-        if max(primal, dual) <= cfg.engine_tol:
-            break
+        if max(primal, dual) <= ENGINE_TOL:
+            return Z, cycles, True
         if cycles % 50 == 0:
             if primal > 10.0 * dual:
                 rho *= 2.0
@@ -324,15 +320,15 @@ def _splitting_engine(W: np.ndarray, G0: np.ndarray, p: int, n: int, cls: np.nda
             elif dual > 10.0 * primal:
                 rho /= 2.0
                 U *= 2.0
-    return Z, cycles
+    return Z, cycles, False
 
 
-def _factor_gram(G: np.ndarray, p: int, n: int, cutoff: float) -> np.ndarray:
-    """Vectors whose Gram matrix is the PSD part of G, shape (n, p, dim)."""
+def _factor_gram(G: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Vectors whose Gram matrix is the PSD part of G up to RANK_CUTOFF, shape (n, p, dim)."""
     w, V = np.linalg.eigh((G + G.T) / 2.0)
     np.clip(w, 0.0, None, out=w)
     top = float(w.max())
-    keep = w > top * cutoff if top > 0 else w > -1.0
+    keep = w > top * RANK_CUTOFF if top > 0 else w > -1.0
     cols = V[:, keep] * np.sqrt(w[keep])
     dim = max(cols.shape[1], 1)
     if cols.shape[1] == 0:
@@ -341,12 +337,15 @@ def _factor_gram(G: np.ndarray, p: int, n: int, cutoff: float) -> np.ndarray:
 
 
 def solve_p_plus(inst: Instance, cfg: SolverConfig | None = None) -> tuple[SdpSolutionPPlus, FeasibilityReport]:
-    """Projected ascent for the assignment-vector relaxation.
+    """Splitting engine, one Dykstra polish, factorization.
 
-    Starts from the exactly feasible all-zeros embedding and repeats:
-    gradient step, polish back to the feasible region by alternating
-    projections, accept only if the polished objective improved (otherwise
-    halve the step).  Deterministic; desk scale is guarded by p*n <= 1000.
+    Starts the engine from the exactly feasible all-zeros embedding, runs
+    it for at most cfg.max_iterations cycles, polishes its iterate onto the
+    feasible set and factors the result.  The report's iterations are the
+    engine cycles; converged means the engine met its tolerance within that
+    cap and the polish closed to FINAL_TOL.  objective_trace holds the
+    start and the polished objective.  Deterministic; desk scale is guarded
+    by p*n <= 1000.
     """
     cfg = cfg or SolverConfig()
     p, n = inst.p, inst.n
@@ -354,51 +353,15 @@ def solve_p_plus(inst: Instance, cfg: SolverConfig | None = None) -> tuple[SdpSo
         raise ValueError(f"p*n = {p * n} exceeds solver guard {SIZE_GUARD}")
     cls = _diagonal_class_index(p)
     W = _objective_matrix(inst)
-    G = _uniform_start(p, n)
-    obj = float(np.vdot(W, G))
-    trace = [obj]
-    # global phase: the splitting engine proposes a candidate, which is
-    # certified feasible by polishing and accepted only if it improves
-    seed_G, engine_cycles = _splitting_engine(W, G, p, n, cls, cfg)
-    cand, _, _ = _polish(seed_G, p, n, cls, cfg.final_tol, cfg.final_cycles)
-    cobj = float(np.vdot(W, cand))
-    if cobj > obj + 1e-12:
-        G, obj = cand, cobj
-        trace.append(obj)
-    # refinement phase: monotone line search along the gradient
-    step = cfg.initial_step
-    iterations = 0
-    while iterations < cfg.max_iterations and step >= cfg.min_step:
-        iterations += 1
-        cand, _, _ = _polish(G + step * W, p, n, cls, cfg.linesearch_tol, cfg.linesearch_cycles)
-        cobj = float(np.vdot(W, cand))
-        if cobj > obj + 1e-12:
-            move = cand - G
-            G, obj = cand, cobj
-            trace.append(obj)
-            step = min(step * cfg.step_growth, cfg.max_step)
-            # extrapolate along the accepted displacement; plain gradient steps
-            # zigzag across active faces and this shortcut collapses that walk
-            factor = 2.0
-            while factor <= cfg.max_extrapolation:
-                trial, _, _ = _polish(G + (factor - 1.0) * move, p, n, cls, cfg.linesearch_tol, cfg.linesearch_cycles)
-                tobj = float(np.vdot(W, trial))
-                if tobj > obj + 1e-12:
-                    G, obj = trial, tobj
-                    trace.append(obj)
-                    factor *= 2.0
-                else:
-                    break
-        else:
-            step *= 0.5
-    converged = step < cfg.min_step
-    G, gap, cycles = _polish(G, p, n, cls, cfg.final_tol, cfg.final_cycles)
-    u = _factor_gram(G, p, n, cfg.rank_cutoff)
+    G0 = _uniform_start(p, n)
+    Z, cycles, engine_met = _splitting_engine(W, G0, p, n, cls, cfg.max_iterations)
+    G, gap = _polish(Z, p, n, cls, FINAL_TOL, FINAL_CYCLES)
+    u = _factor_gram(G, p, n)
     sol = SdpSolutionPPlus(p=p, n=n, dim=u.shape[2], u=u)
     report = feasibility_report(sol, inst)
-    report.iterations = engine_cycles + iterations
-    report.converged = converged and gap <= cfg.final_tol
-    report.objective_trace = trace
+    report.iterations = cycles
+    report.converged = engine_met and gap <= FINAL_TOL
+    report.objective_trace = [float(np.vdot(W, G0)), float(np.vdot(W, G))]
     return sol, report
 
 

@@ -94,11 +94,11 @@ def test_solve_round_pipeline(triangle_file, tmp_path, capsys):
     assert out.splitlines()[:3] == capsys.readouterr().out.splitlines()[:3]
 
 
-# `relq round` stdout for the solved triangle, captured from the per-trial
-# rounding loop before rounding was batched
+# `relq round` stdout for the solved triangle, captured from the engine +
+# one polish solver
 ROUND_STDOUT = {
-    1: ["value 2.0", "positions 2 0 2", "statuses OneCrossing OneCrossing OneCrossing"],
-    5: ["value 2.0", "positions 6 12 1", "statuses OneCrossing OneCrossing OneCrossing"],
+    1: ["value 2.0", "positions 0 2 0", "statuses OneCrossing OneCrossing NoCrossing"],
+    5: ["value 2.0", "positions 13 2 9", "statuses OneCrossing OneCrossing OneCrossing"],
 }
 
 

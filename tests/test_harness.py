@@ -165,19 +165,18 @@ def test_conjecture_experiment_multi_chunk_rows_pinned():
 
 
 # end_to_end_ratio rows of the planted (4, 8, 6, seed 21) instance and the
-# triangle, 2000 trials each, captured from the per-trial rounding loop
-# before rounding was batched
+# triangle, 2000 trials each, captured from the engine + one polish solver
 E2E_ROWS = {
-    ("planted", 1, 0): [8, 4, 6, 1, 2000, 1.0, 5.9999999999826885, 6.0, 5.11, 0.03227570077365037,
-                        0.8516666666666667, 0.8516666666691239, True, 1.423096601014412e-10, True],
-    ("planted", 1, 1): [8, 4, 6, 1, 2000, 1.0, 5.9999999999826885, 6.0, 5.1445, 0.03225996323019924,
-                        0.8574166666666666, 0.8574166666691405, True, 1.423096601014412e-10, True],
-    ("planted", 4, 0): [8, 4, 6, 4, 2000, 1.0, 5.9999999999826885, 6.0, 5.68275, 0.02159723799689551,
-                        0.9471250000000001, 0.9471250000027328, True, 1.423096601014412e-10, True],
-    ("planted", 4, 1): [8, 4, 6, 4, 2000, 1.0, 5.9999999999826885, 6.0, 5.6511875, 0.022435815598784603,
-                        0.9418645833333333, 0.9418645833360508, True, 1.423096601014412e-10, True],
-    ("triangle", 5, 1): [4, 3, 3, 5, 2000, 1.0, 2.2500000000222093, 2.0, 1.897, 0.005158372262855901,
-                         0.9485, 0.8431111111027889, True, 3.701983164461353e-12, True],
+    ("planted", 1, 0): [8, 4, 6, 1, 2000, 1.0, 5.999999999930377, 6.0, 5.12925, 0.03232425014325409,
+                        0.8548749999999999, 0.8548750000099199, True, 1.079925038283136e-11, True],
+    ("planted", 1, 1): [8, 4, 6, 1, 2000, 1.0, 5.999999999930377, 6.0, 5.10725, 0.0325648038835794,
+                        0.8512083333333332, 0.8512083333432106, True, 1.079925038283136e-11, True],
+    ("planted", 4, 0): [8, 4, 6, 4, 2000, 1.0, 5.999999999930377, 6.0, 5.6615, 0.02200119232523242,
+                        0.9435833333333333, 0.9435833333442826, True, 1.079925038283136e-11, True],
+    ("planted", 4, 1): [8, 4, 6, 4, 2000, 1.0, 5.999999999930377, 6.0, 5.698625, 0.020886972614526978,
+                        0.9497708333333333, 0.9497708333443543, True, 1.079925038283136e-11, True],
+    ("triangle", 5, 1): [4, 3, 3, 5, 2000, 1.0, 2.2499999999125215, 2.0, 1.8932, 0.005281176517851524,
+                         0.9466, 0.8414222222549361, True, 1.4580087137616715e-11, True],
 }
 
 
@@ -300,7 +299,7 @@ def test_end_to_end_lifted_triangle(tmp_path):
 
 
 def test_end_to_end_flags_unconverged_solver():
-    crippled = SolverConfig(max_iterations=1, engine_cycles=5)
+    crippled = SolverConfig(max_iterations=5)
     report = end_to_end_ratio(TRIANGLE, ExperimentConfig(trials=20, seed=3, ell=1), solver_cfg=crippled)
     cell = _cells(report)[0]
     assert cell["solver_converged"] is False

@@ -115,6 +115,37 @@ def test_solver_meets_brute_force(n, p, m, seed, planted):
     assert rep.converged
 
 
+def test_solver_value_bounds_the_optimum_where_a_line_search_undershot():
+    # the relaxation value must bound the integer optimum 8.25; accepting
+    # polishes cut off at a cycle cap landed on 8.2498568 here, "converged"
+    inst, _ = generate_instance(n=6, p=8, m=10, seed=7)
+    _, best = brute_force_optimum(inst)
+    _, rep = solve_p_plus(inst)
+    assert rep.objective >= float(best) - 1e-6
+    assert rep.converged
+    assert rep.max_residual <= 1e-6
+
+
+def test_solver_factor_of_integral_optimum_has_dimension_p():
+    # the planted optimum's Gram matrix is an integral embedding, of rank p;
+    # eigenvalues of float noise must not add directions to the factor
+    inst, _ = generate_instance(n=4, p=8, m=6, seed=21, planted=True)
+    sol, rep = solve_p_plus(inst)
+    assert sol.dim == inst.p == 8
+    assert rep.max_residual <= 1e-6
+    assert rep.converged
+
+
+def test_solver_iterations_are_capped_engine_cycles():
+    inst, _ = generate_instance(n=4, p=8, m=9, seed=2)
+    _, full = solve_p_plus(inst)
+    assert full.converged and 5 < full.iterations <= SolverConfig().max_iterations
+    _, capped = solve_p_plus(inst, SolverConfig(max_iterations=5))
+    assert capped.iterations == 5
+    assert not capped.converged
+    assert capped.max_residual <= 1e-6
+
+
 def test_solver_trace_is_nondecreasing():
     inst, _ = generate_instance(n=4, p=8, m=9, seed=2)
     _, rep = solve_p_plus(inst)
@@ -167,7 +198,7 @@ def test_feasibility_flags_violations():
 
 def test_solution_roundtrip_pplus(tmp_path):
     inst, _ = generate_instance(n=3, p=4, m=5, seed=42)
-    sol, _ = solve_p_plus(inst, SolverConfig(engine_cycles=500, max_iterations=10))
+    sol, _ = solve_p_plus(inst, SolverConfig(max_iterations=500))
     path = tmp_path / "sol.txt"
     save_solution(sol, path)
     back = load_solution(path)
