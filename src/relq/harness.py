@@ -29,12 +29,12 @@ from relq.instance import (
     scale_instance,
     score_positions,
 )
-from relq.rounding import GaussianSampler, round_lifted_solution
+from relq.rounding import STREAM_VERSION, GaussianSampler, round_lifted_solution
 from relq.sdp import SolverConfig, convert_to_p, feasibility_report, solve_p_plus
 
-_CHUNK = 4096
-# walk values per block of rows: 4 MB of float64, so a block's increments,
-# walk values and crossing statistics stay small next to a whole chunk
+# walk values per block of rows: 4 MB of float64.  conjecture_experiment
+# draws each block's r1 and then its r2, so this size is part of its
+# seeded numbers
 _BLOCK_VALUES = 1 << 19
 
 
@@ -72,7 +72,7 @@ class Report:
 
 
 def _provenance(seed) -> dict:
-    return {"package": "relq", "version": __version__, "seed": seed}
+    return {"package": "relq", "version": __version__, "seed": seed, "stream_version": STREAM_VERSION}
 
 
 def _binomial_stderr(freq: float, n: int) -> float:
@@ -165,7 +165,7 @@ def mc_sign_change(s: int, trials: int, seed: int, alpha: float = 1.0) -> Report
 
     s counts the forward-walk steps (the Gaussian increments per trial); the
     circular trace has 2*s positions, the second half being the antipodal
-    mirror of the first.  Chunks of traces come from one sequential stream;
+    mirror of the first.  Blocks of traces come from one sequential stream;
     the report carries frequencies of {0, 1, >=2} extreme sign changes at
     the given threshold, and separately of the event that the first half of
     the trace alternates three or more times.  Reference values come from
@@ -230,9 +230,10 @@ def mc_correlation_gap(theta: float, trials: int, seed: int) -> Report:
     c2 = math.sin(theta)
     sums: list[float] = []
     sq_sums: list[float] = []
+    block = _block_rows(2)
     done = 0
     while done < trials:
-        rows = min(_CHUNK * 16, trials - done)
+        rows = min(block, trials - done)
         r = sampler.sample(2 * rows).reshape(rows, 2)
         gap = np.abs(c1 * r[:, 0] - c2 * r[:, 1])
         sums.append(float(np.sum(gap)))
@@ -290,7 +291,9 @@ def conjecture_experiment(
     equals the walk of the rotated constellation).  Trials where both walks
     show exactly one extreme sign change contribute the normalized circular
     distance between the two positions; each cell reports the conditioned
-    mean next to the fraction-of-circle bound theta/(2*pi).
+    mean next to the fraction-of-circle bound theta/(2*pi).  Cell c draws
+    from spawn(c) of the seed's sampler, one block of about 2^19 walk
+    values at a time: the block's r1, then its r2.
     """
     if s < 100 or s % 2:
         raise ValueError(f"s must be even and >= 100, got {s}")
@@ -323,21 +326,19 @@ def conjecture_experiment(
         dists: list[np.ndarray] = []
         done = 0
         while done < trials:
-            rows = min(_CHUNK, trials - done)
+            rows = min(block, trials - done)
             r1 = sub.sample(rows * half).reshape(rows, half)
-            # the chunk's r2 follows all of its r1 in the stream; draw it a block at a time
-            for b0 in range(0, rows, block):
-                r1b = r1[b0 : b0 + block]
-                ci, fi, _ = trace_stats_batch(canonical_values_batch(r1b), alpha)
-                r2b = sub.sample(r1b.size).reshape(r1b.shape)
-                r2b *= sin_t
-                r2b += cos_t * r1b  # cos_t * r1 + sin_t * r2, bit for bit
-                cj, fj, _ = trace_stats_batch(canonical_values_batch(r2b), alpha)
-                one_i += int(np.sum(ci == 1))
-                mask = (ci == 1) & (cj == 1)
-                both += int(np.sum(mask))
-                delta = (fj[mask] - fi[mask]) % s
-                dists.append(np.minimum(delta, s - delta) / s)
+            ci, fi, _ = trace_stats_batch(canonical_values_batch(r1), alpha)
+            r2 = sub.sample(rows * half).reshape(rows, half)
+            r1 *= cos_t
+            r2 *= sin_t
+            r2 += r1  # cos_t * r1 + sin_t * r2, bit for bit
+            cj, fj, _ = trace_stats_batch(canonical_values_batch(r2), alpha)
+            one_i += int(np.sum(ci == 1))
+            mask = (ci == 1) & (cj == 1)
+            both += int(np.sum(mask))
+            delta = (fj[mask] - fi[mask]) % s
+            dists.append(np.minimum(delta, s - delta) / s)
             done += rows
         sample = np.concatenate(dists) if dists else np.empty(0)
         mean, stderr = _mean_stderr(sample)

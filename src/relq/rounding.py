@@ -14,19 +14,21 @@ ell sub-steps (ell = 1 is plain rounding).  The walk is antipodal, so only
 its forward half is built and the crossing kernel of relq._kernels reads
 it.
 
-Batch path and stream keys.  A sampler GaussianSampler(seed, stream) draws
-from Philox keyed [seed, stream]; spawn(tag) derives the key of a
-substream.  Trial t of a batch is the fresh sampler given for it, and the
-fallback of its variable i comes from that sampler's spawn(i).  Philox is
-counter-based, so re-keying one scratch bit generator to a sampler's key
-and resetting its counter yields exactly the uniforms that sampler would
+Batch path and stream keys.  GaussianSampler(seed, stream) draws from Philox
+keyed [seed, stream]; spawn(tag) derives a substream, one or two levels
+deep, whose tags sit in the high words of the Philox counter next to a
+sampler domain tag (see GaussianSampler).  Trial t of a batch is the fresh
+sampler given for it, and the fallback of its variable i comes from that
+sampler's spawn(i).  Philox is counter-based and Generator.standard_normal
+keeps no state of its own, so setting one scratch bit generator to a
+sampler's key and counter yields exactly the normals that sampler would
 draw.  round_lifted_solution therefore draws the normals of a block of
-trials from re-keyed streams, runs Box-Muller and the walk construction
-once over the block and classifies every (trial, variable) walk in one
-kernel call; positions are bit for bit those of rounding trial by trial.
-The one tolerance is the seam: the kernel takes walk index s/2 to be
-exactly -anchor, where a walk computed in full carries anchor + 2*prefix,
-so a label there can differ only if alpha lies within about one ulp of it.
+trials from re-keyed streams, runs the walk construction once over the
+block and classifies every (trial, variable) walk in one kernel call;
+positions are bit for bit those of rounding trial by trial.  The one
+tolerance is the seam: the kernel takes walk index s/2 to be exactly
+-anchor, where a walk computed in full carries anchor + 2*prefix, so a
+label there can differ only if alpha lies within about one ulp of it.
 """
 
 from __future__ import annotations
@@ -45,56 +47,58 @@ MANY_CROSSINGS = "ManyCrossings"
 _STATUS_BY_COUNT = (NO_CROSSING, ONE_CROSSING, MANY_CROSSINGS)  # indexed by min(count, 2)
 
 _MASK64 = (1 << 64) - 1
-# uniform pairs per Box-Muller block: 512 KB of uniforms, cache-resident
-_BLOCK_PAIRS = 1 << 15
 # walk values plus normals per block of trials in round_lifted_solution
 _BLOCK_VALUES = 1 << 14
+# Philox counter word 3 of every sampler stream: this tag plus the spawn
+# depth.  Other Philox consumers of the package (generate_instance,
+# discretization_margin_check) start at counter 0, so no key collision
+# with them can repeat a sampler's numbers.
+_SAMPLER_DOMAIN = 0x72656C71 << 32  # "relq"
+_MAX_SPAWN_DEPTH = 2
+# 1: Box-Muller over Philox keyed [seed, stream * 2**20 + tag + 1];
+# 2: Generator.standard_normal over the keys and counters of GaussianSampler
+STREAM_VERSION = 2
 
 
-def _box_muller(u: np.ndarray, z: np.ndarray) -> None:
-    """Normals from (k, 2) uniform pairs into the (k, 2) array z; u is overwritten.
-
-    The op order (-u0 -> log1p -> x(-2) -> sqrt, u1 x 2pi, cos/sin x radius)
-    is part of every seeded number.
-    """
-    radius, angle = u[:, 0], u[:, 1]
-    np.negative(radius, radius)
-    np.log1p(radius, radius)
-    np.multiply(radius, -2.0, radius)
-    np.sqrt(radius, radius)
-    np.multiply(angle, 2.0 * np.pi, angle)
-    even, odd = z[:, 0], z[:, 1]
-    np.cos(angle, even)
-    np.multiply(even, radius, even)
-    np.sin(angle, odd)
-    np.multiply(odd, radius, odd)
+def _check_word(name: str, value: int) -> int:
+    value = int(value)
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return value
 
 
 class GaussianSampler:
-    """Deterministic N(0,1) source: Box-Muller over counter-based uniforms.
+    """Deterministic N(0,1) source: Generator.standard_normal on Philox.
 
-    Identical (seed, stream) always yields the identical sequence.  Normals
-    are generated in blocks of _BLOCK_PAIRS uniform pairs, written straight
-    into the returned array, and an odd request keeps the second normal of
-    its last pair for the next call; the sequence depends neither on how
-    requests are chunked nor on the block size.  Substreams derived via
-    spawn(tag) are independent for distinct tags.  The Philox generator is
+    A sampler is named by its seed, its stream and its path, the tags of up
+    to two spawn() calls, each in [0, 2**64).  One name always yields one
+    sequence, however the requests are chunked, and the name maps
+    injectively to a Philox key and counter start:
+
+        key     = [seed, stream]
+        counter = [0, tag 1 or 0, tag 2 or 0, _SAMPLER_DOMAIN + depth]
+
+    Draws advance counter word 0 only, so two distinct samplers share no
+    number short of 2**66 draws from one of them.  The Philox generator is
     built on the first draw, so spawning costs almost nothing.
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        seed = int(seed)
-        if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-        self.seed = seed
-        self.stream = int(stream)
+        self.seed = _check_word("seed", seed)
+        self.stream = _check_word("stream", stream)
+        self.path: tuple[int, ...] = ()
         self._generator: np.random.Generator | None = None
-        self._spare: float | None = None
 
     @property
-    def key(self) -> np.ndarray:
+    def key(self) -> tuple[int, int]:
         """The Philox key [seed, stream] of this sampler's stream."""
-        return np.array([self.seed, self.stream & _MASK64], dtype=np.uint64)
+        return self.seed, self.stream
+
+    @property
+    def counter(self) -> tuple[int, int, int, int]:
+        """The Philox counter this sampler's stream starts from."""
+        tags = self.path + (0,) * (_MAX_SPAWN_DEPTH - len(self.path))
+        return (0, *tags, _SAMPLER_DOMAIN + len(self.path))
 
     @property
     def fresh(self) -> bool:
@@ -104,26 +108,16 @@ class GaussianSampler:
     @property
     def _rng(self) -> np.random.Generator:
         if self._generator is None:
-            self._generator = np.random.Generator(np.random.Philox(key=self.key))
+            # Philox(key=...) would read a tuple holding a word >= 2**63 as float64
+            key = np.array(self.key, dtype=np.uint64)
+            counter = np.array(self.counter, dtype=np.uint64)
+            self._generator = np.random.Generator(np.random.Philox(key=key, counter=counter))
         return self._generator
 
     def sample(self, dim: int) -> np.ndarray:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        start = 0 if self._spare is None else 1
-        pairs = (dim - start + 1) // 2
-        out = np.empty(start + 2 * pairs)
-        if start:
-            out[0] = self._spare
-            self._spare = None
-        z = out[start:].reshape(pairs, 2)
-        for p0 in range(0, pairs, _BLOCK_PAIRS):
-            # the Philox stream is sequential, so blocked draws see the same uniforms
-            u = self._rng.random((min(_BLOCK_PAIRS, pairs - p0), 2))
-            _box_muller(u, z[p0 : p0 + _BLOCK_PAIRS])
-        if out.size > dim:
-            self._spare = float(out[dim])
-        return out[:dim]
+        return self._rng.standard_normal(dim)
 
     def uniform_below(self, n: int) -> int:
         if n < 1:
@@ -131,9 +125,14 @@ class GaussianSampler:
         return int(self._rng.integers(0, n))
 
     def spawn(self, tag: int) -> "GaussianSampler":
-        if tag < 0:
-            raise ValueError(f"tag must be >= 0, got {tag}")
-        return GaussianSampler(self.seed, self.stream * (1 << 20) + tag + 1)
+        if len(self.path) == _MAX_SPAWN_DEPTH:
+            raise ValueError(f"substreams nest at most {_MAX_SPAWN_DEPTH} deep")
+        # a batch spawns one sampler per trial: skip re-checking seed and stream
+        child = object.__new__(GaussianSampler)
+        child.seed, child.stream = self.seed, self.stream
+        child.path = self.path + (_check_word("tag", tag),)
+        child._generator = None
+        return child
 
 
 @dataclass
@@ -294,25 +293,23 @@ def _round_trials(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positions and crossing counts (trials, n), one trial per fresh sampler, in blocks."""
     dim = sol.dim * ell
-    pairs = (dim + 1) // 2
     block = max(1, _BLOCK_VALUES // (sol.n * sol.p * ell // 2 + dim))
     positions = np.empty((len(samplers), sol.n), dtype=np.int64)
     counts = np.empty_like(positions)
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     rng = np.random.Generator(bitgen)
-    fresh = bitgen.state  # zero counter, empty buffer
+    fresh = bitgen.state  # empty buffer
     for t0 in range(0, len(samplers), block):
         chunk = samplers[t0 : t0 + block]
-        u = np.empty((len(chunk), pairs, 2))
-        for row, smp in zip(u, chunk):
+        z = np.empty((len(chunk), dim))
+        for row, smp in zip(z, chunk):
+            # the state setter takes tuples of ints, faster than arrays
             fresh["state"]["key"] = smp.key
+            fresh["state"]["counter"] = smp.counter
             bitgen.state = fresh
-            rng.random(out=row)
-        z = np.empty((len(chunk), 2 * pairs))
-        _box_muller(u.reshape(-1, 2), z.reshape(-1, 2))
-        # an odd dim drops each trial's spare normal
+            rng.standard_normal(out=row)
         rows = slice(t0, t0 + len(chunk))
-        positions[rows], counts[rows] = _round_block(sol, steps, ell, z[:, :dim], chunk, alpha)
+        positions[rows], counts[rows] = _round_block(sol, steps, ell, z, chunk, alpha)
     return positions, counts
 
 

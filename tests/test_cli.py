@@ -95,10 +95,10 @@ def test_solve_round_pipeline(triangle_file, tmp_path, capsys):
 
 
 # `relq round` stdout for the solved triangle, captured from the engine +
-# one polish solver
+# one polish solver on stream version 2
 ROUND_STDOUT = {
-    1: ["value 2.0", "positions 0 2 0", "statuses OneCrossing OneCrossing NoCrossing"],
-    5: ["value 2.0", "positions 13 2 9", "statuses OneCrossing OneCrossing OneCrossing"],
+    1: ["value 2.0", "positions 2 0 3", "statuses OneCrossing OneCrossing NoCrossing"],
+    5: ["value 2.0", "positions 13 12 2", "statuses OneCrossing OneCrossing OneCrossing"],
 }
 
 

@@ -65,7 +65,7 @@ def test_write_report_emits_csv_and_json(tmp_path):
     assert csv_path.exists() and json_path.exists()
     summary = json.loads(json_path.read_text())
     assert set(summary) == {"name", "parameters", "provenance", "columns", "row_count"}
-    assert summary["provenance"] == {"package": "relq", "version": __version__, "seed": 5}
+    assert summary["provenance"] == {"package": "relq", "version": __version__, "seed": 5, "stream_version": 2}
     assert summary["row_count"] == 1
     columns, rows = parse_report_csv(csv_path.read_text())
     assert columns == report.columns
@@ -120,23 +120,30 @@ def test_mc_sign_change_validation_and_determinism():
 # Report rows of small seeded runs, pinned so that a kernel rewrite that
 # changes any crossing statistic, or the stream use, shows up here.
 SIGN_CHANGE_S200_SEED3 = [
-    ["count_zero", 137 / 5000, 0.002308646356634121, 0.014383188584137896],
-    ["count_one", 4818 / 5000, 0.0026485860378700175, 0.9678828976117606],
-    ["count_two_plus", 45 / 5000, 0.001335589757373124, 0.017733913804101525],
-    ["half_alternations_three_plus", 45 / 5000, 0.001335589757373124, 0.017733913804101525],
+    ["count_zero", 125 / 5000, 0.002207940216581962, 0.014383188584137896],
+    ["count_one", 4841 / 5000, 0.0024814818153675857, 0.9678828976117606],
+    ["count_two_plus", 34 / 5000, 0.001162218568084334, 0.017733913804101525],
+    ["half_alternations_three_plus", 34 / 5000, 0.001162218568084334, 0.017733913804101525],
 ]
 
 CONJECTURE_S200_SEED3 = [
-    [0.2617993877991494, 0.9659258262890683, 200, 2000, 1878, 0.939, 0.961,
-     0.0449174653887114, 0.001816554482156345, 0.041666666666666664, True],
-    [0.7853981633974483, 0.7071067811865476, 200, 2000, 1837, 0.9185, 0.957,
-     0.12503266194882962, 0.002898086047936553, 0.125, True],
+    [0.2617993877991494, 0.9659258262890683, 200, 2000, 1850, 0.925, 0.9545,
+     0.04568918918918919, 0.001827232758763857, 0.041666666666666664, True],
+    [0.7853981633974483, 0.7071067811865476, 200, 2000, 1839, 0.9195, 0.9615,
+     0.1289641109298532, 0.002883823977754012, 0.125, True],
 ]
 
-# 5000 trials span two 4096-row chunks, so this pins the per-chunk draw order
+# 5000 trials at s = 100 fit in one draw block (2^19 // 50 rows)
 CONJECTURE_S100_SEED5 = [
-    [0.5235987755982988, 0.8660254037844387, 100, 5000, 4482, 0.8964, 0.9412,
-     0.08470548862115126, 0.0015848009995481865, 0.08333333333333333, True],
+    [0.5235987755982988, 0.8660254037844387, 100, 5000, 4460, 0.892, 0.9382,
+     0.08532511210762332, 0.0015500709590884, 0.08333333333333333, True],
+]
+
+# 1100 trials at s = 2000 span three draw blocks of 524, 524 and 52 rows,
+# so this pins the per-block draw order (the block's r1, then its r2)
+CONJECTURE_S2000_SEED5 = [
+    [0.5235987755982988, 0.8660254037844387, 2000, 1100, 1035, 0.9409090909090909, 0.9663636363636363,
+     0.08933236714975845, 0.0033784851821595315, 0.08333333333333333, True],
 ]
 
 
@@ -164,19 +171,25 @@ def test_conjecture_experiment_multi_chunk_rows_pinned():
     _assert_rows_exact(report.rows, CONJECTURE_S100_SEED5)
 
 
+def test_conjecture_experiment_multi_block_rows_pinned():
+    report = conjecture_experiment((math.pi / 6,), s=2000, trials=1100, seed=5)
+    _assert_rows_exact(report.rows, CONJECTURE_S2000_SEED5)
+
+
 # end_to_end_ratio rows of the planted (4, 8, 6, seed 21) instance and the
 # triangle, 2000 trials each, captured from the engine + one polish solver
+# on stream version 2
 E2E_ROWS = {
-    ("planted", 1, 0): [8, 4, 6, 1, 2000, 1.0, 5.999999999930377, 6.0, 5.12925, 0.03232425014325409,
-                        0.8548749999999999, 0.8548750000099199, True, 1.079925038283136e-11, True],
-    ("planted", 1, 1): [8, 4, 6, 1, 2000, 1.0, 5.999999999930377, 6.0, 5.10725, 0.0325648038835794,
-                        0.8512083333333332, 0.8512083333432106, True, 1.079925038283136e-11, True],
-    ("planted", 4, 0): [8, 4, 6, 4, 2000, 1.0, 5.999999999930377, 6.0, 5.6615, 0.02200119232523242,
-                        0.9435833333333333, 0.9435833333442826, True, 1.079925038283136e-11, True],
-    ("planted", 4, 1): [8, 4, 6, 4, 2000, 1.0, 5.999999999930377, 6.0, 5.698625, 0.020886972614526978,
-                        0.9497708333333333, 0.9497708333443543, True, 1.079925038283136e-11, True],
-    ("triangle", 5, 1): [4, 3, 3, 5, 2000, 1.0, 2.2499999999125215, 2.0, 1.8932, 0.005281176517851524,
-                         0.9466, 0.8414222222549361, True, 1.4580087137616715e-11, True],
+    ("planted", 1, 0): [8, 4, 6, 1, 2000, 1.0, 5.999999999930377, 6.0, 5.1605, 0.03193359911403956,
+                        0.8600833333333333, 0.8600833333433137, True, 1.079925038283136e-11, True],
+    ("planted", 1, 1): [8, 4, 6, 1, 2000, 1.0, 5.999999999930377, 6.0, 5.09125, 0.03266010655264332,
+                        0.8485416666666666, 0.848541666676513, True, 1.079925038283136e-11, True],
+    ("planted", 4, 0): [8, 4, 6, 4, 2000, 1.0, 5.999999999930377, 6.0, 5.6761875, 0.02164843449374319,
+                        0.94603125, 0.9460312500109777, True, 1.079925038283136e-11, True],
+    ("planted", 4, 1): [8, 4, 6, 4, 2000, 1.0, 5.999999999930377, 6.0, 5.68125, 0.02153652141427008,
+                        0.946875, 0.9468750000109875, True, 1.079925038283136e-11, True],
+    ("triangle", 5, 1): [4, 3, 3, 5, 2000, 1.0, 2.2499999999125215, 2.0, 1.8848, 0.0057672446241925305,
+                         0.9424, 0.8376888889214577, True, 1.4580087137616715e-11, True],
 }
 
 
@@ -200,8 +213,10 @@ def test_mc_drivers_stream_in_bounded_memory():
     # a whole 4096 x 2000 chunk of float64 increments alone is 65 MB
     sign = _traced_peak_mb(lambda: mc_sign_change(s=2000, trials=4096, seed=1))
     assert sign <= 32.0
-    conj = _traced_peak_mb(lambda: conjecture_experiment((math.pi / 6,), s=2000, trials=1024, seed=1))
-    assert conj <= 32.0
+    for trials in (1024, 4096):
+        # r1 and r2 are drawn a block at a time: 4096 trials' r1 alone is 32 MB
+        conj = _traced_peak_mb(lambda: conjecture_experiment((math.pi / 6,), s=2000, trials=trials, seed=1))
+        assert conj <= 32.0, trials
 
 
 def test_end_to_end_rounds_in_bounded_memory():

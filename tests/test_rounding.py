@@ -7,9 +7,10 @@ from scipy import stats
 import relq.rounding
 from relq._kernels import canonical_values_batch, trace_stats_batch
 from relq.constellation import SdpSolutionP, _variable_difference_steps, canonical_constellation, lift_solution
-from relq.instance import Assignment, Instance
+from relq.brownian import discretization_margin_check
+from relq.instance import Assignment, Instance, generate_instance
 from relq.rounding import (
-    _BLOCK_PAIRS,
+    _SAMPLER_DOMAIN,
     MANY_CROSSINGS,
     NO_CROSSING,
     ONE_CROSSING,
@@ -38,45 +39,24 @@ def test_sampler_sequence_independent_of_chunking():
     np.testing.assert_array_equal(whole, parts)
 
 
-class _UnblockedSampler:
-    """The sampler's original one-shot Box-Muller, kept as a bit-level oracle."""
-
-    def __init__(self, seed: int, stream: int = 0):
-        key = np.array([seed, stream], dtype=np.uint64)
-        self._rng = np.random.Generator(np.random.Philox(key=key))
-        self._spare = None
-
-    def sample(self, dim: int) -> np.ndarray:
-        out = np.empty(dim)
-        start = 0
-        if self._spare is not None:
-            out[0] = self._spare
-            self._spare = None
-            start = 1
-        need = dim - start
-        if need > 0:
-            pairs = (need + 1) // 2
-            u = self._rng.random(size=(pairs, 2))
-            radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-            angle = 2.0 * np.pi * u[:, 1]
-            z = np.empty(2 * pairs)
-            z[0::2] = radius * np.cos(angle)
-            z[1::2] = radius * np.sin(angle)
-            out[start:] = z[:need]
-            if 2 * pairs > need:
-                self._spare = float(z[need])
-        return out
+def _one_shot_normals(seed, stream, tags, total):
+    """total normals of the sampler named (seed, stream, *tags), drawn in one call
+    from the documented Philox key and counter."""
+    tags = tuple(tags)
+    counter = [0, *tags, *(0,) * (2 - len(tags)), _SAMPLER_DOMAIN + len(tags)]
+    bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64), counter=np.array(counter, dtype=np.uint64))
+    return np.random.Generator(bitgen).standard_normal(total)
 
 
-def test_blocked_sampler_matches_unblocked_oracle():
-    # odd requests carry a spare across calls; the long ones cross block edges
-    b = _BLOCK_PAIRS
-    fast = GaussianSampler(seed=11, stream=4)
-    oracle = _UnblockedSampler(seed=11, stream=4)
-    for dim in (1, 7, 2 * b - 1, 2 * b, 2 * b + 1, 3, 6 * b + 5, 2):
-        got = fast.sample(dim)
-        assert got.shape == (dim,)
-        np.testing.assert_array_equal(got, oracle.sample(dim))
+def test_sampler_matches_one_shot_oracle():
+    # split requests of odd and even sizes, some far past any internal block
+    sizes = (1, 7, 3, 6, 2**17 + 1, 2**18, 2, 5)
+    for seed, stream, tags in ((11, 4, ()), (11, 4, (9,)), (0, 2**64 - 1, (2**64 - 1, 3))):
+        smp = GaussianSampler(seed, stream)
+        for tag in tags:
+            smp = smp.spawn(tag)
+        got = np.concatenate([smp.sample(dim) for dim in sizes])
+        np.testing.assert_array_equal(got, _one_shot_normals(seed, stream, tags, sum(sizes)))
 
 
 def test_sampler_streams_differ():
@@ -96,7 +76,13 @@ def test_sampler_moments():
 def test_sampler_spawn_and_uniform():
     s = GaussianSampler(seed=7, stream=2)
     child = s.spawn(4)
-    assert child.stream == 2 * (1 << 20) + 5
+    np.testing.assert_array_equal(child.key, np.array([7, 2], dtype=np.uint64))
+    np.testing.assert_array_equal(child.counter, np.array([0, 4, 0, _SAMPLER_DOMAIN + 1], dtype=np.uint64))
+    grandchild = child.spawn(6)
+    assert grandchild.path == (4, 6)
+    np.testing.assert_array_equal(grandchild.counter, np.array([0, 4, 6, _SAMPLER_DOMAIN + 2], dtype=np.uint64))
+    with pytest.raises(ValueError, match="2 deep"):
+        grandchild.spawn(0)
     assert not np.array_equal(child.sample(8), GaussianSampler(7, 2).sample(8))
     vals = [s.uniform_below(10) for _ in range(200)]
     assert min(vals) >= 0 and max(vals) < 10
@@ -111,6 +97,7 @@ def test_sampler_spawn_and_uniform():
 def test_sampler_is_fresh_until_its_first_draw():
     s = GaussianSampler(seed=7, stream=2)
     np.testing.assert_array_equal(s.key, np.array([7, 2], dtype=np.uint64))
+    np.testing.assert_array_equal(s.counter, np.array([0, 0, 0, _SAMPLER_DOMAIN], dtype=np.uint64))
     child = s.spawn(3)
     assert s.fresh and child.fresh
     s.sample(1)
@@ -128,8 +115,65 @@ def test_sampler_rejects_out_of_range_seeds(seed):
 
 def test_sampler_accepts_the_seed_range_ends():
     top = GaussianSampler(2**64 - 1).sample(8)
-    np.testing.assert_array_equal(top, _UnblockedSampler(2**64 - 1).sample(8))
+    np.testing.assert_array_equal(top, _one_shot_normals(2**64 - 1, 0, (), 8))
     assert not np.array_equal(top, GaussianSampler(0).sample(8))
+
+
+@pytest.mark.parametrize("stream", [-1, 2**64, 2**70])
+def test_sampler_rejects_out_of_range_streams_and_tags(stream):
+    # masking used to alias these: GaussianSampler(5, 2**70) drew what (5, 0) draws
+    with pytest.raises(ValueError, match="stream"):
+        GaussianSampler(5, stream)
+    with pytest.raises(ValueError, match="tag"):
+        GaussianSampler(5).spawn(stream)
+    with pytest.raises(ValueError, match="tag"):
+        GaussianSampler(5).spawn(3).spawn(stream)
+
+
+def test_spawn_paths_do_not_collide():
+    # spawn(t) used to key stream * 2**20 + t + 1, so these two drew the same numbers
+    nested = GaussianSampler(0).spawn(0).spawn(5).sample(64)
+    assert not np.array_equal(nested, GaussianSampler(0).spawn(2**20 + 5).sample(64))
+    names = [GaussianSampler(0), GaussianSampler(0).spawn(0), GaussianSampler(0).spawn(0).spawn(0), GaussianSampler(0, 1)]
+    draws = {smp.sample(4).tobytes() for smp in names}
+    assert len(draws) == len(names)
+
+
+def _philox_states(fn, monkeypatch):
+    """The Philox (key, counter) starts of every bit generator fn builds."""
+    starts = []
+    real = np.random.Philox
+
+    def recording(*args, **kwargs):
+        bitgen = real(*args, **kwargs)
+        starts.append(bitgen.state["state"])
+        return bitgen
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "Philox", recording)
+        fn()
+    return starts
+
+
+# the package's other Philox consumers, and the spawn tag that used to share
+# each one's key: spawn(t) was keyed [seed, t + 1]
+CONSUMERS = {
+    "generate_instance": (lambda seed: generate_instance(3, 4, 2, seed=seed), 0xB5 - 1),
+    "margin_check": (lambda seed: discretization_margin_check(s=200, eta=0.5, c=1.0, trials=50, seed=seed), 0xD15C - 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSUMERS))
+@pytest.mark.parametrize("seed", [0, 4])
+def test_sampler_streams_stay_off_other_consumers(name, seed, monkeypatch):
+    run, old_tag = CONSUMERS[name]
+    (start,) = _philox_states(lambda: run(seed), monkeypatch)
+    # the consumer counts up from a zero counter; every sampler's word 3 is nonzero
+    assert start["counter"].tolist() == [0, 0, 0, 0]
+    consumer = np.random.Philox(key=start["key"]).random_raw(256)
+    for smp in (GaussianSampler(seed).spawn(old_tag), GaussianSampler(seed, int(start["key"][1]))):
+        assert smp.counter[3] != 0
+        assert not np.isin(smp._rng.bit_generator.random_raw(256), consumer).any()
 
 
 # --- walks -----------------------------------------------------------------
@@ -491,9 +535,9 @@ def test_round_lifted_validates():
 
 # --- batched trials --------------------------------------------------------
 
-# (solution, ell, alpha): dim*ell odd for the padded pair at odd ell, so each
-# trial's last uniform pair leaves a spare normal; small and large alpha
-# force NoCrossing and ManyCrossings fallbacks
+# (solution, ell, alpha): dim*ell odd for the padded pair at odd ell and
+# even elsewhere; small and large alpha force NoCrossing and ManyCrossings
+# fallbacks
 BATCH_CASES = [
     ("triangle", 1, 1.0),
     ("triangle", 5, 1.0),
@@ -537,7 +581,7 @@ def test_batched_trials_match_the_per_trial_oracle(name, ell, alpha, block_value
     assert out.statuses == want_statuses
 
 
-def test_batched_cases_reach_every_status_and_a_spare_normal():
+def test_batched_cases_reach_every_status_and_dim_parity():
     seen = set()
     for name, ell, alpha in BATCH_CASES:
         sol = _batch_solution(name)
@@ -549,9 +593,13 @@ def test_batched_cases_reach_every_status_and_a_spare_normal():
 
 def test_batch_takes_any_fresh_sampler_keys():
     sol = _rotated_pair(4, theta=0.5)
-    samplers = [GaussianSampler(seed, stream) for seed, stream in ((0, 0), (9, 3), (2**64 - 1, 7), (5, 2**70))]
+    samplers = [GaussianSampler(seed, stream) for seed, stream in ((0, 0), (9, 3), (2**64 - 1, 7), (5, 2**64 - 1))]
+    samplers += [GaussianSampler(5, 1).spawn(2**64 - 1), GaussianSampler(5, 1).spawn(8).spawn(2)]
     out = round_lifted_solution(sol, 3, samplers)
     fresh = [GaussianSampler(smp.seed, smp.stream) for smp in samplers]
+    for t, smp in enumerate(samplers):
+        for tag in smp.path:
+            fresh[t] = fresh[t].spawn(tag)
     for t, smp in enumerate(fresh):
         positions, statuses, counts = _round_lifted_oracle(sol, 3, smp)
         np.testing.assert_array_equal(out.positions[t], positions)
