@@ -56,8 +56,8 @@ def trace_stats_batch(half_values: np.ndarray, alpha: float):
     half_values = np.asarray(half_values, dtype=np.float64)
     if half_values.ndim != 2 or half_values.shape[1] < 1:
         raise ValueError("half_values must be a (trials, half) array")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     trials, half = half_values.shape
     labels = (half_values >= alpha).view(np.int8) - (half_values <= -alpha).view(np.int8)
 

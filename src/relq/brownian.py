@@ -7,11 +7,12 @@ extreme sign change exactly when the pinned motion crosses the barrier
 a/2 + 1/2 (or its mirror a/2 - 1/2) before time 1, and three or more sign
 changes correspond to three alternating barrier crossings.
 
-Everything here is closed form or one-dimensional quadrature: reflected
-endpoint densities for the conditional crossing probabilities, adaptive
-Simpson integration over the endpoint in (-1, 1), and normal tails for the
-rest.  A Monte Carlo margin check quantifies how much a finite step count
-can lose against the continuous bound.
+Everything here is closed form: iterated reflection through the
+alternating barriers gives the conditional crossing probabilities given
+the endpoint, their integrals over the endpoint in (-1, 1) are normal
+densities and tail differences, and the endpoints beyond a barrier add
+normal tails.  A Monte Carlo margin check quantifies how much a finite
+step count can lose against the continuous bound.
 """
 
 from __future__ import annotations
@@ -25,45 +26,13 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 
 
-def std_normal(x: float) -> tuple[float, float]:
-    """Standard normal density and distribution function at x."""
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    pdf = math.exp(-0.5 * x * x) / _SQRT_2PI
-    cdf = 0.5 * math.erfc(-x / _SQRT_2)
-    return pdf, cdf
-
-
 def _phi(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-def _cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / _SQRT_2)
-
-
-def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-8, max_depth: int = 40) -> float:
-    """Adaptive Simpson quadrature with Richardson correction."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-
-    def recurse(a, fa, b, fb, mid, fmid, whole, eps, depth):
-        lm = 0.5 * (a + mid)
-        rm = 0.5 * (mid + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = (mid - a) / 6.0 * (fa + 4.0 * flm + fmid)
-        right = (b - mid) / 6.0 * (fmid + 4.0 * frm + fb)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, fa, mid, fmid, lm, flm, left, 0.5 * eps, depth + 1) + recurse(
-            mid, fmid, b, fb, rm, frm, right, 0.5 * eps, depth + 1
-        )
-
-    mid = 0.5 * (lo + hi)
-    fa, fb, fmid = f(lo), f(hi), f(mid)
-    whole = (hi - lo) / 6.0 * (fa + 4.0 * fmid + fb)
-    return recurse(lo, fa, hi, fb, mid, fmid, whole, tol, 0)
+def _tail(x: float) -> float:
+    """1 - Phi(x), the standard normal upper tail."""
+    return 0.5 * math.erfc(x / _SQRT_2)
 
 
 def hitting_time_density(b: float, t: float) -> float:
@@ -75,100 +44,42 @@ def hitting_time_density(b: float, t: float) -> float:
     return b / (_SQRT_2PI * t**1.5) * math.exp(-b * b / (2.0 * t))
 
 
-@dataclass
-class BarrierSequenceSpec:
-    """m alternating barrier crossings, starting on the given side.
+def _middle(k: int, g: float) -> float:
+    """Integral of phi(a) * P(k alternating crossings, '+' first | a) over a in (-g, g).
 
-    The barriers sit at a/2 + (1/2 + eta) and a/2 - (1/2 + eta) for endpoint
-    a; first='+' means the upper barrier is crossed first.
+    g = 1 + 2*eta is the barrier gap.  Iterated reflection through the
+    barriers makes the conditional probability phi(e)/phi(a), with displaced
+    endpoint e = k*g for odd k and e = k*g + a for even k.  The integral is
+    therefore 2g * phi(k*g) for odd k and Phi((k+1)g) - Phi((k-1)g) for even
+    k; the '-' first side is its mirror image and integrates to the same.
     """
-
-    m: int
-    first: str
-    eta: float = 0.0
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.first not in ("+", "-"):
-            raise ValueError(f"first must be '+' or '-', got {self.first!r}")
-        if self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+    if k % 2:
+        return 2.0 * g * _phi(k * g)
+    return _tail((k - 1) * g) - _tail((k + 1) * g)
 
 
-def conditional_barrier_probability(spec: BarrierSequenceSpec, a: float) -> float:
-    """P(m alternating crossings finish by time 1 | endpoint a), by reflection.
-
-    Iterated reflection through the alternating barriers maps the event to a
-    displaced endpoint e: phi(e)/phi(a), with e = m*g for odd m and
-    e = m*g +/- a for even m ('+' / '-' start), where g = 1 + 2*eta is the
-    barrier gap.  Valid for |a| < 1 + 2*eta; beyond that only m = 1 on the
-    matching side is defined (the endpoint already crossed: probability 1).
-    """
-    g = 1.0 + 2.0 * spec.eta
-    if abs(a) >= g:
-        if spec.m == 1 and ((spec.first == "+" and a >= g) or (spec.first == "-" and a <= -g)):
-            return 1.0
-        raise ValueError(
-            f"endpoint a={a} outside (-{g}, {g}) is handled by the dedicated tail integrals"
-        )
-    if spec.m % 2 == 1:
-        e = spec.m * g
-    elif spec.first == "+":
-        e = spec.m * g + a
-    else:
-        e = spec.m * g - a
-    return min(1.0, _phi(e) / _phi(a))
-
-
-# the conditional probability is continuous up to the barrier, so shaving the
-# integration endpoints costs ~1e-9 while keeping the domain check strict
-_EDGE = 1e-9
-
-
-def _middle_integral(f, g: float) -> float:
-    return adaptive_simpson(f, -g + _EDGE, g - _EDGE, tol=1e-8)
-
-
-def _both_sides(m: int, eta: float, a: float) -> float:
-    plus = conditional_barrier_probability(BarrierSequenceSpec(m=m, first="+", eta=eta), a)
-    minus = conditional_barrier_probability(BarrierSequenceSpec(m=m, first="-", eta=eta), a)
-    return plus + minus
-
-
-def _chain_at_least_one(eta: float, a: float) -> float:
-    """P(some barrier crossed | endpoint a) by inclusion-exclusion.
+def _middle_totals(g: float) -> tuple[float, float]:
+    """The endpoint-in-(-g, g) parts of P(>= 1) and P(>= 3 crossings), both sides.
 
     Crossing both single barriers is the same event as finishing some
-    alternating double, and so on down; the recursion is truncated with the
-    union bound at depth five, whose defect is below 1e-5.
+    alternating double, and so on down; the inclusion-exclusion stops at
+    depth five, whose defect is below 1e-5.
     """
-    and5 = _both_sides(5, eta, a)
-    and4 = _both_sides(4, eta, a) - and5
-    and3 = _both_sides(3, eta, a) - and4
-    and2 = _both_sides(2, eta, a) - and3
-    return _both_sides(1, eta, a) - and2
-
-
-def _chain_three_or_more(eta: float, a: float) -> float:
-    and5 = _both_sides(5, eta, a)
-    and4 = _both_sides(4, eta, a) - and5
-    return _both_sides(3, eta, a) - and4
+    i1, i2, i3, i4, i5 = (2.0 * _middle(k, g) for k in range(1, 6))
+    three = i3 - i4 + i5
+    return i1 - i2 + three, three
 
 
 def prob_at_least_one(eta: float = 0.0) -> float:
     """P(the pinned walk crosses a barrier before time 1), endpoint averaged.
 
-    Endpoints beyond a barrier have already crossed (normal tails, closed
-    form); the middle range integrates the inclusion-exclusion chain against
-    the endpoint density by adaptive Simpson.
+    Endpoints beyond a barrier have already crossed (the normal tails); the
+    middle range is the closed-form inclusion-exclusion of _middle_totals.
     """
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     g = 1.0 + 2.0 * eta
-    tails = 2.0 * (1.0 - _cdf(g))
-    middle = _middle_integral(lambda a: _phi(a) * _chain_at_least_one(eta, a), g)
-    return tails + middle
+    return 2.0 * _tail(g) + _middle_totals(g)[0]
 
 
 def prob_three_or_more(eta: float = 0.0) -> float:
@@ -177,38 +88,7 @@ def prob_three_or_more(eta: float = 0.0) -> float:
         raise ValueError(f"eta must be >= 0, got {eta}")
     g = 1.0 + 2.0 * eta
     # endpoint beyond a barrier: one crossing is free, two more must follow
-    tails = 2.0 * (1.0 - _cdf(3.0 * g))
-    middle = _middle_integral(lambda a: _phi(a) * _chain_three_or_more(eta, a), g)
-    return tails + middle
-
-
-def exact_one_lower_bound(eta: float = 0.0) -> float:
-    """Lower bound on P(exactly one extreme sign change)."""
-    return prob_at_least_one(eta) - prob_three_or_more(eta)
-
-
-@dataclass
-class BridgeIncrementLaw:
-    """Gaussian law of the pinned walk at time T + t given value `level` at T."""
-
-    T: float
-    t: float
-    level: float
-    a: float
-    mean: float
-    variance: float
-
-
-def bridge_increment_law(T: float, t: float, level: float, a: float) -> BridgeIncrementLaw:
-    """Law of W(T+t) given W(T) = level and W(1) = a."""
-    if not 0.0 <= T < 1.0:
-        raise ValueError(f"T must be in [0, 1), got {T}")
-    if not 0.0 <= t <= 1.0 - T:
-        raise ValueError(f"t must be in [0, 1-T], got {t}")
-    rem = 1.0 - T
-    mean = level + t * (a - level) / rem
-    variance = t * (rem - t) / rem
-    return BridgeIncrementLaw(T=T, t=t, level=level, a=a, mean=mean, variance=max(variance, 0.0))
+    return 2.0 * _tail(3.0 * g) + _middle_totals(g)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -234,31 +114,18 @@ def constants_table() -> list[ConstantRow]:
     computed >= reference; 'info' rows document two conflicting printed
     readings of the same intermediate quantity and do not gate anything.
     """
-    g = 1.0
-
-    def middle(f) -> float:
-        return _middle_integral(f, g)
-
-    def cond(m, first, a):
-        return conditional_barrier_probability(BarrierSequenceSpec(m=m, first=first), a)
-
-    single_plus = middle(lambda a: _phi(a) * cond(1, "+", a))
-    double_plus = middle(lambda a: _phi(a) * cond(2, "+", a))
-    triple_plus = middle(lambda a: _phi(a) * cond(3, "+", a))
-    quad_total = middle(lambda a: _phi(a) * _both_sides(4, 0.0, a))
-    quint_total = middle(lambda a: _phi(a) * _both_sides(5, 0.0, a))
-    middle_one = middle(lambda a: _phi(a) * _chain_at_least_one(0.0, a))
-    middle_three = middle(lambda a: _phi(a) * _chain_three_or_more(0.0, a))
+    single_plus, double_plus, triple_plus = (_middle(k, 1.0) for k in (1, 2, 3))
+    middle_one, middle_three = _middle_totals(1.0)
     total_one = prob_at_least_one()
     total_three = prob_three_or_more()
     rows = [
-        ConstantRow("endpoint_tail_one_side", 0.158655, 1.0 - _cdf(1.0)),
+        ConstantRow("endpoint_tail_one_side", 0.158655, _tail(1.0)),
         ConstantRow("single_barrier_middle", 0.483941, single_plus),
         ConstantRow("double_barrier_middle_one_side", 0.157305, double_plus),
         ConstantRow("triple_barrier_middle_one_side", 0.0088637, triple_plus),
-        ConstantRow("endpoint_tail_three_one_side", 0.0013499, 1.0 - _cdf(3.0)),
-        ConstantRow("quadruple_barrier_middle_total", 0.00269922, quad_total),
-        ConstantRow("quintuple_barrier_middle_total", 5.94688e-6, quint_total),
+        ConstantRow("endpoint_tail_three_one_side", 0.0013499, _tail(3.0)),
+        ConstantRow("quadruple_barrier_middle_total", 0.00269922, 2.0 * _middle(4, 1.0)),
+        ConstantRow("quintuple_barrier_middle_total", 5.94688e-6, 2.0 * _middle(5, 1.0)),
         ConstantRow("middle_total_at_least_one", 0.668302, middle_one),
         ConstantRow("middle_total_three_or_more", 0.015035, middle_three),
         ConstantRow("at_least_one_total", 0.985612, total_one),

@@ -68,12 +68,6 @@ def canonical_constellation(p: int) -> Constellation:
     return Constellation(p=p, dim=half, vectors=vectors)
 
 
-def gram_residual(cons: Constellation) -> float:
-    """Max absolute deviation of the pairwise inner products from the target Gram."""
-    gram = cons.vectors @ cons.vectors.T
-    return float(np.max(np.abs(gram - target_gram(cons.p))))
-
-
 def _diagonal_class_index(p: int) -> np.ndarray:
     """idx[h, k] = (k - h) mod p, the shift class of entry (h, k) of a block."""
     k = np.arange(p)
@@ -109,17 +103,6 @@ def solution_residuals(sol: SdpSolutionP) -> dict[str, float]:
             block = sol.v[i] @ sol.v[j].T
             r_cov = max(r_cov, _covariance_residual(block, cls, p)[0])
     return {"gram_law": r_gram, "unit_norm": r_unit, "shift_covariance": r_cov}
-
-
-def difference_vectors(cons: Constellation) -> np.ndarray:
-    """Half-step differences (v^k - v^{k-1}) / 2 for k = 1..p/2, as rows.
-
-    For a family satisfying the Gram law these are mutually orthogonal with
-    norm sqrt(2/p), and v^k = v^{k-1} + 2*row reconstructs the walk.  Their
-    telescoped sum is (v^{p/2} - v^0)/2 = -v^0.
-    """
-    half = cons.p // 2
-    return (cons.vectors[1 : half + 1] - cons.vectors[:half]) / 2.0
 
 
 def _variable_difference_steps(sol: SdpSolutionP) -> np.ndarray:

@@ -54,8 +54,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.ell < 1:
             raise ValueError(f"ell must be >= 1, got {self.ell}")
 
@@ -161,16 +161,17 @@ def write_report(report: Report, csv_path: str | Path) -> tuple[Path, Path]:
 
 
 def mc_sign_change(s: int, trials: int, seed: int, alpha: float = 1.0) -> Report:
-    """Crossing-count frequencies of simulated circular walks vs. quadrature.
+    """Crossing-count frequencies of simulated circular walks vs. the closed forms.
 
     s counts the forward-walk steps (the Gaussian increments per trial); the
     circular trace has 2*s positions, the second half being the antipodal
     mirror of the first.  Blocks of traces come from one sequential stream;
     the report carries frequencies of {0, 1, >=2} extreme sign changes at
     the given threshold, and separately of the event that the first half of
-    the trace alternates three or more times.  Reference values come from
-    the barrier-crossing quadrature; they are continuum limits, so the
-    frequencies approach them from a finite-step bias of order 1/sqrt(s).
+    the trace alternates three or more times.  Reference values are the
+    closed-form barrier-crossing probabilities; they are continuum limits,
+    so the frequencies approach them from a finite-step bias of order
+    1/sqrt(s).
     """
     if s < 100:
         raise ValueError(f"s must be >= 100, got {s}")

@@ -187,8 +187,8 @@ def detect_extreme_sign_changes(trace: WalkTrace, alpha: float) -> list[Crossing
     events.  The rounding path uses the half-walk kernel; this is the
     per-trace reference for any walk, antipodal or not.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     labels = _labels(trace.values, alpha)
     ks = np.flatnonzero(labels)
     if ks.size == 0:
@@ -332,8 +332,8 @@ def round_lifted_solution(
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if audit:
         worst = max(solution_residuals(sol).values())
         if worst > 1e-5:

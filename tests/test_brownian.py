@@ -1,27 +1,27 @@
-"""Barrier-crossing probabilities: closed forms, quadrature, margin MC."""
+"""Barrier-crossing probabilities: closed forms against a reflection-chain oracle, margin MC.
+
+The oracle is the conditional crossing probability given the endpoint,
+written out by reflection; `scipy.integrate.quad` integrates it against the
+endpoint density, independently of the closed forms in relq.brownian.
+"""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from relq.brownian import (
-    BarrierSequenceSpec,
-    BridgeIncrementLaw,
-    adaptive_simpson,
-    bridge_increment_law,
-    conditional_barrier_probability,
     constants_table,
     discretization_margin_check,
-    exact_one_lower_bound,
     hitting_time_density,
     prob_at_least_one,
     prob_three_or_more,
-    std_normal,
 )
 from relq._kernels import canonical_values_batch, trace_stats_batch
 
-# quoted reference values the quadrature must reproduce within 1e-4
+# quoted reference values the closed forms must reproduce within 1e-4
 QUOTED = {
     "endpoint_tail_one_side": 0.158655,
     "single_barrier_middle": 0.483941,
@@ -37,32 +37,63 @@ QUOTED = {
 }
 
 
-def test_std_normal_values():
-    pdf0, cdf0 = std_normal(0.0)
-    assert pdf0 == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
-    assert cdf0 == pytest.approx(0.5, abs=1e-15)
-    _, cdf1 = std_normal(1.0)
-    assert 1.0 - cdf1 == pytest.approx(0.1586553, abs=1e-6)
+def _phi(x):
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def test_std_normal_symmetry_and_validation():
-    for x in (-3.7, -1.2, 0.4, 2.9):
-        _, hi = std_normal(x)
-        _, lo = std_normal(-x)
-        assert hi + lo == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        std_normal(float("nan"))
-    with pytest.raises(ValueError):
-        std_normal(float("inf"))
+def _tail(x):
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def test_adaptive_simpson_known_integrals():
-    assert adaptive_simpson(math.sin, 0.0, math.pi, tol=1e-10) == pytest.approx(2.0, abs=1e-9)
-    phi = lambda a: std_normal(a)[0]
-    _, c3 = std_normal(3.0)
-    assert adaptive_simpson(phi, -3.0, 3.0, tol=1e-10) == pytest.approx(2.0 * c3 - 1.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        adaptive_simpson(math.sin, 1.0, 1.0)
+@dataclass
+class BarrierSequenceSpec:
+    """m alternating barrier crossings, starting on the given side.
+
+    The barriers sit at a/2 + (1/2 + eta) and a/2 - (1/2 + eta) for endpoint
+    a; first='+' means the upper barrier is crossed first.
+    """
+
+    m: int
+    first: str
+    eta: float = 0.0
+
+
+def conditional_barrier_probability(spec: BarrierSequenceSpec, a: float) -> float:
+    """P(m alternating crossings finish by time 1 | endpoint a), by reflection.
+
+    Iterated reflection through the alternating barriers maps the event to a
+    displaced endpoint e: phi(e)/phi(a), with e = m*g for odd m and
+    e = m*g +/- a for even m ('+' / '-' start), where g = 1 + 2*eta is the
+    barrier gap.  Valid for |a| < 1 + 2*eta; beyond that only m = 1 on the
+    matching side is defined (the endpoint already crossed: probability 1).
+    """
+    g = 1.0 + 2.0 * spec.eta
+    if abs(a) >= g:
+        if spec.m == 1 and ((spec.first == "+" and a >= g) or (spec.first == "-" and a <= -g)):
+            return 1.0
+        raise ValueError(f"endpoint a={a} outside (-{g}, {g})")
+    if spec.m % 2 == 1:
+        e = spec.m * g
+    elif spec.first == "+":
+        e = spec.m * g + a
+    else:
+        e = spec.m * g - a
+    return min(1.0, _phi(e) / _phi(a))
+
+
+def _both_sides(m, eta, a):
+    return sum(conditional_barrier_probability(BarrierSequenceSpec(m, first, eta), a) for first in "+-")
+
+
+def _chain(depths, eta, a):
+    """Alternating sum of both-side probabilities: the inclusion-exclusion chain."""
+    return sum((-1) ** i * _both_sides(m, eta, a) for i, m in enumerate(depths))
+
+
+def _middle_quad(f, eta):
+    g = 1.0 + 2.0 * eta
+    value, _ = quad(lambda a: _phi(a) * f(a), -g, g, epsabs=1e-14, epsrel=1e-14)
+    return value
 
 
 def test_hitting_density_point_values():
@@ -78,18 +109,8 @@ def test_hitting_density_point_values():
 @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("T", [0.25, 1.0])
 def test_hitting_time_mass_matches_tail_formula(b, T):
-    mass = adaptive_simpson(lambda t: hitting_time_density(b, t), 1e-12, T, tol=1e-10)
-    _, cdf = std_normal(b / math.sqrt(T))
-    assert mass == pytest.approx(2.0 * (1.0 - cdf), abs=1e-6)
-
-
-def test_barrier_spec_validation():
-    with pytest.raises(ValueError):
-        BarrierSequenceSpec(m=0, first="+")
-    with pytest.raises(ValueError):
-        BarrierSequenceSpec(m=2, first="x")
-    with pytest.raises(ValueError):
-        BarrierSequenceSpec(m=1, first="-", eta=-0.1)
+    mass, _ = quad(lambda t: hitting_time_density(b, t), 1e-12, T)
+    assert mass == pytest.approx(2.0 * _tail(b / math.sqrt(T)), abs=1e-6)
 
 
 def test_conditional_probability_point_values():
@@ -99,8 +120,7 @@ def test_conditional_probability_point_values():
     assert conditional_barrier_probability(spec(3, "+"), 0.0) == pytest.approx(0.0111090, abs=1e-6)
     # even pattern shifts the reflected endpoint by the endpoint itself
     assert conditional_barrier_probability(spec(2, "+"), 0.5) == pytest.approx(math.exp(-3.0), abs=1e-9)
-    phi = lambda x: std_normal(x)[0]
-    assert conditional_barrier_probability(spec(1, "+"), 0.3) == pytest.approx(phi(1.0) / phi(0.3), abs=1e-12)
+    assert conditional_barrier_probability(spec(1, "+"), 0.3) == pytest.approx(_phi(1.0) / _phi(0.3), abs=1e-12)
 
 
 def test_conditional_probability_mirror_symmetry():
@@ -130,9 +150,8 @@ def test_conditional_probability_domain_routing():
         conditional_barrier_probability(BarrierSequenceSpec(m=2, first="+"), 1.3)
     # widening moves the valid endpoint window outward
     wide = BarrierSequenceSpec(m=2, first="+", eta=0.25)
-    phi = lambda x: std_normal(x)[0]
     assert conditional_barrier_probability(wide, 1.2) == pytest.approx(
-        phi(2.0 * 1.5 + 1.2) / phi(1.2), abs=1e-12
+        _phi(2.0 * 1.5 + 1.2) / _phi(1.2), abs=1e-12
     )
 
 
@@ -145,38 +164,47 @@ def test_crossing_totals():
     assert p1 == pytest.approx(0.9856168, abs=2e-6)
     assert p3 == pytest.approx(0.0177339, abs=2e-6)
     assert p1 - p3 == pytest.approx(0.967877, abs=2e-4)
-    assert exact_one_lower_bound() >= 0.96
+    assert p1 - p3 >= 0.96
 
 
 def test_widened_barriers_small_eta_keeps_bounds():
     # the widened-barrier bound holds for small widenings and decays smoothly
     assert prob_at_least_one(1e-4) >= 0.9855
-    assert exact_one_lower_bound(1e-4) >= 0.9855 - 0.0178
+    assert prob_at_least_one(1e-4) - prob_three_or_more(1e-4) >= 0.9855 - 0.0178
     p1 = [prob_at_least_one(eta) for eta in (0.0, 1e-4, 5e-3, 1e-2)]
     assert all(hi > lo for hi, lo in zip(p1, p1[1:]))
     # at 0.01 the exact value has dropped below .9677 but stays well above .96
-    assert 0.96 <= exact_one_lower_bound(0.01) < 0.9677
+    assert 0.96 <= prob_at_least_one(0.01) - prob_three_or_more(0.01) < 0.9677
     with pytest.raises(ValueError):
         prob_at_least_one(-0.1)
     with pytest.raises(ValueError):
         prob_three_or_more(-0.1)
 
 
-def test_bridge_increment_law():
-    law = bridge_increment_law(T=0.5, t=0.25, level=1.0, a=0.0)
-    assert isinstance(law, BridgeIncrementLaw)
-    assert law.mean == pytest.approx(0.5, abs=1e-12)
-    assert law.variance == pytest.approx(0.125, abs=1e-12)
-    end = bridge_increment_law(T=0.25, t=0.75, level=-0.3, a=1.7)
-    assert end.mean == pytest.approx(1.7, abs=1e-12)
-    assert end.variance == pytest.approx(0.0, abs=1e-15)
-    tiny = bridge_increment_law(T=0.25, t=1e-12, level=-0.3, a=1.7)
-    assert tiny.mean == pytest.approx(-0.3, abs=1e-11)
-    assert tiny.variance < 2e-12
-    with pytest.raises(ValueError):
-        bridge_increment_law(T=1.0, t=0.1, level=0.0, a=0.0)
-    with pytest.raises(ValueError):
-        bridge_increment_law(T=0.5, t=0.6, level=0.0, a=0.0)
+@pytest.mark.parametrize("eta", [0.0, 1e-4, 0.01, 0.1, 0.5])
+def test_closed_forms_match_quadrature_of_the_reflection_chain(eta):
+    g = 1.0 + 2.0 * eta
+    p1 = 2.0 * _tail(g) + _middle_quad(lambda a: _chain((1, 2, 3, 4, 5), eta, a), eta)
+    p3 = 2.0 * _tail(3.0 * g) + _middle_quad(lambda a: _chain((3, 4, 5), eta, a), eta)
+    assert abs(prob_at_least_one(eta) - p1) <= 1e-12
+    assert abs(prob_three_or_more(eta) - p3) <= 1e-12
+    if eta:
+        return
+    one_side = lambda m: _middle_quad(
+        lambda a: conditional_barrier_probability(BarrierSequenceSpec(m, "+"), a), 0.0
+    )
+    want = {
+        "single_barrier_middle": one_side(1),
+        "double_barrier_middle_one_side": one_side(2),
+        "triple_barrier_middle_one_side": one_side(3),
+        "quadruple_barrier_middle_total": _middle_quad(lambda a: _both_sides(4, 0.0, a), 0.0),
+        "quintuple_barrier_middle_total": _middle_quad(lambda a: _both_sides(5, 0.0, a), 0.0),
+        "middle_total_at_least_one": p1 - 2.0 * _tail(1.0),
+        "middle_total_three_or_more": p3 - 2.0 * _tail(3.0),
+    }
+    rows = {r.name: r.computed for r in constants_table()}
+    for name, value in want.items():
+        assert abs(rows[name] - value) <= 1e-12, name
 
 
 def test_constants_table_matches_quoted_values():
@@ -231,7 +259,7 @@ def test_margin_check_validation():
 
 
 def test_discrete_walks_match_quadrature_totals():
-    """Independent cross-check: simulated circular walks against the quadrature."""
+    """Independent cross-check: simulated circular walks against the closed forms."""
     s, trials, chunk = 4000, 200_000, 4096
     rng = np.random.Generator(np.random.Philox(20240911))
     counts = np.zeros(0, dtype=np.int64)

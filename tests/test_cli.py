@@ -129,6 +129,15 @@ def test_out_of_range_seeds_are_errors(triangle_file, tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.count("\n") == 1 and captured.err.startswith("error: seed must lie in"), command
+    # a NaN threshold labels nothing and an infinite one is never crossed
+    for command in commands:
+        if command[0] not in ("round", "e2e", "mc-signchange", "conjecture"):
+            continue
+        for alpha in ("nan", "inf"):
+            assert main(command + ["--alpha", alpha]) == 1, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: alpha must be"), command
 
 
 def test_solve_max_iterations_zero_is_honoured(triangle_file, capsys):

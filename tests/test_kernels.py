@@ -83,6 +83,8 @@ def test_stats_rejects_bad_input():
         trace_stats_batch(np.zeros((2, 0)), 1.0)  # empty half
     with pytest.raises(ValueError):
         trace_stats_batch(np.zeros((2, 4)), 0.0)
+    with pytest.raises(ValueError):
+        trace_stats_batch(np.zeros((2, 4)), float("nan"))
 
 
 def _half_runs_reference(row, alpha):
