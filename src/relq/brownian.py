@@ -76,16 +76,16 @@ def prob_at_least_one(eta: float = 0.0) -> float:
     Endpoints beyond a barrier have already crossed (the normal tails); the
     middle range is the closed-form inclusion-exclusion of _middle_totals.
     """
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    if not 0 <= eta < math.inf:
+        raise ValueError(f"eta must be >= 0 and finite, got {eta}")
     g = 1.0 + 2.0 * eta
     return 2.0 * _tail(g) + _middle_totals(g)[0]
 
 
 def prob_three_or_more(eta: float = 0.0) -> float:
     """P(three or more alternating crossings before time 1), endpoint averaged."""
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    if not 0 <= eta < math.inf:
+        raise ValueError(f"eta must be >= 0 and finite, got {eta}")
     g = 1.0 + 2.0 * eta
     # endpoint beyond a barrier: one crossing is free, two more must follow
     return 2.0 * _tail(3.0 * g) + _middle_totals(g)[1]
@@ -194,8 +194,8 @@ def discretization_margin_check(
     """
     if s < 1 or trials < 1:
         raise ValueError("s and trials must be positive")
-    if eta <= 0 or c <= 0:
-        raise ValueError("eta and c must be positive")
+    if not (0 < eta < math.inf and 0 < c < math.inf):
+        raise ValueError(f"eta and c must be positive and finite, got eta={eta}, c={c}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xD15C], dtype=np.uint64)))

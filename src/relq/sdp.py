@@ -11,12 +11,17 @@ first form onto the second, preserving the objective.
 
 The solver works on the (p*n) x (p*n) Gram matrix in three steps.  An
 ADMM splitting engine (Wen, Goldfarb & Yin 2010) alternates a
-gradient-shifted projection onto the structural constraints (diagonal
-averaging plus a per-pair simplex projection) with a projection onto the
-positive semidefinite cone (symmetric eigendecomposition, negative
-eigenvalues clipped).  One Dykstra polish then moves its iterate onto the
-intersection of the two sets, and the polished Gram matrix is factored
-into vectors.
+gradient-shifted projection onto the structural constraints with a
+projection onto the positive semidefinite cone (symmetric
+eigendecomposition, negative eigenvalues clipped).  One Dykstra polish then
+moves its iterate onto the intersection of the two sets, and the polished
+Gram matrix is factored into vectors.
+
+The structure projection handles all variable pairs in one pass, through
+flat index arrays built once per solve: one gather of every pair's shift
+classes, a sort-based simplex projection row-wise over (pairs, p), one
+scatter.  Its arithmetic and order are those of a pair-by-pair loop, so
+the result is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -203,17 +208,23 @@ def _feasibility_p(sol: SdpSolutionP, inst: Instance | None) -> FeasibilityRepor
 def _objective_matrix(inst: Instance) -> np.ndarray:
     """Symmetric weight matrix W with <W, G> equal to the relaxation objective
     for shift-covariant G (the coefficient of each equation is spread over all
-    label shifts so the gradient respects the covariance structure)."""
+    label shifts so the gradient respects the covariance structure).
+
+    One unbuffered np.add.at in equation order, (a, b) before (b, a) per
+    (k, h), so a cell shared by several equations sums their terms in
+    equation order.
+    """
     p, n = inst.p, inst.n
-    W = np.zeros((p * n, p * n))
-    for i, j, d in inst.equations:
-        for k in range(p):
-            c = (p - 2 * circular_distance(k, d, p)) / (2.0 * p)
-            for h in range(p):
-                a = i * p + h
-                b = j * p + (h + k) % p
-                W[a, b] += c
-                W[b, a] += c
+    N = p * n
+    eq = np.array(inst.equations, dtype=np.int64).reshape(-1, 3)[:, :, None, None]
+    i, j, d = eq[:, 0], eq[:, 1], eq[:, 2]
+    k = np.arange(p)[:, None]
+    h = np.arange(p)
+    c = (p - 2 * np.minimum((k - d) % p, (d - k) % p)) / (2.0 * p)
+    a, b = np.broadcast_arrays(i * p + h, j * p + (h + k) % p)
+    pos = np.stack([a * N + b, b * N + a], axis=-1)
+    W = np.zeros((N, N))
+    np.add.at(W.reshape(-1), pos.ravel(), np.broadcast_to(c[..., None], pos.shape).ravel())
     return W
 
 
@@ -222,42 +233,51 @@ def _uniform_start(p: int, n: int) -> np.ndarray:
     return np.kron(np.ones((n, n)), np.eye(p)) / p
 
 
-def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {c >= 0, sum(c) = total}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    ranks = np.arange(1, v.size + 1)
-    hits = np.nonzero(u - css / ranks > 0)[0]
-    # the top rank always qualifies in exact arithmetic; fall back to it when
-    # cancellation on extreme inputs empties the test
-    rho = hits[-1] if hits.size else 0
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+def _structure_index(p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions in the (p*n) x (p*n) Gram matrix for _project_structure.
+
+    upper[q, h, k] is entry (i*p + h, j*p + (h + k) mod p) of the q-th pair
+    i < j, the h-th member of its shift class k; lower[q, h, k] is the
+    mirrored entry; diag[i] holds variable i's own p x p block.
+    """
+    N = p * n
+    i, j = np.triu_indices(n, 1)
+    h = np.arange(p)
+    rows = i[:, None, None] * p + h[:, None]
+    cols = j[:, None, None] * p + (h[:, None] + h) % p
+    base = np.arange(n)[:, None, None] * p
+    diag = (base + h[:, None]) * N + base + h
+    return rows * N + cols, cols * N + rows, diag
 
 
-def _project_structure(G: np.ndarray, p: int, n: int, cls: np.ndarray) -> np.ndarray:
-    """Exact projection onto the structural constraint set.
+def _project_structure(G: np.ndarray, p: int, index: tuple) -> np.ndarray:
+    """Exact projection onto the structural constraint set, in one pass.
 
     Within-variable blocks are pinned to I/p (norm and orthogonality);
     cross-variable blocks are averaged along shift classes and the class
     means projected onto the scaled simplex {c >= 0, sum = 1/p} (shift
-    covariance, nonnegativity and the equal-sum-vector constraint).
+    covariance, nonnegativity and the equal-sum-vector constraint).  All
+    pairs go at once through the flat positions of _structure_index: one
+    gather, summed from 0.0 over class members in label order, a sort-based
+    simplex projection per row of the (pairs, p) means, one scatter to each
+    block and its transpose.
     """
+    upper, lower, diag = index
     out = (G + G.T) / 2.0
-    eye = np.eye(p) / p
-    for i in range(n):
-        si = slice(i * p, (i + 1) * p)
-        out[si, si] = eye
-        for j in range(i + 1, n):
-            sj = slice(j * p, (j + 1) * p)
-            block = out[si, sj]
-            means = np.zeros(p)
-            np.add.at(means, cls.ravel(), block.ravel())
-            means /= p
-            proj = _project_simplex(means, 1.0 / p)
-            newblock = proj[cls]
-            out[si, sj] = newblock
-            out[sj, si] = newblock.T
+    flat = out.reshape(-1)
+    flat[diag] = np.eye(p) / p
+    means = np.add.reduce(flat[upper], axis=1, initial=0.0) / p
+    # simplex: threshold at the last rank whose sorted value stays above the
+    # running mean excess; the top rank always qualifies in exact arithmetic,
+    # so fall back to it when cancellation on extreme inputs empties the test
+    desc = np.sort(means, axis=1)[:, ::-1]
+    css = np.cumsum(desc, axis=1) - 1.0 / p
+    ranks = np.arange(p)
+    rho = np.where(desc - css / (ranks + 1) > 0, ranks, 0).max(axis=1)
+    theta = css[np.arange(len(rho)), rho] / (rho + 1.0)
+    proj = np.maximum(means - theta[:, None], 0.0)[:, None, :]
+    flat[upper] = proj
+    flat[lower] = proj
     return out
 
 
@@ -267,7 +287,7 @@ def _project_psd(G: np.ndarray) -> np.ndarray:
     return (V * w) @ V.T
 
 
-def _polish(G: np.ndarray, p: int, n: int, cls: np.ndarray, tol: float, max_cycles: int) -> tuple[np.ndarray, float]:
+def _polish(G: np.ndarray, p: int, index: tuple, tol: float, max_cycles: int) -> tuple[np.ndarray, float]:
     """Dykstra's alternating projections onto structure set intersect PSD cone.
 
     Unlike plain alternating projections this converges to the nearest point
@@ -281,7 +301,7 @@ def _polish(G: np.ndarray, p: int, n: int, cls: np.ndarray, tol: float, max_cycl
     corr_p = np.zeros_like(G)
     gap = np.inf
     for _ in range(max_cycles):
-        y = _project_structure(x + corr_s, p, n, cls)
+        y = _project_structure(x + corr_s, p, index)
         corr_s = x + corr_s - y
         x = _project_psd(y + corr_p)
         corr_p = y + corr_p - x
@@ -291,7 +311,7 @@ def _polish(G: np.ndarray, p: int, n: int, cls: np.ndarray, tol: float, max_cycl
     return x, gap
 
 
-def _splitting_engine(W: np.ndarray, G0: np.ndarray, p: int, n: int, cls: np.ndarray, max_cycles: int) -> tuple[np.ndarray, int, bool]:
+def _splitting_engine(W: np.ndarray, G0: np.ndarray, p: int, index: tuple, max_cycles: int) -> tuple[np.ndarray, int, bool]:
     """ADMM splitting between the two constraint sets, maximizing <W, G>.
 
     Per cycle: one gradient-shifted structure projection, one PSD projection,
@@ -305,7 +325,7 @@ def _splitting_engine(W: np.ndarray, G0: np.ndarray, p: int, n: int, cls: np.nda
     U = np.zeros_like(G0)
     cycles = 0
     for cycles in range(1, max_cycles + 1):
-        G = _project_structure(Z - U + W / rho, p, n, cls)
+        G = _project_structure(Z - U + W / rho, p, index)
         Znew = _project_psd(G + U)
         primal = float(np.max(np.abs(G - Znew)))
         dual = rho * float(np.max(np.abs(Znew - Z)))
@@ -351,11 +371,11 @@ def solve_p_plus(inst: Instance, cfg: SolverConfig | None = None) -> tuple[SdpSo
     p, n = inst.p, inst.n
     if p * n > SIZE_GUARD:
         raise ValueError(f"p*n = {p * n} exceeds solver guard {SIZE_GUARD}")
-    cls = _diagonal_class_index(p)
+    index = _structure_index(p, n)
     W = _objective_matrix(inst)
     G0 = _uniform_start(p, n)
-    Z, cycles, engine_met = _splitting_engine(W, G0, p, n, cls, cfg.max_iterations)
-    G, gap = _polish(Z, p, n, cls, FINAL_TOL, FINAL_CYCLES)
+    Z, cycles, engine_met = _splitting_engine(W, G0, p, index, cfg.max_iterations)
+    G, gap = _polish(Z, p, index, FINAL_TOL, FINAL_CYCLES)
     u = _factor_gram(G, p, n)
     sol = SdpSolutionPPlus(p=p, n=n, dim=u.shape[2], u=u)
     report = feasibility_report(sol, inst)

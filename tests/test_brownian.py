@@ -181,6 +181,14 @@ def test_widened_barriers_small_eta_keeps_bounds():
         prob_three_or_more(-0.1)
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf])
+def test_probabilities_reject_non_finite_eta(eta):
+    with pytest.raises(ValueError, match="eta"):
+        prob_at_least_one(eta)
+    with pytest.raises(ValueError, match="eta"):
+        prob_three_or_more(eta)
+
+
 @pytest.mark.parametrize("eta", [0.0, 1e-4, 0.01, 0.1, 0.5])
 def test_closed_forms_match_quadrature_of_the_reflection_chain(eta):
     g = 1.0 + 2.0 * eta
@@ -256,6 +264,13 @@ def test_margin_check_validation():
         discretization_margin_check(s=100, eta=0.01, c=1e-4, trials=0, seed=0)
     with pytest.raises(ValueError, match="seed"):
         discretization_margin_check(s=100, eta=0.01, c=1e-4, trials=10, seed=-1)
+
+
+@pytest.mark.parametrize("eta,c", [(math.nan, 1e-4), (math.inf, 1e-4), (0.01, math.nan), (0.01, math.inf)])
+def test_margin_check_rejects_non_finite_eta_and_c(eta, c):
+    # a NaN barrier used to stall the tail sampler, which never accepts a draw
+    with pytest.raises(ValueError, match="finite"):
+        discretization_margin_check(s=100, eta=eta, c=c, trials=10, seed=0)
 
 
 def test_discrete_walks_match_quadrature_totals():

@@ -1,11 +1,16 @@
 """Relaxation plumbing: embeddings, objectives, conversion, solver, files."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from relq.constellation import SdpSolutionP, solution_residuals
-from relq.instance import Assignment, Instance, brute_force_optimum, evaluate, generate_instance
+from relq.constellation import SdpSolutionP, _diagonal_class_index, solution_residuals
+from relq.instance import Assignment, Instance, brute_force_optimum, circular_distance, evaluate, generate_instance
 from relq.sdp import (
+    _objective_matrix,
+    _project_structure,
+    _structure_index,
     FeasibilityReport,
     SdpSolutionPPlus,
     SolverConfig,
@@ -86,6 +91,106 @@ def test_objective_rejects_mismatched_instance():
 
 # --- solver ---------------------------------------------------------------
 
+# oracles: the per-pair structure projection and the per-equation objective
+# loop the one-pass versions replaced; the arithmetic is unchanged, so the
+# results must agree bit for bit
+
+
+def _oracle_project_simplex(v, total):
+    """Euclidean projection onto {c >= 0, sum(c) = total}."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - total
+    ranks = np.arange(1, v.size + 1)
+    hits = np.nonzero(u - css / ranks > 0)[0]
+    # the top rank always qualifies in exact arithmetic; fall back to it when
+    # cancellation on extreme inputs empties the test
+    rho = hits[-1] if hits.size else 0
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def _oracle_project_structure(G, p, n, cls):
+    out = (G + G.T) / 2.0
+    eye = np.eye(p) / p
+    for i in range(n):
+        si = slice(i * p, (i + 1) * p)
+        out[si, si] = eye
+        for j in range(i + 1, n):
+            sj = slice(j * p, (j + 1) * p)
+            block = out[si, sj]
+            means = np.zeros(p)
+            np.add.at(means, cls.ravel(), block.ravel())
+            means /= p
+            proj = _oracle_project_simplex(means, 1.0 / p)
+            newblock = proj[cls]
+            out[si, sj] = newblock
+            out[sj, si] = newblock.T
+    return out
+
+
+def _oracle_objective_matrix(inst):
+    p, n = inst.p, inst.n
+    W = np.zeros((p * n, p * n))
+    for i, j, d in inst.equations:
+        for k in range(p):
+            c = (p - 2 * circular_distance(k, d, p)) / (2.0 * p)
+            for h in range(p):
+                a = i * p + h
+                b = j * p + (h + k) % p
+                W[a, b] += c
+                W[b, a] += c
+    return W
+
+
+def _assert_bitwise_equal(got, want):
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
+def _structure_inputs(n, p, rng):
+    N = n * p
+    yield rng.standard_normal((N, N))
+    yield rng.standard_normal((N, N)) * 1e-3 + 1.0 / p
+    yield rng.integers(-2, 3, size=(N, N)) / 4.0  # ties in the sort
+    yield np.full((N, N), -0.0)
+    yield np.full((N, N), 1e20)  # equal huge class means: the rank test finds no hit
+    mixed = rng.standard_normal((N, N))
+    mixed[:p, p:] = 1e20  # one variable's pairs take the fallback, the rest do not
+    yield mixed
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (3, 6), (4, 8), (5, 12), (6, 8), (4, 16)])
+def test_one_pass_structure_projection_matches_per_pair_oracle(n, p):
+    rng = np.random.default_rng(1000 * n + p)
+    cls = _diagonal_class_index(p)
+    index = _structure_index(p, n)
+    for G in _structure_inputs(n, p, rng):
+        G = G + G.T  # symmetric, as the engine's iterates are
+        _assert_bitwise_equal(_project_structure(G, p, index), _oracle_project_structure(G, p, n, cls))
+
+
+def test_huge_equal_class_means_take_the_top_rank_fallback():
+    # the input the oracle tests use to reach the fallback: no rank qualifies
+    p = 8
+    v = np.full(p, 1e20)
+    css = np.cumsum(v) - 1.0 / p
+    assert not np.any(v - css / np.arange(1, p + 1) > 0)
+    # rank 0 gives theta = 1e20 - 1/p, which rounds to 1e20: every class clips to 0
+    np.testing.assert_array_equal(_oracle_project_simplex(v, 1.0 / p), np.zeros(p))
+
+
+def test_vector_objective_matrix_matches_equation_loop():
+    shapes = [(2, 2, 1), (3, 4, 5), (4, 8, 9), (5, 12, 10), (6, 8, 12), (4, 16, 10)]
+    for seed in range(10):
+        for n, p, m in shapes:
+            inst, _ = generate_instance(n=n, p=p, m=m, seed=seed)
+            _assert_bitwise_equal(_objective_matrix(inst), _oracle_objective_matrix(inst))
+    # five equations on one pair: cells take five terms whose sum depends on their order
+    inst = Instance(p=12, n=2, equations=[(0, 1, 1), (1, 0, 5), (0, 1, 7), (1, 0, 2), (0, 1, 10)])
+    _assert_bitwise_equal(_objective_matrix(inst), _oracle_objective_matrix(inst))
+    empty = Instance(p=4, n=2, equations=[])
+    _assert_bitwise_equal(_objective_matrix(empty), np.zeros((8, 8)))
+
 
 def test_solver_finds_gap_triangle_optimum():
     sol, rep = solve_p_plus(GAP_TRIANGLE)
@@ -150,6 +255,29 @@ def test_solver_trace_is_nondecreasing():
     trace = rep.objective_trace
     assert len(trace) >= 2
     assert all(b - a >= -1e-10 for a, b in zip(trace, trace[1:]))
+
+
+# (n, p, m, seed, planted, engine cycles, objective, dim, sha256 of u): the five
+# solve_tight rungs, the solve_gap rung and the planted e2e instance, captured
+# from the per-pair structure projection; any solver refactor that claims
+# bit-identical outputs must keep these
+SOLVER_PINS = [
+    (4, 8, 6, 1, False, 58, 4.249999999989498, 15, "d85be8672d4cf9ba2d841482f32a2fd7c3845d0912f16e505538d4c69515d7ab"),
+    (4, 12, 8, 1, False, 102, 5.499999999801064, 23, "bcf70f2fb887768f11d3f69ac6fcedb1c78ecb1145cca800c8a1732758733194"),
+    (4, 16, 10, 1, False, 228, 6.749999999550212, 31, "9150e128d5c21eb2ee81fc88137ebbd5bc5a00a14f797887400ee5f7c6979e12"),
+    (5, 12, 10, 1, False, 325, 7.166666666345969, 34, "8e9bcfe100aa8558dd5649e8f72d10d094b38b9b93940e8141c85c511f4e1453"),
+    (6, 8, 8, 1, False, 243, 6.750000000239463, 15, "e07a891ec16b2afe8e146c2ab8d1c02a65b04c606e2850fc0b22600f22e39a47"),
+    (6, 8, 12, 3, False, 821, 9.329221776208154, 32, "9106f4124d3bc8e0a1ed19fea9be2ba7905c57980e124f8218490112dd0ea37b"),
+    (4, 8, 6, 21, True, 21, 5.999999999930377, 8, "b207ff6a9c897d664db2579edfd40f2103aaed0470f96198cc61621646baed93"),
+]
+
+
+@pytest.mark.parametrize("n,p,m,seed,planted,iterations,objective,dim,digest", SOLVER_PINS)
+def test_solver_rungs_pinned(n, p, m, seed, planted, iterations, objective, dim, digest):
+    inst, _ = generate_instance(n=n, p=p, m=m, seed=seed, planted=planted)
+    sol, rep = solve_p_plus(inst)
+    assert (rep.iterations, repr(rep.objective), sol.dim) == (iterations, repr(objective), dim)
+    assert hashlib.sha256(sol.u.tobytes()).hexdigest() == digest
 
 
 def test_solver_is_deterministic():
