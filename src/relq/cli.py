@@ -38,8 +38,8 @@ from relq.instance import (
 )
 from relq.rounding import GaussianSampler, lifted_walk_values, round_lifted_solution
 from relq.sdp import (
+    MAX_ENGINE_CYCLES,
     SdpSolutionPPlus,
-    SolverConfig,
     convert_to_p,
     load_solution,
     save_solution,
@@ -104,8 +104,7 @@ def _cmd_brute(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    cfg = SolverConfig(max_iterations=args.max_iterations) if args.max_iterations is not None else None
-    sol, rep = solve_p_plus(inst, cfg)
+    sol, rep = solve_p_plus(inst, args.max_iterations)
     print(f"objective {rep.objective!r}")
     print(f"max_residual {rep.max_residual!r}")
     print(f"iterations {rep.iterations}")
@@ -214,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--max-iterations",
         type=int,
-        default=None,
-        help=f"cap on the splitting engine's cycles (default {SolverConfig().max_iterations})",
+        default=MAX_ENGINE_CYCLES,
+        help=f"cap on the splitting engine's cycles (default {MAX_ENGINE_CYCLES})",
     )
     solve.add_argument("--out", type=Path, default=None, help="save the solution vectors here")
     solve.set_defaults(func=_cmd_solve)

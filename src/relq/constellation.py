@@ -7,6 +7,13 @@ of vector k - p/2.  Inner products then satisfy v^a . v^b = 1 - 4*d(a,b)/p
 with d the circular distance, consecutive differences (v^k - v^{k-1})/2
 are mutually orthogonal of norm sqrt(2/p), and antipodal labels carry
 opposite vectors.
+
+This module also owns the shift-class layout that both relaxation forms
+share: in a p x p Gram block between two variables, entry (h, (h + k) mod p)
+is member h of shift class k, and the constraints ask every class to be
+constant.  The residuals of both forms come from one pass over the Gram
+blocks, one row of blocks at a time, with one gather per row putting each
+class in a column.
 """
 
 from __future__ import annotations
@@ -14,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from relq.instance import circular_distance
 
 
 @dataclass
@@ -43,6 +48,8 @@ class SdpSolutionP:
 
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=np.float64)
+        if self.n < 1:
+            raise ValueError(f"need at least one variable, got {self.n}")
         if self.v.shape != (self.n, self.p, self.dim):
             raise ValueError(f"expected array of shape ({self.n}, {self.p}, {self.dim})")
 
@@ -68,18 +75,37 @@ def canonical_constellation(p: int) -> Constellation:
     return Constellation(p=p, dim=half, vectors=vectors)
 
 
-def _diagonal_class_index(p: int) -> np.ndarray:
-    """idx[h, k] = (k - h) mod p, the shift class of entry (h, k) of a block."""
-    k = np.arange(p)
-    return (k[None, :] - k[:, None]) % p
+def _shift_columns(p: int) -> np.ndarray:
+    """cols[h, k] = (h + k) mod p, symmetric: entry (h, cols[h, k]) of a Gram block is member h of class k."""
+    h, k = np.arange(p)[:, None], np.arange(p)
+    return (h + k) % p
 
 
-def _covariance_residual(block: np.ndarray, cls: np.ndarray, p: int) -> tuple[float, np.ndarray]:
-    """Max deviation from the per-shift-class mean, and the class means."""
-    means = np.zeros(p)
-    np.add.at(means, cls.ravel(), block.ravel())
-    means /= p
-    return float(np.max(np.abs(block - means[cls]))), means
+def _shift_deviation(blocks: np.ndarray) -> float:
+    """Max deviation of Gram blocks (..., p, p) from their shift-class means.
+
+    One gather puts class k's members in column k, in label order; the means
+    sum them from 0.0 in that order.  0.0 for an empty stack of blocks.
+    """
+    p = blocks.shape[-1]
+    classes = blocks[..., np.arange(p)[:, None], _shift_columns(p)]
+    means = np.add.reduce(classes, axis=-2, initial=0.0) / p
+    classes -= means[..., None, :]
+    return np.max(np.abs(classes, out=classes), initial=0.0)
+
+
+def _reduce_gram_rows(vecs: np.ndarray, row_residuals) -> list[float]:
+    """Worst value of each residual over all variables, in one pass over the Gram blocks.
+
+    Row i of blocks, vecs[i] against vecs[i:] with shape (n - i, p, p) and
+    block 0 variable i's own Gram matrix, goes to row_residuals(i, blocks),
+    which returns one value per residual.  One row at a time bounds memory;
+    the batched product equals the per-pair ones bit for bit.  Maxima
+    propagate NaN, so a non-finite coordinate never reads as feasible.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = [row_residuals(i, vecs[i] @ np.swapaxes(vecs[i:], 1, 2)) for i in range(vecs.shape[0])]
+        return [float(r) for r in np.max(rows, axis=0)]
 
 
 def solution_residuals(sol: SdpSolutionP) -> dict[str, float]:
@@ -89,19 +115,13 @@ def solution_residuals(sol: SdpSolutionP) -> dict[str, float]:
     the vector norms; shift_covariance: every cross-variable block against
     its per-shift-class means.
     """
-    p, n = sol.p, sol.n
-    cls = _diagonal_class_index(p)
-    target = target_gram(p)
-    r_gram = 0.0
-    r_unit = 0.0
-    r_cov = 0.0
-    for i in range(n):
-        gram = sol.v[i] @ sol.v[i].T
-        r_gram = max(r_gram, float(np.max(np.abs(gram - target))))
-        r_unit = max(r_unit, float(np.max(np.abs(np.diag(gram) - 1.0))))
-        for j in range(i + 1, n):
-            block = sol.v[i] @ sol.v[j].T
-            r_cov = max(r_cov, _covariance_residual(block, cls, p)[0])
+    target = target_gram(sol.p)
+
+    def row_residuals(i, blocks):
+        gram = blocks[0]
+        return np.max(np.abs(gram - target)), np.max(np.abs(np.diag(gram) - 1.0)), _shift_deviation(blocks[1:])
+
+    r_gram, r_unit, r_cov = _reduce_gram_rows(sol.v, row_residuals)
     return {"gram_law": r_gram, "unit_norm": r_unit, "shift_covariance": r_cov}
 
 
@@ -131,19 +151,14 @@ def lift_solution(sol: SdpSolutionP, ell: int) -> SdpSolutionP:
     new_dim = dim * ell
     scale = 1.0 / np.sqrt(ell)
 
-    steps = _variable_difference_steps(sol)  # (n, half, dim)
+    # coordinate (e, m) of the expanded space is column e*ell + m; sub-step
+    # (k, m) is row k*ell + m and holds step k/sqrt(ell) in the m-columns
+    sub = np.zeros((n, half, ell, dim, ell))
+    m = np.arange(ell)
+    sub[:, :, m, :, m] = _variable_difference_steps(sol) * scale
+    anchor = np.repeat(sol.v[:, :1], ell, axis=2) * scale  # v^0 (x) ones/sqrt(ell)
     out = np.empty((n, s, new_dim))
-    for i in range(n):
-        # coordinate (e, m) of the expanded space is column e*ell + m;
-        # sub-step (k, m) is row k*ell + m and holds steps[i, k]/sqrt(ell) in the m-columns
-        sub = np.zeros((new_half, new_dim))
-        for m in range(ell):
-            rows = np.arange(half) * ell + m
-            cols = np.arange(dim) * ell + m
-            sub[np.ix_(rows, cols)] = steps[i] * scale
-        anchor = np.repeat(sol.v[i, 0], ell) * scale  # v^0 (x) ones/sqrt(ell)
-        walk = anchor + 2.0 * np.cumsum(sub, axis=0)
-        out[i, 0] = anchor
-        out[i, 1 : new_half + 1] = walk
-        out[i, new_half + 1 :] = -out[i, 1:new_half]
+    out[:, :1] = anchor
+    out[:, 1 : new_half + 1] = anchor + 2.0 * np.cumsum(sub.reshape(n, new_half, new_dim), axis=1)
+    out[:, new_half + 1 :] = -out[:, 1:new_half]
     return SdpSolutionP(p=s, n=n, dim=new_dim, v=out)

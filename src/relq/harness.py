@@ -30,7 +30,7 @@ from relq.instance import (
     score_positions,
 )
 from relq.rounding import STREAM_VERSION, GaussianSampler, round_lifted_solution
-from relq.sdp import SolverConfig, convert_to_p, feasibility_report, solve_p_plus
+from relq.sdp import MAX_ENGINE_CYCLES, convert_to_p, feasibility_report, solve_p_plus
 
 # walk values per block of rows: 4 MB of float64.  conjecture_experiment
 # draws each block's r1 and then its r2, so this size is part of its
@@ -386,7 +386,7 @@ def conjecture_experiment(
 def end_to_end_ratio(
     inst: Instance,
     cfg: ExperimentConfig,
-    solver_cfg: SolverConfig | None = None,
+    max_iterations: int = MAX_ENGINE_CYCLES,
     tol: float = 1e-3,
 ) -> Report:
     """Solve, convert, lift, round, and compare against the brute-force optimum.
@@ -404,11 +404,11 @@ def end_to_end_ratio(
     sampler = GaussianSampler(cfg.seed)  # first, so a bad seed fails before the solve
     _, opt = brute_force_optimum(inst)
     opt_f = float(opt)
-    sol, solver_report = solve_p_plus(inst, solver_cfg)
+    sol, solver_report = solve_p_plus(inst, max_iterations)
     sdp_value = solver_report.objective
     sol_p = convert_to_p(sol)
     audit = feasibility_report(sol_p)
-    if audit.max_residual > 1e-5:
+    if not audit.max_residual <= 1e-5:
         raise ValueError(f"converted solution infeasible: {audit.max_residual:.3e}")
     scaled = scale_instance(inst, cfg.ell)
     trial_samplers = [sampler.spawn(t) for t in range(cfg.trials)]

@@ -207,20 +207,24 @@ def format_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse the text format; '#' starts a comment, blank lines are ignored."""
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line)
+def _text_rows(text: str, what: str, magic: str, version: int) -> tuple[list[int], list[str]]:
+    """Line numbers and texts of the non-blank rows of a text format, '#' comments
+    stripped, after checking the 'magic version' header and that a size line
+    follows; what names the format."""
+    numbered = [(num, line) for num, raw in enumerate(text.splitlines(), 1) if (line := raw.split("#", 1)[0].strip())]
+    nums, rows = [num for num, _ in numbered], [line for _, line in numbered]
     if not rows:
-        raise ValueError("empty instance text")
-    header = rows[0].split()
-    if header != [FORMAT_MAGIC, str(FORMAT_VERSION)]:
-        raise ValueError(f"bad header {rows[0]!r}, expected '{FORMAT_MAGIC} {FORMAT_VERSION}'")
+        raise ValueError(f"empty {what} text")
+    if rows[0].split() != [magic, str(version)]:
+        raise ValueError(f"bad header {rows[0]!r}, expected '{magic} {version}'")
     if len(rows) < 2:
         raise ValueError("missing size line")
+    return nums, rows
+
+
+def parse_instance(text: str) -> Instance:
+    """Parse the text format; '#' starts a comment, blank lines are ignored."""
+    _, rows = _text_rows(text, "instance", FORMAT_MAGIC, FORMAT_VERSION)
     try:
         p, n, m = (int(tok) for tok in rows[1].split())
     except ValueError as exc:

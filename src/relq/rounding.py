@@ -335,8 +335,8 @@ def round_lifted_solution(
     if not 0.0 < alpha < np.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if audit:
-        worst = max(solution_residuals(sol).values())
-        if worst > 1e-5:
+        worst = float(np.max(list(solution_residuals(sol).values())))
+        if not worst <= 1e-5:
             raise ValueError(f"solution infeasible: max residual {worst:.3e}")
     steps = _variable_difference_steps(sol)
     single = isinstance(sampler, GaussianSampler)

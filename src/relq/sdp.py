@@ -19,9 +19,12 @@ Gram matrix is factored into vectors.
 
 The structure projection handles all variable pairs in one pass, through
 flat index arrays built once per solve: one gather of every pair's shift
-classes, a sort-based simplex projection row-wise over (pairs, p), one
-scatter.  Its arithmetic and order are those of a pair-by-pair loop, so
-the result is the same bit for bit.
+classes (the layout of relq.constellation), a sort-based simplex
+projection row-wise over (pairs, p), one scatter.  The feasibility report
+of either form reduces relq.constellation's one pass over the Gram blocks;
+a NaN or infinite coordinate makes its max_residual non-finite.  Both keep
+the arithmetic and order of the pair-by-pair loops they replaced, so the
+results are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -33,15 +36,17 @@ import numpy as np
 
 from relq.constellation import (
     SdpSolutionP,
-    _covariance_residual,
-    _diagonal_class_index,
+    _reduce_gram_rows,
+    _shift_columns,
+    _shift_deviation,
     solution_residuals,
 )
-from relq.instance import Instance, Assignment, circular_distance
+from relq.instance import Instance, Assignment, _text_rows
 
 SOLUTION_MAGIC = "relqsol"
 SOLUTION_VERSION = 1
 SIZE_GUARD = 1000  # p * n beyond this is out of desk scale for the dense solver
+MAX_ENGINE_CYCLES = 30000  # default cap on the splitting engine's cycles
 ENGINE_RHO = 1.0  # initial penalty; the engine rebalances it every 50 cycles
 ENGINE_TOL = 1e-10  # engine stops once primal and dual residuals are below this
 FINAL_TOL = 1e-11  # polish stops once the two per-set iterates agree to this
@@ -62,19 +67,10 @@ class SdpSolutionPPlus:
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=np.float64)
+        if self.n < 1:
+            raise ValueError(f"need at least one variable, got {self.n}")
         if self.u.shape != (self.n, self.p, self.dim):
             raise ValueError(f"expected array of shape ({self.n}, {self.p}, {self.dim})")
-
-
-@dataclass
-class SolverConfig:
-    """max_iterations caps the splitting engine's cycles."""
-
-    max_iterations: int = 30000
-
-    def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
 
 
 @dataclass
@@ -88,7 +84,7 @@ class FeasibilityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
+        return float(np.max(list(self.residuals.values()), initial=0.0))
 
 
 def integral_embedding(inst: Instance, asg: Assignment) -> SdpSolutionPPlus:
@@ -110,6 +106,12 @@ def integral_embedding(inst: Instance, asg: Assignment) -> SdpSolutionPPlus:
     return SdpSolutionPPlus(p=p, n=n, dim=p, u=u)
 
 
+def _shift_weights(p: int, d: np.ndarray) -> np.ndarray:
+    """Integer weight p - 2*d(k, d) of shift class k (the last axis) in an equation with target d."""
+    k = np.arange(p)
+    return p - 2 * np.minimum((k - d) % p, (d - k) % p)
+
+
 def objective_p_plus(sol: SdpSolutionPPlus, inst: Instance) -> float:
     """sum over equations of sum_k (p - 2*d(k, d_ij)) u_i0 . u_jk.
 
@@ -118,12 +120,9 @@ def objective_p_plus(sol: SdpSolutionPPlus, inst: Instance) -> float:
     per equation is 1/p and the term equals 1 - 2*y/p.
     """
     _check_instance(sol, inst)
-    p = sol.p
-    coeff = np.empty(p)
+    targets = np.array(inst.equations, dtype=np.int64).reshape(-1, 3)[:, 2:]
     total = 0.0
-    for i, j, d in inst.equations:
-        for k in range(p):
-            coeff[k] = p - 2 * circular_distance(k, d, p)
+    for (i, j, _), coeff in zip(inst.equations, _shift_weights(sol.p, targets).astype(np.float64)):
         total += float(coeff @ (sol.u[j] @ sol.u[i, 0]))
     return total
 
@@ -144,8 +143,7 @@ def convert_to_p(sol: SdpSolutionPPlus) -> SdpSolutionP:
     signs = np.ones(p)
     signs[half:] = -1.0
     v = np.empty((n, p, dim))
-    for k in range(p):
-        idx = (k + np.arange(p)) % p
+    for k, idx in enumerate(_shift_columns(p)):
         v[:, k, :] = np.tensordot(signs, sol.u[:, idx, :], axes=(0, 1))
     return SdpSolutionP(p=p, n=n, dim=dim, v=v)
 
@@ -165,33 +163,24 @@ def feasibility_report(sol, inst: Instance | None = None) -> FeasibilityReport:
 
 
 def _feasibility_pplus(sol: SdpSolutionPPlus, inst: Instance | None) -> FeasibilityReport:
-    p, n = sol.p, sol.n
-    cls = _diagonal_class_index(p)
-    r_norm = 0.0
-    r_orth = 0.0
-    r_nonneg = 0.0
-    r_cov = 0.0
-    r_sum = 0.0
+    p = sol.p
     sums = sol.u.sum(axis=1)  # (n, dim)
-    for i in range(n):
-        gram = sol.u[i] @ sol.u[i].T
-        r_norm = max(r_norm, float(np.max(np.abs(np.diag(gram) - 1.0 / p))))
-        off = gram - np.diag(np.diag(gram))
-        r_orth = max(r_orth, float(np.max(np.abs(off))))
-        r_nonneg = max(r_nonneg, float(max(0.0, -np.min(gram))))
-        r_cov = max(r_cov, _covariance_residual(gram, cls, p)[0])
-        for j in range(i + 1, n):
-            block = sol.u[i] @ sol.u[j].T
-            r_nonneg = max(r_nonneg, float(max(0.0, -np.min(block))))
-            r_cov = max(r_cov, _covariance_residual(block, cls, p)[0])
-            r_sum = max(r_sum, float(np.linalg.norm(sums[i] - sums[j])))
-    residuals = {
-        "norm": r_norm,
-        "within_orthogonality": r_orth,
-        "nonneg": r_nonneg,
-        "shift_covariance": r_cov,
-        "sum_vector": r_sum,
-    }
+
+    def row_residuals(i, blocks):
+        gram = blocks[0]
+        diag = np.diag(gram)
+        # C order: vecdot of contiguous rows is each 1-D norm's dot, bit for bit
+        gaps = np.subtract(sums[i], sums[i + 1 :], order="C")
+        return (
+            np.max(np.abs(diag - 1.0 / p)),
+            np.max(np.abs(gram - np.diag(diag))),
+            np.maximum(0.0 - np.min(blocks), 0.0),  # 0.0 - x: a zero minimum reads +0.0, not -0.0
+            _shift_deviation(blocks),
+            np.max(np.sqrt(np.vecdot(gaps, gaps)), initial=0.0),
+        )
+
+    names = ("norm", "within_orthogonality", "nonneg", "shift_covariance", "sum_vector")
+    residuals = dict(zip(names, _reduce_gram_rows(sol.u, row_residuals)))
     obj = objective_p_plus(sol, inst) if inst is not None else None
     return FeasibilityReport(kind="pplus", residuals=residuals, objective=obj)
 
@@ -216,12 +205,10 @@ def _objective_matrix(inst: Instance) -> np.ndarray:
     """
     p, n = inst.p, inst.n
     N = p * n
-    eq = np.array(inst.equations, dtype=np.int64).reshape(-1, 3)[:, :, None, None]
-    i, j, d = eq[:, 0], eq[:, 1], eq[:, 2]
-    k = np.arange(p)[:, None]
-    h = np.arange(p)
-    c = (p - 2 * np.minimum((k - d) % p, (d - k) % p)) / (2.0 * p)
-    a, b = np.broadcast_arrays(i * p + h, j * p + (h + k) % p)
+    eq = np.array(inst.equations, dtype=np.int64).reshape(-1, 3)
+    i, j = eq[:, 0, None, None], eq[:, 1, None, None]
+    c = _shift_weights(p, eq[:, 2:])[..., None] / (2.0 * p)  # (equations, k, 1)
+    a, b = np.broadcast_arrays(i * p + np.arange(p), j * p + _shift_columns(p))
     pos = np.stack([a * N + b, b * N + a], axis=-1)
     W = np.zeros((N, N))
     np.add.at(W.reshape(-1), pos.ravel(), np.broadcast_to(c[..., None], pos.shape).ravel())
@@ -244,7 +231,7 @@ def _structure_index(p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     i, j = np.triu_indices(n, 1)
     h = np.arange(p)
     rows = i[:, None, None] * p + h[:, None]
-    cols = j[:, None, None] * p + (h[:, None] + h) % p
+    cols = j[:, None, None] * p + _shift_columns(p)
     base = np.arange(n)[:, None, None] * p
     diag = (base + h[:, None]) * N + base + h
     return rows * N + cols, cols * N + rows, diag
@@ -356,25 +343,26 @@ def _factor_gram(G: np.ndarray, p: int, n: int) -> np.ndarray:
     return cols.reshape(n, p, dim)
 
 
-def solve_p_plus(inst: Instance, cfg: SolverConfig | None = None) -> tuple[SdpSolutionPPlus, FeasibilityReport]:
+def solve_p_plus(inst: Instance, max_iterations: int = MAX_ENGINE_CYCLES) -> tuple[SdpSolutionPPlus, FeasibilityReport]:
     """Splitting engine, one Dykstra polish, factorization.
 
     Starts the engine from the exactly feasible all-zeros embedding, runs
-    it for at most cfg.max_iterations cycles, polishes its iterate onto the
+    it for at most max_iterations cycles, polishes its iterate onto the
     feasible set and factors the result.  The report's iterations are the
     engine cycles; converged means the engine met its tolerance within that
     cap and the polish closed to FINAL_TOL.  objective_trace holds the
     start and the polished objective.  Deterministic; desk scale is guarded
     by p*n <= 1000.
     """
-    cfg = cfg or SolverConfig()
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
     p, n = inst.p, inst.n
     if p * n > SIZE_GUARD:
         raise ValueError(f"p*n = {p * n} exceeds solver guard {SIZE_GUARD}")
     index = _structure_index(p, n)
     W = _objective_matrix(inst)
     G0 = _uniform_start(p, n)
-    Z, cycles, engine_met = _splitting_engine(W, G0, p, index, cfg.max_iterations)
+    Z, cycles, engine_met = _splitting_engine(W, G0, p, index, max_iterations)
     G, gap = _polish(Z, p, index, FINAL_TOL, FINAL_CYCLES)
     u = _factor_gram(G, p, n)
     sol = SdpSolutionPPlus(p=p, n=n, dim=u.shape[2], u=u)
@@ -405,17 +393,8 @@ def format_solution(sol) -> str:
 
 
 def parse_solution(text: str):
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line)
-    if not rows:
-        raise ValueError("empty solution text")
-    if rows[0].split() != [SOLUTION_MAGIC, str(SOLUTION_VERSION)]:
-        raise ValueError(f"bad header {rows[0]!r}, expected '{SOLUTION_MAGIC} {SOLUTION_VERSION}'")
-    if len(rows) < 2:
-        raise ValueError("missing size line")
+    """Parse the text form; every coordinate must be finite."""
+    nums, rows = _text_rows(text, "solution", SOLUTION_MAGIC, SOLUTION_VERSION)
     toks = rows[1].split()
     if len(toks) != 4:
         raise ValueError(f"bad size line {rows[1]!r}")
@@ -430,8 +409,11 @@ def parse_solution(text: str):
     for r, line in enumerate(body):
         vals = line.split()
         if len(vals) != dim:
-            raise ValueError(f"expected {dim} coordinates on line {r + 3}, found {len(vals)}")
-        arr[r // p, r % p] = [float(tok) for tok in vals]
+            raise ValueError(f"expected {dim} coordinates on line {nums[r + 2]}, found {len(vals)}")
+        row = [float(tok) for tok in vals]
+        if not np.isfinite(row).all():
+            raise ValueError(f"non-finite coordinate on line {nums[r + 2]}")
+        arr[r // p, r % p] = row
     if kind == "pplus":
         return SdpSolutionPPlus(p=p, n=n, dim=dim, u=arr)
     return SdpSolutionP(p=p, n=n, dim=dim, v=arr)

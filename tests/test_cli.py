@@ -10,7 +10,7 @@ import pytest
 from relq.cli import main, parse_angle
 from relq.harness import Report
 from relq.instance import load_instance
-from relq.sdp import SolverConfig, load_solution, solve_p_plus
+from relq.sdp import load_solution, solve_p_plus
 
 TRIANGLE_TEXT = "relq 1\n4 3 3\n0 1 2\n1 2 2\n2 0 2\n"
 
@@ -144,7 +144,7 @@ def test_solve_max_iterations_zero_is_honoured(triangle_file, capsys):
     assert main(["solve", str(triangle_file), "--max-iterations", "0"]) == 0
     out = capsys.readouterr().out
     iterations = int(out.split("iterations ", 1)[1].splitlines()[0])
-    _, rep = solve_p_plus(load_instance(triangle_file), SolverConfig(max_iterations=0))
+    _, rep = solve_p_plus(load_instance(triangle_file), max_iterations=0)
     assert iterations == rep.iterations
     assert rep.iterations != solve_p_plus(load_instance(triangle_file))[1].iterations
 
@@ -159,7 +159,21 @@ def test_solve_rejects_negative_max_iterations(triangle_file):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     with pytest.raises(ValueError):
-        SolverConfig(max_iterations=-3)
+        solve_p_plus(load_instance(triangle_file), max_iterations=-3)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_round_rejects_non_finite_solution(bad, triangle_file, tmp_path, capsys):
+    sol_path = tmp_path / "sol.txt"
+    assert main(["solve", str(triangle_file), "--out", str(sol_path)]) == 0
+    capsys.readouterr()
+    lines = sol_path.read_text().splitlines()
+    lines[3] = " ".join([bad] + lines[3].split()[1:])  # the second vector line
+    sol_path.write_text("\n".join(lines) + "\n")
+    assert main(["round", str(triangle_file), str(sol_path), "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-finite coordinate on line 4\n"
 
 
 def test_round_rejects_mismatched_solution(triangle_file, tmp_path, capsys):

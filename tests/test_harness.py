@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import relq.harness
 from relq import __version__
 from relq.brownian import prob_at_least_one, prob_three_or_more
 from relq.harness import (
@@ -25,7 +26,7 @@ from relq.harness import (
     write_report,
 )
 from relq.instance import Instance, generate_instance
-from relq.sdp import SolverConfig
+from relq.sdp import solve_p_plus
 
 TRIANGLE = Instance(p=4, n=3, equations=[(0, 1, 2), (1, 2, 2), (2, 0, 2)])
 
@@ -314,10 +315,18 @@ def test_end_to_end_lifted_triangle(tmp_path):
 
 
 def test_end_to_end_flags_unconverged_solver():
-    crippled = SolverConfig(max_iterations=5)
-    report = end_to_end_ratio(TRIANGLE, ExperimentConfig(trials=20, seed=3, ell=1), solver_cfg=crippled)
+    report = end_to_end_ratio(TRIANGLE, ExperimentConfig(trials=20, seed=3, ell=1), max_iterations=5)
     cell = _cells(report)[0]
     assert cell["solver_converged"] is False
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_end_to_end_rejects_non_finite_solver_output(bad, monkeypatch):
+    sol, rep = solve_p_plus(TRIANGLE)
+    sol.u[1, 0, 0] = bad
+    monkeypatch.setattr(relq.harness, "solve_p_plus", lambda inst, max_iterations: (sol, rep))
+    with pytest.raises(ValueError, match="converted solution infeasible: (nan|inf)"):
+        end_to_end_ratio(TRIANGLE, ExperimentConfig(trials=4, seed=0))
 
 
 def test_reproduce_constants_report():

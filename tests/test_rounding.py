@@ -469,6 +469,17 @@ def test_round_solution_rejects_infeasible():
         round_lifted_solution(sol, 2, [GaussianSampler(seed=0)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_round_solution_rejects_non_finite_coordinates(bad):
+    # Python's max(0.0, nan) is 0.0: a NaN coordinate once read as feasible
+    sol = _integral_p_solution(4, [0, 1, 3])
+    sol.v[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="solution infeasible: max residual (nan|inf)"):
+        round_lifted_solution(sol, 1, GaussianSampler(seed=0))
+    with pytest.raises(ValueError, match="solution infeasible"):
+        round_lifted_solution(sol, 3, [GaussianSampler(seed=0)])
+
+
 def test_round_solution_one_crossing_frequency():
     s = 2000
     sol = _canonical_solution(s)

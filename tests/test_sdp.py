@@ -1,19 +1,20 @@
 """Relaxation plumbing: embeddings, objectives, conversion, solver, files."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from relq.constellation import SdpSolutionP, _diagonal_class_index, solution_residuals
+from relq.constellation import SdpSolutionP, lift_solution, solution_residuals, target_gram
 from relq.instance import Assignment, Instance, brute_force_optimum, circular_distance, evaluate, generate_instance
 from relq.sdp import (
     _objective_matrix,
     _project_structure,
     _structure_index,
     FeasibilityReport,
+    MAX_ENGINE_CYCLES,
     SdpSolutionPPlus,
-    SolverConfig,
     convert_to_p,
     feasibility_report,
     format_solution,
@@ -91,9 +92,81 @@ def test_objective_rejects_mismatched_instance():
 
 # --- solver ---------------------------------------------------------------
 
-# oracles: the per-pair structure projection and the per-equation objective
-# loop the one-pass versions replaced; the arithmetic is unchanged, so the
+# oracles: the per-pair residual loops, structure projection and objective
+# loops the one-pass versions replaced; the arithmetic is unchanged, so the
 # results must agree bit for bit
+
+
+def _diagonal_class_index(p: int) -> np.ndarray:
+    """idx[h, k] = (k - h) mod p, the shift class of entry (h, k) of a block."""
+    k = np.arange(p)
+    return (k[None, :] - k[:, None]) % p
+
+
+def _covariance_residual(block: np.ndarray, cls: np.ndarray, p: int) -> tuple[float, np.ndarray]:
+    """Max deviation from the per-shift-class mean, and the class means."""
+    means = np.zeros(p)
+    np.add.at(means, cls.ravel(), block.ravel())
+    means /= p
+    return float(np.max(np.abs(block - means[cls]))), means
+
+
+def _oracle_solution_residuals(sol: SdpSolutionP) -> dict[str, float]:
+    p, n = sol.p, sol.n
+    cls = _diagonal_class_index(p)
+    target = target_gram(p)
+    r_gram = 0.0
+    r_unit = 0.0
+    r_cov = 0.0
+    for i in range(n):
+        gram = sol.v[i] @ sol.v[i].T
+        r_gram = max(r_gram, float(np.max(np.abs(gram - target))))
+        r_unit = max(r_unit, float(np.max(np.abs(np.diag(gram) - 1.0))))
+        for j in range(i + 1, n):
+            block = sol.v[i] @ sol.v[j].T
+            r_cov = max(r_cov, _covariance_residual(block, cls, p)[0])
+    return {"gram_law": r_gram, "unit_norm": r_unit, "shift_covariance": r_cov}
+
+
+def _oracle_pplus_residuals(sol: SdpSolutionPPlus) -> dict[str, float]:
+    p, n = sol.p, sol.n
+    cls = _diagonal_class_index(p)
+    r_norm = 0.0
+    r_orth = 0.0
+    r_nonneg = 0.0
+    r_cov = 0.0
+    r_sum = 0.0
+    sums = sol.u.sum(axis=1)  # (n, dim)
+    for i in range(n):
+        gram = sol.u[i] @ sol.u[i].T
+        r_norm = max(r_norm, float(np.max(np.abs(np.diag(gram) - 1.0 / p))))
+        off = gram - np.diag(np.diag(gram))
+        r_orth = max(r_orth, float(np.max(np.abs(off))))
+        r_nonneg = max(r_nonneg, float(max(0.0, -np.min(gram))))
+        r_cov = max(r_cov, _covariance_residual(gram, cls, p)[0])
+        for j in range(i + 1, n):
+            block = sol.u[i] @ sol.u[j].T
+            r_nonneg = max(r_nonneg, float(max(0.0, -np.min(block))))
+            r_cov = max(r_cov, _covariance_residual(block, cls, p)[0])
+            r_sum = max(r_sum, float(np.linalg.norm(sums[i] - sums[j])))
+    return {
+        "norm": r_norm,
+        "within_orthogonality": r_orth,
+        "nonneg": r_nonneg,
+        "shift_covariance": r_cov,
+        "sum_vector": r_sum,
+    }
+
+
+def _oracle_objective_p_plus(sol, inst):
+    p = sol.p
+    coeff = np.empty(p)
+    total = 0.0
+    for i, j, d in inst.equations:
+        for k in range(p):
+            coeff[k] = p - 2 * circular_distance(k, d, p)
+        total += float(coeff @ (sol.u[j] @ sol.u[i, 0]))
+    return total
 
 
 def _oracle_project_simplex(v, total):
@@ -242,8 +315,8 @@ def test_solver_factor_of_integral_optimum_has_dimension_p():
 def test_solver_iterations_are_capped_engine_cycles():
     inst, _ = generate_instance(n=4, p=8, m=9, seed=2)
     _, full = solve_p_plus(inst)
-    assert full.converged and 5 < full.iterations <= SolverConfig().max_iterations
-    _, capped = solve_p_plus(inst, SolverConfig(max_iterations=5))
+    assert full.converged and 5 < full.iterations <= MAX_ENGINE_CYCLES
+    _, capped = solve_p_plus(inst, max_iterations=5)
     assert capped.iterations == 5
     assert not capped.converged
     assert capped.max_residual <= 1e-6
@@ -319,12 +392,96 @@ def test_feasibility_flags_violations():
         feasibility_report("not a solution")
 
 
+# --- residuals: one pass over the Gram blocks against the per-pair loops ----
+
+
+def _hex(residuals):
+    return {name: value.hex() for name, value in residuals.items()}  # signed zeros included
+
+
+def _assert_residuals_match_oracle(sol, inst=None):
+    if isinstance(sol, SdpSolutionPPlus):
+        rep = feasibility_report(sol, inst)
+        want = _oracle_pplus_residuals(sol)
+        if inst is not None:
+            assert rep.objective.hex() == _oracle_objective_p_plus(sol, inst).hex()
+    else:
+        rep = feasibility_report(sol)
+        want = _oracle_solution_residuals(sol)
+    assert _hex(rep.residuals) == _hex(want)
+    assert rep.max_residual.hex() == max(want.values()).hex()
+
+
+def _assert_both_forms_match_oracle(sol, inst):
+    _assert_residuals_match_oracle(sol, inst)
+    vsol = convert_to_p(sol)
+    _assert_residuals_match_oracle(vsol)
+    _assert_residuals_match_oracle(lift_solution(vsol, 3))
+
+
+@pytest.mark.parametrize("n,p,m,seed,planted", [pin[:5] for pin in SOLVER_PINS] + [(3, 4, 5, 101, False)])
+def test_residual_pass_matches_oracle_on_solver_output(n, p, m, seed, planted):
+    inst, _ = generate_instance(n=n, p=p, m=m, seed=seed, planted=planted)
+    sol, _ = solve_p_plus(inst)
+    _assert_both_forms_match_oracle(sol, inst)
+
+
+@pytest.mark.parametrize("n,p,dim", [(1, 4, 3), (3, 6, 5)])
+def test_residual_pass_matches_oracle_on_random_vectors(n, p, dim):
+    inst = generate_instance(n=n, p=p, m=5, seed=n)[0] if n > 1 else Instance(p=p, n=1, equations=[])
+    u = np.random.default_rng(n).standard_normal((n, p, dim)) / np.sqrt(p)
+    _assert_both_forms_match_oracle(SdpSolutionPPlus(p=p, n=n, dim=dim, u=u), inst)
+
+
+def test_residual_pass_matches_oracle_on_integral_embeddings():
+    for inst, asg in _random_cases(40):
+        _assert_both_forms_match_oracle(integral_embedding(inst, asg), inst)
+
+
+def test_residual_pass_propagates_a_nan_row():
+    # the per-pair loops took Python max(0.0, nan) == 0.0 and read finite
+    inst = Instance(p=4, n=3, equations=[(0, 1, 1)])
+    sol = integral_embedding(inst, Assignment(positions=[0, 1, 3]))
+    vsol = convert_to_p(sol)
+    sol.u[1, 2, 0] = np.nan
+    vsol.v[1, 2, 0] = np.nan
+    assert np.isfinite(list(_oracle_pplus_residuals(sol).values())).all()
+    assert np.isfinite(list(_oracle_solution_residuals(vsol).values())).all()
+    for rep in (feasibility_report(sol, inst), feasibility_report(vsol, inst)):
+        assert all(np.isnan(r) for r in rep.residuals.values()), rep.residuals
+        assert np.isnan(rep.max_residual)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinate_gives_non_finite_max_residual(bad):
+    inst, _ = generate_instance(n=3, p=8, m=4, seed=5)
+    sol, _ = solve_p_plus(inst, max_iterations=50)
+    sol.u[2, 5, 1] = bad
+    assert not np.isfinite(feasibility_report(sol, inst).max_residual)
+    vsol = convert_to_p(integral_embedding(inst, Assignment(positions=[1, 2, 3])))
+    vsol.v[0, 3, 2] = bad
+    assert not np.isfinite(feasibility_report(vsol).max_residual)
+
+
+def test_feasibility_report_memory_stays_near_one_row_of_blocks():
+    # an all-pairs (n, n, p, p) batch would need n*u.nbytes here, 128 MiB
+    u = np.random.default_rng(64).standard_normal((64, 64, 64)) / 8.0
+    sol = SdpSolutionPPlus(p=64, n=64, dim=64, u=u)
+    tracemalloc.start()
+    try:
+        feasibility_report(sol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * sol.u.nbytes
+
+
 # --- solution files -------------------------------------------------------
 
 
 def test_solution_roundtrip_pplus(tmp_path):
     inst, _ = generate_instance(n=3, p=4, m=5, seed=42)
-    sol, _ = solve_p_plus(inst, SolverConfig(max_iterations=500))
+    sol, _ = solve_p_plus(inst, max_iterations=500)
     path = tmp_path / "sol.txt"
     save_solution(sol, path)
     back = load_solution(path)
@@ -362,3 +519,14 @@ def test_parse_solution_errors():
         parse_solution("relqsol 1\n2 2 2 pplus\n0 0\n")  # missing rows
     with pytest.raises(ValueError):
         parse_solution("relqsol 1\n2 2 2 pplus\n0 0\n0 0\n0 0\n0 0 0\n")  # ragged
+    with pytest.raises(ValueError, match="need at least one variable"):
+        parse_solution("relqsol 1\n2 0 2 p\n")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_parse_solution_rejects_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="non-finite coordinate on line 5"):
+        parse_solution(f"relqsol 1\n2 2 2 pplus\n0 0\n0 0\n0 {bad}\n0 0\n")
+    # line numbers count comment and blank lines too
+    with pytest.raises(ValueError, match="non-finite coordinate on line 7"):
+        parse_solution(f"relqsol 1\n# comment\n2 2 2 pplus\n\n0 0\n0 0\n0 {bad}\n0 0\n")
