@@ -38,6 +38,7 @@ from relq.instance import (
 )
 from relq.rounding import GaussianSampler, lifted_walk_values, round_lifted_solution
 from relq.sdp import (
+    _check_instance,
     MAX_ENGINE_CYCLES,
     SdpSolutionPPlus,
     convert_to_p,
@@ -131,12 +132,9 @@ def _cmd_round(args) -> int:
     sol = load_solution(args.solution)
     if isinstance(sol, SdpSolutionPPlus):
         sol = convert_to_p(sol)
-    if sol.p != inst.p or sol.n != inst.n:
-        raise ValueError(
-            f"solution shape (p={sol.p}, n={sol.n}) does not match instance (p={inst.p}, n={inst.n})"
-        )
+    _check_instance(sol, inst)
+    scaled = scale_instance(inst, args.ell)  # checks ell against DOMAIN_LIMIT before any lifting
     outcome = round_lifted_solution(sol, args.ell, GaussianSampler(args.seed), alpha=args.alpha)
-    scaled = scale_instance(inst, args.ell)
     breakdown = evaluate(scaled, Assignment(positions=[int(x) for x in outcome.positions]))
     print(f"value {float(breakdown.total)!r}")
     print("positions " + " ".join(str(int(x)) for x in outcome.positions))
@@ -274,8 +272,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -11,9 +11,10 @@ opposite vectors.
 This module also owns the shift-class layout that both relaxation forms
 share: in a p x p Gram block between two variables, entry (h, (h + k) mod p)
 is member h of shift class k, and the constraints ask every class to be
-constant.  The residuals of both forms come from one pass over the Gram
-blocks, one row of blocks at a time, with one gather per row putting each
-class in a column.
+constant; the transposed block holds class k as class -k mod p.  The
+residuals of both forms come from one pass over the Gram blocks, one row
+of blocks at a time, with one gather per row putting each class in a
+column.
 """
 
 from __future__ import annotations
@@ -79,6 +80,11 @@ def _shift_columns(p: int) -> np.ndarray:
     """cols[h, k] = (h + k) mod p, symmetric: entry (h, cols[h, k]) of a Gram block is member h of class k."""
     h, k = np.arange(p)[:, None], np.arange(p)
     return (h + k) % p
+
+
+def _transpose_classes(p: int) -> np.ndarray:
+    """neg[k] = (-k) mod p: class k of the block of (i, j) is class neg[k] of the block of (j, i)."""
+    return -np.arange(p) % p
 
 
 def _shift_deviation(blocks: np.ndarray) -> float:

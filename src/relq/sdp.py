@@ -9,22 +9,20 @@ per variable and label obeying the canonical Gram law within a variable
 and shift covariance across variables.  A signed half-window sum maps the
 first form onto the second, preserving the objective.
 
-The solver works on the (p*n) x (p*n) Gram matrix in three steps.  An
-ADMM splitting engine (Wen, Goldfarb & Yin 2010) alternates a
-gradient-shifted projection onto the structural constraints with a
-projection onto the positive semidefinite cone (symmetric
-eigendecomposition, negative eigenvalues clipped).  One Dykstra polish then
-moves its iterate onto the intersection of the two sets, and the polished
-Gram matrix is factored into vectors.
-
-The structure projection handles all variable pairs in one pass, through
-flat index arrays built once per solve: one gather of every pair's shift
-classes (the layout of relq.constellation), a sort-based simplex
-projection row-wise over (pairs, p), one scatter.  The feasibility report
-of either form reduces relq.constellation's one pass over the Gram blocks;
-a NaN or infinite coordinate makes its max_residual non-finite.  Both keep
-the arithmetic and order of the pair-by-pair loops they replaced, so the
-results are the same bit for bit.
+Every solver iterate is a block-circulant Gram matrix, so the solver keeps
+only its class means c[i, j, k] (variables i and j, label shift k; the
+layout of relq.constellation), whose max-abs residuals equal those of the
+dense matrix.  An ADMM splitting engine (Wen, Goldfarb & Yin 2010)
+alternates a gradient-shifted projection onto the structural constraints
+with a projection onto the positive semidefinite cone, one Dykstra polish
+moves its iterate onto their intersection, and the dense Gram matrix of
+the result is factored into vectors once.  The structure projection is a
+simplex projection per variable pair; the PSD projection is one batched
+eigh over the p/2 + 1 label frequencies (symmetry reduction: Gatermann &
+Parrilo 2004; de Klerk, Pasechnik & Schrijver 2007).  The feasibility
+report of either form reduces relq.constellation's one pass over the Gram
+blocks of the vectors; a NaN or infinite coordinate makes its
+max_residual non-finite.
 """
 
 from __future__ import annotations
@@ -39,13 +37,14 @@ from relq.constellation import (
     _reduce_gram_rows,
     _shift_columns,
     _shift_deviation,
+    _transpose_classes,
     solution_residuals,
 )
 from relq.instance import Instance, Assignment, _text_rows
 
 SOLUTION_MAGIC = "relqsol"
 SOLUTION_VERSION = 1
-SIZE_GUARD = 1000  # p * n beyond this is out of desk scale for the dense solver
+SIZE_GUARD = 1000  # p * n beyond this: the final (pn) x (pn) factor and the solve time leave desk scale
 MAX_ENGINE_CYCLES = 30000  # default cap on the splitting engine's cycles
 ENGINE_RHO = 1.0  # initial penalty; the engine rebalances it every 50 cycles
 ENGINE_TOL = 1e-10  # engine stops once primal and dual residuals are below this
@@ -158,7 +157,8 @@ def feasibility_report(sol, inst: Instance | None = None) -> FeasibilityReport:
     if isinstance(sol, SdpSolutionPPlus):
         return _feasibility_pplus(sol, inst)
     if isinstance(sol, SdpSolutionP):
-        return _feasibility_p(sol, inst)
+        obj = objective_p(sol, inst) if inst is not None else None
+        return FeasibilityReport(kind="p", residuals=solution_residuals(sol), objective=obj)
     raise TypeError(f"unsupported solution type {type(sol).__name__}")
 
 
@@ -185,112 +185,114 @@ def _feasibility_pplus(sol: SdpSolutionPPlus, inst: Instance | None) -> Feasibil
     return FeasibilityReport(kind="pplus", residuals=residuals, objective=obj)
 
 
-def _feasibility_p(sol: SdpSolutionP, inst: Instance | None) -> FeasibilityReport:
-    obj = objective_p(sol, inst) if inst is not None else None
-    return FeasibilityReport(kind="p", residuals=solution_residuals(sol), objective=obj)
-
-
 # ---------------------------------------------------------------------------
 # solver
 
 
-def _objective_matrix(inst: Instance) -> np.ndarray:
-    """Symmetric weight matrix W with <W, G> equal to the relaxation objective
-    for shift-covariant G (the coefficient of each equation is spread over all
-    label shifts so the gradient respects the covariance structure).
+def _class_weights(inst: Instance) -> np.ndarray:
+    """Class means w (n, n, p) of the symmetric weight matrix W: p * <w, c> = <W, G>
+    is the relaxation objective of the Gram matrix G with class means c.
 
-    One unbuffered np.add.at in equation order, (a, b) before (b, a) per
-    (k, h), so a cell shared by several equations sums their terms in
-    equation order.
+    Equation (i, j, d) adds (p - 2*d(k, d)) / (2p) to class k of (i, j) and
+    to its transpose, class -k of (j, i): the coefficient is spread over all
+    label shifts, so the gradient keeps the covariance structure.
     """
     p, n = inst.p, inst.n
-    N = p * n
     eq = np.array(inst.equations, dtype=np.int64).reshape(-1, 3)
-    i, j = eq[:, 0, None, None], eq[:, 1, None, None]
-    c = _shift_weights(p, eq[:, 2:])[..., None] / (2.0 * p)  # (equations, k, 1)
-    a, b = np.broadcast_arrays(i * p + np.arange(p), j * p + _shift_columns(p))
-    pos = np.stack([a * N + b, b * N + a], axis=-1)
-    W = np.zeros((N, N))
-    np.add.at(W.reshape(-1), pos.ravel(), np.broadcast_to(c[..., None], pos.shape).ravel())
-    return W
+    i, j = eq[:, :1], eq[:, 1:2]
+    weight = _shift_weights(p, eq[:, 2:]) / (2.0 * p)  # (equations, k)
+    w = np.zeros((n, n, p))
+    np.add.at(w, (i, j, np.arange(p)), weight)
+    np.add.at(w, (j, i, _transpose_classes(p)), weight)
+    return w
 
 
-def _uniform_start(p: int, n: int) -> np.ndarray:
-    """Gram matrix of the all-zeros integral embedding: exactly feasible."""
-    return np.kron(np.ones((n, n)), np.eye(p)) / p
-
-
-def _structure_index(p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat positions in the (p*n) x (p*n) Gram matrix for _project_structure.
-
-    upper[q, h, k] is entry (i*p + h, j*p + (h + k) mod p) of the q-th pair
-    i < j, the h-th member of its shift class k; lower[q, h, k] is the
-    mirrored entry; diag[i] holds variable i's own p x p block.
+def _class_layout(p: int, n: int) -> tuple:
+    """The pairs i < j, the transpose class map, and the real Fourier bases of
+    the label shift: forward[k] holds cos(2 pi f k / p), then the sines, for
+    f = 0 .. p/2; inverse holds the same rows times m_f / p, with m_f = 1 at
+    f = 0 and f = p/2 and 2 in between.  Built once per solve.
     """
-    N = p * n
-    i, j = np.triu_indices(n, 1)
-    h = np.arange(p)
-    rows = i[:, None, None] * p + h[:, None]
-    cols = j[:, None, None] * p + _shift_columns(p)
-    base = np.arange(n)[:, None, None] * p
-    diag = (base + h[:, None]) * N + base + h
-    return rows * N + cols, cols * N + rows, diag
+    f = np.arange(p // 2 + 1)[:, None]
+    angle = 2.0 * np.pi * (f * np.arange(p) % p) / p
+    basis = np.concatenate([np.cos(angle), np.sin(angle)])
+    mult = np.tile(np.where((f == 0) | (2 * f == p), 1.0, 2.0) / p, (2, 1))
+    return np.triu_indices(n, 1), _transpose_classes(p), basis.T, basis * mult
 
 
-def _project_structure(G: np.ndarray, p: int, index: tuple) -> np.ndarray:
-    """Exact projection onto the structural constraint set, in one pass.
+def _project_structure(c: np.ndarray, layout: tuple) -> np.ndarray:
+    """Exact projection of class means onto the structural constraint set.
 
-    Within-variable blocks are pinned to I/p (norm and orthogonality);
-    cross-variable blocks are averaged along shift classes and the class
-    means projected onto the scaled simplex {c >= 0, sum = 1/p} (shift
-    covariance, nonnegativity and the equal-sum-vector constraint).  All
-    pairs go at once through the flat positions of _structure_index: one
-    gather, summed from 0.0 over class members in label order, a sort-based
-    simplex projection per row of the (pairs, p) means, one scatter to each
-    block and its transpose.
+    Within-variable classes are pinned to [1/p, 0, ...] (norm and
+    orthogonality).  Each pair i < j averages its class k with class -k of
+    (j, i), the class mean of the symmetrized Gram matrix; the means are
+    projected onto the simplex {>= 0, sum = 1/p} (shift covariance,
+    nonnegativity, equal sum vectors) and mirrored into (j, i).  Adding one
+    constant to a row does not move its projection, so each row first loses
+    its max; its top sorted entry, 0, then always passes the rank test, and
+    the threshold comes from the last rank that does (Condat 2016).
     """
-    upper, lower, diag = index
-    out = (G + G.T) / 2.0
-    flat = out.reshape(-1)
-    flat[diag] = np.eye(p) / p
-    means = np.add.reduce(flat[upper], axis=1, initial=0.0) / p
-    # simplex: threshold at the last rank whose sorted value stays above the
-    # running mean excess; the top rank always qualifies in exact arithmetic,
-    # so fall back to it when cancellation on extreme inputs empties the test
+    (iu, ju), neg = layout[:2]
+    n, _, p = c.shape
+    means = (c[iu, ju] + c[ju, iu][:, neg]) / 2.0
+    means -= means.max(axis=1, keepdims=True)
     desc = np.sort(means, axis=1)[:, ::-1]
     css = np.cumsum(desc, axis=1) - 1.0 / p
-    ranks = np.arange(p)
-    rho = np.where(desc - css / (ranks + 1) > 0, ranks, 0).max(axis=1)
-    theta = css[np.arange(len(rho)), rho] / (rho + 1.0)
-    proj = np.maximum(means - theta[:, None], 0.0)[:, None, :]
-    flat[upper] = proj
-    flat[lower] = proj
+    last = p - 1 - np.argmax((desc - css / np.arange(1, p + 1) > 0)[:, ::-1], axis=1)
+    theta = np.take_along_axis(css, last[:, None], axis=1) / (last[:, None] + 1.0)
+    proj = np.maximum(means - theta, 0.0)
+    out = np.empty_like(c)
+    out[np.arange(n), np.arange(n)] = np.eye(1, p) / p
+    out[iu, ju] = proj
+    out[ju, iu] = proj[:, neg]
     return out
 
 
-def _project_psd(G: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh((G + G.T) / 2.0)
+def _project_psd(c: np.ndarray, layout: tuple) -> np.ndarray:
+    """Projection of class means onto the PSD cone: frequency f is the Hermitian
+    block A_f - i S_f of the classes' cosine and sine sums, embedded as the real
+    symmetric [[A_f, S_f], [-S_f, A_f]]; one batched eigh clips all of them,
+    and the inverse basis sums the projected A_f and S_f back into classes.
+    """
+    forward, inverse = layout[2:]
+    n, _, p = c.shape
+    A, S = (c.reshape(n * n, p) @ forward).T.reshape(2, -1, n, n)
+    blocks = np.empty((len(A), 2 * n, 2 * n))
+    blocks[:, :n, :n] = blocks[:, n:, n:] = A
+    blocks[:, :n, n:] = S
+    blocks[:, n:, :n] = -S
+    w, V = np.linalg.eigh((blocks + blocks.transpose(0, 2, 1)) / 2.0)
     np.clip(w, 0.0, None, out=w)
-    return (V * w) @ V.T
+    P = (V * w[:, None, :]) @ V.transpose(0, 2, 1)
+    coef = np.stack([P[:, :n, :n], P[:, :n, n:]]).reshape(-1, n * n)
+    return (coef.T @ inverse).reshape(n, n, p)
 
 
-def _polish(G: np.ndarray, p: int, index: tuple, tol: float, max_cycles: int) -> tuple[np.ndarray, float]:
+def _dense_gram(c: np.ndarray) -> np.ndarray:
+    """The (p*n) x (p*n) Gram matrix of class means c: entry (i*p + h, j*p + (h + k) mod p) is c[i, j, k]."""
+    n, _, p = c.shape
+    blocks = np.empty((n, n, p, p))
+    blocks[:, :, np.arange(p)[:, None], _shift_columns(p)] = c[:, :, None, :]
+    return blocks.transpose(0, 2, 1, 3).reshape(n * p, n * p)
+
+
+def _polish(c: np.ndarray, layout: tuple, tol: float, max_cycles: int) -> tuple[np.ndarray, float]:
     """Dykstra's alternating projections onto structure set intersect PSD cone.
 
     Unlike plain alternating projections this converges to the nearest point
     of the intersection, so the engine's nearly feasible iterate moves only
     as far as it lies from the feasible set, and its objective by at most
-    |W| times that distance.  Returns the final iterate (exactly PSD) and
-    the gap between the two per-set iterates.
+    |W| times that distance.  Returns the final iterate (PSD) and the gap
+    between the two per-set iterates.
     """
-    x = G
-    corr_s = np.zeros_like(G)
-    corr_p = np.zeros_like(G)
+    x = c
+    corr_s = np.zeros_like(c)
+    corr_p = np.zeros_like(c)
     gap = np.inf
     for _ in range(max_cycles):
-        y = _project_structure(x + corr_s, p, index)
+        y = _project_structure(x + corr_s, layout)
         corr_s = x + corr_s - y
-        x = _project_psd(y + corr_p)
+        x = _project_psd(y + corr_p, layout)
         corr_p = y + corr_p - x
         gap = float(np.max(np.abs(y - x)))
         if gap <= tol:
@@ -298,8 +300,8 @@ def _polish(G: np.ndarray, p: int, index: tuple, tol: float, max_cycles: int) ->
     return x, gap
 
 
-def _splitting_engine(W: np.ndarray, G0: np.ndarray, p: int, index: tuple, max_cycles: int) -> tuple[np.ndarray, int, bool]:
-    """ADMM splitting between the two constraint sets, maximizing <W, G>.
+def _splitting_engine(w: np.ndarray, c0: np.ndarray, layout: tuple, max_cycles: int) -> tuple[np.ndarray, int, bool]:
+    """ADMM splitting between the two constraint sets, maximizing p * <w, c>.
 
     Per cycle: one gradient-shifted structure projection, one PSD projection,
     one scaled dual update.  The penalty rho is rebalanced from the primal
@@ -308,12 +310,12 @@ def _splitting_engine(W: np.ndarray, G0: np.ndarray, p: int, index: tuple, max_c
     ENGINE_TOL within max_cycles.
     """
     rho = ENGINE_RHO
-    Z = G0.copy()
-    U = np.zeros_like(G0)
+    Z = c0.copy()
+    U = np.zeros_like(c0)
     cycles = 0
     for cycles in range(1, max_cycles + 1):
-        G = _project_structure(Z - U + W / rho, p, index)
-        Znew = _project_psd(G + U)
+        G = _project_structure(Z - U + w / rho, layout)
+        Znew = _project_psd(G + U, layout)
         primal = float(np.max(np.abs(G - Znew)))
         dual = rho * float(np.max(np.abs(Znew - Z)))
         Z = Znew
@@ -334,42 +336,35 @@ def _factor_gram(G: np.ndarray, p: int, n: int) -> np.ndarray:
     """Vectors whose Gram matrix is the PSD part of G up to RANK_CUTOFF, shape (n, p, dim)."""
     w, V = np.linalg.eigh((G + G.T) / 2.0)
     np.clip(w, 0.0, None, out=w)
-    top = float(w.max())
-    keep = w > top * RANK_CUTOFF if top > 0 else w > -1.0
-    cols = V[:, keep] * np.sqrt(w[keep])
-    dim = max(cols.shape[1], 1)
-    if cols.shape[1] == 0:
-        cols = np.zeros((p * n, 1))
-    return cols.reshape(n, p, dim)
+    keep = w >= w.max() * RANK_CUTOFF
+    return (V[:, keep] * np.sqrt(w[keep])).reshape(n, p, -1)
 
 
 def solve_p_plus(inst: Instance, max_iterations: int = MAX_ENGINE_CYCLES) -> tuple[SdpSolutionPPlus, FeasibilityReport]:
     """Splitting engine, one Dykstra polish, factorization.
 
-    Starts the engine from the exactly feasible all-zeros embedding, runs
-    it for at most max_iterations cycles, polishes its iterate onto the
-    feasible set and factors the result.  The report's iterations are the
-    engine cycles; converged means the engine met its tolerance within that
-    cap and the polish closed to FINAL_TOL.  objective_trace holds the
-    start and the polished objective.  Deterministic; desk scale is guarded
-    by p*n <= 1000.
+    The engine starts from the class means of the exactly feasible all-zeros
+    embedding and runs at most max_iterations cycles (the report's
+    iterations); converged means it met its tolerance within that cap and
+    the polish closed to FINAL_TOL.  objective_trace holds the start and the
+    polished objective.  Deterministic; p*n <= SIZE_GUARD bounds the factor.
     """
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
     p, n = inst.p, inst.n
     if p * n > SIZE_GUARD:
         raise ValueError(f"p*n = {p * n} exceeds solver guard {SIZE_GUARD}")
-    index = _structure_index(p, n)
-    W = _objective_matrix(inst)
-    G0 = _uniform_start(p, n)
-    Z, cycles, engine_met = _splitting_engine(W, G0, p, index, max_iterations)
-    G, gap = _polish(Z, p, index, FINAL_TOL, FINAL_CYCLES)
-    u = _factor_gram(G, p, n)
+    layout = _class_layout(p, n)
+    w = _class_weights(inst)
+    c0 = np.broadcast_to(np.eye(1, p) / p, (n, n, p))
+    Z, cycles, engine_met = _splitting_engine(w, c0, layout, max_iterations)
+    c, gap = _polish(Z, layout, FINAL_TOL, FINAL_CYCLES)
+    u = _factor_gram(_dense_gram(c), p, n)
     sol = SdpSolutionPPlus(p=p, n=n, dim=u.shape[2], u=u)
     report = feasibility_report(sol, inst)
     report.iterations = cycles
     report.converged = engine_met and gap <= FINAL_TOL
-    report.objective_trace = [float(np.vdot(W, G0)), float(np.vdot(W, G))]
+    report.objective_trace = [p * float(np.vdot(w, c0)), p * float(np.vdot(w, c))]
     return sol, report
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -94,11 +95,11 @@ def test_solve_round_pipeline(triangle_file, tmp_path, capsys):
     assert out.splitlines()[:3] == capsys.readouterr().out.splitlines()[:3]
 
 
-# `relq round` stdout for the solved triangle, captured from the engine +
-# one polish solver on stream version 2
+# `relq round` stdout for the solved triangle, captured from the class-mean
+# solver on stream version 2
 ROUND_STDOUT = {
-    1: ["value 2.0", "positions 2 0 3", "statuses OneCrossing OneCrossing NoCrossing"],
-    5: ["value 2.0", "positions 13 12 2", "statuses OneCrossing OneCrossing OneCrossing"],
+    1: ["value 2.0", "positions 1 0 3", "statuses OneCrossing NoCrossing OneCrossing"],
+    5: ["value 2.0", "positions 8 0 13", "statuses OneCrossing OneCrossing OneCrossing"],
 }
 
 
@@ -184,6 +185,43 @@ def test_round_rejects_mismatched_solution(triangle_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["round", str(triangle_file), str(sol_path), "--seed", "0"]) == 1
     assert "does not match" in capsys.readouterr().err
+
+
+def test_round_rejects_a_huge_ell_before_lifting(triangle_file, tmp_path, capsys, monkeypatch):
+    # lifting first asked numpy for 59.6 GiB and printed its traceback
+    sol_path = tmp_path / "sol.txt"
+    assert main(["solve", str(triangle_file), "--out", str(sol_path)]) == 0
+    capsys.readouterr()
+
+    def no_lift(*args, **kwargs):
+        raise AssertionError("rounding ran before the domain check")
+
+    monkeypatch.setattr("relq.cli.round_lifted_solution", no_lift)
+    tracemalloc.start()
+    try:
+        assert main(["round", str(triangle_file), str(sol_path), "--ell", "1000000000"]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scaled domain 4000000000 exceeds limit 1000000000\n"
+
+
+@pytest.mark.parametrize(
+    "exc,line",
+    [(MemoryError("Unable to allocate 59.6 GiB"), "error: Unable to allocate 59.6 GiB\n"), (MemoryError(), "error: out of memory\n")],
+    ids=["message", "bare"],
+)
+def test_memory_error_is_one_error_line(exc, line, triangle_file, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("relq.cli.brute_force_optimum", exhausted)
+    assert main(["brute", str(triangle_file)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line)
 
 
 def test_constants_check_and_gate_wiring(capsys, monkeypatch):

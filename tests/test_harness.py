@@ -178,19 +178,19 @@ def test_conjecture_experiment_multi_block_rows_pinned():
 
 
 # end_to_end_ratio rows of the planted (4, 8, 6, seed 21) instance and the
-# triangle, 2000 trials each, captured from the engine + one polish solver
-# on stream version 2
+# triangle, 2000 trials each, captured from the class-mean solver on stream
+# version 2
 E2E_ROWS = {
-    ("planted", 1, 0): [8, 4, 6, 1, 2000, 1.0, 5.999999999930377, 6.0, 5.1605, 0.03193359911403956,
-                        0.8600833333333333, 0.8600833333433137, True, 1.079925038283136e-11, True],
-    ("planted", 1, 1): [8, 4, 6, 1, 2000, 1.0, 5.999999999930377, 6.0, 5.09125, 0.03266010655264332,
-                        0.8485416666666666, 0.848541666676513, True, 1.079925038283136e-11, True],
-    ("planted", 4, 0): [8, 4, 6, 4, 2000, 1.0, 5.999999999930377, 6.0, 5.6761875, 0.02164843449374319,
-                        0.94603125, 0.9460312500109777, True, 1.079925038283136e-11, True],
-    ("planted", 4, 1): [8, 4, 6, 4, 2000, 1.0, 5.999999999930377, 6.0, 5.68125, 0.02153652141427008,
-                        0.946875, 0.9468750000109875, True, 1.079925038283136e-11, True],
-    ("triangle", 5, 1): [4, 3, 3, 5, 2000, 1.0, 2.2499999999125215, 2.0, 1.8848, 0.0057672446241925305,
-                         0.9424, 0.8376888889214577, True, 1.4580087137616715e-11, True],
+    ("planted", 1, 0): [8, 4, 6, 1, 2000, 1.0, 5.999999999930376, 6.0, 5.1195, 0.032349777882769645,
+                        0.8532500000000001, 0.8532500000099013, True, 1.0799278138406976e-11, True],
+    ("planted", 1, 1): [8, 4, 6, 1, 2000, 1.0, 5.999999999930376, 6.0, 5.10425, 0.03282593852230176,
+                        0.8507083333333334, 0.8507083333432051, True, 1.0799278138406976e-11, True],
+    ("planted", 4, 0): [8, 4, 6, 4, 2000, 1.0, 5.999999999930376, 6.0, 5.6988125, 0.02083934146628077,
+                        0.9498020833333333, 0.9498020833443549, True, 1.0799278138406976e-11, True],
+    ("planted", 4, 1): [8, 4, 6, 4, 2000, 1.0, 5.999999999930376, 6.0, 5.6886875, 0.02112952669538673,
+                        0.9481145833333334, 0.9481145833443354, True, 1.0799278138406976e-11, True],
+    ("triangle", 5, 1): [4, 3, 3, 5, 2000, 1.0, 2.2499999999125233, 2.0, 1.9052, 0.005033800708687959,
+                         0.9526, 0.8467555555884761, True, 1.4580225915494793e-11, True],
 }
 
 

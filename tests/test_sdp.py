@@ -6,12 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relq.constellation import SdpSolutionP, lift_solution, solution_residuals, target_gram
+from relq.constellation import SdpSolutionP, _transpose_classes, lift_solution, solution_residuals, target_gram
 from relq.instance import Assignment, Instance, brute_force_optimum, circular_distance, evaluate, generate_instance
 from relq.sdp import (
-    _objective_matrix,
+    _class_layout,
+    _class_weights,
+    _dense_gram,
+    _project_psd,
     _project_structure,
-    _structure_index,
     FeasibilityReport,
     MAX_ENGINE_CYCLES,
     SdpSolutionPPlus,
@@ -93,8 +95,9 @@ def test_objective_rejects_mismatched_instance():
 # --- solver ---------------------------------------------------------------
 
 # oracles: the per-pair residual loops, structure projection and objective
-# loops the one-pass versions replaced; the arithmetic is unchanged, so the
-# results must agree bit for bit
+# loops the one-pass versions replaced, and the dense PSD projection; the
+# residual passes keep the loops' arithmetic, so they must agree bit for bit,
+# and the class-mean projections must agree with the dense ones to 1e-12
 
 
 def _diagonal_class_index(p: int) -> np.ndarray:
@@ -215,31 +218,66 @@ def _oracle_objective_matrix(inst):
     return W
 
 
-def _assert_bitwise_equal(got, want):
-    assert np.array_equal(got, want)
-    assert got.tobytes() == want.tobytes()  # signed zeros included
+def _oracle_project_psd(G):
+    w, V = np.linalg.eigh(G)
+    return (V * np.clip(w, 0.0, None)) @ V.T
 
 
-def _structure_inputs(n, p, rng):
-    N = n * p
-    yield rng.standard_normal((N, N))
-    yield rng.standard_normal((N, N)) * 1e-3 + 1.0 / p
-    yield rng.integers(-2, 3, size=(N, N)) / 4.0  # ties in the sort
-    yield np.full((N, N), -0.0)
-    yield np.full((N, N), 1e20)  # equal huge class means: the rank test finds no hit
-    mixed = rng.standard_normal((N, N))
-    mixed[:p, p:] = 1e20  # one variable's pairs take the fallback, the rest do not
-    yield mixed
+CLASS_SHAPES = [(1, 2), (2, 2), (3, 4), (3, 6), (4, 8), (5, 12), (6, 8), (4, 16)]
 
 
-@pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (3, 6), (4, 8), (5, 12), (6, 8), (4, 16)])
+def _symmetric_class_means(c):
+    """Mean of class k of (i, j) and class -k of (j, i): the class means of a symmetric Gram matrix."""
+    return (c + c.transpose(1, 0, 2)[..., _transpose_classes(c.shape[-1])]) / 2.0
+
+
+def _class_inputs(n, p, rng):
+    shape = (n, n, p)
+    yield rng.standard_normal(shape)
+    yield rng.standard_normal(shape) * 1e-3 + np.eye(p)[0] / p
+    yield rng.integers(-2, 3, size=shape) / 4.0  # ties in the sort
+    yield np.full(shape, -0.0)
+
+
+@pytest.mark.parametrize("n,p", CLASS_SHAPES)
 def test_one_pass_structure_projection_matches_per_pair_oracle(n, p):
     rng = np.random.default_rng(1000 * n + p)
     cls = _diagonal_class_index(p)
-    index = _structure_index(p, n)
-    for G in _structure_inputs(n, p, rng):
-        G = G + G.T  # symmetric, as the engine's iterates are
-        _assert_bitwise_equal(_project_structure(G, p, index), _oracle_project_structure(G, p, n, cls))
+    layout = _class_layout(p, n)
+    for c in _class_inputs(n, p, rng):
+        c = _symmetric_class_means(c)
+        got = _project_structure(c, layout)
+        np.testing.assert_array_equal(got, _symmetric_class_means(got))
+        want = _oracle_project_structure(_dense_gram(c), p, n, cls)
+        np.testing.assert_allclose(_dense_gram(got), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,p", CLASS_SHAPES)
+def test_frequency_psd_projection_matches_dense_oracle(n, p):
+    rng = np.random.default_rng(2000 * n + p)
+    layout = _class_layout(p, n)
+    for c in _class_inputs(n, p, rng):
+        c = _symmetric_class_means(c)
+        got = _dense_gram(_project_psd(c, layout))
+        np.testing.assert_allclose(got, _oracle_project_psd(_dense_gram(c)), rtol=0, atol=1e-12)
+
+
+def test_huge_class_means_project_onto_the_simplex():
+    # the inputs that emptied the rank test before rows lost their max
+    p, n = 8, 3
+    mixed = np.random.default_rng(5).standard_normal((n, n, p))
+    mixed[0, 1, :3] = 1e20
+    mixed[1, 2] = 1e20
+    for c in (np.full((n, n, p), 1e20), _symmetric_class_means(mixed)):
+        got = _project_structure(c, _class_layout(p, n))
+        assert np.all(got >= 0.0)
+        np.testing.assert_allclose(got.sum(axis=2), 1.0 / p, rtol=0, atol=1e-15)
+    pair = np.zeros((2, 2, 4))
+    rows = [([1e20, 1e20, 1e20, -1.0], [1 / 12, 1 / 12, 1 / 12, 0.0]), ([1e20, 3.0, 1e20, 0.5], [0.125, 0.0, 0.125, 0.0])]
+    for row, want in rows:
+        pair[0, 1] = row
+        got = _project_structure(_symmetric_class_means(pair), _class_layout(4, 2))
+        np.testing.assert_array_equal(got[0, 1], want)
 
 
 def test_huge_equal_class_means_take_the_top_rank_fallback():
@@ -257,12 +295,12 @@ def test_vector_objective_matrix_matches_equation_loop():
     for seed in range(10):
         for n, p, m in shapes:
             inst, _ = generate_instance(n=n, p=p, m=m, seed=seed)
-            _assert_bitwise_equal(_objective_matrix(inst), _oracle_objective_matrix(inst))
+            np.testing.assert_allclose(_dense_gram(_class_weights(inst)), _oracle_objective_matrix(inst), rtol=0, atol=1e-12)
     # five equations on one pair: cells take five terms whose sum depends on their order
     inst = Instance(p=12, n=2, equations=[(0, 1, 1), (1, 0, 5), (0, 1, 7), (1, 0, 2), (0, 1, 10)])
-    _assert_bitwise_equal(_objective_matrix(inst), _oracle_objective_matrix(inst))
+    np.testing.assert_allclose(_dense_gram(_class_weights(inst)), _oracle_objective_matrix(inst), rtol=0, atol=1e-12)
     empty = Instance(p=4, n=2, equations=[])
-    _assert_bitwise_equal(_objective_matrix(empty), np.zeros((8, 8)))
+    np.testing.assert_array_equal(_class_weights(empty), np.zeros((2, 2, 4)))
 
 
 def test_solver_finds_gap_triangle_optimum():
@@ -331,21 +369,25 @@ def test_solver_trace_is_nondecreasing():
 
 
 # (n, p, m, seed, planted, engine cycles, objective, dim, sha256 of u): the five
-# solve_tight rungs, the solve_gap rung and the planted e2e instance, captured
-# from the per-pair structure projection; any solver refactor that claims
-# bit-identical outputs must keep these
+# solve_tight rungs, the solve_gap rung, the planted e2e instance and
+# (6, 16, 15, 1), captured from the class-mean solver; the cycles and dims are
+# those of the dense solver it replaced, and a refactor that claims
+# bit-identical outputs must keep all of these
 SOLVER_PINS = [
-    (4, 8, 6, 1, False, 58, 4.249999999989498, 15, "d85be8672d4cf9ba2d841482f32a2fd7c3845d0912f16e505538d4c69515d7ab"),
-    (4, 12, 8, 1, False, 102, 5.499999999801064, 23, "bcf70f2fb887768f11d3f69ac6fcedb1c78ecb1145cca800c8a1732758733194"),
-    (4, 16, 10, 1, False, 228, 6.749999999550212, 31, "9150e128d5c21eb2ee81fc88137ebbd5bc5a00a14f797887400ee5f7c6979e12"),
-    (5, 12, 10, 1, False, 325, 7.166666666345969, 34, "8e9bcfe100aa8558dd5649e8f72d10d094b38b9b93940e8141c85c511f4e1453"),
-    (6, 8, 8, 1, False, 243, 6.750000000239463, 15, "e07a891ec16b2afe8e146c2ab8d1c02a65b04c606e2850fc0b22600f22e39a47"),
-    (6, 8, 12, 3, False, 821, 9.329221776208154, 32, "9106f4124d3bc8e0a1ed19fea9be2ba7905c57980e124f8218490112dd0ea37b"),
-    (4, 8, 6, 21, True, 21, 5.999999999930377, 8, "b207ff6a9c897d664db2579edfd40f2103aaed0470f96198cc61621646baed93"),
+    (4, 8, 6, 1, False, 58, 4.24999999998949, 15, "5c6763c5549d7e99c827a01ef364d1ba2ff4c948e1b7c29f56463af2a4de9895"),
+    (4, 12, 8, 1, False, 102, 5.499999999801092, 23, "c0e4ca7da705d06487c44ea1f1c8010750aa33e965575f11567e9a2e062494e4"),
+    (4, 16, 10, 1, False, 228, 6.74999999955021, 31, "d3e75eb2cb02f4a486248cb197794a2f5b75a44bc5726644ed329c2126dc54f8"),
+    (5, 12, 10, 1, False, 325, 7.16666666634595, 34, "2be89348af10d25d8019e1788406b040cd2f910d3d16eada8b75e67721ee8bf7"),
+    (6, 8, 8, 1, False, 243, 6.750000000239466, 15, "cfde14f0c5b2df8beb04fa2d48e1b55a0b0ee397fe208f606c5e3f495a67f649"),
+    (6, 8, 12, 3, False, 821, 9.329221776208174, 32, "8bf86680babebdb1db86d7af9d7d80e0cea3f0d2bb090976a6bfc4da25928551"),
+    (4, 8, 6, 21, True, 21, 5.999999999930376, 8, "293dc7924066147e707cc62a25b0fed527fd8cfe336cc964284c0e1044988d2d"),
+    (6, 16, 15, 1, False, 1892, 10.98873672012382, 48, "8ffb7cf46fc51a1c9f095d259dea5fa8b8c39612712d14c9405e2b19d4c289a3"),
 ]
 
 
-@pytest.mark.parametrize("n,p,m,seed,planted,iterations,objective,dim,digest", SOLVER_PINS)
+@pytest.mark.parametrize(
+    "n,p,m,seed,planted,iterations,objective,dim,digest", SOLVER_PINS, ids=["-".join(map(str, pin[:5])) for pin in SOLVER_PINS]
+)
 def test_solver_rungs_pinned(n, p, m, seed, planted, iterations, objective, dim, digest):
     inst, _ = generate_instance(n=n, p=p, m=m, seed=seed, planted=planted)
     sol, rep = solve_p_plus(inst)
