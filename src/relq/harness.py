@@ -32,9 +32,9 @@ from relq.instance import (
 from relq.rounding import STREAM_VERSION, GaussianSampler, round_lifted_solution
 from relq.sdp import MAX_ENGINE_CYCLES, convert_to_p, feasibility_report, solve_p_plus
 
-# walk values per block of rows: 4 MB of float64.  conjecture_experiment
-# draws each block's r1 and then its r2, so this size is part of its
-# seeded numbers
+# walk values per block of rows: 4 MB of float64.  Each driver reads every
+# sampler stream in order across blocks, so this size sets memory and speed
+# but no seeded number
 _BLOCK_VALUES = 1 << 19
 
 
@@ -292,9 +292,16 @@ def conjecture_experiment(
     equals the walk of the rotated constellation).  Trials where both walks
     show exactly one extreme sign change contribute the normalized circular
     distance between the two positions; each cell reports the conditioned
-    mean next to the fraction-of-circle bound theta/(2*pi).  Cell c draws
-    from spawn(c) of the seed's sampler, one block of about 2^19 walk
-    values at a time: the block's r1, then its r2.
+    mean next to the fraction-of-circle bound theta/(2*pi).
+
+    r1 is common to all cells (common random numbers): it comes from
+    spawn(0) of the seed's sampler and its walks are built once, so
+    marginal_one_rate is one number for the whole grid and differences
+    between cells have lower variance.  Cell c draws its r2 from
+    spawn(c + 1), so a cell's row depends on its angle and grid position
+    only, not on the other cells' angles.  Draws go one block of about 2^19
+    walk values at a time: the block's r1, then each audited cell's r2 in
+    grid order.  A grid with no audited cell draws nothing.
     """
     if s < 100 or s % 2:
         raise ValueError(f"s must be even and >= 100, got {s}")
@@ -311,52 +318,37 @@ def conjecture_experiment(
     # the full s x s/2 constellation is freed before the walks start
     picks = list(range(0, s, max(1, s // 8)))
     base = canonical_constellation(s).vectors[picks]
+    live = [c for c, theta in enumerate(thetas) if _audit_correlated_pair(theta, s, picks, base)]
+    r2_samplers = {c: sampler.spawn(c + 1) for c in live}
+    both = dict.fromkeys(live, 0)
+    dists: dict[int, list[np.ndarray]] = {c: [] for c in live}
+    r1_sampler = sampler.spawn(0)
+    one_i = 0
+    done = 0
+    while live and done < trials:
+        rows = min(block, trials - done)
+        r1 = r1_sampler.sample(rows * half).reshape(rows, half)
+        ci, fi, _ = trace_stats_batch(canonical_values_batch(r1), alpha)
+        one_i += int(np.sum(ci == 1))
+        for c in live:
+            r2 = r2_samplers[c].sample(rows * half).reshape(rows, half)
+            r2 *= math.sin(thetas[c])
+            r2 += r1 * math.cos(thetas[c])  # cos_t * r1 + sin_t * r2, bit for bit
+            cj, fj, _ = trace_stats_batch(canonical_values_batch(r2), alpha)
+            mask = (ci == 1) & (cj == 1)
+            both[c] += int(np.sum(mask))
+            delta = (fj[mask] - fi[mask]) % s
+            dists[c].append(np.minimum(delta, s - delta) / s)
+        done += rows
     rows_out = []
     for cell, theta in enumerate(thetas):
-        audit_ok = _audit_correlated_pair(theta, s, picks, base)
-        if not audit_ok:
-            rows_out.append(
-                [theta, math.cos(theta), s, trials, 0, 0.0, 0.0, float("nan"), float("nan"), theta / (2.0 * math.pi), False]
-            )
+        bound = theta / (2.0 * math.pi)
+        if cell not in both:
+            rows_out.append([theta, math.cos(theta), s, trials, 0, 0.0, 0.0, float("nan"), float("nan"), bound, False])
             continue
-        sub = sampler.spawn(cell)
-        cos_t = math.cos(theta)
-        sin_t = math.sin(theta)
-        one_i = 0
-        both = 0
-        dists: list[np.ndarray] = []
-        done = 0
-        while done < trials:
-            rows = min(block, trials - done)
-            r1 = sub.sample(rows * half).reshape(rows, half)
-            ci, fi, _ = trace_stats_batch(canonical_values_batch(r1), alpha)
-            r2 = sub.sample(rows * half).reshape(rows, half)
-            r1 *= cos_t
-            r2 *= sin_t
-            r2 += r1  # cos_t * r1 + sin_t * r2, bit for bit
-            cj, fj, _ = trace_stats_batch(canonical_values_batch(r2), alpha)
-            one_i += int(np.sum(ci == 1))
-            mask = (ci == 1) & (cj == 1)
-            both += int(np.sum(mask))
-            delta = (fj[mask] - fi[mask]) % s
-            dists.append(np.minimum(delta, s - delta) / s)
-            done += rows
-        sample = np.concatenate(dists) if dists else np.empty(0)
-        mean, stderr = _mean_stderr(sample)
+        mean, stderr = _mean_stderr(np.concatenate(dists[cell]))
         rows_out.append(
-            [
-                theta,
-                cos_t,
-                s,
-                trials,
-                both,
-                both / trials,
-                one_i / trials,
-                mean,
-                stderr,
-                theta / (2.0 * math.pi),
-                True,
-            ]
+            [theta, math.cos(theta), s, trials, both[cell], both[cell] / trials, one_i / trials, mean, stderr, bound, True]
         )
     return Report(
         name="conjecture_experiment",

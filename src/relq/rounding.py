@@ -56,8 +56,10 @@ _BLOCK_VALUES = 1 << 14
 _SAMPLER_DOMAIN = 0x72656C71 << 32  # "relq"
 _MAX_SPAWN_DEPTH = 2
 # 1: Box-Muller over Philox keyed [seed, stream * 2**20 + tag + 1];
-# 2: Generator.standard_normal over the keys and counters of GaussianSampler
-STREAM_VERSION = 2
+# 2: Generator.standard_normal over the keys and counters of GaussianSampler;
+# 3: as 2, with conjecture_experiment's r1 shared by all cells from spawn(0)
+#    and cell c's r2 from spawn(c + 1)
+STREAM_VERSION = 3
 
 
 def _check_word(name: str, value: int) -> int:

@@ -51,7 +51,10 @@ ENGINE_TOL = 1e-10  # engine stops once primal and dual residuals are below this
 FINAL_TOL = 1e-11  # polish stops once the two per-set iterates agree to this
 FINAL_CYCLES = 40000
 # eigenvalues below this fraction of the largest are float noise of the PSD
-# projection (<= 2.5e-10 measured), far under the smallest real ones (>= 7.7e-5)
+# projection.  On the test and ladder instances the noise reaches 3.2e-9 and
+# the smallest real eigenvalue 5.5e-6, both on generate_instance(5, 4, 10,
+# seed=1); test_rank_cutoff_keeps_its_margin fails when either side comes
+# within a decade of the cutoff
 RANK_CUTOFF = 1e-7
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import relq.harness
 from relq import __version__
+from relq._kernels import canonical_values_batch, trace_stats_batch
 from relq.brownian import prob_at_least_one, prob_three_or_more
 from relq.harness import (
     ExperimentConfig,
@@ -26,6 +27,7 @@ from relq.harness import (
     write_report,
 )
 from relq.instance import Instance, generate_instance
+from relq.rounding import GaussianSampler
 from relq.sdp import solve_p_plus
 
 TRIANGLE = Instance(p=4, n=3, equations=[(0, 1, 2), (1, 2, 2), (2, 0, 2)])
@@ -66,7 +68,7 @@ def test_write_report_emits_csv_and_json(tmp_path):
     assert csv_path.exists() and json_path.exists()
     summary = json.loads(json_path.read_text())
     assert set(summary) == {"name", "parameters", "provenance", "columns", "row_count"}
-    assert summary["provenance"] == {"package": "relq", "version": __version__, "seed": 5, "stream_version": 2}
+    assert summary["provenance"] == {"package": "relq", "version": __version__, "seed": 5, "stream_version": 3}
     assert summary["row_count"] == 1
     columns, rows = parse_report_csv(csv_path.read_text())
     assert columns == report.columns
@@ -128,23 +130,23 @@ SIGN_CHANGE_S200_SEED3 = [
 ]
 
 CONJECTURE_S200_SEED3 = [
-    [0.2617993877991494, 0.9659258262890683, 200, 2000, 1850, 0.925, 0.9545,
-     0.04568918918918919, 0.001827232758763857, 0.041666666666666664, True],
-    [0.7853981633974483, 0.7071067811865476, 200, 2000, 1839, 0.9195, 0.9615,
-     0.1289641109298532, 0.002883823977754012, 0.125, True],
+    [0.2617993877991494, 0.9659258262890683, 200, 2000, 1851, 0.9255, 0.9545,
+     0.042690437601296594, 0.0017909330812418906, 0.041666666666666664, True],
+    [0.7853981633974483, 0.7071067811865476, 200, 2000, 1832, 0.916, 0.9545,
+     0.12628548034934498, 0.0028622617113283153, 0.125, True],
 ]
 
 # 5000 trials at s = 100 fit in one draw block (2^19 // 50 rows)
 CONJECTURE_S100_SEED5 = [
-    [0.5235987755982988, 0.8660254037844387, 100, 5000, 4460, 0.892, 0.9382,
-     0.08532511210762332, 0.0015500709590884, 0.08333333333333333, True],
+    [0.5235987755982988, 0.8660254037844387, 100, 5000, 4479, 0.8958, 0.9382,
+     0.08629158294262113, 0.0015651224967601575, 0.08333333333333333, True],
 ]
 
 # 1100 trials at s = 2000 span three draw blocks of 524, 524 and 52 rows,
-# so this pins the per-block draw order (the block's r1, then its r2)
+# so this pins that r1 and r2 each continue their own stream across blocks
 CONJECTURE_S2000_SEED5 = [
-    [0.5235987755982988, 0.8660254037844387, 2000, 1100, 1035, 0.9409090909090909, 0.9663636363636363,
-     0.08933236714975845, 0.0033784851821595315, 0.08333333333333333, True],
+    [0.5235987755982988, 0.8660254037844387, 2000, 1100, 1029, 0.9354545454545454, 0.9672727272727273,
+     0.08255004859086491, 0.003107704819961434, 0.08333333333333333, True],
 ]
 
 
@@ -175,6 +177,45 @@ def test_conjecture_experiment_multi_chunk_rows_pinned():
 def test_conjecture_experiment_multi_block_rows_pinned():
     report = conjecture_experiment((math.pi / 6,), s=2000, trials=1100, seed=5)
     _assert_rows_exact(report.rows, CONJECTURE_S2000_SEED5)
+
+
+def test_conjecture_cells_share_one_r1():
+    # three draw blocks at s = 2000; r1 comes from spawn(0) for every cell
+    grid = (math.pi / 2, 0.0, math.pi / 4)
+    cells = _cells(conjecture_experiment(grid, s=2000, trials=1100, seed=6))
+    r1 = GaussianSampler(6).spawn(0).sample(1100 * 1000).reshape(1100, 1000)
+    counts, _, _ = trace_stats_batch(canonical_values_batch(r1), 1.0)
+    assert {cell["marginal_one_rate"] for cell in cells} == {int(np.sum(counts == 1)) / 1100}
+    # at angle 0 walk j is walk i, so exactly r1's one-crossing trials count
+    assert cells[1]["conditioning_rate"] == cells[1]["marginal_one_rate"]
+    # at pi/2 walk j follows r2 alone; were r2 drawn from r1's stream the
+    # two walks would coincide, here they are independent (mean 1/4)
+    assert abs(cells[0]["mean_distance"] - 0.25) <= 0.03
+
+
+def test_conjecture_rows_do_not_depend_on_later_cells_or_block_size(monkeypatch):
+    # cell c's r2 comes from spawn(c + 1) and each stream continues across
+    # blocks, so neither a longer grid nor other blocks move a row
+    grid = (math.pi / 12, math.pi / 6, math.pi / 4)
+    three = conjecture_experiment(grid, s=2000, trials=1100, seed=5)
+    two = conjecture_experiment(grid[:2], s=2000, trials=1100, seed=5)
+    _assert_rows_exact(three.rows[:2], two.rows)
+    monkeypatch.setattr(relq.harness, "_BLOCK_VALUES", 1 << 15)
+    _assert_rows_exact(conjecture_experiment(grid, s=2000, trials=1100, seed=5).rows, three.rows)
+
+
+def test_conjecture_empty_grid_draws_nothing(monkeypatch):
+    draws = []
+    sample = GaussianSampler.sample
+
+    def counted(self, dim):
+        draws.append(dim)
+        return sample(self, dim)
+
+    monkeypatch.setattr(GaussianSampler, "sample", counted)
+    report = conjecture_experiment((), s=200, trials=1000, seed=3)
+    assert report.rows == []
+    assert draws == []
 
 
 # end_to_end_ratio rows of the planted (4, 8, 6, seed 21) instance and the

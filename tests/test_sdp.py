@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import relq.sdp
 from relq.constellation import SdpSolutionP, _transpose_classes, lift_solution, solution_residuals, target_gram
 from relq.instance import Assignment, Instance, brute_force_optimum, circular_distance, evaluate, generate_instance
 from relq.sdp import (
@@ -16,6 +17,7 @@ from relq.sdp import (
     _project_structure,
     FeasibilityReport,
     MAX_ENGINE_CYCLES,
+    RANK_CUTOFF,
     SdpSolutionPPlus,
     convert_to_p,
     feasibility_report,
@@ -393,6 +395,27 @@ def test_solver_rungs_pinned(n, p, m, seed, planted, iterations, objective, dim,
     sol, rep = solve_p_plus(inst)
     assert (rep.iterations, repr(rep.objective), sol.dim) == (iterations, repr(objective), dim)
     assert hashlib.sha256(sol.u.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,p,m,seed,planted", [pin[:5] for pin in SOLVER_PINS] + [(5, 4, 10, 1, False)])
+def test_rank_cutoff_keeps_its_margin(n, p, m, seed, planted, monkeypatch):
+    # the factorization drops eigenvalues under RANK_CUTOFF of the largest as
+    # float noise; either side coming within a decade of the cutoff fails here
+    grams = []
+    factor = relq.sdp._factor_gram
+
+    def capture(G, p, n):
+        grams.append(G)
+        return factor(G, p, n)
+
+    monkeypatch.setattr(relq.sdp, "_factor_gram", capture)
+    inst, _ = generate_instance(n=n, p=p, m=m, seed=seed, planted=planted)
+    solve_p_plus(inst)
+    (G,) = grams
+    w = np.linalg.eigvalsh((G + G.T) / 2.0)
+    rel = w / w.max()
+    assert rel[rel < RANK_CUTOFF].max(initial=0.0) <= 1e-8
+    assert rel[rel >= RANK_CUTOFF].min() >= 1e-6
 
 
 def test_solver_is_deterministic():
