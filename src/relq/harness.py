@@ -12,8 +12,10 @@ import csv
 import io
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -32,14 +34,84 @@ from relq.instance import (
 from relq.rounding import STREAM_VERSION, GaussianSampler, round_lifted_solution
 from relq.sdp import MAX_ENGINE_CYCLES, convert_to_p, feasibility_report, solve_p_plus
 
-# walk values per block of rows: 4 MB of float64.  Each driver reads every
-# sampler stream in order across blocks, so this size sets memory and speed
-# but no seeded number
-_BLOCK_VALUES = 1 << 19
+# walk values per block of rows: 2 MB of float64, and two arrays of normals
+# are live, the one the kernels read and the one being filled.  Each driver
+# reads every sampler stream in order across blocks, so this size sets
+# memory and speed but no seeded number
+_BLOCK_VALUES = 1 << 18
+# pairs per block in mc_correlation_gap.  Its mean adds up per-block np.sum
+# partial sums, so this size fixes the summation order, and with it the last
+# bits of the report; it stays apart from _BLOCK_VALUES for that reason
+_GAP_BLOCK_ROWS = 1 << 18
 
 
 def _block_rows(width: int) -> int:
     return max(1, _BLOCK_VALUES // width)
+
+
+def _block_sizes(trials: int, block: int) -> list[int]:
+    """Rows of each block when trials rows are drawn block rows at a time."""
+    return [min(block, trials - done) for done in range(0, trials, block)]
+
+
+class _Prefetched:
+    """Arrays of normals for an ordered sequence of (sampler, rows, width) draws.
+
+    Use as a context manager that yields an iterator over the filled (rows,
+    width) arrays, in draw order.  Each array is allocated in the caller's
+    thread; one worker thread fills the next array while the caller works
+    on the current one (numpy releases the GIL in standard_normal and in
+    the walk kernels).  Fills run one at a time in draw order, so every
+    sampler stream is read in order and each array holds exactly what
+    sampler.sample(rows * width) would return.  An exception raised by a
+    fill reaches the caller on the next() that would have returned its
+    array, and leaving the block joins the worker however it is left.
+    """
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+        self._jobs = SimpleQueue()
+        self._filled = SimpleQueue()
+        self._in_flight = False
+        self._worker = threading.Thread(target=self._work, name="relq-normals")
+
+    def _work(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            sampler, out = job
+            try:
+                sampler.fill(out)
+            except BaseException as exc:  # re-raised in the caller by __next__
+                out = exc
+            self._filled.put(out)
+
+    def _submit_next(self) -> None:
+        draw = next(self._draws, None)
+        self._in_flight = draw is not None
+        if draw is not None:
+            sampler, rows, width = draw
+            self._jobs.put((sampler, np.empty((rows, width))))
+
+    def __enter__(self) -> "_Prefetched":
+        self._submit_next()  # queued before the start, so a failure here leaves no thread
+        self._worker.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._jobs.put(None)
+        self._worker.join()
+
+    def __iter__(self) -> "_Prefetched":
+        return self
+
+    def __next__(self) -> np.ndarray:
+        if not self._in_flight:
+            raise StopIteration
+        out = self._filled.get()
+        if isinstance(out, BaseException):
+            self._in_flight = False
+            raise out
+        self._submit_next()
+        return out
 
 
 @dataclass
@@ -179,18 +251,13 @@ def mc_sign_change(s: int, trials: int, seed: int, alpha: float = 1.0) -> Report
         raise ValueError(f"trials must be >= 1, got {trials}")
     sampler = GaussianSampler(seed)
     zero = one = two_plus = alt3 = 0
-    block = _block_rows(s)
-    done = 0
-    while done < trials:
-        rows = min(block, trials - done)
-        incr = sampler.sample(rows * s).reshape(rows, s)
-        values = canonical_values_batch(incr)
-        counts, _, half_runs = trace_stats_batch(values, alpha)
-        zero += int(np.sum(counts == 0))
-        one += int(np.sum(counts == 1))
-        two_plus += int(np.sum(counts >= 2))
-        alt3 += int(np.sum(half_runs >= 3))
-        done += rows
+    with _Prefetched((sampler, rows, s) for rows in _block_sizes(trials, _block_rows(s))) as blocks:
+        for incr in blocks:
+            counts, _, half_runs = trace_stats_batch(canonical_values_batch(incr), alpha)
+            zero += int(np.sum(counts == 0))
+            one += int(np.sum(counts == 1))
+            two_plus += int(np.sum(counts >= 2))
+            alt3 += int(np.sum(half_runs >= 3))
     p1 = prob_at_least_one()
     p3 = prob_three_or_more()
     stats = [
@@ -231,15 +298,11 @@ def mc_correlation_gap(theta: float, trials: int, seed: int) -> Report:
     c2 = math.sin(theta)
     sums: list[float] = []
     sq_sums: list[float] = []
-    block = _block_rows(2)
-    done = 0
-    while done < trials:
-        rows = min(block, trials - done)
-        r = sampler.sample(2 * rows).reshape(rows, 2)
-        gap = np.abs(c1 * r[:, 0] - c2 * r[:, 1])
-        sums.append(float(np.sum(gap)))
-        sq_sums.append(float(np.sum(gap * gap)))
-        done += rows
+    with _Prefetched((sampler, rows, 2) for rows in _block_sizes(trials, _GAP_BLOCK_ROWS)) as blocks:
+        for r in blocks:
+            gap = np.abs(c1 * r[:, 0] - c2 * r[:, 1])
+            sums.append(float(np.sum(gap)))
+            sq_sums.append(float(np.sum(gap * gap)))
     mean = math.fsum(sums) / trials
     if trials > 1:
         var = max(math.fsum(sq_sums) - trials * mean * mean, 0.0) / (trials - 1)
@@ -299,9 +362,10 @@ def conjecture_experiment(
     marginal_one_rate is one number for the whole grid and differences
     between cells have lower variance.  Cell c draws its r2 from
     spawn(c + 1), so a cell's row depends on its angle and grid position
-    only, not on the other cells' angles.  Draws go one block of about 2^19
+    only, not on the other cells' angles.  Draws go one block of about 2^18
     walk values at a time: the block's r1, then each audited cell's r2 in
-    grid order.  A grid with no audited cell draws nothing.
+    grid order, each filled on a worker thread while the walks of the one
+    before it are built.  A grid with no audited cell draws nothing.
     """
     if s < 100 or s % 2:
         raise ValueError(f"s must be even and >= 100, got {s}")
@@ -313,33 +377,33 @@ def conjecture_experiment(
             raise ValueError(f"angles must lie in [0, pi], got {theta}")
     sampler = GaussianSampler(seed)
     half = s // 2
-    block = _block_rows(half)
     # the audit reads only the sampled rows; fancy indexing copies them, so
     # the full s x s/2 constellation is freed before the walks start
     picks = list(range(0, s, max(1, s // 8)))
     base = canonical_constellation(s).vectors[picks]
     live = [c for c, theta in enumerate(thetas) if _audit_correlated_pair(theta, s, picks, base)]
-    r2_samplers = {c: sampler.spawn(c + 1) for c in live}
+    # r1 first, then each audited cell's r2, block after block
+    samplers = [sampler.spawn(0)] + [sampler.spawn(c + 1) for c in live]
+    sizes = _block_sizes(trials, _block_rows(half)) if live else []
     both = dict.fromkeys(live, 0)
     dists: dict[int, list[np.ndarray]] = {c: [] for c in live}
-    r1_sampler = sampler.spawn(0)
     one_i = 0
-    done = 0
-    while live and done < trials:
-        rows = min(block, trials - done)
-        r1 = r1_sampler.sample(rows * half).reshape(rows, half)
-        ci, fi, _ = trace_stats_batch(canonical_values_batch(r1), alpha)
-        one_i += int(np.sum(ci == 1))
-        for c in live:
-            r2 = r2_samplers[c].sample(rows * half).reshape(rows, half)
-            r2 *= math.sin(thetas[c])
-            r2 += r1 * math.cos(thetas[c])  # cos_t * r1 + sin_t * r2, bit for bit
-            cj, fj, _ = trace_stats_batch(canonical_values_batch(r2), alpha)
-            mask = (ci == 1) & (cj == 1)
-            both[c] += int(np.sum(mask))
-            delta = (fj[mask] - fi[mask]) % s
-            dists[c].append(np.minimum(delta, s - delta) / s)
-        done += rows
+    with _Prefetched((smp, rows, half) for rows in sizes for smp in samplers) as normals:
+        for rows in sizes:
+            r1 = next(normals)
+            ci, fi, _ = trace_stats_batch(canonical_values_batch(r1), alpha)
+            one_i += int(np.sum(ci == 1))
+            scratch = np.empty((rows, half))
+            for c in live:
+                r2 = next(normals)
+                r2 *= math.sin(thetas[c])
+                np.multiply(r1, math.cos(thetas[c]), out=scratch)
+                r2 += scratch  # cos_t * r1 + sin_t * r2, bit for bit
+                cj, fj, _ = trace_stats_batch(canonical_values_batch(r2), alpha)
+                mask = (ci == 1) & (cj == 1)
+                both[c] += int(np.sum(mask))
+                delta = (fj[mask] - fi[mask]) % s
+                dists[c].append(np.minimum(delta, s - delta) / s)
     rows_out = []
     for cell, theta in enumerate(thetas):
         bound = theta / (2.0 * math.pi)

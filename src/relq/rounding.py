@@ -121,6 +121,11 @@ class GaussianSampler:
             raise ValueError(f"dim must be >= 1, got {dim}")
         return self._rng.standard_normal(dim)
 
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Overwrite the float64 C-contiguous out with the next out.size
+        normals, in C order: exactly what sample(out.size) would return."""
+        return self._rng.standard_normal(out=out)
+
     def uniform_below(self, n: int) -> int:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")

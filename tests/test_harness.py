@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -136,14 +138,15 @@ CONJECTURE_S200_SEED3 = [
      0.12628548034934498, 0.0028622617113283153, 0.125, True],
 ]
 
-# 5000 trials at s = 100 fit in one draw block (2^19 // 50 rows)
+# 5000 trials at s = 100 fit in one draw block (2^18 // 50 rows)
 CONJECTURE_S100_SEED5 = [
     [0.5235987755982988, 0.8660254037844387, 100, 5000, 4479, 0.8958, 0.9382,
      0.08629158294262113, 0.0015651224967601575, 0.08333333333333333, True],
 ]
 
-# 1100 trials at s = 2000 span three draw blocks of 524, 524 and 52 rows,
-# so this pins that r1 and r2 each continue their own stream across blocks
+# 1100 trials at s = 2000 span five draw blocks, four of 262 rows and one
+# of 52, so this pins that r1 and r2 each continue their own stream across
+# blocks
 CONJECTURE_S2000_SEED5 = [
     [0.5235987755982988, 0.8660254037844387, 2000, 1100, 1029, 0.9354545454545454, 0.9672727272727273,
      0.08255004859086491, 0.003107704819961434, 0.08333333333333333, True],
@@ -180,7 +183,7 @@ def test_conjecture_experiment_multi_block_rows_pinned():
 
 
 def test_conjecture_cells_share_one_r1():
-    # three draw blocks at s = 2000; r1 comes from spawn(0) for every cell
+    # five draw blocks at s = 2000; r1 comes from spawn(0) for every cell
     grid = (math.pi / 2, 0.0, math.pi / 4)
     cells = _cells(conjecture_experiment(grid, s=2000, trials=1100, seed=6))
     r1 = GaussianSampler(6).spawn(0).sample(1100 * 1000).reshape(1100, 1000)
@@ -204,18 +207,118 @@ def test_conjecture_rows_do_not_depend_on_later_cells_or_block_size(monkeypatch)
     _assert_rows_exact(conjecture_experiment(grid, s=2000, trials=1100, seed=5).rows, three.rows)
 
 
+@pytest.mark.parametrize("block_values", [1 << 15, 1 << 19])
+def test_sign_change_and_correlation_rows_do_not_depend_on_block_size(monkeypatch, block_values):
+    # 2000 trials at s = 2000 span 8 blocks of 2^19 values or 125 of 2^15;
+    # the pair blocks of mc_correlation_gap fix its summation order, so they
+    # must not follow _BLOCK_VALUES
+    sign = mc_sign_change(s=2000, trials=2000, seed=4).rows
+    gap = mc_correlation_gap(theta=1.0, trials=300_001, seed=4).rows
+    monkeypatch.setattr(relq.harness, "_BLOCK_VALUES", block_values)
+    _assert_rows_exact(mc_sign_change(s=2000, trials=2000, seed=4).rows, sign)
+    _assert_rows_exact(mc_correlation_gap(theta=1.0, trials=300_001, seed=4).rows, gap)
+
+
 def test_conjecture_empty_grid_draws_nothing(monkeypatch):
     draws = []
-    sample = GaussianSampler.sample
+    sample, fill = GaussianSampler.sample, GaussianSampler.fill
 
-    def counted(self, dim):
+    def counted_sample(self, dim):
         draws.append(dim)
         return sample(self, dim)
 
-    monkeypatch.setattr(GaussianSampler, "sample", counted)
+    def counted_fill(self, out):
+        draws.append(out.size)
+        return fill(self, out)
+
+    monkeypatch.setattr(GaussianSampler, "sample", counted_sample)
+    monkeypatch.setattr(GaussianSampler, "fill", counted_fill)
     report = conjecture_experiment((), s=200, trials=1000, seed=3)
     assert report.rows == []
     assert draws == []
+
+
+MC_DRIVER_CALLS = {
+    "sign_change": lambda: mc_sign_change(s=2000, trials=1000, seed=2),
+    "correlation_gap": lambda: mc_correlation_gap(theta=1.0, trials=600_000, seed=2),
+    "conjecture": lambda: conjecture_experiment((math.pi / 6, math.pi / 4), s=2000, trials=1000, seed=2),
+}
+
+
+@pytest.mark.parametrize("driver", list(MC_DRIVER_CALLS))
+def test_mc_drivers_join_their_draw_thread(driver):
+    before = threading.active_count()
+    MC_DRIVER_CALLS[driver]()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("driver", list(MC_DRIVER_CALLS))
+def test_mc_drivers_raise_a_failed_draw_and_join(driver, monkeypatch):
+    # every driver above makes at least three draws
+    fill = GaussianSampler.fill
+    calls = []
+
+    def failing_fill(self, out):
+        calls.append(out.size)
+        if len(calls) == 3:
+            raise RuntimeError("draw failed")
+        return fill(self, out)
+
+    monkeypatch.setattr(GaussianSampler, "fill", failing_fill)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        MC_DRIVER_CALLS[driver]()
+    assert threading.active_count() == before
+    assert len(calls) == 3
+
+
+def test_concurrent_mc_drivers_keep_their_bits(monkeypatch):
+    # four driver calls at once, each with its own draw worker, hand over
+    # blocks of 20 to 40 rows under a short switch interval
+    monkeypatch.setattr(relq.harness, "_BLOCK_VALUES", 1 << 12)
+    calls = [lambda seed=seed: mc_sign_change(s=200, trials=1500, seed=seed).rows for seed in range(2)]
+    calls += [lambda seed=seed: conjecture_experiment((math.pi / 6, math.pi / 3), s=200, trials=600, seed=seed).rows
+              for seed in range(2)]
+    want = [call() for call in calls]
+    got = [None] * len(calls)
+
+    def run(k):
+        got[k] = calls[k]()
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(calls))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert threading.active_count() == before
+    for g, w in zip(got, want):
+        _assert_rows_exact(g, w)
+
+
+def test_mc_drivers_join_their_draw_thread_when_a_kernel_raises(monkeypatch):
+    # the kernel fails while the worker fills the next block
+    calls = []
+
+    def failing_stats(values, alpha):
+        calls.append(values.shape)
+        if len(calls) == 2:
+            raise RuntimeError("kernel failed")
+        return trace_stats_batch(values, alpha)
+
+    monkeypatch.setattr(relq.harness, "trace_stats_batch", failing_stats)
+    before = threading.active_count()
+    for driver in ("sign_change", "conjecture"):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            MC_DRIVER_CALLS[driver]()
+        assert threading.active_count() == before
 
 
 # end_to_end_ratio rows of the planted (4, 8, 6, seed 21) instance and the

@@ -39,6 +39,16 @@ def test_sampler_sequence_independent_of_chunking():
     np.testing.assert_array_equal(whole, parts)
 
 
+def test_sampler_fill_matches_sample():
+    # one stream split across fills and samples of different sizes and shapes
+    whole = GaussianSampler(seed=3).spawn(2).sample(2**16 + 40)
+    s = GaussianSampler(seed=3).spawn(2)
+    parts = [s.fill(np.empty((2, 5))), s.sample(7), s.fill(np.empty(2**16)), s.fill(np.empty((3, 1))), s.sample(20)]
+    np.testing.assert_array_equal(np.concatenate([p.ravel() for p in parts]), whole)
+    out = np.empty((4, 3))
+    assert GaussianSampler(seed=3).fill(out) is out
+
+
 def _one_shot_normals(seed, stream, tags, total):
     """total normals of the sampler named (seed, stream, *tags), drawn in one call
     from the documented Philox key and counter."""
