@@ -46,10 +46,8 @@ from relq.instance import (
     scale_instance,
 )
 from relq.rounding import (
-    CrossingEvent,
     GaussianSampler,
     RoundingOutcome,
-    WalkTrace,
     detect_extreme_sign_changes,
     lifted_walk_values,
     round_lifted_solution,
@@ -98,10 +96,8 @@ __all__ = [
     "save_solution",
     "solve_p_plus",
     # rounding
-    "CrossingEvent",
     "GaussianSampler",
     "RoundingOutcome",
-    "WalkTrace",
     "detect_extreme_sign_changes",
     "lifted_walk_values",
     "round_lifted_solution",

@@ -28,6 +28,12 @@ before the seam, -l_R; those in the mirrored half sit at half + the
 import numpy as np
 
 
+def _check_alpha(alpha: float) -> None:
+    """Reject a crossing threshold that is not positive and finite."""
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
 def canonical_values_batch(increments: np.ndarray) -> np.ndarray:
     """Forward-half walk values (trials, half) from normal increments (trials, half)."""
     increments = np.asarray(increments, dtype=np.float64)
@@ -56,8 +62,7 @@ def trace_stats_batch(half_values: np.ndarray, alpha: float):
     half_values = np.asarray(half_values, dtype=np.float64)
     if half_values.ndim != 2 or half_values.shape[1] < 1:
         raise ValueError("half_values must be a (trials, half) array")
-    if not 0.0 < alpha < np.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    _check_alpha(alpha)
     trials, half = half_values.shape
     labels = (half_values >= alpha).view(np.int8) - (half_values <= -alpha).view(np.int8)
 

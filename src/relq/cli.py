@@ -22,7 +22,6 @@ from relq.harness import (
     format_report_json,
     mc_correlation_gap,
     mc_sign_change,
-    parse_report_csv,  # noqa: F401  (re-exported for scripting against CLI output)
     report_gate_ok,
     reproduce_constants,
     write_report,
@@ -36,7 +35,7 @@ from relq.instance import (
     load_instance,
     scale_instance,
 )
-from relq.rounding import GaussianSampler, lifted_walk_values, round_lifted_solution
+from relq.rounding import GaussianSampler, _labels, lifted_walk_values, round_lifted_solution
 from relq.sdp import (
     _check_instance,
     MAX_ENGINE_CYCLES,
@@ -117,13 +116,10 @@ def _cmd_solve(args) -> int:
 
 
 def _walk_rows(sol, ell: int, seed: int, alpha: float) -> list[list]:
-    r = GaussianSampler(seed).sample(sol.dim * ell)
+    values = lifted_walk_values(sol, ell, GaussianSampler(seed).sample(sol.dim * ell))
     rows = []
-    for i in range(sol.n):
-        values = lifted_walk_values(sol, ell, r, i)
-        for k, v in enumerate(values):
-            label = 1 if v >= alpha else (-1 if v <= -alpha else 0)
-            rows.append([i, k, float(v), label])
+    for i, (walk, labels) in enumerate(zip(values.tolist(), _labels(values, alpha).tolist())):
+        rows += [[i, k, v, label] for k, (v, label) in enumerate(zip(walk, labels))]
     return rows
 
 
@@ -134,10 +130,11 @@ def _cmd_round(args) -> int:
         sol = convert_to_p(sol)
     _check_instance(sol, inst)
     scaled = scale_instance(inst, args.ell)  # checks ell against DOMAIN_LIMIT before any lifting
-    outcome = round_lifted_solution(sol, args.ell, GaussianSampler(args.seed), alpha=args.alpha)
-    breakdown = evaluate(scaled, Assignment(positions=[int(x) for x in outcome.positions]))
+    outcome = round_lifted_solution(sol, args.ell, [GaussianSampler(args.seed)], alpha=args.alpha)
+    positions = outcome.positions[0].tolist()
+    breakdown = evaluate(scaled, Assignment(positions=positions))
     print(f"value {float(breakdown.total)!r}")
-    print("positions " + " ".join(str(int(x)) for x in outcome.positions))
+    print("positions " + " ".join(map(str, positions)))
     print("statuses " + " ".join(outcome.statuses))
     if args.emit_walk is not None:
         walk = Report(

@@ -20,7 +20,7 @@ from queue import SimpleQueue
 import numpy as np
 
 from relq import __version__
-from relq._kernels import canonical_values_batch, trace_stats_batch
+from relq._kernels import _check_alpha, canonical_values_batch, trace_stats_batch
 from relq.brownian import constants_table, prob_at_least_one, prob_three_or_more
 from relq.constellation import canonical_constellation
 from relq.instance import (
@@ -32,7 +32,7 @@ from relq.instance import (
     score_positions,
 )
 from relq.rounding import STREAM_VERSION, GaussianSampler, round_lifted_solution
-from relq.sdp import MAX_ENGINE_CYCLES, convert_to_p, feasibility_report, solve_p_plus
+from relq.sdp import convert_to_p, feasibility_report, solve_p_plus
 
 # walk values per block of rows: 2 MB of float64, and two arrays of normals
 # are live, the one the kernels read and the one being filled.  Each driver
@@ -43,6 +43,8 @@ _BLOCK_VALUES = 1 << 18
 # partial sums, so this size fixes the summation order, and with it the last
 # bits of the report; it stays apart from _BLOCK_VALUES for that reason
 _GAP_BLOCK_ROWS = 1 << 18
+# end_to_end_ratio's sandwich: the optimum may exceed the relaxation value by this much
+_SANDWICH_TOL = 1e-3
 
 
 def _block_rows(width: int) -> int:
@@ -126,8 +128,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.ell < 1:
             raise ValueError(f"ell must be >= 1, got {self.ell}")
 
@@ -249,6 +250,7 @@ def mc_sign_change(s: int, trials: int, seed: int, alpha: float = 1.0) -> Report
         raise ValueError(f"s must be >= 100, got {s}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_alpha(alpha)
     sampler = GaussianSampler(seed)
     zero = one = two_plus = alt3 = 0
     with _Prefetched((sampler, rows, s) for rows in _block_sizes(trials, _block_rows(s))) as blocks:
@@ -371,6 +373,7 @@ def conjecture_experiment(
         raise ValueError(f"s must be even and >= 100, got {s}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_alpha(alpha)
     thetas = list(theta_grid)
     for theta in thetas:
         if not 0.0 <= theta <= math.pi:
@@ -439,12 +442,7 @@ def conjecture_experiment(
 # end-to-end pipeline
 
 
-def end_to_end_ratio(
-    inst: Instance,
-    cfg: ExperimentConfig,
-    max_iterations: int = MAX_ENGINE_CYCLES,
-    tol: float = 1e-3,
-) -> Report:
+def end_to_end_ratio(inst: Instance, cfg: ExperimentConfig) -> Report:
     """Solve, convert, lift, round, and compare against the brute-force optimum.
 
     Trial t rounds with the substream spawn(t) of GaussianSampler(seed);
@@ -455,12 +453,12 @@ def end_to_end_ratio(
     feasible assignment of the scaled instance, whose optimum equals the
     original one), and the optimum can never beat the relaxation value, so
     the report carries a sandwich flag: mean <= opt + 3*stderr and
-    opt <= relaxation + tol.  Ratios are informational only.
+    opt <= relaxation + 1e-3.  Ratios are informational only.
     """
     sampler = GaussianSampler(cfg.seed)  # first, so a bad seed fails before the solve
     _, opt = brute_force_optimum(inst)
     opt_f = float(opt)
-    sol, solver_report = solve_p_plus(inst, max_iterations)
+    sol, solver_report = solve_p_plus(inst)
     sdp_value = solver_report.objective
     sol_p = convert_to_p(sol)
     audit = feasibility_report(sol_p)
@@ -473,7 +471,7 @@ def end_to_end_ratio(
     values = score_positions(scaled, outcome.positions) / scaled.p
     mean, stderr = _mean_stderr(values)
     slack = 3.0 * stderr if math.isfinite(stderr) else 0.0
-    sandwich_ok = bool(mean <= opt_f + slack and opt_f <= sdp_value + tol)
+    sandwich_ok = bool(mean <= opt_f + slack and opt_f <= sdp_value + _SANDWICH_TOL)
     row = [
         inst.p,
         inst.n,
@@ -501,7 +499,7 @@ def end_to_end_ratio(
             "trials": cfg.trials,
             "alpha": cfg.alpha,
             "seed": cfg.seed,
-            "tol": tol,
+            "tol": _SANDWICH_TOL,
         },
         columns=[
             "p",

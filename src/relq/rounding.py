@@ -14,21 +14,23 @@ ell sub-steps (ell = 1 is plain rounding).  The walk is antipodal, so only
 its forward half is built and the crossing kernel of relq._kernels reads
 it.
 
-Batch path and stream keys.  GaussianSampler(seed, stream) draws from Philox
-keyed [seed, stream]; spawn(tag) derives a substream, one or two levels
-deep, whose tags sit in the high words of the Philox counter next to a
-sampler domain tag (see GaussianSampler).  Trial t of a batch is the fresh
-sampler given for it, and the fallback of its variable i comes from that
-sampler's spawn(i).  Philox is counter-based and Generator.standard_normal
-keeps no state of its own, so setting one scratch bit generator to a
-sampler's key and counter yields exactly the normals that sampler would
-draw.  round_lifted_solution therefore draws the normals of a block of
-trials from re-keyed streams, runs the walk construction once over the
-block and classifies every (trial, variable) walk in one kernel call;
-positions are bit for bit those of rounding trial by trial.  The one
-tolerance is the seam: the kernel takes walk index s/2 to be exactly
--anchor, where a walk computed in full carries anchor + 2*prefix, so a
-label there can differ only if alpha lies within about one ulp of it.
+Trials and stream keys.  round_lifted_solution takes a batch of fresh
+samplers, one per trial (relq round is a batch of one).
+GaussianSampler(seed, stream) draws from Philox keyed [seed, stream];
+spawn(tag) derives a substream, one or two levels deep, whose tags sit in
+the high words of the Philox counter next to a sampler domain tag (see
+GaussianSampler).  Trial t draws its normals from samplers[t] and the
+fallback of its variable i from samplers[t].spawn(i).  Philox is
+counter-based and Generator.standard_normal keeps no state of its own, so
+setting one scratch bit generator to a sampler's key and counter yields
+exactly the normals that sampler would draw.  The normals of a block of
+trials therefore come from re-keyed streams, the walk construction runs
+once over the block and one kernel call classifies every (trial,
+variable) walk; positions are bit for bit those of rounding the trials
+one at a time.  The one tolerance is the seam: the kernel takes walk
+index s/2 to be exactly -anchor, where a walk computed in full carries
+anchor + 2*prefix, so a label there can differ only if alpha lies within
+about one ulp of it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from relq._kernels import trace_stats_batch
+from relq._kernels import _check_alpha, trace_stats_batch
 from relq.constellation import SdpSolutionP, _variable_difference_steps, solution_residuals
 
 ONE_CROSSING = "OneCrossing"
@@ -143,60 +145,35 @@ class GaussianSampler:
 
 
 @dataclass
-class WalkTrace:
-    s: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.s,):
-            raise ValueError(f"expected {self.s} values, got shape {self.values.shape}")
-
-    @property
-    def anchor(self) -> float:
-        return float(self.values[0])
-
-
-@dataclass
-class CrossingEvent:
-    t_minus: int
-    t_plus: int
-    direction: str = "up"
-
-
-@dataclass
 class RoundingOutcome:
-    """Positions in [0, s), one status string and crossing count per rounded variable.
-
-    Rounding with one sampler gives positions of shape (n,) and a list of
-    counts; with a sequence of samplers positions and crossing_counts are
-    (trials, n) arrays and statuses lists them row by row.
-    """
+    """Positions in [0, s) and crossing counts, (trials, n) int64, and one
+    status string per (trial, variable), row by row."""
 
     s: int
     positions: np.ndarray
     statuses: list[str]
-    crossing_counts: list[int] | np.ndarray
+    crossing_counts: np.ndarray
 
 
 def _labels(values: np.ndarray, alpha: float) -> np.ndarray:
-    labels = np.zeros(values.shape[0], dtype=np.int64)
+    """+1 where values >= alpha, -1 where values <= -alpha, 0 elsewhere."""
+    labels = np.zeros(values.shape, dtype=np.int64)
     labels[values >= alpha] = 1
     labels[values <= -alpha] = -1
     return labels
 
 
-def detect_extreme_sign_changes(trace: WalkTrace, alpha: float) -> list[CrossingEvent]:
-    """All up-crossings of the collapsed circular label sequence.
+def detect_extreme_sign_changes(values: np.ndarray, alpha: float) -> list[tuple[int, int]]:
+    """All up-crossings (t_minus, t_plus) of the collapsed circular label sequence.
 
-    t_minus is the last index of the '-' run, t_plus the first index of the
-    following '+' run.  A trace that never leaves (-alpha, alpha) has no
-    events.  The rounding path uses the half-walk kernel; this is the
-    per-trace reference for any walk, antipodal or not.
+    values is one circular walk.  t_minus is the last index of a '-' run,
+    t_plus the first index of the '+' run that follows it.  A walk that
+    never leaves (-alpha, alpha) has none.  The rounding path uses the
+    half-walk kernel; this is the per-walk reference for any walk,
+    antipodal or not.
     """
-    if not 0.0 < alpha < np.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    labels = _labels(trace.values, alpha)
+    _check_alpha(alpha)
+    labels = _labels(np.asarray(values, dtype=np.float64), alpha)
     ks = np.flatnonzero(labels)
     if ks.size == 0:
         return []
@@ -221,9 +198,7 @@ def detect_extreme_sign_changes(trace: WalkTrace, alpha: float) -> list[Crossing
         for idx in range(nruns):
             nxt = (idx + 1) % nruns
             if run_labels[idx] == -1 and run_labels[nxt] == 1:
-                events.append(
-                    CrossingEvent(t_minus=int(last_idx[idx]), t_plus=int(first_idx[nxt]), direction="up")
-                )
+                events.append((int(last_idx[idx]), int(first_idx[nxt])))
     return events
 
 
@@ -248,8 +223,8 @@ def _lifted_prefix(
     return anchor, prefix
 
 
-def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray, i: int) -> np.ndarray:
-    """Walk values of variable i's lifted constellation, without materializing it.
+def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray) -> np.ndarray:
+    """Walk values (n, ell*p) of every variable's lifted constellation, without materializing it.
 
     The lifted walk applies the original difference steps split into ell
     equal sub-steps, so its values are the anchor plus prefix sums of the
@@ -262,37 +237,13 @@ def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray, i: int) -> np
     if r.shape != (expected,):
         raise ValueError(f"r has shape {r.shape}, expected ({expected},)")
     anchor, prefix = _lifted_prefix(sol, _variable_difference_steps(sol), ell, r[None])
-    anchor, prefix = anchor[0, i], prefix[0, i]
-    half = prefix.size
-    values = np.empty(2 * half)
-    values[0] = anchor
-    values[1 : half + 1] = anchor + 2.0 * prefix
-    values[half + 1 :] = -values[1:half]
+    anchor, prefix = anchor[0], prefix[0]
+    half = prefix.shape[1]
+    values = np.empty((sol.n, 2 * half))
+    values[:, 0] = anchor
+    values[:, 1 : half + 1] = anchor[:, None] + 2.0 * prefix
+    values[:, half + 1 :] = -values[:, 1:half]
     return values
-
-
-def _round_block(
-    sol: SdpSolutionP,
-    steps: np.ndarray,
-    ell: int,
-    normals: np.ndarray,
-    samplers: Sequence[GaussianSampler],
-    alpha: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and crossing counts (trials, n) for one block of trials."""
-    anchor, prefix = _lifted_prefix(sol, steps, ell, normals)
-    half_walks = np.empty_like(prefix)
-    half_walks[..., 0] = anchor
-    tail = half_walks[..., 1:]
-    np.multiply(prefix[..., :-1], 2.0, out=tail)
-    tail += anchor[..., None]
-    trials, n, half = half_walks.shape
-    counts, first_plus, _ = trace_stats_batch(half_walks.reshape(trials * n, half), alpha)
-    positions = first_plus
-    for cell in np.flatnonzero(counts != 1).tolist():
-        t, i = divmod(cell, n)
-        positions[cell] = samplers[t].spawn(i).uniform_below(2 * half)
-    return positions.reshape(trials, n), counts.reshape(trials, n)
 
 
 def _round_trials(
@@ -315,47 +266,50 @@ def _round_trials(
             fresh["state"]["counter"] = smp.counter
             bitgen.state = fresh
             rng.standard_normal(out=row)
+        anchor, prefix = _lifted_prefix(sol, steps, ell, z)
+        half_walks = np.empty_like(prefix)
+        half_walks[..., 0] = anchor
+        tail = half_walks[..., 1:]
+        np.multiply(prefix[..., :-1], 2.0, out=tail)
+        tail += anchor[..., None]
+        half = half_walks.shape[2]
+        block_counts, first_plus, _ = trace_stats_batch(half_walks.reshape(-1, half), alpha)
+        for cell in np.flatnonzero(block_counts != 1).tolist():
+            t, i = divmod(cell, sol.n)
+            first_plus[cell] = chunk[t].spawn(i).uniform_below(2 * half)
         rows = slice(t0, t0 + len(chunk))
-        positions[rows], counts[rows] = _round_block(sol, steps, ell, z, chunk, alpha)
+        positions[rows] = first_plus.reshape(-1, sol.n)
+        counts[rows] = block_counts.reshape(-1, sol.n)
     return positions, counts
 
 
 def round_lifted_solution(
     sol: SdpSolutionP,
     ell: int,
-    sampler: GaussianSampler | Sequence[GaussianSampler],
+    samplers: Sequence[GaussianSampler],
     alpha: float = 1.0,
     audit: bool = True,
 ) -> RoundingOutcome:
     """Round the ell-fold lifted solution directly from the base solution.
 
-    Positions land in [0, ell*p).  With one sampler, one trial draws its
-    normals from it and falls back through its spawn(i).  With a sequence
-    of fresh samplers, trial t rounds with samplers[t] exactly as if it
-    were passed alone; the trials run in blocks of about _BLOCK_VALUES
-    walk values plus normals.  With audit=True the base solution's
-    feasibility is checked first (max residual 1e-5); the lifted walks are
-    exact functions of it, so no lifted vectors are built.
+    Trial t draws its normals from the fresh sampler samplers[t] and the
+    fallback of variable i from samplers[t].spawn(i); positions land in
+    [0, ell*p).  The trials run in blocks of about _BLOCK_VALUES walk
+    values plus normals, with the same numbers as one at a time.  With
+    audit=True the base solution's feasibility is checked first (max
+    residual 1e-5); the lifted walks are exact functions of it, so no
+    lifted vectors are built.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    if not 0.0 < alpha < np.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    _check_alpha(alpha)
     if audit:
         worst = float(np.max(list(solution_residuals(sol).values())))
         if not worst <= 1e-5:
             raise ValueError(f"solution infeasible: max residual {worst:.3e}")
-    steps = _variable_difference_steps(sol)
-    single = isinstance(sampler, GaussianSampler)
-    if single:
-        positions, counts = _round_block(sol, steps, ell, sampler.sample(sol.dim * ell)[None], [sampler], alpha)
-    else:
-        samplers = list(sampler)
-        if not all(smp.fresh for smp in samplers):
-            raise ValueError("a batch of trials needs fresh samplers, one per trial")
-        positions, counts = _round_trials(sol, steps, ell, samplers, alpha)
+    samplers = list(samplers)
+    if not all(smp.fresh for smp in samplers):
+        raise ValueError("a batch of trials needs fresh samplers, one per trial")
+    positions, counts = _round_trials(sol, _variable_difference_steps(sol), ell, samplers, alpha)
     statuses = [_STATUS_BY_COUNT[c] for c in np.minimum(counts, 2).ravel().tolist()]
-    s = ell * sol.p
-    if single:
-        return RoundingOutcome(s=s, positions=positions[0], statuses=statuses, crossing_counts=counts[0].tolist())
-    return RoundingOutcome(s=s, positions=positions, statuses=statuses, crossing_counts=counts)
+    return RoundingOutcome(s=ell * sol.p, positions=positions, statuses=statuses, crossing_counts=counts)

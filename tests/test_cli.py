@@ -1,5 +1,6 @@
 """CLI surface: argument handling, exit codes, reproducible outputs."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -110,6 +111,25 @@ def test_round_stdout_pinned(ell, triangle_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["round", str(triangle_file), str(sol_path), "--seed", "3", "--ell", str(ell)]) == 0
     assert capsys.readouterr().out.splitlines() == ROUND_STDOUT[ell]
+
+
+# sha256 and line count of the `relq round --seed 3 --emit-walk` CSV for the
+# solved triangle, captured before `relq round` became a batch of one
+EMIT_WALK_CSV = {
+    1: ("0169cf92117e5d263c61f8e15af4518157b49b0cce339974e7f0ec315b331bc4", 13),
+    5: ("3ebd083fb9dd36b1d1f2872395c00d3d476397e9db149daea579a89f14737dd3", 61),
+}
+
+
+@pytest.mark.parametrize("ell", sorted(EMIT_WALK_CSV))
+def test_emit_walk_csv_pinned(ell, triangle_file, tmp_path, capsys):
+    sol_path = tmp_path / "sol.txt"
+    walk_path = tmp_path / "walk.csv"
+    assert main(["solve", str(triangle_file), "--out", str(sol_path)]) == 0
+    argv = ["round", str(triangle_file), str(sol_path), "--seed", "3", "--ell", str(ell), "--emit-walk", str(walk_path)]
+    assert main(argv) == 0
+    data = walk_path.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), data.count(b"\n")) == EMIT_WALK_CSV[ell]
 
 
 def test_out_of_range_seeds_are_errors(triangle_file, tmp_path, capsys):

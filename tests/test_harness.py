@@ -238,6 +238,25 @@ def test_conjecture_empty_grid_draws_nothing(monkeypatch):
     assert draws == []
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_bad_alpha_is_rejected_before_any_draw(alpha, monkeypatch):
+    fills = []
+    fill = GaussianSampler.fill
+
+    def counted_fill(self, out):
+        fills.append(out.size)
+        return fill(self, out)
+
+    monkeypatch.setattr(GaussianSampler, "fill", counted_fill)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        conjecture_experiment([], s=100, trials=10, seed=0, alpha=alpha)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        conjecture_experiment([math.pi / 6], s=2000, trials=1000, seed=0, alpha=alpha)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        mc_sign_change(s=2000, trials=1000, seed=0, alpha=alpha)
+    assert fills == []
+
+
 MC_DRIVER_CALLS = {
     "sign_change": lambda: mc_sign_change(s=2000, trials=1000, seed=2),
     "correlation_gap": lambda: mc_correlation_gap(theta=1.0, trials=600_000, seed=2),
@@ -458,8 +477,9 @@ def test_end_to_end_lifted_triangle(tmp_path):
     assert format_report_csv(report) == format_report_csv(again)
 
 
-def test_end_to_end_flags_unconverged_solver():
-    report = end_to_end_ratio(TRIANGLE, ExperimentConfig(trials=20, seed=3, ell=1), max_iterations=5)
+def test_end_to_end_flags_unconverged_solver(monkeypatch):
+    monkeypatch.setattr(relq.harness, "solve_p_plus", lambda inst: solve_p_plus(inst, max_iterations=5))
+    report = end_to_end_ratio(TRIANGLE, ExperimentConfig(trials=20, seed=3, ell=1))
     cell = _cells(report)[0]
     assert cell["solver_converged"] is False
 
@@ -468,7 +488,7 @@ def test_end_to_end_flags_unconverged_solver():
 def test_end_to_end_rejects_non_finite_solver_output(bad, monkeypatch):
     sol, rep = solve_p_plus(TRIANGLE)
     sol.u[1, 0, 0] = bad
-    monkeypatch.setattr(relq.harness, "solve_p_plus", lambda inst, max_iterations: (sol, rep))
+    monkeypatch.setattr(relq.harness, "solve_p_plus", lambda inst: (sol, rep))
     with pytest.raises(ValueError, match="converted solution infeasible: (nan|inf)"):
         end_to_end_ratio(TRIANGLE, ExperimentConfig(trials=4, seed=0))
 

@@ -5,7 +5,7 @@ import pytest
 
 from relq._kernels import canonical_values_batch, trace_stats_batch
 from relq.constellation import SdpSolutionP, canonical_constellation
-from relq.rounding import WalkTrace, detect_extreme_sign_changes, lifted_walk_values
+from relq.rounding import detect_extreme_sign_changes, lifted_walk_values
 
 
 def test_values_match_explicit_dot_products():
@@ -37,7 +37,7 @@ def test_values_antipodal_mirror_is_exact():
     cons = canonical_constellation(2 * half)
     sol = SdpSolutionP(p=2 * half, n=1, dim=half, v=cons.vectors[None])
     for row in range(5):
-        values = lifted_walk_values(sol, 1, inc[row], 0)
+        values = lifted_walk_values(sol, 1, inc[row])[0]
         np.testing.assert_allclose(values[:half], vals[row], atol=1e-12)
         np.testing.assert_allclose(values[half], -vals[row, 0], atol=1e-12)
         np.testing.assert_array_equal(values[half + 1 :], -values[1:half])
@@ -135,10 +135,9 @@ def test_stats_match_full_circle_reference(alpha):
     rows = np.vstack([walks, _edge_rows(half, alpha)])
     counts, first, runs = trace_stats_batch(rows, alpha)
     for t, row in enumerate(rows):
-        trace = WalkTrace(s=2 * half, values=np.concatenate((row, -row)))
-        events = detect_extreme_sign_changes(trace, alpha)
+        events = detect_extreme_sign_changes(np.concatenate((row, -row)), alpha)
         assert counts[t] == len(events), t
-        assert first[t] == (min(e.t_plus for e in events) if events else -1), t
+        assert first[t] == (min(t_plus for _, t_plus in events) if events else -1), t
         assert runs[t] == _half_runs_reference(row, alpha), t
     # the random walks reach several counts, and first up-crossings in both halves
     assert len(set(counts[:2000].tolist())) >= 2

@@ -15,7 +15,7 @@ from relq.rounding import (
     NO_CROSSING,
     ONE_CROSSING,
     GaussianSampler,
-    WalkTrace,
+    RoundingOutcome,
     detect_extreme_sign_changes,
     lifted_walk_values,
     round_lifted_solution,
@@ -200,19 +200,19 @@ def test_compute_walk_hand_case():
     r[1] = 1.0
     want = [0.5, 0.5, -0.5, -0.5, -0.5, -0.5, 0.5, 0.5]  # v^k . r: the sign of entry 1 of v^k
     np.testing.assert_allclose(sol.v[0] @ r, want, atol=1e-15)
-    values = lifted_walk_values(sol, 1, r, 0)
-    np.testing.assert_allclose(values, want, atol=1e-15)
+    values = lifted_walk_values(sol, 1, r)
+    assert values.shape == (1, 8)
+    np.testing.assert_allclose(values[0], want, atol=1e-15)
     half = canonical_values_batch(r[None])[0]
     np.testing.assert_allclose(np.concatenate((half, -half)), want, atol=1e-15)
-    trace = WalkTrace(s=8, values=values)
-    assert trace.anchor == values[0] == 0.5
+    assert values[0, 0] == 0.5  # the anchor
 
 
 def test_fast_and_slow_paths_agree():
     sol = _canonical_solution(128)
     r = GaussianSampler(seed=3).sample(64)
     explicit = sol.v[0] @ r
-    np.testing.assert_allclose(lifted_walk_values(sol, 1, r, 0), explicit, atol=1e-12)
+    np.testing.assert_allclose(lifted_walk_values(sol, 1, r)[0], explicit, atol=1e-12)
     half = canonical_values_batch(r[None])[0]
     np.testing.assert_allclose(np.concatenate((half, -half)), explicit, atol=1e-12)
 
@@ -220,9 +220,9 @@ def test_fast_and_slow_paths_agree():
 def test_walk_antipodal_antisymmetry():
     sol = _canonical_solution(30)
     r = GaussianSampler(seed=4).sample(15)
-    for values in (sol.v[0] @ r, lifted_walk_values(sol, 1, r, 0)):
+    for values in (sol.v[0] @ r, lifted_walk_values(sol, 1, r)[0]):
         np.testing.assert_allclose(values[15:], -values[:15], atol=1e-12)
-    values = lifted_walk_values(sol, 1, r, 0)
+    values = lifted_walk_values(sol, 1, r)[0]
     # the lifted walk mirrors its forward half exactly past the seam index
     np.testing.assert_array_equal(values[16:], -values[1:15])
 
@@ -242,55 +242,44 @@ def test_walk_correlations_match_gram():
 def test_compute_walk_validates():
     sol = _canonical_solution(8)
     with pytest.raises(ValueError):
-        lifted_walk_values(sol, 1, np.zeros(3), 0)
+        lifted_walk_values(sol, 1, np.zeros(3))
     with pytest.raises(ValueError):
-        lifted_walk_values(sol, 0, np.zeros(4), 0)
+        lifted_walk_values(sol, 0, np.zeros(4))
     with pytest.raises(ValueError):
         canonical_values_batch(np.zeros(5))
-    with pytest.raises(ValueError):
-        WalkTrace(s=4, values=np.zeros(5))
 
 
 # --- detection -------------------------------------------------------------
 
 
 def test_detect_single_up_crossing():
-    trace = WalkTrace(s=4, values=np.array([-2.0, 0.0, 2.0, 0.0]))
-    events = detect_extreme_sign_changes(trace, 1.0)
-    assert len(events) == 1
-    assert events[0].t_plus == 2
-    assert events[0].t_minus == 0
-    assert events[0].direction == "up"
+    events = detect_extreme_sign_changes(np.array([-2.0, 0.0, 2.0, 0.0]), 1.0)
+    assert events == [(0, 2)]  # (t_minus, t_plus)
 
 
 def test_detect_quiet_trace():
-    trace = WalkTrace(s=4, values=np.array([0.5, -0.5, 0.5, -0.5]))
-    assert detect_extreme_sign_changes(trace, 1.0) == []
+    assert detect_extreme_sign_changes(np.array([0.5, -0.5, 0.5, -0.5]), 1.0) == []
 
 
 def test_detect_wrapping_run():
-    trace = WalkTrace(s=6, values=np.array([2.0, 0.0, 0.0, -2.0, 0.0, 2.0]))
-    events = detect_extreme_sign_changes(trace, 1.0)
+    events = detect_extreme_sign_changes(np.array([2.0, 0.0, 0.0, -2.0, 0.0, 2.0]), 1.0)
     # the + run wraps from index 5 through 0
-    assert len(events) == 1
-    assert events[0].t_minus == 3
-    assert events[0].t_plus == 5
+    assert events == [(3, 5)]
 
 
 def test_detect_rejects_bad_alpha():
-    trace = WalkTrace(s=2, values=np.zeros(2))
-    with pytest.raises(ValueError):
-        detect_extreme_sign_changes(trace, 0.0)
+    for alpha in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            detect_extreme_sign_changes(np.zeros(2), alpha)
 
 
 def test_up_and_down_crossings_balance_on_canonical_traces():
     cons = canonical_constellation(40)
     for seed in range(30):
         r = GaussianSampler(seed=seed).sample(20)
-        trace = WalkTrace(s=40, values=cons.vectors @ r)
-        ups = detect_extreme_sign_changes(trace, 1.0)
-        mirrored = WalkTrace(s=trace.s, values=-trace.values)
-        downs = detect_extreme_sign_changes(mirrored, 1.0)
+        values = cons.vectors @ r
+        ups = detect_extreme_sign_changes(values, 1.0)
+        downs = detect_extreme_sign_changes(-values, 1.0)
         assert len(ups) == len(downs)
 
 
@@ -300,12 +289,12 @@ def test_detect_agrees_with_batch_kernel():
         r = GaussianSampler(seed=seed, stream=9).sample(30)
         half = canonical_values_batch(r[None])[0]
         for values in (cons.vectors @ r, np.concatenate((half, -half))):
-            events = detect_extreme_sign_changes(WalkTrace(s=60, values=values), 1.0)
+            events = detect_extreme_sign_changes(values, 1.0)
             counts, first, _ = trace_stats_batch(values[None, :30], 1.0)
             assert counts[0] == len(events)
-            assert first[0] == (min(e.t_plus for e in events) if events else -1)
+            assert first[0] == (min(t_plus for _, t_plus in events) if events else -1)
             if len(events) == 1:
-                assert first[0] == events[0].t_plus
+                assert first[0] == events[0][1]
 
 
 # --- the per-trial rounding loop, kept as the oracle of the batched path ----
@@ -351,10 +340,9 @@ def _round_lifted_oracle(sol, ell, sampler, alpha=1.0, audit=True):
     statuses = []
     counts = []
     for i in range(sol.n):
-        trace = WalkTrace(s=s, values=_lifted_walk_values_oracle(sol, ell, r, i))
-        events = detect_extreme_sign_changes(trace, alpha)
+        events = detect_extreme_sign_changes(_lifted_walk_values_oracle(sol, ell, r, i), alpha)
         if len(events) == 1:
-            positions[i] = events[0].t_plus
+            positions[i] = events[0][1]
             statuses.append(ONE_CROSSING)
             counts.append(1)
         else:
@@ -392,8 +380,10 @@ def _triangle_solution():
 def test_lifted_walk_values_match_the_oracle_bit_for_bit(ell):
     sol = _triangle_solution()
     r = GaussianSampler(seed=8).sample(sol.dim * ell)
+    values = lifted_walk_values(sol, ell, r)
+    assert values.shape == (sol.n, ell * sol.p)
     for i in range(sol.n):
-        np.testing.assert_array_equal(lifted_walk_values(sol, ell, r, i), _lifted_walk_values_oracle(sol, ell, r, i))
+        np.testing.assert_array_equal(values[i], _lifted_walk_values_oracle(sol, ell, r, i))
 
 
 # --- position assignment ---------------------------------------------------
@@ -403,13 +393,13 @@ def test_assign_position_single_crossing():
     sol = _canonical_solution(8)
     seen = 0
     for seed in range(20):
-        out = round_lifted_solution(sol, 1, GaussianSampler(seed=seed))
+        out = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed)])
         r = GaussianSampler(seed=seed).sample(sol.dim)
-        events = detect_extreme_sign_changes(WalkTrace(s=8, values=lifted_walk_values(sol, 1, r, 0)), 1.0)
-        assert out.crossing_counts == [len(events)]
+        events = detect_extreme_sign_changes(lifted_walk_values(sol, 1, r)[0], 1.0)
+        assert out.crossing_counts[0].tolist() == [len(events)]
         if len(events) == 1:
             assert out.statuses == [ONE_CROSSING]
-            assert out.positions[0] == events[0].t_plus
+            assert out.positions[0, 0] == events[0][1]
             seen += 1
     assert seen >= 10
 
@@ -417,13 +407,13 @@ def test_assign_position_single_crossing():
 def test_assign_position_quiet_trace_falls_back():
     sol = _rotated_pair(8, theta=0.4)
     for seed in (12, 13):
-        out1 = round_lifted_solution(sol, 1, GaussianSampler(seed=seed), alpha=50.0)
-        out2 = round_lifted_solution(sol, 1, GaussianSampler(seed=seed), alpha=50.0)
+        out1 = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed)], alpha=50.0)
+        out2 = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed)], alpha=50.0)
         assert out1.statuses == [NO_CROSSING, NO_CROSSING]
-        assert out1.crossing_counts == [0, 0]
+        assert out1.crossing_counts[0].tolist() == [0, 0]
         np.testing.assert_array_equal(out1.positions, out2.positions)
         want = [GaussianSampler(seed=seed).spawn(i).uniform_below(8) for i in range(2)]
-        assert out1.positions.tolist() == want
+        assert out1.positions[0].tolist() == want
         assert all(0 <= x < 8 for x in want)
 
 
@@ -431,13 +421,13 @@ def test_assign_position_many_crossings():
     sol = _canonical_solution(40)
     many = 0
     for seed in range(30):
-        out = round_lifted_solution(sol, 1, GaussianSampler(seed=seed), alpha=0.05)
+        out = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed)], alpha=0.05)
         r = GaussianSampler(seed=seed).sample(sol.dim)
-        events = detect_extreme_sign_changes(WalkTrace(s=40, values=lifted_walk_values(sol, 1, r, 0)), 0.05)
-        assert out.crossing_counts == [len(events)]
+        events = detect_extreme_sign_changes(lifted_walk_values(sol, 1, r)[0], 0.05)
+        assert out.crossing_counts[0].tolist() == [len(events)]
         if len(events) >= 2:
             assert out.statuses == [MANY_CROSSINGS]
-            assert out.positions[0] == GaussianSampler(seed=seed).spawn(0).uniform_below(40)
+            assert out.positions[0, 0] == GaussianSampler(seed=seed).spawn(0).uniform_below(40)
             many += 1
     assert many >= 5
 
@@ -447,11 +437,21 @@ def test_assign_position_many_crossings():
 
 def test_round_solution_deterministic():
     sol = _integral_p_solution(8, [0, 3, 5])
-    out1 = round_lifted_solution(sol, 1, GaussianSampler(seed=21))
-    out2 = round_lifted_solution(sol, 1, GaussianSampler(seed=21))
+    out1 = round_lifted_solution(sol, 1, [GaussianSampler(seed=21)])
+    out2 = round_lifted_solution(sol, 1, [GaussianSampler(seed=21)])
     np.testing.assert_array_equal(out1.positions, out2.positions)
     assert out1.statuses == out2.statuses
-    assert out1.crossing_counts == out2.crossing_counts
+    np.testing.assert_array_equal(out1.crossing_counts, out2.crossing_counts)
+
+
+def test_batch_of_one_shapes_and_dtypes():
+    sol = _integral_p_solution(8, [0, 3, 5])
+    out = round_lifted_solution(sol, 2, [GaussianSampler(seed=21)])
+    assert isinstance(out, RoundingOutcome) and out.s == 16
+    for arr in (out.positions, out.crossing_counts):
+        assert arr.shape == (1, 3) and arr.dtype == np.int64
+    assert len(out.statuses) == 3 and all(isinstance(x, str) for x in out.statuses)
+    assert np.all((0 <= out.positions) & (out.positions < 16))
 
 
 def test_round_solution_positions_track_integral_differences():
@@ -459,12 +459,12 @@ def test_round_solution_positions_track_integral_differences():
     sol = _integral_p_solution(8, positions)
     seen = 0
     for seed in range(40):
-        out = round_lifted_solution(sol, 1, GaussianSampler(seed=seed), audit=(seed == 0))
+        out = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed)], audit=(seed == 0))
         for i in range(3):
             for j in range(i + 1, 3):
                 if out.statuses[i] == ONE_CROSSING and out.statuses[j] == ONE_CROSSING:
                     want = (positions[j] - positions[i]) % 8
-                    got = (out.positions[j] - out.positions[i]) % 8
+                    got = (out.positions[0, j] - out.positions[0, i]) % 8
                     assert got == want
                     seen += 1
     assert seen > 20  # the comparison actually happened
@@ -474,9 +474,9 @@ def test_round_solution_rejects_infeasible():
     sol = _integral_p_solution(4, [0, 1])
     sol.v[0] *= 1.5
     with pytest.raises(ValueError, match="infeasible"):
-        round_lifted_solution(sol, 1, GaussianSampler(seed=0))
+        round_lifted_solution(sol, 1, [GaussianSampler(seed=0)])
     with pytest.raises(ValueError, match="infeasible"):
-        round_lifted_solution(sol, 2, [GaussianSampler(seed=0)])
+        round_lifted_solution(sol, 2, [GaussianSampler(seed=0), GaussianSampler(seed=1)])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -485,9 +485,9 @@ def test_round_solution_rejects_non_finite_coordinates(bad):
     sol = _integral_p_solution(4, [0, 1, 3])
     sol.v[1, 2, 0] = bad
     with pytest.raises(ValueError, match="solution infeasible: max residual (nan|inf)"):
-        round_lifted_solution(sol, 1, GaussianSampler(seed=0))
+        round_lifted_solution(sol, 1, [GaussianSampler(seed=0)])
     with pytest.raises(ValueError, match="solution infeasible"):
-        round_lifted_solution(sol, 3, [GaussianSampler(seed=0)])
+        round_lifted_solution(sol, 3, [GaussianSampler(seed=0), GaussianSampler(seed=1)])
 
 
 def test_round_solution_one_crossing_frequency():
@@ -522,7 +522,7 @@ def test_lifted_walks_match_materialized_lift(ell):
     r = GaussianSampler(seed=31).sample(sol.dim * ell)
     for i in range(2):
         direct = lifted.v[i] @ r
-        trick = lifted_walk_values(sol, ell, r, i)
+        trick = lifted_walk_values(sol, ell, r)[i]
         np.testing.assert_allclose(trick, direct, atol=1e-9)
 
 
@@ -530,8 +530,8 @@ def test_lifted_walks_match_materialized_lift(ell):
 def test_round_lifted_matches_rounding_the_lift(ell):
     sol = _rotated_pair(4, theta=0.8)
     lifted = lift_solution(sol, ell)
-    out_trick = round_lifted_solution(sol, ell, GaussianSampler(seed=17))
-    out_direct = round_lifted_solution(lifted, 1, GaussianSampler(seed=17))  # ell = 1 is plain rounding
+    out_trick = round_lifted_solution(sol, ell, [GaussianSampler(seed=17)])
+    out_direct = round_lifted_solution(lifted, 1, [GaussianSampler(seed=17)])  # ell = 1 is plain rounding
     assert out_trick.s == out_direct.s == 4 * ell
     np.testing.assert_array_equal(out_trick.positions, out_direct.positions)
     assert out_trick.statuses == out_direct.statuses
@@ -539,7 +539,7 @@ def test_round_lifted_matches_rounding_the_lift(ell):
 
 def test_round_lifted_positions_in_range():
     sol = _rotated_pair(4, theta=0.3)
-    out = round_lifted_solution(sol, 50, GaussianSampler(seed=2))
+    out = round_lifted_solution(sol, 50, [GaussianSampler(seed=2)])
     assert out.s == 200
     assert np.all(out.positions >= 0)
     assert np.all(out.positions < 200)
@@ -548,10 +548,10 @@ def test_round_lifted_positions_in_range():
 def test_round_lifted_validates():
     sol = _rotated_pair(4, theta=0.3)
     with pytest.raises(ValueError):
-        round_lifted_solution(sol, 0, GaussianSampler(seed=0))
+        round_lifted_solution(sol, 0, [GaussianSampler(seed=0)])
     r = GaussianSampler(seed=0).sample(sol.dim * 2)
     with pytest.raises(ValueError):
-        lifted_walk_values(sol, 3, r, 0)  # r sized for ell=2, not 3
+        lifted_walk_values(sol, 3, r)  # r sized for ell=2, not 3
 
 
 # --- batched trials --------------------------------------------------------
@@ -596,9 +596,9 @@ def test_batched_trials_match_the_per_trial_oracle(name, ell, alpha, block_value
         assert out.crossing_counts[t].tolist() == counts
         want_statuses += statuses
         # one trial rounded alone agrees too
-        alone = round_lifted_solution(sol, ell, base.spawn(t), alpha=alpha, audit=False)
-        np.testing.assert_array_equal(alone.positions, positions)
-        assert (alone.statuses, alone.crossing_counts) == (statuses, counts)
+        alone = round_lifted_solution(sol, ell, [base.spawn(t)], alpha=alpha, audit=False)
+        np.testing.assert_array_equal(alone.positions[0], positions)
+        assert (alone.statuses, alone.crossing_counts[0].tolist()) == (statuses, counts)
     assert out.statuses == want_statuses
 
 
