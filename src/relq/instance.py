@@ -142,11 +142,7 @@ def brute_force_optimum(inst: Instance) -> tuple[Assignment, Fraction]:
         if scores[k] > best_score:
             best_score = int(scores[k])
             best_state = int(states[k])
-    positions = [0]
-    rest = best_state
-    for _ in range(1, inst.n):
-        positions.append(rest % inst.p)
-        rest //= inst.p
+    positions = _decode_states(inst, np.array([best_state]))[0]
     return Assignment(positions), Fraction(best_score, inst.p)
 
 

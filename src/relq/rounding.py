@@ -288,25 +288,23 @@ def round_lifted_solution(
     ell: int,
     samplers: Sequence[GaussianSampler],
     alpha: float = 1.0,
-    audit: bool = True,
 ) -> RoundingOutcome:
     """Round the ell-fold lifted solution directly from the base solution.
 
     Trial t draws its normals from the fresh sampler samplers[t] and the
     fallback of variable i from samplers[t].spawn(i); positions land in
     [0, ell*p).  The trials run in blocks of about _BLOCK_VALUES walk
-    values plus normals, with the same numbers as one at a time.  With
-    audit=True the base solution's feasibility is checked first (max
-    residual 1e-5); the lifted walks are exact functions of it, so no
-    lifted vectors are built.
+    values plus normals, with the same numbers as one at a time.  The
+    base solution's feasibility is always checked first (max residual
+    1e-5, and a NaN residual fails); the lifted walks are exact functions
+    of it, so no lifted vectors are built.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     _check_alpha(alpha)
-    if audit:
-        worst = float(np.max(list(solution_residuals(sol).values())))
-        if not worst <= 1e-5:
-            raise ValueError(f"solution infeasible: max residual {worst:.3e}")
+    worst = float(np.max(list(solution_residuals(sol).values())))
+    if not worst <= 1e-5:
+        raise ValueError(f"solution infeasible: max residual {worst:.3e}")
     samplers = list(samplers)
     if not all(smp.fresh for smp in samplers):
         raise ValueError("a batch of trials needs fresh samplers, one per trial")

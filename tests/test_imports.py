@@ -1,0 +1,79 @@
+"""Module hygiene: no dead imports, and a light ``relq.cli`` import.
+
+No linter runs on this package, so the unused-import check is done here
+with ``ast``.  A name imported only so that another tool can find it on
+the module keeps its import when the alias's own line says
+``# noqa: F401`` followed by the reason.
+"""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import relq
+
+SRC = Path(relq.__file__).resolve().parent
+NOQA = re.compile(r"#\s*noqa:\s*F401\s+\S")
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # quoted annotations ("GaussianSampler") name their types in a string
+    for node in ast.walk(tree):
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _used_names(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+def _unused_imports(path: Path) -> list[str]:
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used = _used_names(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used and not NOQA.search(lines[alias.lineno - 1]):
+                unused.append(f"{path.name}:{alias.lineno}: {bound}")
+    return unused
+
+
+def test_every_import_is_used():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert [line for p in modules for line in _unused_imports(p)] == []
+
+
+def test_the_checker_sees_an_unused_import(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import os\n"
+        "import sys  # noqa: F401\n"
+        "from json import (\n"
+        "    dumps,\n"
+        "    loads,  # noqa: F401  (kept for callers)\n"
+        ")\n"
+        "def f() -> \"Path\":\n"
+        "    return dumps\n"
+        "from pathlib import Path\n"
+    )
+    assert _unused_imports(mod) == ["mod.py:1: os", "mod.py:2: sys"]
+
+
+def test_cli_import_leaves_out_concurrent_futures_and_logging():
+    # concurrent.futures (and the logging it pulls in) load only when a
+    # Monte Carlo driver starts its draw worker
+    path = [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, relq.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

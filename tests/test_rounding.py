@@ -459,7 +459,7 @@ def test_round_solution_positions_track_integral_differences():
     sol = _integral_p_solution(8, positions)
     seen = 0
     for seed in range(40):
-        out = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed)], audit=(seed == 0))
+        out = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed)])
         for i in range(3):
             for j in range(i + 1, 3):
                 if out.statuses[i] == ONE_CROSSING and out.statuses[j] == ONE_CROSSING:
@@ -494,7 +494,7 @@ def test_round_solution_one_crossing_frequency():
     s = 2000
     sol = _canonical_solution(s)
     trials = 2500
-    out = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed, stream=77) for seed in range(trials)], audit=False)
+    out = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed, stream=77) for seed in range(trials)])
     hits = sum(status == ONE_CROSSING for status in out.statuses)
     assert hits / trials >= 0.96
 
@@ -596,7 +596,7 @@ def test_batched_trials_match_the_per_trial_oracle(name, ell, alpha, block_value
         assert out.crossing_counts[t].tolist() == counts
         want_statuses += statuses
         # one trial rounded alone agrees too
-        alone = round_lifted_solution(sol, ell, [base.spawn(t)], alpha=alpha, audit=False)
+        alone = round_lifted_solution(sol, ell, [base.spawn(t)], alpha=alpha)
         np.testing.assert_array_equal(alone.positions[0], positions)
         assert (alone.statuses, alone.crossing_counts[0].tolist()) == (statuses, counts)
     assert out.statuses == want_statuses
