@@ -17,12 +17,13 @@ alternates a gradient-shifted projection onto the structural constraints
 with a projection onto the positive semidefinite cone, one Dykstra polish
 moves its iterate onto their intersection, and the dense Gram matrix of
 the result is factored into vectors once.  The structure projection is a
-simplex projection per variable pair; the PSD projection is one batched
-eigh over the p/2 + 1 label frequencies (symmetry reduction: Gatermann &
-Parrilo 2004; de Klerk, Pasechnik & Schrijver 2007).  The feasibility
-report of either form reduces relq.constellation's one pass over the Gram
-blocks of the vectors; a NaN or infinite coordinate makes its
-max_residual non-finite.
+simplex projection per variable pair, through flat indices; the PSD
+projection is one batched complex eigh of the Hermitian n x n blocks of
+the p/2 + 1 label frequencies, one DFT matmul away each way (symmetry
+reduction: Gatermann & Parrilo 2004; de Klerk, Pasechnik & Schrijver
+2007).  The feasibility report of either form reduces relq.constellation's
+one pass over the Gram blocks of the vectors; a NaN or infinite coordinate
+makes its max_residual non-finite.
 """
 
 from __future__ import annotations
@@ -211,63 +212,62 @@ def _class_weights(inst: Instance) -> np.ndarray:
 
 
 def _class_layout(p: int, n: int) -> tuple:
-    """The pairs i < j, the transpose class map, and the real Fourier bases of
-    the label shift: forward[k] holds cos(2 pi f k / p), then the sines, for
-    f = 0 .. p/2; inverse holds the same rows times m_f / p, with m_f = 1 at
-    f = 0 and f = p/2 and 2 in between.  Built once per solve.
+    """Built once per solve: the flat index fwd[pair, k] of class k of (i, j) and
+    bwd[pair, k] of class -k of (j, i), for i < j; the ranks 1 .. p; the flat template
+    [1/p, 0, ...] on each (i, i); dft[k, f] = exp(-2 pi i f k / p), f = 0 .. p/2; and
+    inverse, rows cos and then sin(2 pi f k / p) times m_f / p (m_f = 2, or 1 at f = 0, p/2).
     """
+    iu, ju = np.triu_indices(n, 1)
+    fwd = (iu * n + ju)[:, None] * p + np.arange(p)
+    bwd = (ju * n + iu)[:, None] * p + _transpose_classes(p)
+    template = (np.eye(n)[:, :, None] * (np.eye(1, p) / p)).reshape(-1)
     f = np.arange(p // 2 + 1)[:, None]
     angle = 2.0 * np.pi * (f * np.arange(p) % p) / p
-    basis = np.concatenate([np.cos(angle), np.sin(angle)])
     mult = np.tile(np.where((f == 0) | (2 * f == p), 1.0, 2.0) / p, (2, 1))
-    return np.triu_indices(n, 1), _transpose_classes(p), basis.T, basis * mult
+    inverse = np.concatenate([np.cos(angle), np.sin(angle)]) * mult
+    return fwd, bwd, np.arange(1, p + 1), template, np.exp(-1j * angle).T, inverse
 
 
 def _project_structure(c: np.ndarray, layout: tuple) -> np.ndarray:
     """Exact projection of class means onto the structural constraint set.
 
-    Within-variable classes are pinned to [1/p, 0, ...] (norm and
-    orthogonality).  Each pair i < j averages its class k with class -k of
-    (j, i), the class mean of the symmetrized Gram matrix; the means are
-    projected onto the simplex {>= 0, sum = 1/p} (shift covariance,
-    nonnegativity, equal sum vectors) and mirrored into (j, i).  Adding one
-    constant to a row does not move its projection, so each row first loses
-    its max; its top sorted entry, 0, then always passes the rank test, and
+    Within-variable classes are pinned to [1/p, 0, ...] (norm and orthogonality).
+    Each pair i < j averages its class k with class -k of (j, i), the class mean of
+    the symmetrized Gram matrix; the means are projected onto the simplex {>= 0,
+    sum = 1/p} (shift covariance, nonnegativity, equal sum vectors) and mirrored
+    into (j, i), gathered and scattered through the flat indices fwd and bwd.
+    Adding one constant to a row does not move its projection, so each row first
+    loses its max; its top sorted entry, 0, then always passes the rank test, and
     the threshold comes from the last rank that does (Condat 2016).
     """
-    (iu, ju), neg = layout[:2]
-    n, _, p = c.shape
-    means = (c[iu, ju] + c[ju, iu][:, neg]) / 2.0
+    fwd, bwd, ranks, template = layout[:4]
+    p = len(ranks)
+    flat = c.reshape(-1)
+    means = (flat[fwd] + flat[bwd]) / 2.0
     means -= means.max(axis=1, keepdims=True)
     desc = np.sort(means, axis=1)[:, ::-1]
     css = np.cumsum(desc, axis=1) - 1.0 / p
-    last = p - 1 - np.argmax((desc - css / np.arange(1, p + 1) > 0)[:, ::-1], axis=1)
-    theta = np.take_along_axis(css, last[:, None], axis=1) / (last[:, None] + 1.0)
-    proj = np.maximum(means - theta, 0.0)
-    out = np.empty_like(c)
-    out[np.arange(n), np.arange(n)] = np.eye(1, p) / p
-    out[iu, ju] = proj
-    out[ju, iu] = proj[:, neg]
-    return out
+    last = p - 1 - np.argmax((desc - css / ranks > 0)[:, ::-1], axis=1)
+    theta = css[np.arange(len(last)), last] / (last + 1.0)
+    proj = np.maximum(means - theta[:, None], 0.0)
+    out = template.copy()
+    out[fwd] = out[bwd] = proj
+    return out.reshape(c.shape)
 
 
 def _project_psd(c: np.ndarray, layout: tuple) -> np.ndarray:
-    """Projection of class means onto the PSD cone: frequency f is the Hermitian
-    block A_f - i S_f of the classes' cosine and sine sums, embedded as the real
-    symmetric [[A_f, S_f], [-S_f, A_f]]; one batched eigh clips all of them,
-    and the inverse basis sums the projected A_f and S_f back into classes.
+    """Projection of class means onto the PSD cone: one matmul with the DFT matrix
+    gives the Hermitian n x n blocks H_f = A_f - i S_f, f = 0 .. p/2, one batched
+    complex eigh clips them all to P_f = V W V^H, and one real matmul of
+    [A_f; S_f] = [Re P_f; -Im P_f] against the inverse basis sums them back into
+    classes.
     """
-    forward, inverse = layout[2:]
+    dft, inverse = layout[4:]
     n, _, p = c.shape
-    A, S = (c.reshape(n * n, p) @ forward).T.reshape(2, -1, n, n)
-    blocks = np.empty((len(A), 2 * n, 2 * n))
-    blocks[:, :n, :n] = blocks[:, n:, n:] = A
-    blocks[:, :n, n:] = S
-    blocks[:, n:, :n] = -S
-    w, V = np.linalg.eigh((blocks + blocks.transpose(0, 2, 1)) / 2.0)
-    np.clip(w, 0.0, None, out=w)
-    P = (V * w[:, None, :]) @ V.transpose(0, 2, 1)
-    coef = np.stack([P[:, :n, :n], P[:, :n, n:]]).reshape(-1, n * n)
+    H = (c.reshape(n * n, p) @ dft).T.reshape(-1, n, n)
+    w, V = np.linalg.eigh((H + H.conj().transpose(0, 2, 1)) / 2.0)
+    P = (V * np.maximum(w, 0.0)[:, None, :]) @ V.conj().transpose(0, 2, 1)
+    coef = np.concatenate([P.real, -P.imag]).reshape(-1, n * n)
     return (coef.T @ inverse).reshape(n, n, p)
 
 

@@ -97,10 +97,12 @@ def test_solve_round_pipeline(triangle_file, tmp_path, capsys):
 
 
 # `relq round` stdout for the solved triangle, captured from the class-mean
-# solver on stream version 2
+# solver on stream version 2; ell = 5 re-captured from the Hermitian-block
+# solver, whose factor spans the same Gram matrix in another basis of its
+# doubled eigenvalues
 ROUND_STDOUT = {
     1: ["value 2.0", "positions 1 0 3", "statuses OneCrossing NoCrossing OneCrossing"],
-    5: ["value 2.0", "positions 8 0 13", "statuses OneCrossing OneCrossing OneCrossing"],
+    5: ["value 2.0", "positions 5 16 7", "statuses OneCrossing OneCrossing OneCrossing"],
 }
 
 
@@ -114,10 +116,10 @@ def test_round_stdout_pinned(ell, triangle_file, tmp_path, capsys):
 
 
 # sha256 and line count of the `relq round --seed 3 --emit-walk` CSV for the
-# solved triangle, captured before `relq round` became a batch of one
+# solved triangle, captured from the Hermitian-block solver
 EMIT_WALK_CSV = {
-    1: ("0169cf92117e5d263c61f8e15af4518157b49b0cce339974e7f0ec315b331bc4", 13),
-    5: ("3ebd083fb9dd36b1d1f2872395c00d3d476397e9db149daea579a89f14737dd3", 61),
+    1: ("52f9003254a5281d53a24363763a87cc9c3540f815f009ee141b9842bc57c089", 13),
+    5: ("48636fb7059c57897207fd3311747f016189df446a70ae8c13450ca83d5ddee1", 61),
 }
 
 

@@ -341,19 +341,19 @@ def test_mc_drivers_join_their_draw_thread_when_a_kernel_raises(monkeypatch):
 
 
 # end_to_end_ratio rows of the planted (4, 8, 6, seed 21) instance and the
-# triangle, 2000 trials each, captured from the class-mean solver on stream
-# version 2
+# triangle, 2000 trials each, captured from the Hermitian-block solver on
+# stream version 3
 E2E_ROWS = {
-    ("planted", 1, 0): [8, 4, 6, 1, 2000, 1.0, 5.999999999930376, 6.0, 5.1195, 0.032349777882769645,
-                        0.8532500000000001, 0.8532500000099013, True, 1.0799278138406976e-11, True],
-    ("planted", 1, 1): [8, 4, 6, 1, 2000, 1.0, 5.999999999930376, 6.0, 5.10425, 0.03282593852230176,
-                        0.8507083333333334, 0.8507083333432051, True, 1.0799278138406976e-11, True],
-    ("planted", 4, 0): [8, 4, 6, 4, 2000, 1.0, 5.999999999930376, 6.0, 5.6988125, 0.02083934146628077,
-                        0.9498020833333333, 0.9498020833443549, True, 1.0799278138406976e-11, True],
-    ("planted", 4, 1): [8, 4, 6, 4, 2000, 1.0, 5.999999999930376, 6.0, 5.6886875, 0.02112952669538673,
-                        0.9481145833333334, 0.9481145833443354, True, 1.0799278138406976e-11, True],
-    ("triangle", 5, 1): [4, 3, 3, 5, 2000, 1.0, 2.2499999999125233, 2.0, 1.9052, 0.005033800708687959,
-                         0.9526, 0.8467555555884761, True, 1.4580225915494793e-11, True],
+    ("planted", 1, 0): [8, 4, 6, 1, 2000, 1.0, 5.999999999930372, 6.0, 5.1495, 0.03199354104087522,
+                        0.85825, 0.8582500000099597, True, 1.0799208749467937e-11, True],
+    ("planted", 1, 1): [8, 4, 6, 1, 2000, 1.0, 5.999999999930372, 6.0, 5.12875, 0.03238322954135001,
+                        0.8547916666666667, 0.8547916666765862, True, 1.0799208749467937e-11, True],
+    ("planted", 4, 0): [8, 4, 6, 4, 2000, 1.0, 5.999999999930372, 6.0, 5.672625, 0.021840932165235603,
+                        0.9454375, 0.9454375000109715, True, 1.0799208749467937e-11, True],
+    ("planted", 4, 1): [8, 4, 6, 4, 2000, 1.0, 5.999999999930372, 6.0, 5.68325, 0.021452399550475388,
+                        0.9472083333333333, 0.9472083333443254, True, 1.0799208749467937e-11, True],
+    ("triangle", 5, 1): [4, 3, 3, 5, 2000, 1.0, 2.249999999912521, 2.0, 1.8955, 0.005484971965172599,
+                         0.94775, 0.8424444444771982, True, 1.458025367107041e-11, True],
 }
 
 

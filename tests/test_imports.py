@@ -1,4 +1,4 @@
-"""Module hygiene: no dead imports, and a light ``relq.cli`` import.
+"""Module hygiene: no dead imports, and light ``relq.cli`` imports and solves.
 
 No linter runs on this package, so the unused-import check is done here
 with ``ast``.  A name imported only so that another tool can find it on
@@ -69,11 +69,30 @@ def test_the_checker_sees_an_unused_import(tmp_path):
     assert _unused_imports(mod) == ["mod.py:1: os", "mod.py:2: sys"]
 
 
+def _run_python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports relq from this tree."""
+    path = [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return proc.stdout.strip()
+
+
 def test_cli_import_leaves_out_concurrent_futures_and_logging():
     # concurrent.futures (and the logging it pulls in) load only when a
     # Monte Carlo driver starts its draw worker
-    path = [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     code = "import sys, relq.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _run_python(code) == "[]"
+
+
+def test_solve_leaves_out_numpy_fft():
+    # the solver reaches its frequency blocks through one precomputed DFT
+    # matrix; numpy.fft loads lazily, and its pocketfft extension would add
+    # to the resident memory of every solve
+    code = (
+        "import sys, relq.cli\n"
+        "from relq.instance import generate_instance\n"
+        "from relq.sdp import solve_p_plus\n"
+        "solve_p_plus(generate_instance(4, 8, 6, seed=1)[0])\n"
+        "print('numpy.fft' in sys.modules)"
+    )
+    assert _run_python(code) == "False"

@@ -99,7 +99,10 @@ def test_objective_rejects_mismatched_instance():
 # oracles: the per-pair residual loops, structure projection and objective
 # loops the one-pass versions replaced, and the dense PSD projection; the
 # residual passes keep the loops' arithmetic, so they must agree bit for bit,
-# and the class-mean projections must agree with the dense ones to 1e-12
+# and the class-mean projections must agree with the dense ones to 1e-12.
+# Next to them, the pair-gather structure projection and the real-embedding
+# PSD projection that the flat-index and Hermitian-block ones replaced: the
+# first must agree bit for bit, the second to 1e-13
 
 
 def _diagonal_class_index(p: int) -> np.ndarray:
@@ -241,6 +244,50 @@ def _class_inputs(n, p, rng):
     yield np.full(shape, -0.0)
 
 
+def _oracle_pair_gather_structure(c):
+    """The structure projection by pair gathers and take_along_axis, as before flat indices."""
+    n, _, p = c.shape
+    iu, ju = np.triu_indices(n, 1)
+    neg = _transpose_classes(p)
+    means = (c[iu, ju] + c[ju, iu][:, neg]) / 2.0
+    means -= means.max(axis=1, keepdims=True)
+    desc = np.sort(means, axis=1)[:, ::-1]
+    css = np.cumsum(desc, axis=1) - 1.0 / p
+    last = p - 1 - np.argmax((desc - css / np.arange(1, p + 1) > 0)[:, ::-1], axis=1)
+    theta = np.take_along_axis(css, last[:, None], axis=1) / (last[:, None] + 1.0)
+    proj = np.maximum(means - theta, 0.0)
+    out = np.empty_like(c)
+    out[np.arange(n), np.arange(n)] = np.eye(1, p) / p
+    out[iu, ju] = proj
+    out[ju, iu] = proj[:, neg]
+    return out
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()  # signed zeros included
+
+
+def _oracle_real_embedding_psd(c):
+    """The PSD projection through real cos/sin bases and the real 2n x 2n embedding
+    [[A_f, S_f], [-S_f, A_f]] of each Hermitian frequency block, as before the DFT matrix."""
+    n, _, p = c.shape
+    f = np.arange(p // 2 + 1)[:, None]
+    angle = 2.0 * np.pi * (f * np.arange(p) % p) / p
+    basis = np.concatenate([np.cos(angle), np.sin(angle)])
+    inverse = basis * np.tile(np.where((f == 0) | (2 * f == p), 1.0, 2.0) / p, (2, 1))
+    A, S = (c.reshape(n * n, p) @ basis.T).T.reshape(2, -1, n, n)
+    blocks = np.empty((len(A), 2 * n, 2 * n))
+    blocks[:, :n, :n] = blocks[:, n:, n:] = A
+    blocks[:, :n, n:] = S
+    blocks[:, n:, :n] = -S
+    w, V = np.linalg.eigh((blocks + blocks.transpose(0, 2, 1)) / 2.0)
+    np.clip(w, 0.0, None, out=w)
+    P = (V * w[:, None, :]) @ V.transpose(0, 2, 1)
+    coef = np.stack([P[:, :n, :n], P[:, :n, n:]]).reshape(-1, n * n)
+    return (coef.T @ inverse).reshape(n, n, p)
+
+
 @pytest.mark.parametrize("n,p", CLASS_SHAPES)
 def test_one_pass_structure_projection_matches_per_pair_oracle(n, p):
     rng = np.random.default_rng(1000 * n + p)
@@ -255,6 +302,15 @@ def test_one_pass_structure_projection_matches_per_pair_oracle(n, p):
 
 
 @pytest.mark.parametrize("n,p", CLASS_SHAPES)
+def test_flat_index_structure_projection_is_bit_exact(n, p):
+    rng = np.random.default_rng(3000 * n + p)
+    layout = _class_layout(p, n)
+    for c in _class_inputs(n, p, rng):
+        for case in (c, _symmetric_class_means(c)):
+            _assert_same_bits(_project_structure(case, layout), _oracle_pair_gather_structure(case))
+
+
+@pytest.mark.parametrize("n,p", CLASS_SHAPES)
 def test_frequency_psd_projection_matches_dense_oracle(n, p):
     rng = np.random.default_rng(2000 * n + p)
     layout = _class_layout(p, n)
@@ -264,22 +320,41 @@ def test_frequency_psd_projection_matches_dense_oracle(n, p):
         np.testing.assert_allclose(got, _oracle_project_psd(_dense_gram(c)), rtol=0, atol=1e-12)
 
 
-def test_huge_class_means_project_onto_the_simplex():
-    # the inputs that emptied the rank test before rows lost their max
+@pytest.mark.parametrize("n,p", CLASS_SHAPES + [(10, 20)])
+def test_hermitian_psd_projection_matches_real_embedding_oracle(n, p):
+    rng = np.random.default_rng(4000 * n + p)
+    layout = _class_layout(p, n)
+    for c in _class_inputs(n, p, rng):
+        for case in (c, _symmetric_class_means(c)):
+            got = _project_psd(case, layout)
+            np.testing.assert_allclose(got, _oracle_real_embedding_psd(case), rtol=0, atol=1e-13)
+
+
+def _huge_class_means():
+    """The inputs that emptied the rank test before rows lost their max: (c, want of c[0, 1]) pairs."""
     p, n = 8, 3
     mixed = np.random.default_rng(5).standard_normal((n, n, p))
     mixed[0, 1, :3] = 1e20
     mixed[1, 2] = 1e20
-    for c in (np.full((n, n, p), 1e20), _symmetric_class_means(mixed)):
-        got = _project_structure(c, _class_layout(p, n))
-        assert np.all(got >= 0.0)
-        np.testing.assert_allclose(got.sum(axis=2), 1.0 / p, rtol=0, atol=1e-15)
+    yield np.full((n, n, p), 1e20), None
+    yield _symmetric_class_means(mixed), None
     pair = np.zeros((2, 2, 4))
     rows = [([1e20, 1e20, 1e20, -1.0], [1 / 12, 1 / 12, 1 / 12, 0.0]), ([1e20, 3.0, 1e20, 0.5], [0.125, 0.0, 0.125, 0.0])]
     for row, want in rows:
         pair[0, 1] = row
-        got = _project_structure(_symmetric_class_means(pair), _class_layout(4, 2))
-        np.testing.assert_array_equal(got[0, 1], want)
+        yield _symmetric_class_means(pair), want
+
+
+def test_huge_class_means_project_onto_the_simplex():
+    for c, want in _huge_class_means():
+        n, _, p = c.shape
+        got = _project_structure(c, _class_layout(p, n))
+        _assert_same_bits(got, _oracle_pair_gather_structure(c))
+        if want is None:
+            assert np.all(got >= 0.0)
+            np.testing.assert_allclose(got.sum(axis=2), 1.0 / p, rtol=0, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(got[0, 1], want)
 
 
 def test_huge_equal_class_means_take_the_top_rank_fallback():
@@ -372,18 +447,19 @@ def test_solver_trace_is_nondecreasing():
 
 # (n, p, m, seed, planted, engine cycles, objective, dim, sha256 of u): the five
 # solve_tight rungs, the solve_gap rung, the planted e2e instance and
-# (6, 16, 15, 1), captured from the class-mean solver; the cycles and dims are
-# those of the dense solver it replaced, and a refactor that claims
-# bit-identical outputs must keep all of these
+# (6, 16, 15, 1), captured from the Hermitian-block solver; the cycles and dims
+# are those of the dense solver and of the real-embedding projection it
+# replaced, and a refactor that claims bit-identical outputs must keep all of
+# these
 SOLVER_PINS = [
-    (4, 8, 6, 1, False, 58, 4.24999999998949, 15, "5c6763c5549d7e99c827a01ef364d1ba2ff4c948e1b7c29f56463af2a4de9895"),
-    (4, 12, 8, 1, False, 102, 5.499999999801092, 23, "c0e4ca7da705d06487c44ea1f1c8010750aa33e965575f11567e9a2e062494e4"),
-    (4, 16, 10, 1, False, 228, 6.74999999955021, 31, "d3e75eb2cb02f4a486248cb197794a2f5b75a44bc5726644ed329c2126dc54f8"),
-    (5, 12, 10, 1, False, 325, 7.16666666634595, 34, "2be89348af10d25d8019e1788406b040cd2f910d3d16eada8b75e67721ee8bf7"),
-    (6, 8, 8, 1, False, 243, 6.750000000239466, 15, "cfde14f0c5b2df8beb04fa2d48e1b55a0b0ee397fe208f606c5e3f495a67f649"),
-    (6, 8, 12, 3, False, 821, 9.329221776208174, 32, "8bf86680babebdb1db86d7af9d7d80e0cea3f0d2bb090976a6bfc4da25928551"),
-    (4, 8, 6, 21, True, 21, 5.999999999930376, 8, "293dc7924066147e707cc62a25b0fed527fd8cfe336cc964284c0e1044988d2d"),
-    (6, 16, 15, 1, False, 1892, 10.98873672012382, 48, "8ffb7cf46fc51a1c9f095d259dea5fa8b8c39612712d14c9405e2b19d4c289a3"),
+    (4, 8, 6, 1, False, 58, 4.249999999989493, 15, "2f0733d3c11911cf3c731ac3b6eaafd0530b682b36a249ebf7efa325a6762310"),
+    (4, 12, 8, 1, False, 102, 5.499999999801084, 23, "57b240ff82b8f27aa24ed5933c25403ab7861765a0b82950cca94f044c68498b"),
+    (4, 16, 10, 1, False, 228, 6.749999999550203, 31, "c90dd4561e16b6e128f594361717828eaaa6e0d6054194caeb5f56ca5d06b83f"),
+    (5, 12, 10, 1, False, 325, 7.166666666345955, 34, "c3053ac2054ab87c447af26d313153b3c8259ccec1b0696cc5536be4d9799834"),
+    (6, 8, 8, 1, False, 243, 6.750000000239463, 15, "06fd12c423779bda812fe6cf7feeb718fc2fcda4742158c20faadd99786b27ec"),
+    (6, 8, 12, 3, False, 821, 9.329221776208167, 32, "b41cd907a02d499a009327b79478bed2e955e2e58333d30dcc592478a26d066a"),
+    (4, 8, 6, 21, True, 21, 5.999999999930372, 8, "d6c2ea0215e7180e41a6c5b687966eb68aba2683fdca62984b71255db02b120b"),
+    (6, 16, 15, 1, False, 1892, 10.988736720123839, 48, "b336690f1860e9c2c97a04511ec70422fa06b88ebe8c7b4d01a6fcab25d91ad2"),
 ]
 
 
