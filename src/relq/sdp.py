@@ -14,16 +14,14 @@ only its class means c[i, j, k] (variables i and j, label shift k; the
 layout of relq.constellation), whose max-abs residuals equal those of the
 dense matrix.  An ADMM splitting engine (Wen, Goldfarb & Yin 2010)
 alternates a gradient-shifted projection onto the structural constraints
-with a projection onto the positive semidefinite cone, one Dykstra polish
-moves its iterate onto their intersection, and the dense Gram matrix of
-the result is factored into vectors once.  The structure projection is a
-simplex projection per variable pair, through flat indices; the PSD
-projection is one batched complex eigh of the Hermitian n x n blocks of
-the p/2 + 1 label frequencies, one DFT matmul away each way (symmetry
-reduction: Gatermann & Parrilo 2004; de Klerk, Pasechnik & Schrijver
-2007).  The feasibility report of either form reduces relq.constellation's
-one pass over the Gram blocks of the vectors; a NaN or infinite coordinate
-makes its max_residual non-finite.
+(a simplex projection per variable pair) with a projection onto the PSD
+cone, and one Dykstra polish moves its iterate onto their intersection.
+The PSD projection and the final factor into vectors each run one batched
+complex eigh of the Hermitian n x n blocks of the p/2 + 1 label
+frequencies, one DFT matmul away (Gatermann & Parrilo 2004; de Klerk,
+Pasechnik & Schrijver 2007).  The feasibility report of either form
+reduces relq.constellation's one pass over the Gram blocks of the vectors;
+a NaN or infinite coordinate makes its max_residual non-finite.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from relq.instance import Instance, Assignment, _text_rows
 
 SOLUTION_MAGIC = "relqsol"
 SOLUTION_VERSION = 1
-SIZE_GUARD = 1000  # p * n beyond this: the final (pn) x (pn) factor and the solve time leave desk scale
+SIZE_GUARD = 1000  # p * n beyond this: the (n, p, dim <= p * n) vectors and the solve (50 s at 1000) leave desk scale
 MAX_ENGINE_CYCLES = 30000  # default cap on the splitting engine's cycles
 ENGINE_RHO = 1.0  # initial penalty; the engine rebalances it every 50 cycles
 ENGINE_TOL = 1e-10  # engine stops once primal and dual residuals are below this
@@ -255,28 +253,23 @@ def _project_structure(c: np.ndarray, layout: tuple) -> np.ndarray:
     return out.reshape(c.shape)
 
 
-def _project_psd(c: np.ndarray, layout: tuple) -> np.ndarray:
-    """Projection of class means onto the PSD cone: one matmul with the DFT matrix
-    gives the Hermitian n x n blocks H_f = A_f - i S_f, f = 0 .. p/2, one batched
-    complex eigh clips them all to P_f = V W V^H, and one real matmul of
-    [A_f; S_f] = [Re P_f; -Im P_f] against the inverse basis sums them back into
-    classes.
-    """
-    dft, inverse = layout[4:]
+def _frequency_blocks(c: np.ndarray, dft: np.ndarray) -> np.ndarray:
+    """The Hermitian n x n blocks H_f = sum_k c[:, :, k] exp(-2 pi i f k / p), f = 0 .. p/2, one matmul away."""
     n, _, p = c.shape
     H = (c.reshape(n * n, p) @ dft).T.reshape(-1, n, n)
-    w, V = np.linalg.eigh((H + H.conj().transpose(0, 2, 1)) / 2.0)
+    return (H + H.conj().transpose(0, 2, 1)) / 2.0
+
+
+def _project_psd(c: np.ndarray, layout: tuple) -> np.ndarray:
+    """Projection of class means onto the PSD cone: one batched complex eigh clips the
+    frequency blocks H_f = A_f - i S_f to P_f = V W V^H, and one real matmul of
+    [A_f; S_f] = [Re P_f; -Im P_f] against the inverse basis sums them back into classes.
+    """
+    dft, inverse = layout[4:]
+    w, V = np.linalg.eigh(_frequency_blocks(c, dft))
     P = (V * np.maximum(w, 0.0)[:, None, :]) @ V.conj().transpose(0, 2, 1)
-    coef = np.concatenate([P.real, -P.imag]).reshape(-1, n * n)
-    return (coef.T @ inverse).reshape(n, n, p)
-
-
-def _dense_gram(c: np.ndarray) -> np.ndarray:
-    """The (p*n) x (p*n) Gram matrix of class means c: entry (i*p + h, j*p + (h + k) mod p) is c[i, j, k]."""
-    n, _, p = c.shape
-    blocks = np.empty((n, n, p, p))
-    blocks[:, :, np.arange(p)[:, None], _shift_columns(p)] = c[:, :, None, :]
-    return blocks.transpose(0, 2, 1, 3).reshape(n * p, n * p)
+    coef = np.concatenate([P.real, -P.imag]).reshape(len(inverse), -1)
+    return (coef.T @ inverse).reshape(c.shape)
 
 
 def _polish(c: np.ndarray, layout: tuple, tol: float, max_cycles: int) -> tuple[np.ndarray, float]:
@@ -335,12 +328,18 @@ def _splitting_engine(w: np.ndarray, c0: np.ndarray, layout: tuple, max_cycles: 
     return Z, cycles, False
 
 
-def _factor_gram(G: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Vectors whose Gram matrix is the PSD part of G up to RANK_CUTOFF, shape (n, p, dim)."""
-    w, V = np.linalg.eigh((G + G.T) / 2.0)
-    np.clip(w, 0.0, None, out=w)
-    keep = w >= w.max() * RANK_CUTOFF
-    return (V[:, keep] * np.sqrt(w[keep])).reshape(n, p, -1)
+def _factor_gram(c: np.ndarray, layout: tuple) -> np.ndarray:
+    """Vectors whose Gram matrix is the PSD part of class means c up to RANK_CUTOFF, shape (n, p, dim):
+    eigenpair (w, v) of block f gives x[i, h] = v[i] dft[h, f] sqrt(m_f w / p), and block p - f its
+    conjugate, so each 0 < f < p/2 gives the columns Re x and Im x (m_f = 2; Davis 1979).  The cutoff
+    is relative to the largest eigenvalue of all blocks, as it is in the (pn) x (pn) Gram matrix."""
+    dft = layout[4]
+    p = len(dft)
+    w, V = np.linalg.eigh(_frequency_blocks(c, dft))
+    f, r = np.nonzero(w >= w.max() * RANK_CUTOFF)
+    paired = (f > 0) & (2 * f < p)
+    x = V[f, :, r].T[:, None, :] * dft[:, f] * np.sqrt(np.where(paired, 2.0, 1.0) * w[f, r] / p)
+    return np.concatenate([x.real, x.imag[:, :, paired]], axis=2)
 
 
 def solve_p_plus(inst: Instance, max_iterations: int = MAX_ENGINE_CYCLES) -> tuple[SdpSolutionPPlus, FeasibilityReport]:
@@ -350,7 +349,8 @@ def solve_p_plus(inst: Instance, max_iterations: int = MAX_ENGINE_CYCLES) -> tup
     embedding and runs at most max_iterations cycles (the report's
     iterations); converged means it met its tolerance within that cap and
     the polish closed to FINAL_TOL.  objective_trace holds the start and the
-    polished objective.  Deterministic; p*n <= SIZE_GUARD bounds the factor.
+    polished objective.  Deterministic; p*n <= SIZE_GUARD bounds the solve
+    time and the (n, p, dim) output, dim <= p*n.
     """
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
@@ -362,7 +362,7 @@ def solve_p_plus(inst: Instance, max_iterations: int = MAX_ENGINE_CYCLES) -> tup
     c0 = np.broadcast_to(np.eye(1, p) / p, (n, n, p))
     Z, cycles, engine_met = _splitting_engine(w, c0, layout, max_iterations)
     c, gap = _polish(Z, layout, FINAL_TOL, FINAL_CYCLES)
-    u = _factor_gram(_dense_gram(c), p, n)
+    u = _factor_gram(c, layout)
     sol = SdpSolutionPPlus(p=p, n=n, dim=u.shape[2], u=u)
     report = feasibility_report(sol, inst)
     report.iterations = cycles

@@ -96,13 +96,12 @@ def test_solve_round_pipeline(triangle_file, tmp_path, capsys):
     assert out.splitlines()[:3] == capsys.readouterr().out.splitlines()[:3]
 
 
-# `relq round` stdout for the solved triangle, captured from the class-mean
-# solver on stream version 2; ell = 5 re-captured from the Hermitian-block
-# solver, whose factor spans the same Gram matrix in another basis of its
-# doubled eigenvalues
+# `relq round` stdout for the solved triangle, captured on stream version 2
+# from the solver that factors the Hermitian frequency blocks; the dense
+# factor before it spanned the same Gram matrix in another basis
 ROUND_STDOUT = {
-    1: ["value 2.0", "positions 1 0 3", "statuses OneCrossing NoCrossing OneCrossing"],
-    5: ["value 2.0", "positions 5 16 7", "statuses OneCrossing OneCrossing OneCrossing"],
+    1: ["value 2.0", "positions 2 0 0", "statuses OneCrossing NoCrossing OneCrossing"],
+    5: ["value 2.0", "positions 11 15 4", "statuses OneCrossing OneCrossing OneCrossing"],
 }
 
 
@@ -116,10 +115,11 @@ def test_round_stdout_pinned(ell, triangle_file, tmp_path, capsys):
 
 
 # sha256 and line count of the `relq round --seed 3 --emit-walk` CSV for the
-# solved triangle, captured from the Hermitian-block solver
+# solved triangle, captured from the solver that factors the Hermitian
+# frequency blocks
 EMIT_WALK_CSV = {
-    1: ("52f9003254a5281d53a24363763a87cc9c3540f815f009ee141b9842bc57c089", 13),
-    5: ("48636fb7059c57897207fd3311747f016189df446a70ae8c13450ca83d5ddee1", 61),
+    1: ("19eaa48bacba9f03a53a313f698cd9ff2be34e9736e35da7acf65813a00706bc", 13),
+    5: ("eb6699cb811dfa8e1e186dad9152cd0f0861597021c9ab8ef11bfb4462646b93", 61),
 }
 
 

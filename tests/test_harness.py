@@ -341,19 +341,19 @@ def test_mc_drivers_join_their_draw_thread_when_a_kernel_raises(monkeypatch):
 
 
 # end_to_end_ratio rows of the planted (4, 8, 6, seed 21) instance and the
-# triangle, 2000 trials each, captured from the Hermitian-block solver on
-# stream version 3
+# triangle, 2000 trials each, captured on stream version 3 from the solver
+# that factors the Hermitian frequency blocks
 E2E_ROWS = {
-    ("planted", 1, 0): [8, 4, 6, 1, 2000, 1.0, 5.999999999930372, 6.0, 5.1495, 0.03199354104087522,
-                        0.85825, 0.8582500000099597, True, 1.0799208749467937e-11, True],
-    ("planted", 1, 1): [8, 4, 6, 1, 2000, 1.0, 5.999999999930372, 6.0, 5.12875, 0.03238322954135001,
-                        0.8547916666666667, 0.8547916666765862, True, 1.0799208749467937e-11, True],
-    ("planted", 4, 0): [8, 4, 6, 4, 2000, 1.0, 5.999999999930372, 6.0, 5.672625, 0.021840932165235603,
-                        0.9454375, 0.9454375000109715, True, 1.0799208749467937e-11, True],
-    ("planted", 4, 1): [8, 4, 6, 4, 2000, 1.0, 5.999999999930372, 6.0, 5.68325, 0.021452399550475388,
-                        0.9472083333333333, 0.9472083333443254, True, 1.0799208749467937e-11, True],
-    ("triangle", 5, 1): [4, 3, 3, 5, 2000, 1.0, 2.249999999912521, 2.0, 1.8955, 0.005484971965172599,
-                         0.94775, 0.8424444444771982, True, 1.458025367107041e-11, True],
+    ("planted", 1, 0): [8, 4, 6, 1, 2000, 1.0, 5.999999999930378, 6.0, 5.10325, 0.03240381493530014,
+                        0.8505416666666666, 0.8505416666765361, True, 1.0799097727165474e-11, True],
+    ("planted", 1, 1): [8, 4, 6, 1, 2000, 1.0, 5.999999999930378, 6.0, 5.169, 0.03179189932091532,
+                        0.8614999999999999, 0.8615000000099965, True, 1.0799097727165474e-11, True],
+    ("planted", 4, 0): [8, 4, 6, 4, 2000, 1.0, 5.999999999930378, 6.0, 5.661, 0.021897799702616426,
+                        0.9434999999999999, 0.9435000000109479, True, 1.0799097727165474e-11, True],
+    ("planted", 4, 1): [8, 4, 6, 4, 2000, 1.0, 5.999999999930378, 6.0, 5.67875, 0.02163747175253895,
+                        0.9464583333333333, 0.9464583333443156, True, 1.0799097727165474e-11, True],
+    ("triangle", 5, 1): [4, 3, 3, 5, 2000, 1.0, 2.24999999991252, 2.0, 1.8973, 0.005191322559325078,
+                         0.94865, 0.8432444444772297, True, 1.4580142648767946e-11, True],
 }
 
 

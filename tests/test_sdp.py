@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import relq.sdp
-from relq.constellation import SdpSolutionP, _transpose_classes, lift_solution, solution_residuals, target_gram
+from relq.constellation import SdpSolutionP, _shift_columns, _transpose_classes, lift_solution, solution_residuals, target_gram
 from relq.instance import Assignment, Instance, brute_force_optimum, circular_distance, evaluate, generate_instance
 from relq.sdp import (
     _class_layout,
     _class_weights,
-    _dense_gram,
+    _factor_gram,
+    _frequency_blocks,
     _project_psd,
     _project_structure,
     FeasibilityReport,
@@ -97,9 +98,10 @@ def test_objective_rejects_mismatched_instance():
 # --- solver ---------------------------------------------------------------
 
 # oracles: the per-pair residual loops, structure projection and objective
-# loops the one-pass versions replaced, and the dense PSD projection; the
-# residual passes keep the loops' arithmetic, so they must agree bit for bit,
-# and the class-mean projections must agree with the dense ones to 1e-12.
+# loops the one-pass versions replaced, and the dense PSD projection and
+# factor of the (pn) x (pn) Gram matrix; the residual passes keep the loops'
+# arithmetic, so they must agree bit for bit, and the class-mean projections
+# and the block factor's Gram matrix must agree with the dense ones to 1e-12.
 # Next to them, the pair-gather structure projection and the real-embedding
 # PSD projection that the flat-index and Hermitian-block ones replaced: the
 # first must agree bit for bit, the second to 1e-13
@@ -226,6 +228,22 @@ def _oracle_objective_matrix(inst):
 def _oracle_project_psd(G):
     w, V = np.linalg.eigh(G)
     return (V * np.clip(w, 0.0, None)) @ V.T
+
+
+def _dense_gram(c: np.ndarray) -> np.ndarray:
+    """The (p*n) x (p*n) Gram matrix of class means c: entry (i*p + h, j*p + (h + k) mod p) is c[i, j, k]."""
+    n, _, p = c.shape
+    blocks = np.empty((n, n, p, p))
+    blocks[:, :, np.arange(p)[:, None], _shift_columns(p)] = c[:, :, None, :]
+    return blocks.transpose(0, 2, 1, 3).reshape(n * p, n * p)
+
+
+def _oracle_factor_gram(G, p, n):
+    """Vectors whose Gram matrix is the PSD part of the dense G up to RANK_CUTOFF, shape (n, p, dim)."""
+    w, V = np.linalg.eigh((G + G.T) / 2.0)
+    np.clip(w, 0.0, None, out=w)
+    keep = w >= w.max() * RANK_CUTOFF
+    return (V[:, keep] * np.sqrt(w[keep])).reshape(n, p, -1)
 
 
 CLASS_SHAPES = [(1, 2), (2, 2), (3, 4), (3, 6), (4, 8), (5, 12), (6, 8), (4, 16)]
@@ -447,19 +465,19 @@ def test_solver_trace_is_nondecreasing():
 
 # (n, p, m, seed, planted, engine cycles, objective, dim, sha256 of u): the five
 # solve_tight rungs, the solve_gap rung, the planted e2e instance and
-# (6, 16, 15, 1), captured from the Hermitian-block solver; the cycles and dims
-# are those of the dense solver and of the real-embedding projection it
-# replaced, and a refactor that claims bit-identical outputs must keep all of
-# these
+# (6, 16, 15, 1), captured from the solver that factors the Hermitian frequency
+# blocks; the cycles and dims are those of the dense solver, of the
+# real-embedding projection and of the dense factor it replaced, and a refactor
+# that claims bit-identical outputs must keep all of these
 SOLVER_PINS = [
-    (4, 8, 6, 1, False, 58, 4.249999999989493, 15, "2f0733d3c11911cf3c731ac3b6eaafd0530b682b36a249ebf7efa325a6762310"),
-    (4, 12, 8, 1, False, 102, 5.499999999801084, 23, "57b240ff82b8f27aa24ed5933c25403ab7861765a0b82950cca94f044c68498b"),
-    (4, 16, 10, 1, False, 228, 6.749999999550203, 31, "c90dd4561e16b6e128f594361717828eaaa6e0d6054194caeb5f56ca5d06b83f"),
-    (5, 12, 10, 1, False, 325, 7.166666666345955, 34, "c3053ac2054ab87c447af26d313153b3c8259ccec1b0696cc5536be4d9799834"),
-    (6, 8, 8, 1, False, 243, 6.750000000239463, 15, "06fd12c423779bda812fe6cf7feeb718fc2fcda4742158c20faadd99786b27ec"),
-    (6, 8, 12, 3, False, 821, 9.329221776208167, 32, "b41cd907a02d499a009327b79478bed2e955e2e58333d30dcc592478a26d066a"),
-    (4, 8, 6, 21, True, 21, 5.999999999930372, 8, "d6c2ea0215e7180e41a6c5b687966eb68aba2683fdca62984b71255db02b120b"),
-    (6, 16, 15, 1, False, 1892, 10.988736720123839, 48, "b336690f1860e9c2c97a04511ec70422fa06b88ebe8c7b4d01a6fcab25d91ad2"),
+    (4, 8, 6, 1, False, 58, 4.249999999989494, 15, "ad9d590be393930d6d5031f4d2a5bcb0d320869e9c036c989419cc09e7f7e4ac"),
+    (4, 12, 8, 1, False, 102, 5.499999999801081, 23, "95e0ca76f9c68705a9dc96de825f51a8d9b838f34a8c89d232e45ad024be3c54"),
+    (4, 16, 10, 1, False, 228, 6.749999999550207, 31, "8d46e0df1ef2cab29e63b221042e334f2cf6a8638188f30f9e0e1591b231267a"),
+    (5, 12, 10, 1, False, 325, 7.16666666634596, 34, "485cac5dd010c4d056353a5e75e4af7515bd963a11cd581c94bfd2c6442ff695"),
+    (6, 8, 8, 1, False, 243, 6.750000000239458, 15, "aae02cf9e3c47271d64b7518ca66fba26baaf78708d9bf3904ac03a64aeee788"),
+    (6, 8, 12, 3, False, 821, 9.329221776208177, 32, "bad9a0eec2a19bc4f6f507393797a08a02c6a1025d7cbf2482424bb826831772"),
+    (4, 8, 6, 21, True, 21, 5.999999999930378, 8, "24e31206a18b6197b35e749afde72ed72e89171289d4c323154361ceff724a74"),
+    (6, 16, 15, 1, False, 1892, 10.988736720123825, 48, "59af21b6f393b1aa60882b95cd322023c450f73666fb239a37c60f59abc4e224"),
 ]
 
 
@@ -473,25 +491,76 @@ def test_solver_rungs_pinned(n, p, m, seed, planted, iterations, objective, dim,
     assert hashlib.sha256(sol.u.tobytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("n,p,m,seed,planted", [pin[:5] for pin in SOLVER_PINS] + [(5, 4, 10, 1, False)])
-def test_rank_cutoff_keeps_its_margin(n, p, m, seed, planted, monkeypatch):
-    # the factorization drops eigenvalues under RANK_CUTOFF of the largest as
-    # float noise; either side coming within a decade of the cutoff fails here
-    grams = []
+def _factor_input(monkeypatch, n, p, m, seed, planted):
+    """Solve generate_instance(n, p, m, seed, planted); the solution and the class means and layout it was factored from."""
+    seen = []
     factor = relq.sdp._factor_gram
 
-    def capture(G, p, n):
-        grams.append(G)
-        return factor(G, p, n)
+    def capture(c, layout):
+        seen.append((c, layout))
+        return factor(c, layout)
 
     monkeypatch.setattr(relq.sdp, "_factor_gram", capture)
     inst, _ = generate_instance(n=n, p=p, m=m, seed=seed, planted=planted)
-    solve_p_plus(inst)
-    (G,) = grams
-    w = np.linalg.eigvalsh((G + G.T) / 2.0)
+    sol, _ = solve_p_plus(inst)
+    ((c, layout),) = seen
+    return sol, c, layout
+
+
+@pytest.mark.parametrize("n,p,m,seed,planted", [pin[:5] for pin in SOLVER_PINS] + [(5, 4, 10, 1, False)])
+def test_rank_cutoff_keeps_its_margin(n, p, m, seed, planted, monkeypatch):
+    # the factorization drops eigenvalues under RANK_CUTOFF of the largest as
+    # float noise; either side coming within a decade of the cutoff fails here.
+    # Block f pairs with block p - f for 0 < f < p/2, so those count twice,
+    # as in the (pn) x (pn) Gram matrix
+    sol, c, layout = _factor_input(monkeypatch, n, p, m, seed, planted)
+    w = np.linalg.eigvalsh(_frequency_blocks(c, layout[4]))
+    f = np.arange(len(w))
+    w = np.concatenate([w, w[(f > 0) & (2 * f < p)]]).ravel()
+    assert len(w) == p * n
     rel = w / w.max()
     assert rel[rel < RANK_CUTOFF].max(initial=0.0) <= 1e-8
     assert rel[rel >= RANK_CUTOFF].min() >= 1e-6
+    assert np.count_nonzero(rel >= RANK_CUTOFF) == sol.dim
+
+
+@pytest.mark.parametrize(
+    "n,p,m,seed,planted", [pin[:5] for pin in SOLVER_PINS] + [(5, 4, 10, 1, False), (3, 4, 5, 3, False), (2, 4, 0, 1, False)]
+)
+def test_block_factor_matches_dense_oracle(n, p, m, seed, planted, monkeypatch):
+    sol, c, _ = _factor_input(monkeypatch, n, p, m, seed, planted)
+    want = _oracle_factor_gram(_dense_gram(c), p, n).reshape(n * p, -1)
+    got = sol.u.reshape(n * p, -1)
+    assert sol.dim == want.shape[1]
+    np.testing.assert_allclose(got @ got.T, want @ want.T, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,p,m,seed,planted", [(4, 8, 6, 21, True), (6, 8, 12, 3, False), (4, 12, 8, 1, False), (6, 16, 15, 1, False)])
+def test_factor_is_a_function_of_the_class_means(n, p, m, seed, planted, monkeypatch):
+    # every kept eigenvalue of these blocks is simple, so the factor moves with
+    # its class means; the dense Gram matrix has each one twice (blocks f and
+    # p - f), and its eigh basis moved by 0.17 to 0.35 per coordinate here
+    sol, c, layout = _factor_input(monkeypatch, n, p, m, seed, planted)
+    noise = _symmetric_class_means(np.random.default_rng(seed).standard_normal(c.shape)) * 1e-13
+    moved = _factor_gram(c + noise, layout)
+    assert moved.shape == sol.u.shape
+    assert np.max(np.abs(moved - sol.u)) <= 1e-9
+
+
+def test_solver_runs_eigh_only_on_frequency_blocks(monkeypatch):
+    # the projections and the factor read the p/2 + 1 Hermitian n x n blocks;
+    # no (pn) x (pn) matrix reaches eigh
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def record(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", record)
+    inst, _ = generate_instance(n=4, p=8, m=6, seed=1)
+    solve_p_plus(inst)
+    assert len(shapes) > 2 and set(shapes) == {(5, 4, 4)}
 
 
 def test_solver_is_deterministic():
