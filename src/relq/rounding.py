@@ -21,12 +21,15 @@ spawn(tag) derives a substream, one or two levels deep, whose tags sit in
 the high words of the Philox counter next to a sampler domain tag (see
 GaussianSampler).  Trial t draws its normals from samplers[t] and the
 fallback of its variable i from samplers[t].spawn(i).  Philox is
-counter-based and Generator.standard_normal keeps no state of its own, so
-setting one scratch bit generator to a sampler's key and counter yields
-exactly the normals that sampler would draw.  The normals of a block of
-trials therefore come from re-keyed streams, the walk construction runs
-once over the block and one kernel call classifies every (trial,
-variable) walk; positions are bit for bit those of rounding the trials
+counter-based and a Generator keeps no state outside its bit generator,
+so a stream is a pure function of the Philox state.  Each thread keeps
+one scratch Philox and Generator; a sampler draws by loading its start
+(key and counter over an empty buffer) or the state it saved after its
+last draw, and saves the state back, so no draw builds a generator.  A
+block of trials draws its normals from the scratch set to each trial's
+start without saving, so its samplers stay fresh; the walk construction
+runs once over the block and one kernel call classifies every (trial,
+variable) walk.  Positions are bit for bit those of rounding the trials
 one at a time.  The one tolerance is the seam: the kernel takes walk
 index s/2 to be exactly -anchor, where a walk computed in full carries
 anchor + 2*prefix, so a label there can differ only if alpha lies within
@@ -35,6 +38,7 @@ about one ulp of it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,6 +68,24 @@ _MAX_SPAWN_DEPTH = 2
 STREAM_VERSION = 3
 
 
+_local = threading.local()
+
+
+def _thread_scratch() -> tuple[np.random.Philox, np.random.Generator, dict]:
+    """This thread's scratch Philox, its Generator and a blank state.
+
+    The blank state is read once, before the scratch ever draws, so its
+    buffer is empty: a state read after a draw would carry buffered words
+    (and integers()'s spare uint32) into the next stream loaded from it.
+    """
+    try:
+        return _local.scratch
+    except AttributeError:
+        bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        _local.scratch = (bitgen, np.random.Generator(bitgen), bitgen.state)
+        return _local.scratch
+
+
 def _check_word(name: str, value: int) -> int:
     value = int(value)
     if not 0 <= value <= _MASK64:
@@ -83,15 +105,19 @@ class GaussianSampler:
         counter = [0, tag 1 or 0, tag 2 or 0, _SAMPLER_DOMAIN + depth]
 
     Draws advance counter word 0 only, so two distinct samplers share no
-    number short of 2**66 draws from one of them.  The Philox generator is
-    built on the first draw, so spawning costs almost nothing.
+    number short of 2**66 draws from one of them.  A sampler holds no
+    generator: each draw loads its start, or the Philox state it saved
+    after its last draw, into the calling thread's scratch Philox and saves
+    the state back, so spawning costs almost nothing and a stream continues
+    exactly across calls, samplers and threads.  One sampler must not be
+    drawn from by two threads at once.
     """
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = _check_word("seed", seed)
         self.stream = _check_word("stream", stream)
         self.path: tuple[int, ...] = ()
-        self._generator: np.random.Generator | None = None
+        self._state: dict | None = None
 
     @property
     def key(self) -> tuple[int, int]:
@@ -107,31 +133,43 @@ class GaussianSampler:
     @property
     def fresh(self) -> bool:
         """True until the first draw."""
-        return self._generator is None
+        return self._state is None
 
-    @property
-    def _rng(self) -> np.random.Generator:
-        if self._generator is None:
-            # Philox(key=...) would read a tuple holding a word >= 2**63 as float64
-            key = np.array(self.key, dtype=np.uint64)
-            counter = np.array(self.counter, dtype=np.uint64)
-            self._generator = np.random.Generator(np.random.Philox(key=key, counter=counter))
-        return self._generator
+    def _generator(self) -> np.random.Generator:
+        """The thread's scratch Generator, set to where this stream stands."""
+        bitgen, rng, blank = _thread_scratch()
+        if self._state is None:
+            # the state setter takes tuples of ints, faster than arrays
+            blank["state"]["key"] = self.key
+            blank["state"]["counter"] = self.counter
+            bitgen.state = blank
+        else:
+            bitgen.state = self._state
+        return rng
 
     def sample(self, dim: int) -> np.ndarray:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        return self._rng.standard_normal(dim)
+        rng = self._generator()
+        out = rng.standard_normal(dim)
+        self._state = rng.bit_generator.state
+        return out
 
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Overwrite the float64 C-contiguous out with the next out.size
         normals, in C order: exactly what sample(out.size) would return."""
-        return self._rng.standard_normal(out=out)
+        rng = self._generator()
+        rng.standard_normal(out=out)
+        self._state = rng.bit_generator.state
+        return out
 
     def uniform_below(self, n: int) -> int:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        return int(self._rng.integers(0, n))
+        rng = self._generator()
+        value = int(rng.integers(0, n))
+        self._state = rng.bit_generator.state
+        return value
 
     def spawn(self, tag: int) -> "GaussianSampler":
         if len(self.path) == _MAX_SPAWN_DEPTH:
@@ -140,7 +178,7 @@ class GaussianSampler:
         child = object.__new__(GaussianSampler)
         child.seed, child.stream = self.seed, self.stream
         child.path = self.path + (_check_word("tag", tag),)
-        child._generator = None
+        child._state = None
         return child
 
 
@@ -254,18 +292,12 @@ def _round_trials(
     block = max(1, _BLOCK_VALUES // (sol.n * sol.p * ell // 2 + dim))
     positions = np.empty((len(samplers), sol.n), dtype=np.int64)
     counts = np.empty_like(positions)
-    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state  # empty buffer
     for t0 in range(0, len(samplers), block):
         chunk = samplers[t0 : t0 + block]
         z = np.empty((len(chunk), dim))
         for row, smp in zip(z, chunk):
-            # the state setter takes tuples of ints, faster than arrays
-            fresh["state"]["key"] = smp.key
-            fresh["state"]["counter"] = smp.counter
-            bitgen.state = fresh
-            rng.standard_normal(out=row)
+            # drawn without saving the state back, so the sampler stays fresh
+            smp._generator().standard_normal(out=row)
         anchor, prefix = _lifted_prefix(sol, steps, ell, z)
         half_walks = np.empty_like(prefix)
         half_walks[..., 0] = anchor

@@ -1,5 +1,8 @@
 """Sampler determinism, walk construction, crossing detection, rounding."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -49,13 +52,17 @@ def test_sampler_fill_matches_sample():
     assert GaussianSampler(seed=3).fill(out) is out
 
 
-def _one_shot_normals(seed, stream, tags, total):
-    """total normals of the sampler named (seed, stream, *tags), drawn in one call
-    from the documented Philox key and counter."""
+def _documented_philox(seed, stream, tags):
+    """A Philox built from the documented key and counter of the sampler
+    named (seed, stream, *tags)."""
     tags = tuple(tags)
     counter = [0, *tags, *(0,) * (2 - len(tags)), _SAMPLER_DOMAIN + len(tags)]
-    bitgen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64), counter=np.array(counter, dtype=np.uint64))
-    return np.random.Generator(bitgen).standard_normal(total)
+    return np.random.Philox(key=np.array([seed, stream], dtype=np.uint64), counter=np.array(counter, dtype=np.uint64))
+
+
+def _one_shot_normals(seed, stream, tags, total):
+    """total normals of the sampler named (seed, stream, *tags), drawn in one call."""
+    return np.random.Generator(_documented_philox(seed, stream, tags)).standard_normal(total)
 
 
 def test_sampler_matches_one_shot_oracle():
@@ -149,6 +156,53 @@ def test_spawn_paths_do_not_collide():
     assert len(draws) == len(names)
 
 
+def test_interleaved_streams_continue_across_samplers_and_threads():
+    # one thread's scratch Philox serves both samplers in turn; B's integers
+    # leave a spare uint32 buffered, which must not reach A
+    a, b = GaussianSampler(13, 2).spawn(5), GaussianSampler(13, 2).spawn(5).spawn(1)
+    normals = [a.sample(7)]
+    ints = [b.uniform_below(1000) for _ in range(3)]
+    normals.append(a.sample(5))
+    ints.append(b.uniform_below(2**40))
+    worker = threading.Thread(target=lambda: normals.append(a.fill(np.empty((3, 4)))))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    normals.append(a.sample(9))
+    ints += [b.uniform_below(1000) for _ in range(2)]
+    whole = np.concatenate([x.ravel() for x in normals])
+    np.testing.assert_array_equal(whole, _one_shot_normals(13, 2, (5,), whole.size))
+    oracle = np.random.Generator(_documented_philox(13, 2, (5, 1)))
+    assert ints == [int(oracle.integers(0, n)) for n in (1000, 1000, 1000, 2**40, 1000, 1000)]
+
+
+def test_threads_drawing_at_once_keep_their_streams():
+    # more threads than cores, switching often: a scratch Philox shared
+    # between threads would hand one thread's stream to another
+    def draw(seed, got):
+        a, b = GaussianSampler(seed), GaussianSampler(seed).spawn(1)
+        for _ in range(100):
+            got.append((a.sample(3), b.uniform_below(1000)))
+
+    results = {seed: [] for seed in range(6)}
+    workers = [threading.Thread(target=draw, args=item) for item in results.items()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for seed, got in results.items():
+        normals, ints = zip(*got)
+        np.testing.assert_array_equal(np.concatenate(normals), _one_shot_normals(seed, 0, (), 300))
+        oracle = np.random.Generator(_documented_philox(seed, 0, (1,)))
+        assert list(ints) == [int(oracle.integers(0, 1000)) for _ in range(100)]
+
+
 def _philox_states(fn, monkeypatch):
     """The Philox (key, counter) starts of every bit generator fn builds."""
     starts = []
@@ -183,7 +237,8 @@ def test_sampler_streams_stay_off_other_consumers(name, seed, monkeypatch):
     consumer = np.random.Philox(key=start["key"]).random_raw(256)
     for smp in (GaussianSampler(seed).spawn(old_tag), GaussianSampler(seed, int(start["key"][1]))):
         assert smp.counter[3] != 0
-        assert not np.isin(smp._rng.bit_generator.random_raw(256), consumer).any()
+        words = _documented_philox(smp.seed, smp.stream, smp.path).random_raw(256)
+        assert not np.isin(words, consumer).any()
 
 
 # --- walks -----------------------------------------------------------------
@@ -624,6 +679,17 @@ def test_batch_takes_any_fresh_sampler_keys():
     for t, smp in enumerate(fresh):
         positions, statuses, counts = _round_lifted_oracle(sol, 3, smp)
         np.testing.assert_array_equal(out.positions[t], positions)
+
+
+def test_fallback_draws_build_no_generator(monkeypatch):
+    sol = _triangle_solution()
+    samplers = [GaussianSampler(seed=3).spawn(t) for t in range(200)]
+    outs = []
+    starts = _philox_states(lambda: outs.append(round_lifted_solution(sol, 2, samplers)), monkeypatch)
+    (out,) = outs
+    assert sum(status != ONE_CROSSING for status in out.statuses) >= 50
+    assert len(starts) <= 1  # this thread's scratch, on its first draw
+    assert all(smp.fresh for smp in samplers)
 
 
 def test_batch_rejects_used_samplers():
