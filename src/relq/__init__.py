@@ -12,7 +12,6 @@ from relq.brownian import (
     prob_three_or_more,
 )
 from relq.constellation import (
-    Constellation,
     SdpSolutionP,
     canonical_constellation,
     lift_solution,
@@ -79,7 +78,6 @@ __all__ = [
     "parse_instance",
     "scale_instance",
     # constellation geometry
-    "Constellation",
     "SdpSolutionP",
     "canonical_constellation",
     "lift_solution",

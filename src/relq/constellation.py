@@ -25,20 +25,6 @@ import numpy as np
 
 
 @dataclass
-class Constellation:
-    """p unit vectors indexed by cycle labels, as rows of a (p, dim) array."""
-
-    p: int
-    dim: int
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if self.vectors.shape != (self.p, self.dim):
-            raise ValueError(f"expected vector array of shape ({self.p}, {self.dim})")
-
-
-@dataclass
 class SdpSolutionP:
     """Per-variable constellations sharing one ambient space: v[i, k] is variable i's vector for label k."""
 
@@ -62,8 +48,9 @@ def target_gram(p: int) -> np.ndarray:
     return 1.0 - 4.0 * d / p
 
 
-def canonical_constellation(p: int) -> Constellation:
-    """The sign-pattern family over domain p; see the module docstring."""
+def canonical_constellation(p: int) -> np.ndarray:
+    """The sign-pattern family over domain p, vector k as row k of a (p, p/2)
+    float64 array; see the module docstring."""
     if p <= 0 or p % 2 != 0:
         raise ValueError(f"domain size must be a positive even integer, got {p}")
     half = p // 2
@@ -73,7 +60,7 @@ def canonical_constellation(p: int) -> Constellation:
         vectors[k, :k] = -c
     for k in range(half + 1, p):
         vectors[k] = -vectors[k - half]
-    return Constellation(p=p, dim=half, vectors=vectors)
+    return vectors
 
 
 def _shift_columns(p: int) -> np.ndarray:

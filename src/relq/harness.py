@@ -298,25 +298,25 @@ def mc_correlation_gap(theta: float, trials: int, seed: int) -> Report:
 # correlated-pair walk experiment
 
 
-def _audit_correlated_pair(
-    theta: float, s: int, picks: list[int], base: np.ndarray, tol: float = 1e-9
-) -> bool:
-    """Spot-check the two-variable construction against its target Gram.
+def _audit_correlated_pair(s: int, tol: float = 1e-9) -> bool:
+    """Spot-check the constellation both variables of the pair are built from.
 
-    Variable i carries the canonical constellation in the first s ambient
+    Variable i carries the canonical constellation in the first s/2 ambient
     coordinates, variable j carries cos(theta) times the same constellation
-    plus sin(theta) times a copy in the second s coordinates.  Norms stay 1
-    and cross inner products must equal cos(theta) * (1 - 4 d(k,l)/s) on the
-    sampled labels picks, whose constellation rows are base.
+    plus sin(theta) times a copy in the second s/2, so norms stay 1 and the
+    cross inner products are cos(theta) times the constellation's own.
+    Checking norms and the Gram law 1 - 4 d(k,l)/s on sampled labels at
+    full scale therefore covers every angle at once.
     """
-    cos_t = math.cos(theta)
+    picks = list(range(0, s, max(1, s // 8)))
+    # fancy indexing copies the sampled rows, so the full s x s/2
+    # constellation is freed before the walks start
+    base = canonical_constellation(s)[picks]
     for a, k in enumerate(picks):
         if abs(float(base[a] @ base[a]) - 1.0) > tol:
             return False
         for b, l in enumerate(picks):
-            want = cos_t * (1.0 - 4.0 * circular_distance(k, l, s) / s)
-            got = cos_t * float(base[a] @ base[b])
-            if abs(got - want) > tol:
+            if abs(float(base[a] @ base[b]) - (1.0 - 4.0 * circular_distance(k, l, s) / s)) > tol:
                 return False
     return True
 
@@ -339,9 +339,11 @@ def conjecture_experiment(
     between cells have lower variance.  Cell c draws its r2 from
     spawn(c + 1), so a cell's row depends on its angle and grid position
     only, not on the other cells' angles.  Draws go one block of about 2^18
-    walk values at a time: the block's r1, then each audited cell's r2 in
-    grid order, each filled on a worker thread while the walks of the one
-    before it are built.  A grid with no audited cell draws nothing.
+    walk values at a time: the block's r1, then each cell's r2 in grid
+    order, each filled on a worker thread while the walks of the one before
+    it are built.  The construction is audited once per call; if the audit
+    fails, every row reads audit_ok False with NaN means, and neither that
+    nor an empty grid draws anything.
     """
     if s < 100 or s % 2:
         raise ValueError(f"s must be even and >= 100, got {s}")
@@ -354,16 +356,13 @@ def conjecture_experiment(
             raise ValueError(f"angles must lie in [0, pi], got {theta}")
     sampler = GaussianSampler(seed)
     half = s // 2
-    # the audit reads only the sampled rows; fancy indexing copies them, so
-    # the full s x s/2 constellation is freed before the walks start
-    picks = list(range(0, s, max(1, s // 8)))
-    base = canonical_constellation(s).vectors[picks]
-    live = [c for c, theta in enumerate(thetas) if _audit_correlated_pair(theta, s, picks, base)]
-    # r1 first, then each audited cell's r2, block after block
-    samplers = [sampler.spawn(0)] + [sampler.spawn(c + 1) for c in live]
-    sizes = _block_sizes(trials, _block_rows(half)) if live else []
-    both = dict.fromkeys(live, 0)
-    dists: dict[int, list[np.ndarray]] = {c: [] for c in live}
+    audit_ok = _audit_correlated_pair(s)
+    cells = range(len(thetas) if audit_ok else 0)
+    # r1 first, then each cell's r2, block after block
+    samplers = [sampler.spawn(0)] + [sampler.spawn(c + 1) for c in cells]
+    sizes = _block_sizes(trials, _block_rows(half)) if cells else []
+    both = [0] * len(thetas)
+    dists: list[list[np.ndarray]] = [[] for _ in thetas]
     one_i = 0
     with _prefetched((smp, rows, half) for rows in sizes for smp in samplers) as normals:
         for rows in sizes:
@@ -371,7 +370,7 @@ def conjecture_experiment(
             ci, fi, _ = trace_stats_batch(canonical_values_batch(r1), alpha)
             one_i += int(np.sum(ci == 1))
             scratch = np.empty((rows, half))
-            for c in live:
+            for c in cells:
                 r2 = next(normals)
                 r2 *= math.sin(thetas[c])
                 np.multiply(r1, math.cos(thetas[c]), out=scratch)
@@ -384,7 +383,7 @@ def conjecture_experiment(
     rows_out = []
     for cell, theta in enumerate(thetas):
         bound = theta / (2.0 * math.pi)
-        if cell not in both:
+        if not audit_ok:
             rows_out.append([theta, math.cos(theta), s, trials, 0, 0.0, 0.0, float("nan"), float("nan"), bound, False])
             continue
         mean, stderr = _mean_stderr(np.concatenate(dists[cell]))

@@ -16,7 +16,7 @@ it.
 
 Trials and stream keys.  round_lifted_solution takes a batch of fresh
 samplers, one per trial (relq round is a batch of one).
-GaussianSampler(seed, stream) draws from Philox keyed [seed, stream];
+GaussianSampler(seed) draws from Philox keyed [seed, 0];
 spawn(tag) derives a substream, one or two levels deep, whose tags sit in
 the high words of the Philox counter next to a sampler domain tag (see
 GaussianSampler).  Trial t draws its normals from samplers[t] and the
@@ -56,9 +56,10 @@ _MASK64 = (1 << 64) - 1
 # walk values plus normals per block of trials in round_lifted_solution
 _BLOCK_VALUES = 1 << 14
 # Philox counter word 3 of every sampler stream: this tag plus the spawn
-# depth.  Other Philox consumers of the package (generate_instance,
-# discretization_margin_check) start at counter 0, so no key collision
-# with them can repeat a sampler's numbers.
+# depth.  Every sampler key is [seed, 0]; the package's other Philox
+# consumers (generate_instance, discretization_margin_check) key word 1
+# with 0xB5 and 0xD15C and start at counter 0, so they share neither a
+# key nor a counter with any sampler.
 _SAMPLER_DOMAIN = 0x72656C71 << 32  # "relq"
 _MAX_SPAWN_DEPTH = 2
 # 1: Box-Muller over Philox keyed [seed, stream * 2**20 + tag + 1];
@@ -96,12 +97,12 @@ def _check_word(name: str, value: int) -> int:
 class GaussianSampler:
     """Deterministic N(0,1) source: Generator.standard_normal on Philox.
 
-    A sampler is named by its seed, its stream and its path, the tags of up
-    to two spawn() calls, each in [0, 2**64).  One name always yields one
+    A sampler is named by its seed and its path, the tags of up to two
+    spawn() calls, each in [0, 2**64).  One name always yields one
     sequence, however the requests are chunked, and the name maps
     injectively to a Philox key and counter start:
 
-        key     = [seed, stream]
+        key     = [seed, 0]
         counter = [0, tag 1 or 0, tag 2 or 0, _SAMPLER_DOMAIN + depth]
 
     Draws advance counter word 0 only, so two distinct samplers share no
@@ -113,16 +114,15 @@ class GaussianSampler:
     drawn from by two threads at once.
     """
 
-    def __init__(self, seed: int, stream: int = 0):
+    def __init__(self, seed: int):
         self.seed = _check_word("seed", seed)
-        self.stream = _check_word("stream", stream)
         self.path: tuple[int, ...] = ()
         self._state: dict | None = None
 
     @property
     def key(self) -> tuple[int, int]:
-        """The Philox key [seed, stream] of this sampler's stream."""
-        return self.seed, self.stream
+        """The Philox key [seed, 0] of this sampler's stream."""
+        return self.seed, 0
 
     @property
     def counter(self) -> tuple[int, int, int, int]:
@@ -150,10 +150,7 @@ class GaussianSampler:
     def sample(self, dim: int) -> np.ndarray:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        rng = self._generator()
-        out = rng.standard_normal(dim)
-        self._state = rng.bit_generator.state
-        return out
+        return self.fill(np.empty(dim))
 
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Overwrite the float64 C-contiguous out with the next out.size
@@ -174,9 +171,9 @@ class GaussianSampler:
     def spawn(self, tag: int) -> "GaussianSampler":
         if len(self.path) == _MAX_SPAWN_DEPTH:
             raise ValueError(f"substreams nest at most {_MAX_SPAWN_DEPTH} deep")
-        # a batch spawns one sampler per trial: skip re-checking seed and stream
+        # a batch spawns one sampler per trial: skip re-checking the seed
         child = object.__new__(GaussianSampler)
-        child.seed, child.stream = self.seed, self.stream
+        child.seed = self.seed
         child.path = self.path + (_check_word("tag", tag),)
         child._state = None
         return child
@@ -184,13 +181,16 @@ class GaussianSampler:
 
 @dataclass
 class RoundingOutcome:
-    """Positions in [0, s) and crossing counts, (trials, n) int64, and one
-    status string per (trial, variable), row by row."""
+    """Positions in [0, s) and crossing counts, (trials, n) int64."""
 
     s: int
     positions: np.ndarray
-    statuses: list[str]
     crossing_counts: np.ndarray
+
+    @property
+    def statuses(self) -> list[str]:
+        """One status string per (trial, variable), row by row."""
+        return [_STATUS_BY_COUNT[c] for c in np.minimum(self.crossing_counts, 2).ravel().tolist()]
 
 
 def _labels(values: np.ndarray, alpha: float) -> np.ndarray:
@@ -324,7 +324,8 @@ def round_lifted_solution(
     """Round the ell-fold lifted solution directly from the base solution.
 
     Trial t draws its normals from the fresh sampler samplers[t] and the
-    fallback of variable i from samplers[t].spawn(i); positions land in
+    fallback of variable i from samplers[t].spawn(i), so each sampler must
+    leave room for one more spawn level; positions land in
     [0, ell*p).  The trials run in blocks of about _BLOCK_VALUES walk
     values plus normals, with the same numbers as one at a time.  The
     base solution's feasibility is always checked first (max residual
@@ -338,8 +339,9 @@ def round_lifted_solution(
     if not worst <= 1e-5:
         raise ValueError(f"solution infeasible: max residual {worst:.3e}")
     samplers = list(samplers)
-    if not all(smp.fresh for smp in samplers):
-        raise ValueError("a batch of trials needs fresh samplers, one per trial")
+    # checked up front: a sampler with no spawn level left would fail only
+    # once one of its trial's variables fell back
+    if not all(smp.fresh and len(smp.path) < _MAX_SPAWN_DEPTH for smp in samplers):
+        raise ValueError("a batch of trials needs fresh samplers, one per trial, each at most one spawn deep")
     positions, counts = _round_trials(sol, _variable_difference_steps(sol), ell, samplers, alpha)
-    statuses = [_STATUS_BY_COUNT[c] for c in np.minimum(counts, 2).ravel().tolist()]
-    return RoundingOutcome(s=ell * sol.p, positions=positions, statuses=statuses, crossing_counts=counts)
+    return RoundingOutcome(s=ell * sol.p, positions=positions, crossing_counts=counts)

@@ -48,9 +48,9 @@ def test_criterion_01_constellation_exactness(capfd):
     worst = 0.0
     for p in (4, 8, 16, 64):
         cons = canonical_constellation(p)
-        norms = np.linalg.norm(cons.vectors, axis=1)
+        norms = np.linalg.norm(cons, axis=1)
         worst = max(worst, float(np.max(np.abs(norms - 1.0))))
-        gram = cons.vectors @ cons.vectors.T
+        gram = cons @ cons.T
         worst = max(worst, float(np.max(np.abs(gram - target_gram(p)))))
     _line(capfd, 1, worst <= 1e-12, f"unit norms and pairwise cosines exact to {worst:.3e} (tol 1e-12)")
 

@@ -273,7 +273,7 @@ def test_margin_check_rejects_non_finite_eta_and_c(eta, c):
         discretization_margin_check(s=100, eta=eta, c=c, trials=10, seed=0)
 
 
-def test_discrete_walks_match_quadrature_totals():
+def test_discrete_walks_match_closed_form_totals():
     """Independent cross-check: simulated circular walks against the closed forms."""
     s, trials, chunk = 4000, 200_000, 4096
     rng = np.random.Generator(np.random.Philox(20240911))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from relq.constellation import (
-    Constellation,
     SdpSolutionP,
     _variable_difference_steps,
     canonical_constellation,
@@ -42,14 +41,14 @@ P8_VECTORS = 0.5 * np.array(
 
 def test_canonical_p4_matches_frozen_table():
     cons = canonical_constellation(4)
-    assert cons.dim == 2
-    np.testing.assert_allclose(cons.vectors, P4_VECTORS, atol=1e-15)
+    assert cons.shape == (4, 2) and cons.dtype == np.float64
+    np.testing.assert_allclose(cons, P4_VECTORS, atol=1e-15)
 
 
 def test_canonical_p8_matches_frozen_table():
     cons = canonical_constellation(8)
-    assert cons.dim == 4
-    np.testing.assert_allclose(cons.vectors, P8_VECTORS, atol=1e-15)
+    assert cons.shape == (8, 4) and cons.dtype == np.float64
+    np.testing.assert_allclose(cons, P8_VECTORS, atol=1e-15)
 
 
 def test_target_gram_spot_values():
@@ -71,7 +70,7 @@ def test_antipodal_pairs(p):
     cons = canonical_constellation(p)
     half = p // 2
     for k in range(half):
-        np.testing.assert_allclose(cons.vectors[k], -cons.vectors[k + half], atol=0)
+        np.testing.assert_allclose(cons[k], -cons[k + half], atol=0)
 
 
 def test_canonical_rejects_bad_p():
@@ -86,7 +85,7 @@ def test_difference_vectors_orthogonal_equal_norm(p):
     cons = canonical_constellation(p)
     steps = _variable_difference_steps(_solution_from_canonical(p, n=1))[0]
     half = p // 2
-    assert steps.shape == (half, cons.dim)
+    assert steps.shape == (half, cons.shape[1])
     gram = steps @ steps.T
     np.testing.assert_allclose(gram, np.eye(half) * (2.0 / p), atol=1e-12)
 
@@ -97,30 +96,25 @@ def test_difference_vectors_reconstruct_walk(p):
     steps = _variable_difference_steps(_solution_from_canonical(p, n=1))[0]
     for k in range(1, p // 2 + 1):
         np.testing.assert_allclose(
-            cons.vectors[k], cons.vectors[k - 1] + 2.0 * steps[k - 1], atol=1e-12
+            cons[k], cons[k - 1] + 2.0 * steps[k - 1], atol=1e-12
         )
     # full telescoped walk lands on the antipode of the start
-    np.testing.assert_allclose(2.0 * steps.sum(axis=0), -2.0 * cons.vectors[0], atol=1e-12)
-
-
-def test_constellation_validates_shape():
-    with pytest.raises(ValueError):
-        Constellation(p=4, dim=2, vectors=np.zeros((3, 2)))
+    np.testing.assert_allclose(2.0 * steps.sum(axis=0), -2.0 * cons[0], atol=1e-12)
 
 
 def _solution_from_canonical(p: int, n: int) -> SdpSolutionP:
     cons = canonical_constellation(p)
-    v = np.stack([cons.vectors] * n)
-    return SdpSolutionP(p=p, n=n, dim=cons.dim, v=v)
+    v = np.stack([cons] * n)
+    return SdpSolutionP(p=p, n=n, dim=cons.shape[1], v=v)
 
 
 def _rotated_pair(p: int, theta: float) -> SdpSolutionP:
     """Two variables whose constellations sit at angle theta in a doubled space."""
     cons = canonical_constellation(p)
-    z = np.zeros_like(cons.vectors)
-    v0 = np.hstack([cons.vectors, z])
-    v1 = np.hstack([np.cos(theta) * cons.vectors, np.sin(theta) * cons.vectors])
-    return SdpSolutionP(p=p, n=2, dim=2 * cons.dim, v=np.stack([v0, v1]))
+    z = np.zeros_like(cons)
+    v0 = np.hstack([cons, z])
+    v1 = np.hstack([np.cos(theta) * cons, np.sin(theta) * cons])
+    return SdpSolutionP(p=p, n=2, dim=2 * cons.shape[1], v=np.stack([v0, v1]))
 
 
 def _cross_gram(sol: SdpSolutionP, i: int, j: int) -> np.ndarray:

@@ -105,7 +105,7 @@ def test_mc_sign_change_statistics():
         assert row[2] == pytest.approx(math.sqrt(f * (1 - f) / 4000), abs=1e-12)
 
 
-def test_mc_sign_change_matches_quadrature_at_scale():
+def test_mc_sign_change_matches_closed_form_at_scale():
     report = mc_sign_change(s=2000, trials=20_000, seed=5)
     freqs = {row[0]: row[1] for row in report.rows}
     assert freqs["count_one"] >= 0.96
@@ -235,6 +235,36 @@ def test_conjecture_empty_grid_draws_nothing(monkeypatch):
     monkeypatch.setattr(GaussianSampler, "fill", counted_fill)
     report = conjecture_experiment((), s=200, trials=1000, seed=3)
     assert report.rows == []
+    assert draws == []
+
+
+def test_conjecture_audit_failure_fails_every_angle_and_draws_nothing(monkeypatch):
+    # one sampled row negated keeps every norm but breaks the Gram law; pi/2
+    # is in the grid because a check scaled by cos(theta) ~ 6e-17 misses it
+    s = 200
+    real = relq.harness.canonical_constellation
+
+    def broken(p):
+        vectors = real(p)
+        vectors[s // 8] *= -1.0
+        return vectors
+
+    draws = []
+    fill = GaussianSampler.fill
+
+    def counted_fill(self, out):
+        draws.append(out.size)
+        return fill(self, out)
+
+    monkeypatch.setattr(relq.harness, "canonical_constellation", broken)
+    monkeypatch.setattr(GaussianSampler, "fill", counted_fill)
+    grid = (0.0, math.pi / 6, math.pi / 2)
+    cells = _cells(conjecture_experiment(grid, s=s, trials=1000, seed=3))
+    assert [cell["theta"] for cell in cells] == list(grid)
+    for cell in cells:
+        assert cell["audit_ok"] is False
+        assert cell["conditioned"] == 0
+        assert math.isnan(cell["mean_distance"]) and math.isnan(cell["stderr"])
     assert draws == []
 
 

@@ -16,7 +16,7 @@ def test_values_match_explicit_dot_products():
         inc = rng.standard_normal((5, half))
         got = canonical_values_batch(inc)
         assert got.shape == (5, half)
-        want = inc @ cons.vectors.T  # values[k] = v^k . r with r = the increments row
+        want = inc @ cons.T  # values[k] = v^k . r with r = the increments row
         np.testing.assert_allclose(got, want[:, :half], atol=1e-12)
         # the second half of the explicit walk is the mirror the kernel omits
         np.testing.assert_allclose(-got, want[:, half:], atol=1e-12)
@@ -35,7 +35,7 @@ def test_values_antipodal_mirror_is_exact():
     # the rounding path's walk of the canonical constellation is the same
     # walk, mirrored exactly past its seam index
     cons = canonical_constellation(2 * half)
-    sol = SdpSolutionP(p=2 * half, n=1, dim=half, v=cons.vectors[None])
+    sol = SdpSolutionP(p=2 * half, n=1, dim=half, v=cons[None])
     for row in range(5):
         values = lifted_walk_values(sol, 1, inc[row])[0]
         np.testing.assert_allclose(values[:half], vals[row], atol=1e-12)

@@ -30,8 +30,8 @@ from relq.sdp import convert_to_p, feasibility_report, integral_embedding, solve
 
 
 def test_sampler_is_deterministic():
-    a = GaussianSampler(seed=5, stream=3).sample(64)
-    b = GaussianSampler(seed=5, stream=3).sample(64)
+    a = GaussianSampler(seed=5).spawn(3).sample(64)
+    b = GaussianSampler(seed=5).spawn(3).sample(64)
     np.testing.assert_array_equal(a, b)
 
 
@@ -52,35 +52,35 @@ def test_sampler_fill_matches_sample():
     assert GaussianSampler(seed=3).fill(out) is out
 
 
-def _documented_philox(seed, stream, tags):
+def _documented_philox(seed, tags):
     """A Philox built from the documented key and counter of the sampler
-    named (seed, stream, *tags)."""
+    named (seed, *tags)."""
     tags = tuple(tags)
     counter = [0, *tags, *(0,) * (2 - len(tags)), _SAMPLER_DOMAIN + len(tags)]
-    return np.random.Philox(key=np.array([seed, stream], dtype=np.uint64), counter=np.array(counter, dtype=np.uint64))
+    return np.random.Philox(key=np.array([seed, 0], dtype=np.uint64), counter=np.array(counter, dtype=np.uint64))
 
 
-def _one_shot_normals(seed, stream, tags, total):
-    """total normals of the sampler named (seed, stream, *tags), drawn in one call."""
-    return np.random.Generator(_documented_philox(seed, stream, tags)).standard_normal(total)
+def _one_shot_normals(seed, tags, total):
+    """total normals of the sampler named (seed, *tags), drawn in one call."""
+    return np.random.Generator(_documented_philox(seed, tags)).standard_normal(total)
 
 
 def test_sampler_matches_one_shot_oracle():
     # split requests of odd and even sizes, some far past any internal block
     sizes = (1, 7, 3, 6, 2**17 + 1, 2**18, 2, 5)
-    for seed, stream, tags in ((11, 4, ()), (11, 4, (9,)), (0, 2**64 - 1, (2**64 - 1, 3))):
-        smp = GaussianSampler(seed, stream)
+    for seed, tags in ((11, ()), (11, (9,)), (2**64 - 1, (2**64 - 1, 3))):
+        smp = GaussianSampler(seed)
         for tag in tags:
             smp = smp.spawn(tag)
         got = np.concatenate([smp.sample(dim) for dim in sizes])
-        np.testing.assert_array_equal(got, _one_shot_normals(seed, stream, tags, sum(sizes)))
+        np.testing.assert_array_equal(got, _one_shot_normals(seed, tags, sum(sizes)))
 
 
 def test_sampler_streams_differ():
-    a = GaussianSampler(seed=5, stream=0).sample(16)
-    b = GaussianSampler(seed=5, stream=1).sample(16)
+    a = GaussianSampler(seed=5).sample(16)
+    b = GaussianSampler(seed=5).spawn(1).sample(16)
     assert not np.array_equal(a, b)
-    c = GaussianSampler(seed=6, stream=0).sample(16)
+    c = GaussianSampler(seed=6).sample(16)
     assert not np.array_equal(a, c)
 
 
@@ -91,16 +91,16 @@ def test_sampler_moments():
 
 
 def test_sampler_spawn_and_uniform():
-    s = GaussianSampler(seed=7, stream=2)
+    s = GaussianSampler(seed=7)
     child = s.spawn(4)
-    np.testing.assert_array_equal(child.key, np.array([7, 2], dtype=np.uint64))
+    np.testing.assert_array_equal(child.key, np.array([7, 0], dtype=np.uint64))
     np.testing.assert_array_equal(child.counter, np.array([0, 4, 0, _SAMPLER_DOMAIN + 1], dtype=np.uint64))
     grandchild = child.spawn(6)
     assert grandchild.path == (4, 6)
     np.testing.assert_array_equal(grandchild.counter, np.array([0, 4, 6, _SAMPLER_DOMAIN + 2], dtype=np.uint64))
     with pytest.raises(ValueError, match="2 deep"):
         grandchild.spawn(0)
-    assert not np.array_equal(child.sample(8), GaussianSampler(7, 2).sample(8))
+    assert not np.array_equal(child.sample(8), GaussianSampler(7).sample(8))
     vals = [s.uniform_below(10) for _ in range(200)]
     assert min(vals) >= 0 and max(vals) < 10
     with pytest.raises(ValueError):
@@ -112,8 +112,8 @@ def test_sampler_spawn_and_uniform():
 
 
 def test_sampler_is_fresh_until_its_first_draw():
-    s = GaussianSampler(seed=7, stream=2)
-    np.testing.assert_array_equal(s.key, np.array([7, 2], dtype=np.uint64))
+    s = GaussianSampler(seed=7)
+    np.testing.assert_array_equal(s.key, np.array([7, 0], dtype=np.uint64))
     np.testing.assert_array_equal(s.counter, np.array([0, 0, 0, _SAMPLER_DOMAIN], dtype=np.uint64))
     child = s.spawn(3)
     assert s.fresh and child.fresh
@@ -132,26 +132,25 @@ def test_sampler_rejects_out_of_range_seeds(seed):
 
 def test_sampler_accepts_the_seed_range_ends():
     top = GaussianSampler(2**64 - 1).sample(8)
-    np.testing.assert_array_equal(top, _one_shot_normals(2**64 - 1, 0, (), 8))
+    np.testing.assert_array_equal(top, _one_shot_normals(2**64 - 1, (), 8))
     assert not np.array_equal(top, GaussianSampler(0).sample(8))
 
 
-@pytest.mark.parametrize("stream", [-1, 2**64, 2**70])
-def test_sampler_rejects_out_of_range_streams_and_tags(stream):
-    # masking used to alias these: GaussianSampler(5, 2**70) drew what (5, 0) draws
-    with pytest.raises(ValueError, match="stream"):
-        GaussianSampler(5, stream)
+@pytest.mark.parametrize("tag", [-1, 2**64, 2**70])
+def test_sampler_rejects_out_of_range_streams_and_tags(tag):
+    # a substream is named by its spawn tags; masking used to alias these
+    # onto valid tags
     with pytest.raises(ValueError, match="tag"):
-        GaussianSampler(5).spawn(stream)
+        GaussianSampler(5).spawn(tag)
     with pytest.raises(ValueError, match="tag"):
-        GaussianSampler(5).spawn(3).spawn(stream)
+        GaussianSampler(5).spawn(3).spawn(tag)
 
 
 def test_spawn_paths_do_not_collide():
     # spawn(t) used to key stream * 2**20 + t + 1, so these two drew the same numbers
     nested = GaussianSampler(0).spawn(0).spawn(5).sample(64)
     assert not np.array_equal(nested, GaussianSampler(0).spawn(2**20 + 5).sample(64))
-    names = [GaussianSampler(0), GaussianSampler(0).spawn(0), GaussianSampler(0).spawn(0).spawn(0), GaussianSampler(0, 1)]
+    names = [GaussianSampler(0), GaussianSampler(0).spawn(0), GaussianSampler(0).spawn(0).spawn(0), GaussianSampler(1)]
     draws = {smp.sample(4).tobytes() for smp in names}
     assert len(draws) == len(names)
 
@@ -159,7 +158,7 @@ def test_spawn_paths_do_not_collide():
 def test_interleaved_streams_continue_across_samplers_and_threads():
     # one thread's scratch Philox serves both samplers in turn; B's integers
     # leave a spare uint32 buffered, which must not reach A
-    a, b = GaussianSampler(13, 2).spawn(5), GaussianSampler(13, 2).spawn(5).spawn(1)
+    a, b = GaussianSampler(13).spawn(5), GaussianSampler(13).spawn(5).spawn(1)
     normals = [a.sample(7)]
     ints = [b.uniform_below(1000) for _ in range(3)]
     normals.append(a.sample(5))
@@ -171,8 +170,8 @@ def test_interleaved_streams_continue_across_samplers_and_threads():
     normals.append(a.sample(9))
     ints += [b.uniform_below(1000) for _ in range(2)]
     whole = np.concatenate([x.ravel() for x in normals])
-    np.testing.assert_array_equal(whole, _one_shot_normals(13, 2, (5,), whole.size))
-    oracle = np.random.Generator(_documented_philox(13, 2, (5, 1)))
+    np.testing.assert_array_equal(whole, _one_shot_normals(13, (5,), whole.size))
+    oracle = np.random.Generator(_documented_philox(13, (5, 1)))
     assert ints == [int(oracle.integers(0, n)) for n in (1000, 1000, 1000, 2**40, 1000, 1000)]
 
 
@@ -198,8 +197,8 @@ def test_threads_drawing_at_once_keep_their_streams():
     assert not any(w.is_alive() for w in workers)
     for seed, got in results.items():
         normals, ints = zip(*got)
-        np.testing.assert_array_equal(np.concatenate(normals), _one_shot_normals(seed, 0, (), 300))
-        oracle = np.random.Generator(_documented_philox(seed, 0, (1,)))
+        np.testing.assert_array_equal(np.concatenate(normals), _one_shot_normals(seed, (), 300))
+        oracle = np.random.Generator(_documented_philox(seed, (1,)))
         assert list(ints) == [int(oracle.integers(0, 1000)) for _ in range(100)]
 
 
@@ -232,13 +231,20 @@ CONSUMERS = {
 def test_sampler_streams_stay_off_other_consumers(name, seed, monkeypatch):
     run, old_tag = CONSUMERS[name]
     (start,) = _philox_states(lambda: run(seed), monkeypatch)
-    # the consumer counts up from a zero counter; every sampler's word 3 is nonzero
+    # every sampler key is [seed, 0]; the consumer keys word 1 otherwise and
+    # counts up from a zero counter, where every sampler's word 3 is nonzero
+    assert start["key"][0] == seed and start["key"][1] != 0
     assert start["counter"].tolist() == [0, 0, 0, 0]
     consumer = np.random.Philox(key=start["key"]).random_raw(256)
-    for smp in (GaussianSampler(seed).spawn(old_tag), GaussianSampler(seed, int(start["key"][1]))):
+    for smp in (GaussianSampler(seed), GaussianSampler(seed).spawn(old_tag)):
+        assert smp.key == (seed, 0)
         assert smp.counter[3] != 0
-        words = _documented_philox(smp.seed, smp.stream, smp.path).random_raw(256)
+        words = _documented_philox(smp.seed, smp.path).random_raw(256)
         assert not np.isin(words, consumer).any()
+    # a sampler's counter start on the consumer's own key misses its words too
+    counter = np.array(GaussianSampler(seed).counter, dtype=np.uint64)
+    words = np.random.Philox(key=start["key"], counter=counter).random_raw(256)
+    assert not np.isin(words, consumer).any()
 
 
 # --- walks -----------------------------------------------------------------
@@ -246,7 +252,7 @@ def test_sampler_streams_stay_off_other_consumers(name, seed, monkeypatch):
 
 def _canonical_solution(p):
     cons = canonical_constellation(p)
-    return SdpSolutionP(p=p, n=1, dim=cons.dim, v=cons.vectors[None, :, :])
+    return SdpSolutionP(p=p, n=1, dim=cons.shape[1], v=cons[None, :, :])
 
 
 def test_compute_walk_hand_case():
@@ -289,7 +295,7 @@ def test_walk_correlations_match_gram():
     vals = np.concatenate((half_vals, -half_vals), axis=1)  # the antipodal mirror
     cons = canonical_constellation(s)
     for a, b in [(0, 1), (0, 4), (2, 5), (3, 3), (1, 6), (7, 7)]:
-        want = float(cons.vectors[a] @ cons.vectors[b])
+        want = float(cons[a] @ cons[b])
         got = float(np.mean(vals[:, a] * vals[:, b]))
         assert abs(got - want) <= 0.01
 
@@ -332,7 +338,7 @@ def test_up_and_down_crossings_balance_on_canonical_traces():
     cons = canonical_constellation(40)
     for seed in range(30):
         r = GaussianSampler(seed=seed).sample(20)
-        values = cons.vectors @ r
+        values = cons @ r
         ups = detect_extreme_sign_changes(values, 1.0)
         downs = detect_extreme_sign_changes(-values, 1.0)
         assert len(ups) == len(downs)
@@ -341,9 +347,9 @@ def test_up_and_down_crossings_balance_on_canonical_traces():
 def test_detect_agrees_with_batch_kernel():
     cons = canonical_constellation(60)
     for seed in range(40):
-        r = GaussianSampler(seed=seed, stream=9).sample(30)
+        r = GaussianSampler(seed=seed).spawn(9).sample(30)
         half = canonical_values_batch(r[None])[0]
-        for values in (cons.vectors @ r, np.concatenate((half, -half))):
+        for values in (cons @ r, np.concatenate((half, -half))):
             events = detect_extreme_sign_changes(values, 1.0)
             counts, first, _ = trace_stats_batch(values[None, :30], 1.0)
             assert counts[0] == len(events)
@@ -414,10 +420,10 @@ def _integral_p_solution(p, positions):
 
 def _rotated_pair(p, theta):
     cons = canonical_constellation(p)
-    z = np.zeros_like(cons.vectors)
-    v0 = np.hstack([cons.vectors, z])
-    v1 = np.hstack([np.cos(theta) * cons.vectors, np.sin(theta) * cons.vectors])
-    return SdpSolutionP(p=p, n=2, dim=2 * cons.dim, v=np.stack([v0, v1]))
+    z = np.zeros_like(cons)
+    v0 = np.hstack([cons, z])
+    v1 = np.hstack([np.cos(theta) * cons, np.sin(theta) * cons])
+    return SdpSolutionP(p=p, n=2, dim=2 * cons.shape[1], v=np.stack([v0, v1]))
 
 
 def _padded(sol):
@@ -549,7 +555,7 @@ def test_round_solution_one_crossing_frequency():
     s = 2000
     sol = _canonical_solution(s)
     trials = 2500
-    out = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed, stream=77) for seed in range(trials)])
+    out = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed).spawn(77) for seed in range(trials)])
     hits = sum(status == ONE_CROSSING for status in out.statuses)
     assert hits / trials >= 0.96
 
@@ -639,7 +645,7 @@ def test_batched_trials_match_the_per_trial_oracle(name, ell, alpha, block_value
     monkeypatch.setattr(relq.rounding, "_BLOCK_VALUES", block_values)
     sol = _batch_solution(name)
     trials = 300
-    base = GaussianSampler(seed=6, stream=2)
+    base = GaussianSampler(seed=6)
     out = round_lifted_solution(sol, ell, [base.spawn(t) for t in range(trials)], alpha=alpha)
     assert out.s == ell * sol.p
     assert out.positions.shape == out.crossing_counts.shape == (trials, sol.n)
@@ -661,7 +667,7 @@ def test_batched_cases_reach_every_status_and_dim_parity():
     seen = set()
     for name, ell, alpha in BATCH_CASES:
         sol = _batch_solution(name)
-        base = GaussianSampler(seed=6, stream=2)
+        base = GaussianSampler(seed=6)
         seen |= set(round_lifted_solution(sol, ell, [base.spawn(t) for t in range(300)], alpha=alpha).statuses)
         seen.add("odd" if sol.dim * ell % 2 else "even")
     assert seen == {ONE_CROSSING, NO_CROSSING, MANY_CROSSINGS, "odd", "even"}
@@ -669,10 +675,10 @@ def test_batched_cases_reach_every_status_and_dim_parity():
 
 def test_batch_takes_any_fresh_sampler_keys():
     sol = _rotated_pair(4, theta=0.5)
-    samplers = [GaussianSampler(seed, stream) for seed, stream in ((0, 0), (9, 3), (2**64 - 1, 7), (5, 2**64 - 1))]
-    samplers += [GaussianSampler(5, 1).spawn(2**64 - 1), GaussianSampler(5, 1).spawn(8).spawn(2)]
+    samplers = [GaussianSampler(seed) for seed in (0, 9, 2**64 - 1, 5)]
+    samplers += [GaussianSampler(5).spawn(2**64 - 1), GaussianSampler(5).spawn(8)]
     out = round_lifted_solution(sol, 3, samplers)
-    fresh = [GaussianSampler(smp.seed, smp.stream) for smp in samplers]
+    fresh = [GaussianSampler(smp.seed) for smp in samplers]
     for t, smp in enumerate(samplers):
         for tag in smp.path:
             fresh[t] = fresh[t].spawn(tag)
@@ -698,3 +704,12 @@ def test_batch_rejects_used_samplers():
     used.sample(3)
     with pytest.raises(ValueError, match="fresh"):
         round_lifted_solution(sol, 1, [GaussianSampler(seed=0), used])
+
+
+def test_batch_rejects_samplers_with_no_room_for_fallbacks():
+    # a trial's fallbacks come from its sampler's spawn(i); a sampler two
+    # spawns deep used to fail only once a trial fell back
+    sol = _rotated_pair(4, theta=0.5)
+    for alpha in (1.0, 50.0):
+        with pytest.raises(ValueError, match="one spawn deep"):
+            round_lifted_solution(sol, 1, [GaussianSampler(0), GaussianSampler(5).spawn(8).spawn(2)], alpha=alpha)
