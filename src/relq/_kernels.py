@@ -1,15 +1,18 @@
 """Batch kernels for circular walk simulation, carried as forward half-walks.
 
 A canonical walk of length s = 2*half is antipodal: values[half + k] =
--values[k] exactly (the mirror is a sign flip, and values[half] = a - 2a
-is exact), and labels flip with it.  Everything the Monte-Carlo drivers
-need therefore follows from the forward half, and no kernel builds the
-mirror.
+-values[k] exactly, and labels flip with it.  Everything the Monte-Carlo
+drivers and the rounding need therefore follows from the forward half, and
+relq.rounding.lifted_walk_values writes the mirror only to show a walk.
 
 Kernels:
+  _half_walks: anchors and step prefix sums -> forward halves,
+    values[..., 0] = anchor and values[..., k] = anchor + step*prefix[..., k-1].
+    Every walk of the package, canonical or lifted, is formed here.
+  _labels: +1 at or above alpha, -1 at or below -alpha, 0 between.
   canonical_values_batch: per-trial normal increments -> forward half of
-    the walk.  values[t, 0] = a with a = sqrt(2/s) * (sum of the row), and
-    values[t, k] = a - 2*sqrt(2/s)*prefix[k-1] for 1 <= k < half.
+    the walk, with anchor sqrt(2/s) * (sum of the row) and step
+    -2*sqrt(2/s).
   trace_stats_batch: forward half + threshold -> per trial the circular
     up-crossing count of the full antipodal trace, its first up-crossing
     start index in [0, s), and the number of collapsed nonzero label runs
@@ -34,21 +37,29 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
+def _half_walks(anchor: np.ndarray, prefix: np.ndarray, step: float) -> np.ndarray:
+    """Forward halves shaped like prefix: anchor, then anchor + step*prefix[..., k-1]."""
+    values = np.empty_like(prefix)
+    values[..., 0] = anchor
+    tail = values[..., 1:]
+    np.multiply(prefix[..., :-1], step, out=tail)
+    tail += anchor[..., None]
+    return values
+
+
+def _labels(values: np.ndarray, alpha: float) -> np.ndarray:
+    """int8 labels: +1 where values >= alpha, -1 where values <= -alpha, 0 elsewhere."""
+    return (values >= alpha).view(np.int8) - (values <= -alpha).view(np.int8)
+
+
 def canonical_values_batch(increments: np.ndarray) -> np.ndarray:
     """Forward-half walk values (trials, half) from normal increments (trials, half)."""
     increments = np.asarray(increments, dtype=np.float64)
     if increments.ndim != 2 or increments.shape[1] < 1:
         raise ValueError("increments must be a (trials, half) array")
-    s = 2 * increments.shape[1]
-    c = np.sqrt(2.0 / s)
+    c = np.sqrt(2.0 / (2 * increments.shape[1]))  # sqrt(2/s)
     prefix = np.cumsum(increments, axis=1)
-    values = np.empty_like(prefix)
-    a = c * prefix[:, -1]
-    values[:, 0] = a
-    tail = values[:, 1:]
-    np.multiply(prefix[:, :-1], 2.0 * c, out=tail)
-    np.subtract(a[:, None], tail, out=tail)
-    return values
+    return _half_walks(c * prefix[:, -1], prefix, -2.0 * c)
 
 
 def trace_stats_batch(half_values: np.ndarray, alpha: float):
@@ -64,7 +75,7 @@ def trace_stats_batch(half_values: np.ndarray, alpha: float):
         raise ValueError("half_values must be a (trials, half) array")
     _check_alpha(alpha)
     trials, half = half_values.shape
-    labels = (half_values >= alpha).view(np.int8) - (half_values <= -alpha).view(np.int8)
+    labels = _labels(half_values, alpha)
 
     # the nonzero labels in row-major order; a run starts where the label
     # changes or a new row begins

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from relq import __version__
+from relq._kernels import _labels
 from relq.harness import (
     ExperimentConfig,
     Report,
@@ -35,7 +36,7 @@ from relq.instance import (
     load_instance,
     scale_instance,
 )
-from relq.rounding import GaussianSampler, _labels, lifted_walk_values, round_lifted_solution
+from relq.rounding import GaussianSampler, lifted_walk_values, round_lifted_solution
 from relq.sdp import (
     _check_instance,
     MAX_ENGINE_CYCLES,

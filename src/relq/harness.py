@@ -48,6 +48,8 @@ _BLOCK_VALUES = 1 << 18
 _GAP_BLOCK_ROWS = 1 << 18
 # end_to_end_ratio's sandwich: the optimum may exceed the relaxation value by this much
 _SANDWICH_TOL = 1e-3
+# conjecture_experiment's audit: largest error allowed in a sampled norm or Gram entry
+_AUDIT_TOL = 1e-9
 
 
 def _block_rows(width: int) -> int:
@@ -298,7 +300,7 @@ def mc_correlation_gap(theta: float, trials: int, seed: int) -> Report:
 # correlated-pair walk experiment
 
 
-def _audit_correlated_pair(s: int, tol: float = 1e-9) -> bool:
+def _audit_correlated_pair(s: int) -> bool:
     """Spot-check the constellation both variables of the pair are built from.
 
     Variable i carries the canonical constellation in the first s/2 ambient
@@ -313,10 +315,10 @@ def _audit_correlated_pair(s: int, tol: float = 1e-9) -> bool:
     # constellation is freed before the walks start
     base = canonical_constellation(s)[picks]
     for a, k in enumerate(picks):
-        if abs(float(base[a] @ base[a]) - 1.0) > tol:
+        if abs(float(base[a] @ base[a]) - 1.0) > _AUDIT_TOL:
             return False
         for b, l in enumerate(picks):
-            if abs(float(base[a] @ base[b]) - (1.0 - 4.0 * circular_distance(k, l, s) / s)) > tol:
+            if abs(float(base[a] @ base[b]) - (1.0 - 4.0 * circular_distance(k, l, s) / s)) > _AUDIT_TOL:
                 return False
     return True
 
@@ -362,7 +364,8 @@ def conjecture_experiment(
     samplers = [sampler.spawn(0)] + [sampler.spawn(c + 1) for c in cells]
     sizes = _block_sizes(trials, _block_rows(half)) if cells else []
     both = [0] * len(thetas)
-    dists: list[list[np.ndarray]] = [[] for _ in thetas]
+    # the empty first piece gives a cell that drew nothing a NaN mean
+    dists = [[np.empty(0)] for _ in thetas]
     one_i = 0
     with _prefetched((smp, rows, half) for rows in sizes for smp in samplers) as normals:
         for rows in sizes:
@@ -380,16 +383,11 @@ def conjecture_experiment(
                 both[c] += int(np.sum(mask))
                 delta = (fj[mask] - fi[mask]) % s
                 dists[c].append(np.minimum(delta, s - delta) / s)
-    rows_out = []
-    for cell, theta in enumerate(thetas):
-        bound = theta / (2.0 * math.pi)
-        if not audit_ok:
-            rows_out.append([theta, math.cos(theta), s, trials, 0, 0.0, 0.0, float("nan"), float("nan"), bound, False])
-            continue
-        mean, stderr = _mean_stderr(np.concatenate(dists[cell]))
-        rows_out.append(
-            [theta, math.cos(theta), s, trials, both[cell], both[cell] / trials, one_i / trials, mean, stderr, bound, True]
-        )
+    rows_out = [
+        [theta, math.cos(theta), s, trials, both[c], both[c] / trials, one_i / trials]
+        + [*_mean_stderr(np.concatenate(dists[c])), theta / (2.0 * math.pi), audit_ok]
+        for c, theta in enumerate(thetas)
+    ]
     return Report(
         name="conjecture_experiment",
         parameters={"s": s, "trials": trials, "alpha": alpha, "seed": seed, "theta_grid": thetas},

@@ -11,8 +11,9 @@ falls back to a uniform position drawn from a per-variable substream.
 Rounding the ell-fold lift needs no lifted vectors: its walk is the anchor
 plus prefix sums of the base difference steps projected on r, split into
 ell sub-steps (ell = 1 is plain rounding).  The walk is antipodal, so only
-its forward half is built and the crossing kernel of relq._kernels reads
-it.
+its forward half is built, by relq._kernels._half_walks, and the crossing
+kernel of relq._kernels reads it.  lifted_walk_values returns that half
+with its exact mirror, so a walk written out is the walk that was rounded.
 
 Trials and stream keys.  round_lifted_solution takes a batch of fresh
 samplers, one per trial (relq round is a batch of one).
@@ -30,10 +31,7 @@ block of trials draws its normals from the scratch set to each trial's
 start without saving, so its samplers stay fresh; the walk construction
 runs once over the block and one kernel call classifies every (trial,
 variable) walk.  Positions are bit for bit those of rounding the trials
-one at a time.  The one tolerance is the seam: the kernel takes walk
-index s/2 to be exactly -anchor, where a walk computed in full carries
-anchor + 2*prefix, so a label there can differ only if alpha lies within
-about one ulp of it.
+one at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from relq._kernels import _check_alpha, trace_stats_batch
+from relq._kernels import _check_alpha, _half_walks, _labels, trace_stats_batch
 from relq.constellation import SdpSolutionP, _variable_difference_steps, solution_residuals
 
 ONE_CROSSING = "OneCrossing"
@@ -193,14 +191,6 @@ class RoundingOutcome:
         return [_STATUS_BY_COUNT[c] for c in np.minimum(self.crossing_counts, 2).ravel().tolist()]
 
 
-def _labels(values: np.ndarray, alpha: float) -> np.ndarray:
-    """+1 where values >= alpha, -1 where values <= -alpha, 0 elsewhere."""
-    labels = np.zeros(values.shape, dtype=np.int64)
-    labels[values >= alpha] = 1
-    labels[values <= -alpha] = -1
-    return labels
-
-
 def detect_extreme_sign_changes(values: np.ndarray, alpha: float) -> list[tuple[int, int]]:
     """All up-crossings (t_minus, t_plus) of the collapsed circular label sequence.
 
@@ -246,11 +236,10 @@ def _lifted_prefix(
     """Anchors (trials, n) and step prefix sums (trials, n, s/2) of the lifted walks.
 
     steps is _variable_difference_steps(sol), (n, p/2, dim); normals is
-    (trials, dim*ell).  Walk value k of variable i is anchor +
-    2*prefix[k-1] for 1 <= k <= s/2.  Every (p/2 x dim) @ (dim x ell)
-    product is one BLAS call and every anchor one dot product, as for a
-    single trial, so a block of trials gives bit for bit the values of its
-    trials taken one at a time.
+    (trials, dim*ell).  The forward half-walks are _half_walks(anchor,
+    prefix, 2.0).  Every (p/2 x dim) @ (dim x ell) product is one BLAS call
+    and every anchor one dot product, as for a single trial, so a block of
+    trials gives bit for bit the values of its trials taken one at a time.
     """
     R = normals.reshape(normals.shape[0], sol.dim, ell)
     scale = 1.0 / np.sqrt(ell)
@@ -266,8 +255,9 @@ def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray) -> np.ndarray
 
     The lifted walk applies the original difference steps split into ell
     equal sub-steps, so its values are the anchor plus prefix sums of the
-    per-sub-step projections of r.  Equal (within float noise) to dotting r
-    with lift_solution's vectors.
+    per-sub-step projections of r.  The forward half is the one the
+    rounding classifies and the second half its exact mirror.  Equal
+    (within float noise) to dotting r with lift_solution's vectors.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
@@ -275,13 +265,8 @@ def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray) -> np.ndarray
     if r.shape != (expected,):
         raise ValueError(f"r has shape {r.shape}, expected ({expected},)")
     anchor, prefix = _lifted_prefix(sol, _variable_difference_steps(sol), ell, r[None])
-    anchor, prefix = anchor[0], prefix[0]
-    half = prefix.shape[1]
-    values = np.empty((sol.n, 2 * half))
-    values[:, 0] = anchor
-    values[:, 1 : half + 1] = anchor[:, None] + 2.0 * prefix
-    values[:, half + 1 :] = -values[:, 1:half]
-    return values
+    half = _half_walks(anchor[0], prefix[0], 2.0)
+    return np.concatenate((half, -half), axis=1)
 
 
 def _round_trials(
@@ -298,12 +283,7 @@ def _round_trials(
         for row, smp in zip(z, chunk):
             # drawn without saving the state back, so the sampler stays fresh
             smp._generator().standard_normal(out=row)
-        anchor, prefix = _lifted_prefix(sol, steps, ell, z)
-        half_walks = np.empty_like(prefix)
-        half_walks[..., 0] = anchor
-        tail = half_walks[..., 1:]
-        np.multiply(prefix[..., :-1], 2.0, out=tail)
-        tail += anchor[..., None]
+        half_walks = _half_walks(*_lifted_prefix(sol, steps, ell, z), 2.0)
         half = half_walks.shape[2]
         block_counts, first_plus, _ = trace_stats_batch(half_walks.reshape(-1, half), alpha)
         for cell in np.flatnonzero(block_counts != 1).tolist():

@@ -393,11 +393,13 @@ def format_solution(sol) -> str:
 def parse_solution(text: str):
     """Parse the text form; every coordinate must be finite."""
     nums, rows = _text_rows(text, "solution", SOLUTION_MAGIC, SOLUTION_VERSION)
-    toks = rows[1].split()
-    if len(toks) != 4:
-        raise ValueError(f"bad size line {rows[1]!r}")
-    p, n, dim = int(toks[0]), int(toks[1]), int(toks[2])
-    kind = toks[3]
+    try:
+        *sizes, kind = rows[1].split()
+        p, n, dim = (int(tok) for tok in sizes)
+    except ValueError as exc:
+        raise ValueError(f"bad size line {rows[1]!r}") from exc
+    if p < 2 or p % 2 or n < 1 or dim < 1:
+        raise ValueError(f"bad size line {rows[1]!r}: need an even p >= 2, n >= 1 and dim >= 1")
     if kind not in ("pplus", "p"):
         raise ValueError(f"unknown solution kind {kind!r}")
     body = rows[2:]
@@ -408,7 +410,10 @@ def parse_solution(text: str):
         vals = line.split()
         if len(vals) != dim:
             raise ValueError(f"expected {dim} coordinates on line {nums[r + 2]}, found {len(vals)}")
-        row = [float(tok) for tok in vals]
+        try:
+            row = [float(tok) for tok in vals]
+        except ValueError:
+            raise ValueError(f"bad coordinate on line {nums[r + 2]}") from None
         if not np.isfinite(row).all():
             raise ValueError(f"non-finite coordinate on line {nums[r + 2]}")
         arr[r // p, r % p] = row

@@ -7,11 +7,13 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from relq.cli import main, parse_angle
 from relq.harness import Report
 from relq.instance import load_instance
+from relq.rounding import detect_extreme_sign_changes
 from relq.sdp import load_solution, solve_p_plus
 
 TRIANGLE_TEXT = "relq 1\n4 3 3\n0 1 2\n1 2 2\n2 0 2\n"
@@ -116,10 +118,11 @@ def test_round_stdout_pinned(ell, triangle_file, tmp_path, capsys):
 
 # sha256 and line count of the `relq round --seed 3 --emit-walk` CSV for the
 # solved triangle, captured from the solver that factors the Hermitian
-# frequency blocks
+# frequency blocks, with the walk written as its forward half and the exact
+# mirror (value s/2 is -value 0)
 EMIT_WALK_CSV = {
-    1: ("19eaa48bacba9f03a53a313f698cd9ff2be34e9736e35da7acf65813a00706bc", 13),
-    5: ("eb6699cb811dfa8e1e186dad9152cd0f0861597021c9ab8ef11bfb4462646b93", 61),
+    1: ("d0267bbc8c47a4ac6e1b8715f46a033d9bbdb40519465fa900fa6f700862eb85", 13),
+    5: ("89523f8e4ebca451b93bfa9a52f6be942d75f663f698be33408aa343aa1c1e40", 61),
 }
 
 
@@ -132,6 +135,46 @@ def test_emit_walk_csv_pinned(ell, triangle_file, tmp_path, capsys):
     assert main(argv) == 0
     data = walk_path.read_bytes()
     assert (hashlib.sha256(data).hexdigest(), data.count(b"\n")) == EMIT_WALK_CSV[ell]
+
+
+@pytest.mark.parametrize("ell", [1, 5])
+def test_emit_walk_rows_give_the_printed_rounding(ell, tmp_path, capsys):
+    # the CSV is the walk the rounding classified: the per-walk reference
+    # detector reads each variable's rows back to the printed status and,
+    # for one crossing, the printed position
+    inst_path = tmp_path / "inst.txt"
+    sol_path = tmp_path / "sol.txt"
+    walk_path = tmp_path / "walk.csv"
+    assert main(["gen", "--n", "4", "--p", "8", "--m", "6", "--seed", "5", "--out", str(inst_path)]) == 0
+    assert main(["solve", str(inst_path), "--out", str(sol_path)]) == 0
+    seen = set()
+    for seed in range(6):
+        capsys.readouterr()
+        argv = ["round", str(inst_path), str(sol_path), "--seed", str(seed), "--ell", str(ell), "--emit-walk", str(walk_path)]
+        assert main(argv) == 0
+        out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines()[:3])
+        positions = [int(tok) for tok in out["positions"].split()]
+        statuses = out["statuses"].split()
+        lines = walk_path.read_text().splitlines()
+        rows = [line.split(",") for line in lines[lines.index("variable,k,value,label") + 1 :]]
+        for i, (status, position) in enumerate(zip(statuses, positions)):
+            walk = [(int(k), float(v)) for var, k, v, _ in rows if int(var) == i]
+            assert [k for k, _ in walk] == list(range(8 * ell))
+            events = detect_extreme_sign_changes(np.array([v for _, v in walk]), 1.0)
+            assert status == ("NoCrossing", "OneCrossing", "ManyCrossings")[min(len(events), 2)]
+            if len(events) == 1:
+                assert position == events[0][1]
+            seen.add(status)
+    assert "OneCrossing" in seen
+
+
+def test_round_rejects_a_malformed_solution_file(triangle_file, tmp_path, capsys):
+    sol_path = tmp_path / "sol.txt"
+    sol_path.write_text("relqsol 1\n4 3 pplus\n")
+    assert main(["round", str(triangle_file), str(sol_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad size line '4 3 pplus'\n"
 
 
 def test_out_of_range_seeds_are_errors(triangle_file, tmp_path, capsys):

@@ -1,9 +1,9 @@
-"""Module hygiene: no dead imports, and light ``relq.cli`` imports and solves.
+"""Module hygiene: no dead imports or private names, and light ``relq.cli`` imports and solves.
 
-No linter runs on this package, so the unused-import check is done here
-with ``ast``.  A name imported only so that another tool can find it on
-the module keeps its import when the alias's own line says
-``# noqa: F401`` followed by the reason.
+No linter runs on this package, so the unused-import and unread-name
+checks are done here with ``ast``.  A name imported only so that another
+tool can find it on the module keeps its import when the alias's own line
+says ``# noqa: F401`` followed by the reason.
 """
 
 import ast
@@ -20,7 +20,7 @@ NOQA = re.compile(r"#\s*noqa:\s*F401\s+\S")
 
 
 def _used_names(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     # quoted annotations ("GaussianSampler") name their types in a string
     for node in ast.walk(tree):
         for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
@@ -67,6 +67,71 @@ def test_the_checker_sees_an_unused_import(tmp_path):
         "from pathlib import Path\n"
     )
     assert _unused_imports(mod) == ["mod.py:1: os", "mod.py:2: sys"]
+
+
+def _private_definitions(tree: ast.Module):
+    """(line, name) of each private top-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _unread_private_names(paths: list[Path], package: str) -> list[str]:
+    """Private top-level names that neither their module reads nor another
+    module of the package imports by name (the import check then makes the
+    importer read it)."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    imported = {
+        (node.module, alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unread = []
+    for path, tree in trees.items():
+        read = _used_names(tree) | {name for module, name in imported if module == f"{package}.{path.stem}"}
+        unread += [f"{path.name}:{line}: {name}" for line, name in _private_definitions(tree) if name not in read]
+    return unread
+
+
+def test_every_private_name_is_read():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 1
+    assert _unread_private_names(modules, "relq") == []
+
+
+def test_the_checker_sees_an_unread_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n"
+        "_STALE = 4\n"
+        "def _kept():\n"
+        "    return _LIMIT\n"
+        "def _labels():\n"
+        "    return _kept()\n"
+        "def _exported():\n"
+        "    return 0\n"
+    )
+    # b imports _exported and reads its own _labels; a's _labels, a second
+    # copy that nothing reads any more, is reported with the stale constant
+    (tmp_path / "b.py").write_text(
+        "from pkg.a import _exported\n"
+        "def _labels():\n"
+        "    return _exported()\n"
+        "def run() -> \"_Helper\":\n"
+        "    return _labels()\n"
+        "class _Helper:\n"
+        "    pass\n"
+        "_unused = _scratch = 0\n"
+    )
+    paths = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert _unread_private_names(paths, "pkg") == ["a.py:2: _STALE", "a.py:5: _labels", "b.py:8: _unused", "b.py:8: _scratch"]
 
 
 def _run_python(code: str) -> str:

@@ -281,11 +281,11 @@ def test_fast_and_slow_paths_agree():
 def test_walk_antipodal_antisymmetry():
     sol = _canonical_solution(30)
     r = GaussianSampler(seed=4).sample(15)
-    for values in (sol.v[0] @ r, lifted_walk_values(sol, 1, r)[0]):
-        np.testing.assert_allclose(values[15:], -values[:15], atol=1e-12)
+    explicit = sol.v[0] @ r
+    np.testing.assert_allclose(explicit[15:], -explicit[:15], atol=1e-12)
     values = lifted_walk_values(sol, 1, r)[0]
-    # the lifted walk mirrors its forward half exactly past the seam index
-    np.testing.assert_array_equal(values[16:], -values[1:15])
+    # the lifted walk is its forward half and that half's exact mirror
+    np.testing.assert_array_equal(values[15:], -values[:15])
 
 
 def test_walk_correlations_match_gram():
@@ -439,12 +439,19 @@ def _triangle_solution():
 
 @pytest.mark.parametrize("ell", [1, 2, 5, 50])
 def test_lifted_walk_values_match_the_oracle_bit_for_bit(ell):
+    # off the seam bit for bit; at s/2 the walk is the exact mirror -anchor,
+    # where the oracle carried anchor + 2*prefix
     sol = _triangle_solution()
     r = GaussianSampler(seed=8).sample(sol.dim * ell)
     values = lifted_walk_values(sol, ell, r)
-    assert values.shape == (sol.n, ell * sol.p)
+    s = ell * sol.p
+    assert values.shape == (sol.n, s)
+    off_seam = np.arange(s) != s // 2
     for i in range(sol.n):
-        np.testing.assert_array_equal(values[i], _lifted_walk_values_oracle(sol, ell, r, i))
+        oracle = _lifted_walk_values_oracle(sol, ell, r, i)
+        np.testing.assert_array_equal(values[i, off_seam], oracle[off_seam])
+        assert values[i, s // 2] == -values[i, 0]
+        assert abs(values[i, s // 2] - oracle[s // 2]) <= 1e-12
 
 
 # --- position assignment ---------------------------------------------------

@@ -729,8 +729,25 @@ def test_parse_solution_errors():
         parse_solution("relqsol 1\n2 2 2 pplus\n0 0\n")  # missing rows
     with pytest.raises(ValueError):
         parse_solution("relqsol 1\n2 2 2 pplus\n0 0\n0 0\n0 0\n0 0 0\n")  # ragged
-    with pytest.raises(ValueError, match="need at least one variable"):
+    with pytest.raises(ValueError, match="bad size line '2 0 2 p'"):
         parse_solution("relqsol 1\n2 0 2 p\n")
+
+
+@pytest.mark.parametrize(
+    "size",
+    ["4 x 2 pplus", "4 3 pplus", "4 3 2 1 pplus", "pplus", "-2 1 1 p", "0 1 1 p", "3 1 1 p", "4 0 1 p", "4 1 0 p", "4 -1 1 p"],
+)
+def test_parse_solution_rejects_bad_size_lines(size):
+    # every size is checked before any vector line is read
+    with pytest.raises(ValueError, match=f"^bad size line {size!r}"):
+        parse_solution(f"relqsol 1\n{size} # sizes\n0\n")
+
+
+def test_parse_solution_names_the_line_of_a_bad_coordinate():
+    with pytest.raises(ValueError, match="^bad coordinate on line 5$"):
+        parse_solution("relqsol 1\n2 2 2 pplus\n0 0\n0 0\n0 abc\n0 0\n")
+    with pytest.raises(ValueError, match="^bad coordinate on line 4$"):
+        parse_solution("relqsol 1\n2 1 2 p\n\n1,0 0\n0 1\n")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
