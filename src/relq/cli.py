@@ -117,7 +117,8 @@ def _cmd_solve(args) -> int:
 
 
 def _walk_rows(sol, ell: int, seed: int, alpha: float) -> list[list]:
-    values = lifted_walk_values(sol, ell, GaussianSampler(seed).sample(sol.dim * ell))
+    # the normals round_lifted_solution reads for its one trial
+    values = lifted_walk_values(sol, ell, GaussianSampler(seed).spawn(0).sample(sol.dim * ell))
     rows = []
     for i, (walk, labels) in enumerate(zip(values.tolist(), _labels(values, alpha).tolist())):
         rows += [[i, k, v, label] for k, (v, label) in enumerate(zip(walk, labels))]
@@ -131,7 +132,7 @@ def _cmd_round(args) -> int:
         sol = convert_to_p(sol)
     _check_instance(sol, inst)
     scaled = scale_instance(inst, args.ell)  # checks ell against DOMAIN_LIMIT before any lifting
-    outcome = round_lifted_solution(sol, args.ell, [GaussianSampler(args.seed)], alpha=args.alpha)
+    outcome = round_lifted_solution(sol, args.ell, GaussianSampler(args.seed), 1, alpha=args.alpha)
     positions = outcome.positions[0].tolist()
     breakdown = evaluate(scaled, Assignment(positions=positions))
     print(f"value {float(breakdown.total)!r}")

@@ -416,9 +416,10 @@ def conjecture_experiment(
 def end_to_end_ratio(inst: Instance, cfg: ExperimentConfig) -> Report:
     """Solve, convert, lift, round, and compare against the brute-force optimum.
 
-    Trial t rounds with the substream spawn(t) of GaussianSampler(seed);
-    all trials go through one batched rounding call and are scored with
-    exact integers.
+    All trials go through one batched rounding call on
+    GaussianSampler(seed), which reads their normals from its spawn(0)
+    and their fallbacks from its spawn(1), and are scored with exact
+    integers.
 
     The rounded mean can never beat the optimum (every rounded point is a
     feasible assignment of the scaled instance, whose optimum equals the
@@ -433,8 +434,7 @@ def end_to_end_ratio(inst: Instance, cfg: ExperimentConfig) -> Report:
     sdp_value = solver_report.objective
     sol_p = convert_to_p(sol)
     scaled = scale_instance(inst, cfg.ell)
-    trial_samplers = [sampler.spawn(t) for t in range(cfg.trials)]
-    outcome = round_lifted_solution(sol_p, cfg.ell, trial_samplers, alpha=cfg.alpha)
+    outcome = round_lifted_solution(sol_p, cfg.ell, sampler, cfg.trials, alpha=cfg.alpha)
     # score / s is the correctly rounded value of the exact Fraction total
     values = score_positions(scaled, outcome.positions) / scaled.p
     mean, stderr = _mean_stderr(values)

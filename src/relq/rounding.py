@@ -6,7 +6,7 @@ indices with value >= alpha are labeled '+', value <= -alpha labeled '-',
 runs of equal labels are collapsed circularly, and every (-,+) adjacency of
 the collapsed sequence is an up-crossing.  A variable with exactly one
 up-crossing is assigned the index where the '+' run starts; otherwise it
-falls back to a uniform position drawn from a per-variable substream.
+falls back to a uniform position drawn from a fallback stream.
 
 Rounding the ell-fold lift needs no lifted vectors: its walk is the anchor
 plus prefix sums of the base difference steps projected on r, split into
@@ -15,30 +15,28 @@ its forward half is built, by relq._kernels._half_walks, and the crossing
 kernel of relq._kernels reads it.  lifted_walk_values returns that half
 with its exact mirror, so a walk written out is the walk that was rounded.
 
-Trials and stream keys.  round_lifted_solution takes a batch of fresh
-samplers, one per trial (relq round is a batch of one).
-GaussianSampler(seed) draws from Philox keyed [seed, 0];
+Trials and streams.  round_lifted_solution(sol, ell, sampler, trials)
+reads two streams of one sampler and never advances the sampler itself,
+so its outcome is a function of the sampler's name and trials (relq round
+is trials = 1).  GaussianSampler(seed) draws from Philox keyed [seed, 0];
 spawn(tag) derives a substream, one or two levels deep, whose tags sit in
 the high words of the Philox counter next to a sampler domain tag (see
-GaussianSampler).  Trial t draws its normals from samplers[t] and the
-fallback of its variable i from samplers[t].spawn(i).  Philox is
-counter-based and a Generator keeps no state outside its bit generator,
-so a stream is a pure function of the Philox state.  Each thread keeps
-one scratch Philox and Generator; a sampler draws by loading its start
-(key and counter over an empty buffer) or the state it saved after its
-last draw, and saves the state back, so no draw builds a generator.  A
-block of trials draws its normals from the scratch set to each trial's
-start without saving, so its samplers stay fresh; the walk construction
-runs once over the block and one kernel call classifies every (trial,
-variable) walk.  Positions are bit for bit those of rounding the trials
-one at a time.
+GaussianSampler).  Trial t's normals are the t-th slice of dim*ell
+normals of sampler.spawn(0), and the walks with no single crossing take
+their fallback positions, in (trial, variable) order, from
+sampler.spawn(1).  Philox is counter-based, so the two streams are
+disjoint and the trials, reading disjoint slices of them, are independent.
+A stream continues exactly however its draws are chunked, so a block of
+trials is one fill of the normals stream, the walk construction runs once
+over the block and one kernel call classifies every (trial, variable)
+walk; the memory block size enters no position.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +62,9 @@ _MAX_SPAWN_DEPTH = 2
 # 2: Generator.standard_normal over the keys and counters of GaussianSampler;
 # 3: as 2, with conjecture_experiment's r1 shared by all cells from spawn(0)
 #    and cell c's r2 from spawn(c + 1)
-STREAM_VERSION = 3
+# 4: as 3, with round_lifted_solution reading a batch's normals from
+#    spawn(0) and its fallbacks from spawn(1) of one sampler
+STREAM_VERSION = 4
 
 
 _local = threading.local()
@@ -86,7 +86,10 @@ def _thread_scratch() -> tuple[np.random.Philox, np.random.Generator, dict]:
 
 
 def _check_word(name: str, value: int) -> int:
-    value = int(value)
+    try:
+        value = operator.index(value)  # 1.5 would otherwise alias 1
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if not 0 <= value <= _MASK64:
         raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
     return value
@@ -128,11 +131,6 @@ class GaussianSampler:
         tags = self.path + (0,) * (_MAX_SPAWN_DEPTH - len(self.path))
         return (0, *tags, _SAMPLER_DOMAIN + len(self.path))
 
-    @property
-    def fresh(self) -> bool:
-        """True until the first draw."""
-        return self._state is None
-
     def _generator(self) -> np.random.Generator:
         """The thread's scratch Generator, set to where this stream stands."""
         bitgen, rng, blank = _thread_scratch()
@@ -169,7 +167,6 @@ class GaussianSampler:
     def spawn(self, tag: int) -> "GaussianSampler":
         if len(self.path) == _MAX_SPAWN_DEPTH:
             raise ValueError(f"substreams nest at most {_MAX_SPAWN_DEPTH} deep")
-        # a batch spawns one sampler per trial: skip re-checking the seed
         child = object.__new__(GaussianSampler)
         child.seed = self.seed
         child.path = self.path + (_check_word("tag", tag),)
@@ -270,58 +267,47 @@ def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray) -> np.ndarray
 
 
 def _round_trials(
-    sol: SdpSolutionP, steps: np.ndarray, ell: int, samplers: list[GaussianSampler], alpha: float
+    sol: SdpSolutionP, steps: np.ndarray, ell: int, sampler: GaussianSampler, trials: int, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and crossing counts (trials, n), one trial per fresh sampler, in blocks."""
+    """Positions and crossing counts (trials, n), in blocks of trials."""
     dim = sol.dim * ell
     block = max(1, _BLOCK_VALUES // (sol.n * sol.p * ell // 2 + dim))
-    positions = np.empty((len(samplers), sol.n), dtype=np.int64)
+    normals, fallbacks = sampler.spawn(0), sampler.spawn(1)
+    positions = np.empty((trials, sol.n), dtype=np.int64)
     counts = np.empty_like(positions)
-    for t0 in range(0, len(samplers), block):
-        chunk = samplers[t0 : t0 + block]
-        z = np.empty((len(chunk), dim))
-        for row, smp in zip(z, chunk):
-            # drawn without saving the state back, so the sampler stays fresh
-            smp._generator().standard_normal(out=row)
+    for t0 in range(0, trials, block):
+        z = normals.fill(np.empty((min(block, trials - t0), dim)))
         half_walks = _half_walks(*_lifted_prefix(sol, steps, ell, z), 2.0)
         half = half_walks.shape[2]
         block_counts, first_plus, _ = trace_stats_batch(half_walks.reshape(-1, half), alpha)
         for cell in np.flatnonzero(block_counts != 1).tolist():
-            t, i = divmod(cell, sol.n)
-            first_plus[cell] = chunk[t].spawn(i).uniform_below(2 * half)
-        rows = slice(t0, t0 + len(chunk))
+            first_plus[cell] = fallbacks.uniform_below(2 * half)
+        rows = slice(t0, t0 + len(z))
         positions[rows] = first_plus.reshape(-1, sol.n)
         counts[rows] = block_counts.reshape(-1, sol.n)
     return positions, counts
 
 
 def round_lifted_solution(
-    sol: SdpSolutionP,
-    ell: int,
-    samplers: Sequence[GaussianSampler],
-    alpha: float = 1.0,
+    sol: SdpSolutionP, ell: int, sampler: GaussianSampler, trials: int, alpha: float = 1.0
 ) -> RoundingOutcome:
-    """Round the ell-fold lifted solution directly from the base solution.
+    """Round the ell-fold lifted solution trials times, directly from the base solution.
 
-    Trial t draws its normals from the fresh sampler samplers[t] and the
-    fallback of variable i from samplers[t].spawn(i), so each sampler must
-    leave room for one more spawn level; positions land in
-    [0, ell*p).  The trials run in blocks of about _BLOCK_VALUES walk
-    values plus normals, with the same numbers as one at a time.  The
-    base solution's feasibility is always checked first (max residual
-    1e-5, and a NaN residual fails); the lifted walks are exact functions
-    of it, so no lifted vectors are built.
+    Trial t's normals are slice t of sampler.spawn(0) and the fallbacks
+    come in (trial, variable) order from sampler.spawn(1); positions land
+    in [0, ell*p).  The sampler itself is not advanced, and one two
+    spawns deep fails in spawn before any draw.  The base solution's
+    feasibility is always checked first (max residual 1e-5, and a NaN
+    residual fails); the lifted walks are exact functions of it, so no
+    lifted vectors are built.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     _check_alpha(alpha)
     worst = float(np.max(list(solution_residuals(sol).values())))
     if not worst <= 1e-5:
         raise ValueError(f"solution infeasible: max residual {worst:.3e}")
-    samplers = list(samplers)
-    # checked up front: a sampler with no spawn level left would fail only
-    # once one of its trial's variables fell back
-    if not all(smp.fresh and len(smp.path) < _MAX_SPAWN_DEPTH for smp in samplers):
-        raise ValueError("a batch of trials needs fresh samplers, one per trial, each at most one spawn deep")
-    positions, counts = _round_trials(sol, _variable_difference_steps(sol), ell, samplers, alpha)
+    positions, counts = _round_trials(sol, _variable_difference_steps(sol), ell, sampler, trials, alpha)
     return RoundingOutcome(s=ell * sol.p, positions=positions, crossing_counts=counts)

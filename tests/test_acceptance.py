@@ -159,7 +159,7 @@ def test_criterion_07_lifting_fidelity(capfd):
         worst = max(worst, feasibility_report(lifted).max_residual)
         scaled = scale_instance(inst, ell)
         worst = max(worst, abs(objective_p(lifted, scaled) - base_obj))
-        outcome = round_lifted_solution(base, ell, [GaussianSampler(5)])
+        outcome = round_lifted_solution(base, ell, GaussianSampler(5), 1)
         positions_ok = positions_ok and all(0 <= int(x) < ell * inst.p for x in outcome.positions[0])
     ok = worst <= 1e-9 and positions_ok
     _line(

@@ -98,12 +98,12 @@ def test_solve_round_pipeline(triangle_file, tmp_path, capsys):
     assert out.splitlines()[:3] == capsys.readouterr().out.splitlines()[:3]
 
 
-# `relq round` stdout for the solved triangle, captured on stream version 2
+# `relq round` stdout for the solved triangle, captured on stream version 4
 # from the solver that factors the Hermitian frequency blocks; the dense
 # factor before it spanned the same Gram matrix in another basis
 ROUND_STDOUT = {
-    1: ["value 2.0", "positions 2 0 0", "statuses OneCrossing NoCrossing OneCrossing"],
-    5: ["value 2.0", "positions 11 15 4", "statuses OneCrossing OneCrossing OneCrossing"],
+    1: ["value 2.0", "positions 1 0 3", "statuses OneCrossing NoCrossing OneCrossing"],
+    5: ["value 2.0", "positions 3 0 11", "statuses OneCrossing OneCrossing OneCrossing"],
 }
 
 
@@ -117,12 +117,13 @@ def test_round_stdout_pinned(ell, triangle_file, tmp_path, capsys):
 
 
 # sha256 and line count of the `relq round --seed 3 --emit-walk` CSV for the
-# solved triangle, captured from the solver that factors the Hermitian
-# frequency blocks, with the walk written as its forward half and the exact
-# mirror (value s/2 is -value 0)
+# solved triangle, captured on stream version 4 (the walk of spawn(0)'s
+# first normals) from the solver that factors the Hermitian frequency
+# blocks, with the walk written as its forward half and the exact mirror
+# (value s/2 is -value 0)
 EMIT_WALK_CSV = {
-    1: ("d0267bbc8c47a4ac6e1b8715f46a033d9bbdb40519465fa900fa6f700862eb85", 13),
-    5: ("89523f8e4ebca451b93bfa9a52f6be942d75f663f698be33408aa343aa1c1e40", 61),
+    1: ("2587026501c676a3c3b3e540f94105f320b444c83ab4823019ac5b7abda198c1", 13),
+    5: ("26b47d88671507a767fb6cc43cf05adf35bb76f1df38550e5b89d2862b1e0e9f", 61),
 }
 
 

@@ -70,7 +70,7 @@ def test_write_report_emits_csv_and_json(tmp_path):
     assert csv_path.exists() and json_path.exists()
     summary = json.loads(json_path.read_text())
     assert set(summary) == {"name", "parameters", "provenance", "columns", "row_count"}
-    assert summary["provenance"] == {"package": "relq", "version": __version__, "seed": 5, "stream_version": 3}
+    assert summary["provenance"] == {"package": "relq", "version": __version__, "seed": 5, "stream_version": 4}
     assert summary["row_count"] == 1
     columns, rows = parse_report_csv(csv_path.read_text())
     assert columns == report.columns
@@ -371,19 +371,20 @@ def test_mc_drivers_join_their_draw_thread_when_a_kernel_raises(monkeypatch):
 
 
 # end_to_end_ratio rows of the planted (4, 8, 6, seed 21) instance and the
-# triangle, 2000 trials each, captured on stream version 3 from the solver
-# that factors the Hermitian frequency blocks
+# triangle, 2000 trials each, captured on stream version 4 (normals from the
+# seed's spawn(0), fallbacks from its spawn(1)) from the solver that factors
+# the Hermitian frequency blocks
 E2E_ROWS = {
-    ("planted", 1, 0): [8, 4, 6, 1, 2000, 1.0, 5.999999999930378, 6.0, 5.10325, 0.03240381493530014,
-                        0.8505416666666666, 0.8505416666765361, True, 1.0799097727165474e-11, True],
-    ("planted", 1, 1): [8, 4, 6, 1, 2000, 1.0, 5.999999999930378, 6.0, 5.169, 0.03179189932091532,
-                        0.8614999999999999, 0.8615000000099965, True, 1.0799097727165474e-11, True],
-    ("planted", 4, 0): [8, 4, 6, 4, 2000, 1.0, 5.999999999930378, 6.0, 5.661, 0.021897799702616426,
-                        0.9434999999999999, 0.9435000000109479, True, 1.0799097727165474e-11, True],
-    ("planted", 4, 1): [8, 4, 6, 4, 2000, 1.0, 5.999999999930378, 6.0, 5.67875, 0.02163747175253895,
-                        0.9464583333333333, 0.9464583333443156, True, 1.0799097727165474e-11, True],
-    ("triangle", 5, 1): [4, 3, 3, 5, 2000, 1.0, 2.24999999991252, 2.0, 1.8973, 0.005191322559325078,
-                         0.94865, 0.8432444444772297, True, 1.4580142648767946e-11, True],
+    ("planted", 1, 0): [8, 4, 6, 1, 2000, 1.0, 5.999999999930378, 6.0, 5.1125, 0.032483834052300056,
+                        0.8520833333333333, 0.8520833333432205, True, 1.0799097727165474e-11, True],
+    ("planted", 1, 1): [8, 4, 6, 1, 2000, 1.0, 5.999999999930378, 6.0, 5.1675, 0.032122621412381674,
+                        0.8612500000000001, 0.8612500000099936, True, 1.0799097727165474e-11, True],
+    ("planted", 4, 0): [8, 4, 6, 4, 2000, 1.0, 5.999999999930378, 6.0, 5.691375, 0.02115912413013538,
+                        0.9485625, 0.9485625000110067, True, 1.0799097727165474e-11, True],
+    ("planted", 4, 1): [8, 4, 6, 4, 2000, 1.0, 5.999999999930378, 6.0, 5.7058125, 0.021063878611570008,
+                        0.95096875, 0.9509687500110348, True, 1.0799097727165474e-11, True],
+    ("triangle", 5, 1): [4, 3, 3, 5, 2000, 1.0, 2.24999999991252, 2.0, 1.8934000000000002, 0.0054619718571486744,
+                         0.9467000000000001, 0.841511111143829, True, 1.4580142648767946e-11, True],
 }
 
 

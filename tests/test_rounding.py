@@ -23,7 +23,7 @@ from relq.rounding import (
     lifted_walk_values,
     round_lifted_solution,
 )
-from relq.sdp import convert_to_p, feasibility_report, integral_embedding, solve_p_plus
+from relq.sdp import convert_to_p, integral_embedding, solve_p_plus
 
 
 # --- sampler ---------------------------------------------------------------
@@ -111,21 +111,16 @@ def test_sampler_spawn_and_uniform():
         s.spawn(-1)
 
 
-def test_sampler_is_fresh_until_its_first_draw():
+def test_sampler_key_and_counter_start():
     s = GaussianSampler(seed=7)
     np.testing.assert_array_equal(s.key, np.array([7, 0], dtype=np.uint64))
     np.testing.assert_array_equal(s.counter, np.array([0, 0, 0, _SAMPLER_DOMAIN], dtype=np.uint64))
-    child = s.spawn(3)
-    assert s.fresh and child.fresh
-    s.sample(1)
-    assert not s.fresh
-    child.uniform_below(4)
-    assert not child.fresh
 
 
-@pytest.mark.parametrize("seed", [-1, -(2**64) + 1, 2**64, 2**70])
+@pytest.mark.parametrize("seed", [-1, -(2**64) + 1, 2**64, 2**70, 1.5, np.float64(2.0)])
 def test_sampler_rejects_out_of_range_seeds(seed):
-    # masking used to alias these onto valid seeds: -1 drew what 2**64 - 1 draws
+    # masking used to alias these onto valid seeds: -1 drew what 2**64 - 1
+    # draws, and truncation made 1.5 draw what 1 draws
     with pytest.raises(ValueError, match="seed"):
         GaussianSampler(seed)
 
@@ -136,10 +131,10 @@ def test_sampler_accepts_the_seed_range_ends():
     assert not np.array_equal(top, GaussianSampler(0).sample(8))
 
 
-@pytest.mark.parametrize("tag", [-1, 2**64, 2**70])
+@pytest.mark.parametrize("tag", [-1, 2**64, 2**70, 1.5, np.float64(2.0)])
 def test_sampler_rejects_out_of_range_streams_and_tags(tag):
-    # a substream is named by its spawn tags; masking used to alias these
-    # onto valid tags
+    # a substream is named by its spawn tags; masking and truncation used to
+    # alias these onto valid tags
     with pytest.raises(ValueError, match="tag"):
         GaussianSampler(5).spawn(tag)
     with pytest.raises(ValueError, match="tag"):
@@ -384,33 +379,33 @@ def _lifted_walk_values_oracle(sol, ell, r, i):
     return values
 
 
-def _round_lifted_oracle(sol, ell, sampler, alpha=1.0, audit=True):
-    """The per-trial round_lifted_solution loop before batching, verbatim up
-    to its return value: (positions, statuses, crossing counts)."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if audit:
-        rep = feasibility_report(sol)
-        if rep.max_residual > 1e-5:
-            raise ValueError(f"solution infeasible: max residual {rep.max_residual:.3e}")
+def _round_lifted_oracle(sol, ell, name, trials, alpha=1.0):
+    """round_lifted_solution(sol, ell, sampler, trials) of the sampler
+    named (seed, *tags), one trial and one variable at a time, from the
+    documented Philox streams: trial t's r is slice t of the name's
+    spawn(0) and the fallbacks come in order from its spawn(1).  Returns
+    each trial's (positions, statuses, crossing counts)."""
     s = ell * sol.p
-    r = sampler.sample(sol.dim * ell)
-    positions = np.empty(sol.n, dtype=np.int64)
-    statuses = []
-    counts = []
-    for i in range(sol.n):
-        events = detect_extreme_sign_changes(_lifted_walk_values_oracle(sol, ell, r, i), alpha)
-        if len(events) == 1:
-            positions[i] = events[0][1]
-            statuses.append(ONE_CROSSING)
-            counts.append(1)
-        else:
-            positions[i] = sampler.spawn(i).uniform_below(s)
-            statuses.append(NO_CROSSING if not events else MANY_CROSSINGS)
+    dim = sol.dim * ell
+    seed, tags = name[0], tuple(name[1:])
+    normals = _one_shot_normals(seed, tags + (0,), trials * dim).reshape(trials, dim)
+    fallbacks = np.random.Generator(_documented_philox(seed, tags + (1,)))
+    out = []
+    for r in normals:
+        positions = np.empty(sol.n, dtype=np.int64)
+        statuses = []
+        counts = []
+        for i in range(sol.n):
+            events = detect_extreme_sign_changes(_lifted_walk_values_oracle(sol, ell, r, i), alpha)
+            if len(events) == 1:
+                positions[i] = events[0][1]
+                statuses.append(ONE_CROSSING)
+            else:
+                positions[i] = fallbacks.integers(0, s)
+                statuses.append(NO_CROSSING if not events else MANY_CROSSINGS)
             counts.append(len(events))
-    return positions, statuses, counts
+        out.append((positions, statuses, counts))
+    return out
 
 
 def _integral_p_solution(p, positions):
@@ -461,8 +456,8 @@ def test_assign_position_single_crossing():
     sol = _canonical_solution(8)
     seen = 0
     for seed in range(20):
-        out = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed)])
-        r = GaussianSampler(seed=seed).sample(sol.dim)
+        out = round_lifted_solution(sol, 1, GaussianSampler(seed=seed), 1)
+        r = GaussianSampler(seed=seed).spawn(0).sample(sol.dim)
         events = detect_extreme_sign_changes(lifted_walk_values(sol, 1, r)[0], 1.0)
         assert out.crossing_counts[0].tolist() == [len(events)]
         if len(events) == 1:
@@ -475,12 +470,13 @@ def test_assign_position_single_crossing():
 def test_assign_position_quiet_trace_falls_back():
     sol = _rotated_pair(8, theta=0.4)
     for seed in (12, 13):
-        out1 = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed)], alpha=50.0)
-        out2 = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed)], alpha=50.0)
+        out1 = round_lifted_solution(sol, 1, GaussianSampler(seed=seed), 1, alpha=50.0)
+        out2 = round_lifted_solution(sol, 1, GaussianSampler(seed=seed), 1, alpha=50.0)
         assert out1.statuses == [NO_CROSSING, NO_CROSSING]
         assert out1.crossing_counts[0].tolist() == [0, 0]
         np.testing.assert_array_equal(out1.positions, out2.positions)
-        want = [GaussianSampler(seed=seed).spawn(i).uniform_below(8) for i in range(2)]
+        fallbacks = GaussianSampler(seed=seed).spawn(1)
+        want = [fallbacks.uniform_below(8) for _ in range(2)]
         assert out1.positions[0].tolist() == want
         assert all(0 <= x < 8 for x in want)
 
@@ -489,13 +485,13 @@ def test_assign_position_many_crossings():
     sol = _canonical_solution(40)
     many = 0
     for seed in range(30):
-        out = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed)], alpha=0.05)
-        r = GaussianSampler(seed=seed).sample(sol.dim)
+        out = round_lifted_solution(sol, 1, GaussianSampler(seed=seed), 1, alpha=0.05)
+        r = GaussianSampler(seed=seed).spawn(0).sample(sol.dim)
         events = detect_extreme_sign_changes(lifted_walk_values(sol, 1, r)[0], 0.05)
         assert out.crossing_counts[0].tolist() == [len(events)]
         if len(events) >= 2:
             assert out.statuses == [MANY_CROSSINGS]
-            assert out.positions[0, 0] == GaussianSampler(seed=seed).spawn(0).uniform_below(40)
+            assert out.positions[0, 0] == GaussianSampler(seed=seed).spawn(1).uniform_below(40)
             many += 1
     assert many >= 5
 
@@ -505,8 +501,8 @@ def test_assign_position_many_crossings():
 
 def test_round_solution_deterministic():
     sol = _integral_p_solution(8, [0, 3, 5])
-    out1 = round_lifted_solution(sol, 1, [GaussianSampler(seed=21)])
-    out2 = round_lifted_solution(sol, 1, [GaussianSampler(seed=21)])
+    out1 = round_lifted_solution(sol, 1, GaussianSampler(seed=21), 1)
+    out2 = round_lifted_solution(sol, 1, GaussianSampler(seed=21), 1)
     np.testing.assert_array_equal(out1.positions, out2.positions)
     assert out1.statuses == out2.statuses
     np.testing.assert_array_equal(out1.crossing_counts, out2.crossing_counts)
@@ -514,7 +510,7 @@ def test_round_solution_deterministic():
 
 def test_batch_of_one_shapes_and_dtypes():
     sol = _integral_p_solution(8, [0, 3, 5])
-    out = round_lifted_solution(sol, 2, [GaussianSampler(seed=21)])
+    out = round_lifted_solution(sol, 2, GaussianSampler(seed=21), 1)
     assert isinstance(out, RoundingOutcome) and out.s == 16
     for arr in (out.positions, out.crossing_counts):
         assert arr.shape == (1, 3) and arr.dtype == np.int64
@@ -527,7 +523,7 @@ def test_round_solution_positions_track_integral_differences():
     sol = _integral_p_solution(8, positions)
     seen = 0
     for seed in range(40):
-        out = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed)])
+        out = round_lifted_solution(sol, 1, GaussianSampler(seed=seed), 1)
         for i in range(3):
             for j in range(i + 1, 3):
                 if out.statuses[i] == ONE_CROSSING and out.statuses[j] == ONE_CROSSING:
@@ -542,9 +538,9 @@ def test_round_solution_rejects_infeasible():
     sol = _integral_p_solution(4, [0, 1])
     sol.v[0] *= 1.5
     with pytest.raises(ValueError, match="infeasible"):
-        round_lifted_solution(sol, 1, [GaussianSampler(seed=0)])
+        round_lifted_solution(sol, 1, GaussianSampler(seed=0), 1)
     with pytest.raises(ValueError, match="infeasible"):
-        round_lifted_solution(sol, 2, [GaussianSampler(seed=0), GaussianSampler(seed=1)])
+        round_lifted_solution(sol, 2, GaussianSampler(seed=0), 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -553,16 +549,16 @@ def test_round_solution_rejects_non_finite_coordinates(bad):
     sol = _integral_p_solution(4, [0, 1, 3])
     sol.v[1, 2, 0] = bad
     with pytest.raises(ValueError, match="solution infeasible: max residual (nan|inf)"):
-        round_lifted_solution(sol, 1, [GaussianSampler(seed=0)])
+        round_lifted_solution(sol, 1, GaussianSampler(seed=0), 1)
     with pytest.raises(ValueError, match="solution infeasible"):
-        round_lifted_solution(sol, 3, [GaussianSampler(seed=0), GaussianSampler(seed=1)])
+        round_lifted_solution(sol, 3, GaussianSampler(seed=0), 2)
 
 
 def test_round_solution_one_crossing_frequency():
     s = 2000
     sol = _canonical_solution(s)
     trials = 2500
-    out = round_lifted_solution(sol, 1, [GaussianSampler(seed=seed).spawn(77) for seed in range(trials)])
+    out = round_lifted_solution(sol, 1, GaussianSampler(seed=77), trials)
     hits = sum(status == ONE_CROSSING for status in out.statuses)
     assert hits / trials >= 0.96
 
@@ -598,8 +594,8 @@ def test_lifted_walks_match_materialized_lift(ell):
 def test_round_lifted_matches_rounding_the_lift(ell):
     sol = _rotated_pair(4, theta=0.8)
     lifted = lift_solution(sol, ell)
-    out_trick = round_lifted_solution(sol, ell, [GaussianSampler(seed=17)])
-    out_direct = round_lifted_solution(lifted, 1, [GaussianSampler(seed=17)])  # ell = 1 is plain rounding
+    out_trick = round_lifted_solution(sol, ell, GaussianSampler(seed=17), 1)
+    out_direct = round_lifted_solution(lifted, 1, GaussianSampler(seed=17), 1)  # ell = 1 is plain rounding
     assert out_trick.s == out_direct.s == 4 * ell
     np.testing.assert_array_equal(out_trick.positions, out_direct.positions)
     assert out_trick.statuses == out_direct.statuses
@@ -607,7 +603,7 @@ def test_round_lifted_matches_rounding_the_lift(ell):
 
 def test_round_lifted_positions_in_range():
     sol = _rotated_pair(4, theta=0.3)
-    out = round_lifted_solution(sol, 50, [GaussianSampler(seed=2)])
+    out = round_lifted_solution(sol, 50, GaussianSampler(seed=2), 1)
     assert out.s == 200
     assert np.all(out.positions >= 0)
     assert np.all(out.positions < 200)
@@ -616,7 +612,9 @@ def test_round_lifted_positions_in_range():
 def test_round_lifted_validates():
     sol = _rotated_pair(4, theta=0.3)
     with pytest.raises(ValueError):
-        round_lifted_solution(sol, 0, [GaussianSampler(seed=0)])
+        round_lifted_solution(sol, 0, GaussianSampler(seed=0), 1)
+    with pytest.raises(ValueError, match="trials"):
+        round_lifted_solution(sol, 1, GaussianSampler(seed=0), 0)
     r = GaussianSampler(seed=0).sample(sol.dim * 2)
     with pytest.raises(ValueError):
         lifted_walk_values(sol, 3, r)  # r sized for ell=2, not 3
@@ -646,77 +644,79 @@ def _batch_solution(name):
     return _canonical_solution(40)
 
 
+# sampler names (seed, *tags), the range ends among them
+ORACLE_NAMES = [(6,), (2**64 - 1,), (5, 2**64 - 1), (0, 8)]
+
+
+def _sampler(name):
+    smp = GaussianSampler(name[0])
+    for tag in name[1:]:
+        smp = smp.spawn(tag)
+    return smp
+
+
 @pytest.mark.parametrize("block_values", [relq.rounding._BLOCK_VALUES, 50])
 @pytest.mark.parametrize("name,ell,alpha", BATCH_CASES)
 def test_batched_trials_match_the_per_trial_oracle(name, ell, alpha, block_values, monkeypatch):
+    # the positions of one sampler do not depend on the memory block size
     monkeypatch.setattr(relq.rounding, "_BLOCK_VALUES", block_values)
     sol = _batch_solution(name)
     trials = 300
-    base = GaussianSampler(seed=6)
-    out = round_lifted_solution(sol, ell, [base.spawn(t) for t in range(trials)], alpha=alpha)
-    assert out.s == ell * sol.p
-    assert out.positions.shape == out.crossing_counts.shape == (trials, sol.n)
-    assert len(out.statuses) == trials * sol.n
-    want_statuses = []
-    for t in range(trials):
-        positions, statuses, counts = _round_lifted_oracle(sol, ell, base.spawn(t), alpha=alpha)
-        np.testing.assert_array_equal(out.positions[t], positions)
-        assert out.crossing_counts[t].tolist() == counts
-        want_statuses += statuses
-        # one trial rounded alone agrees too
-        alone = round_lifted_solution(sol, ell, [base.spawn(t)], alpha=alpha)
-        np.testing.assert_array_equal(alone.positions[0], positions)
-        assert (alone.statuses, alone.crossing_counts[0].tolist()) == (statuses, counts)
-    assert out.statuses == want_statuses
+    for sampler_name in ORACLE_NAMES:
+        out = round_lifted_solution(sol, ell, _sampler(sampler_name), trials, alpha=alpha)
+        assert out.s == ell * sol.p
+        assert out.positions.shape == out.crossing_counts.shape == (trials, sol.n)
+        assert len(out.statuses) == trials * sol.n
+        want_statuses = []
+        for t, (positions, statuses, counts) in enumerate(_round_lifted_oracle(sol, ell, sampler_name, trials, alpha)):
+            np.testing.assert_array_equal(out.positions[t], positions)
+            assert out.crossing_counts[t].tolist() == counts
+            want_statuses += statuses
+        assert out.statuses == want_statuses
 
 
 def test_batched_cases_reach_every_status_and_dim_parity():
     seen = set()
     for name, ell, alpha in BATCH_CASES:
         sol = _batch_solution(name)
-        base = GaussianSampler(seed=6)
-        seen |= set(round_lifted_solution(sol, ell, [base.spawn(t) for t in range(300)], alpha=alpha).statuses)
+        seen |= set(round_lifted_solution(sol, ell, GaussianSampler(seed=6), 300, alpha=alpha).statuses)
         seen.add("odd" if sol.dim * ell % 2 else "even")
     assert seen == {ONE_CROSSING, NO_CROSSING, MANY_CROSSINGS, "odd", "even"}
 
 
-def test_batch_takes_any_fresh_sampler_keys():
-    sol = _rotated_pair(4, theta=0.5)
-    samplers = [GaussianSampler(seed) for seed in (0, 9, 2**64 - 1, 5)]
-    samplers += [GaussianSampler(5).spawn(2**64 - 1), GaussianSampler(5).spawn(8)]
-    out = round_lifted_solution(sol, 3, samplers)
-    fresh = [GaussianSampler(smp.seed) for smp in samplers]
-    for t, smp in enumerate(samplers):
-        for tag in smp.path:
-            fresh[t] = fresh[t].spawn(tag)
-    for t, smp in enumerate(fresh):
-        positions, statuses, counts = _round_lifted_oracle(sol, 3, smp)
-        np.testing.assert_array_equal(out.positions[t], positions)
+def test_batch_depends_only_on_the_sampler_name_and_trials():
+    sol = _triangle_solution()
+    sampler = GaussianSampler(seed=4).spawn(3)
+    first = round_lifted_solution(sol, 2, sampler, 300, alpha=0.3)
+    again = round_lifted_solution(sol, 2, sampler, 300, alpha=0.3)
+    np.testing.assert_array_equal(first.positions, again.positions)
+    np.testing.assert_array_equal(first.crossing_counts, again.crossing_counts)
+    # the caller's own stream is not advanced
+    np.testing.assert_array_equal(sampler.sample(3), GaussianSampler(seed=4).spawn(3).sample(3))
+    # a shorter batch is a prefix of a longer one
+    shorter = round_lifted_solution(sol, 2, sampler, 200, alpha=0.3)
+    np.testing.assert_array_equal(shorter.positions, first.positions[:200])
+    np.testing.assert_array_equal(shorter.crossing_counts, first.crossing_counts[:200])
 
 
 def test_fallback_draws_build_no_generator(monkeypatch):
     sol = _triangle_solution()
-    samplers = [GaussianSampler(seed=3).spawn(t) for t in range(200)]
     outs = []
-    starts = _philox_states(lambda: outs.append(round_lifted_solution(sol, 2, samplers)), monkeypatch)
+    starts = _philox_states(lambda: outs.append(round_lifted_solution(sol, 2, GaussianSampler(seed=3), 200)), monkeypatch)
     (out,) = outs
     assert sum(status != ONE_CROSSING for status in out.statuses) >= 50
     assert len(starts) <= 1  # this thread's scratch, on its first draw
-    assert all(smp.fresh for smp in samplers)
 
 
-def test_batch_rejects_used_samplers():
+def test_batch_rejects_samplers_with_no_room_for_fallbacks(monkeypatch):
+    # the batch reads its sampler's spawn(0) and spawn(1), so a sampler two
+    # spawns deep fails in spawn, before any draw
     sol = _rotated_pair(4, theta=0.5)
-    used = GaussianSampler(seed=1)
-    used.sample(3)
-    with pytest.raises(ValueError, match="fresh"):
-        round_lifted_solution(sol, 1, [GaussianSampler(seed=0), used])
 
+    def no_draw(self, out):
+        raise AssertionError("drew before failing")
 
-def test_batch_rejects_samplers_with_no_room_for_fallbacks():
-    # a trial's fallbacks come from its sampler's spawn(i); a sampler two
-    # spawns deep used to fail only once a trial fell back
-    sol = _rotated_pair(4, theta=0.5)
+    monkeypatch.setattr(GaussianSampler, "fill", no_draw)
     for alpha in (1.0, 50.0):
-        with pytest.raises(ValueError, match="one spawn deep"):
-            round_lifted_solution(sol, 1, [GaussianSampler(0), GaussianSampler(5).spawn(8).spawn(2)], alpha=alpha)
+        with pytest.raises(ValueError, match="2 deep"):
+            round_lifted_solution(sol, 1, GaussianSampler(5).spawn(8).spawn(2), 1, alpha=alpha)
