@@ -7,14 +7,12 @@ from relq.brownian import (
     MarginCheckResult,
     constants_table,
     discretization_margin_check,
-    hitting_time_density,
     prob_at_least_one,
     prob_three_or_more,
 )
 from relq.constellation import (
     SdpSolutionP,
     canonical_constellation,
-    lift_solution,
     target_gram,
 )
 from relq.harness import (
@@ -27,7 +25,6 @@ from relq.harness import (
     format_report_json,
     mc_correlation_gap,
     mc_sign_change,
-    parse_report_csv,
     report_gate_ok,
     reproduce_constants,
     write_report,
@@ -56,9 +53,7 @@ from relq.sdp import (
     SdpSolutionPPlus,
     convert_to_p,
     feasibility_report,
-    integral_embedding,
     load_solution,
-    objective_p,
     objective_p_plus,
     save_solution,
     solve_p_plus,
@@ -80,16 +75,13 @@ __all__ = [
     # constellation geometry
     "SdpSolutionP",
     "canonical_constellation",
-    "lift_solution",
     "target_gram",
     # relaxations
     "FeasibilityReport",
     "SdpSolutionPPlus",
     "convert_to_p",
     "feasibility_report",
-    "integral_embedding",
     "load_solution",
-    "objective_p",
     "objective_p_plus",
     "save_solution",
     "solve_p_plus",
@@ -104,7 +96,6 @@ __all__ = [
     "MarginCheckResult",
     "constants_table",
     "discretization_margin_check",
-    "hitting_time_density",
     "prob_at_least_one",
     "prob_three_or_more",
     # experiments
@@ -117,7 +108,6 @@ __all__ = [
     "format_report_json",
     "mc_correlation_gap",
     "mc_sign_change",
-    "parse_report_csv",
     "report_gate_ok",
     "reproduce_constants",
     "write_report",

@@ -26,7 +26,12 @@ are up-crossings.  The up-crossings in the forward half are the '-'->'+'
 run starts, where the first run's circular predecessor is the label just
 before the seam, -l_R; those in the mirrored half sit at half + the
 '+'->'-' run starts.
+
+The argument checks the modules share live here too: _check_alpha for a
+crossing threshold, _check_word for a seed or stream tag, one Philox word.
 """
+
+import operator
 
 import numpy as np
 
@@ -35,6 +40,17 @@ def _check_alpha(alpha: float) -> None:
     """Reject a crossing threshold that is not positive and finite."""
     if not 0.0 < alpha < np.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
+def _check_word(name: str, value: int) -> int:
+    """value as a Python int in [0, 2**64), the range of one Philox key or counter word."""
+    try:
+        value = operator.index(value)  # 1.5 would otherwise alias 1
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return value
 
 
 def _half_walks(anchor: np.ndarray, prefix: np.ndarray, step: float) -> np.ndarray:

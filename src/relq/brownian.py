@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from relq._kernels import _check_word
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 
@@ -33,15 +35,6 @@ def _phi(x: float) -> float:
 def _tail(x: float) -> float:
     """1 - Phi(x), the standard normal upper tail."""
     return 0.5 * math.erfc(x / _SQRT_2)
-
-
-def hitting_time_density(b: float, t: float) -> float:
-    """Density of the first time a standard Brownian motion reaches level b."""
-    if b <= 0:
-        raise ValueError(f"level must be positive, got {b}")
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    return b / (_SQRT_2PI * t**1.5) * math.exp(-b * b / (2.0 * t))
 
 
 def _middle(k: int, g: float) -> float:
@@ -196,8 +189,7 @@ def discretization_margin_check(
         raise ValueError("s and trials must be positive")
     if not (0 < eta < math.inf and 0 < c < math.inf):
         raise ValueError(f"eta and c must be positive and finite, got eta={eta}, c={c}")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    seed = _check_word("seed", seed)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xD15C], dtype=np.uint64)))
     hits = 0
     done = 0

@@ -123,35 +123,3 @@ def _variable_difference_steps(sol: SdpSolutionP) -> np.ndarray:
     half = sol.p // 2
     return (sol.v[:, 1 : half + 1, :] - sol.v[:, :half, :]) / 2.0
 
-
-def lift_solution(sol: SdpSolutionP, ell: int) -> SdpSolutionP:
-    """Refine a solution from domain p to domain ell*p in dimension dim*ell.
-
-    Each half-step of each variable is split into ell mutually orthogonal
-    sub-steps of norm sqrt(2/(ell*p)): sub-step m of step k occupies the
-    (k, m) slot of the expanded space, scaled by 1/sqrt(ell).  Anchors are
-    the original label-0 vectors tensored with the normalized all-ones
-    direction.  Cross-variable inner products become the linear
-    interpolation of the originals along the refined cycle, so the
-    prescribed constraints and the objective survive the lift exactly.
-    """
-    if ell < 1:
-        raise ValueError(f"lift factor must be >= 1, got {ell}")
-    p, n, dim = sol.p, sol.n, sol.dim
-    s = ell * p
-    half = p // 2
-    new_half = s // 2
-    new_dim = dim * ell
-    scale = 1.0 / np.sqrt(ell)
-
-    # coordinate (e, m) of the expanded space is column e*ell + m; sub-step
-    # (k, m) is row k*ell + m and holds step k/sqrt(ell) in the m-columns
-    sub = np.zeros((n, half, ell, dim, ell))
-    m = np.arange(ell)
-    sub[:, :, m, :, m] = _variable_difference_steps(sol) * scale
-    anchor = np.repeat(sol.v[:, :1], ell, axis=2) * scale  # v^0 (x) ones/sqrt(ell)
-    out = np.empty((n, s, new_dim))
-    out[:, :1] = anchor
-    out[:, 1 : new_half + 1] = anchor + 2.0 * np.cumsum(sub.reshape(n, new_half, new_dim), axis=1)
-    out[:, new_half + 1 :] = -out[:, 1:new_half]
-    return SdpSolutionP(p=s, n=n, dim=new_dim, v=out)

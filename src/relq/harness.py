@@ -153,21 +153,6 @@ def _cell_to_text(cell) -> str:
     return str(cell)
 
 
-def _cell_from_text(text: str):
-    if text == "True":
-        return True
-    if text == "False":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def format_report_csv(report: Report) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -175,14 +160,6 @@ def format_report_csv(report: Report) -> str:
     for row in report.rows:
         writer.writerow([_cell_to_text(c) for c in row])
     return buf.getvalue()
-
-
-def parse_report_csv(text: str) -> tuple[list[str], list[list]]:
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows:
-        raise ValueError("empty report")
-    return rows[0], [[_cell_from_text(c) for c in row] for row in rows[1:]]
 
 
 def format_report_json(report: Report) -> str:

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from relq._kernels import _check_word
+
 # enumeration budget for the exhaustive solver and domain-size guard for scaling
 BRUTE_FORCE_LIMIT = 10**8
 DOMAIN_LIMIT = 10**9
@@ -174,8 +176,7 @@ def generate_instance(
         raise ValueError(f"domain size must be a positive even integer, got {p}")
     if m < 0:
         raise ValueError(f"equation count must be >= 0, got {m}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    seed = _check_word("seed", seed)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xB5], dtype=np.uint64)))
     hidden = None
     positions = rng.integers(0, p, size=n) if planted else None

@@ -34,13 +34,12 @@ walk; the memory block size enters no position.
 
 from __future__ import annotations
 
-import operator
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from relq._kernels import _check_alpha, _half_walks, _labels, trace_stats_batch
+from relq._kernels import _check_alpha, _check_word, _half_walks, _labels, trace_stats_batch
 from relq.constellation import SdpSolutionP, _variable_difference_steps, solution_residuals
 
 ONE_CROSSING = "OneCrossing"
@@ -48,7 +47,6 @@ NO_CROSSING = "NoCrossing"
 MANY_CROSSINGS = "ManyCrossings"
 _STATUS_BY_COUNT = (NO_CROSSING, ONE_CROSSING, MANY_CROSSINGS)  # indexed by min(count, 2)
 
-_MASK64 = (1 << 64) - 1
 # walk values plus normals per block of trials in round_lifted_solution
 _BLOCK_VALUES = 1 << 14
 # Philox counter word 3 of every sampler stream: this tag plus the spawn
@@ -83,16 +81,6 @@ def _thread_scratch() -> tuple[np.random.Philox, np.random.Generator, dict]:
         bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         _local.scratch = (bitgen, np.random.Generator(bitgen), bitgen.state)
         return _local.scratch
-
-
-def _check_word(name: str, value: int) -> int:
-    try:
-        value = operator.index(value)  # 1.5 would otherwise alias 1
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if not 0 <= value <= _MASK64:
-        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
-    return value
 
 
 class GaussianSampler:
@@ -253,8 +241,9 @@ def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray) -> np.ndarray
     The lifted walk applies the original difference steps split into ell
     equal sub-steps, so its values are the anchor plus prefix sums of the
     per-sub-step projections of r.  The forward half is the one the
-    rounding classifies and the second half its exact mirror.  Equal
-    (within float noise) to dotting r with lift_solution's vectors.
+    rounding classifies and the second half its exact mirror.  Within
+    float noise they are the inner products of r with the lifted vectors,
+    which are never built.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")

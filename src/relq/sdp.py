@@ -19,9 +19,10 @@ cone, and one Dykstra polish moves its iterate onto their intersection.
 The PSD projection and the final factor into vectors each run one batched
 complex eigh of the Hermitian n x n blocks of the p/2 + 1 label
 frequencies, one DFT matmul away (Gatermann & Parrilo 2004; de Klerk,
-Pasechnik & Schrijver 2007).  The feasibility report of either form
-reduces relq.constellation's one pass over the Gram blocks of the vectors;
-a NaN or infinite coordinate makes its max_residual non-finite.
+Pasechnik & Schrijver 2007).  The feasibility report of the assignment
+form, like relq.constellation.solution_residuals for the constellation
+form, reduces relq.constellation's one pass over the Gram blocks of the
+vectors; a NaN or infinite coordinate makes its max_residual non-finite.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ from relq.constellation import (
     _shift_columns,
     _shift_deviation,
     _transpose_classes,
-    solution_residuals,
 )
-from relq.instance import Instance, Assignment, _text_rows
+from relq.instance import Instance, _text_rows
 
 SOLUTION_MAGIC = "relqsol"
 SOLUTION_VERSION = 1
@@ -76,7 +76,6 @@ class SdpSolutionPPlus:
 
 @dataclass
 class FeasibilityReport:
-    kind: str
     residuals: dict[str, float]
     objective: float | None = None
     iterations: int = 0
@@ -86,25 +85,6 @@ class FeasibilityReport:
     @property
     def max_residual(self) -> float:
         return float(np.max(list(self.residuals.values()), initial=0.0))
-
-
-def integral_embedding(inst: Instance, asg: Assignment) -> SdpSolutionPPlus:
-    """Embed an integer assignment: u_ih = e_{(x_i - h) mod p} / sqrt(p).
-
-    The (x_i - h) direction makes u_i0 . u_jk select exactly k = x_j - x_i,
-    so the relaxation objective equals the assignment's score.
-    """
-    if len(asg.positions) != inst.n:
-        raise ValueError(f"expected {inst.n} positions, got {len(asg.positions)}")
-    p, n = inst.p, inst.n
-    u = np.zeros((n, p, p))
-    c = 1.0 / np.sqrt(p)
-    for i, x in enumerate(asg.positions):
-        if not (0 <= x < p):
-            raise ValueError(f"position {x} outside [0, {p})")
-        for h in range(p):
-            u[i, h, (x - h) % p] = c
-    return SdpSolutionPPlus(p=p, n=n, dim=p, u=u)
 
 
 def _shift_weights(p: int, d: np.ndarray) -> np.ndarray:
@@ -128,15 +108,6 @@ def objective_p_plus(sol: SdpSolutionPPlus, inst: Instance) -> float:
     return total
 
 
-def objective_p(sol: SdpSolutionP, inst: Instance) -> float:
-    """sum over equations of (1 + v_i^0 . v_j^{d_ij}) / 2."""
-    _check_instance(sol, inst)
-    total = 0.0
-    for i, j, d in inst.equations:
-        total += 0.5 * (1.0 + float(sol.v[i, 0] @ sol.v[j, d]))
-    return total
-
-
 def convert_to_p(sol: SdpSolutionPPlus) -> SdpSolutionP:
     """Signed half-window sums: v_i^k = sum_{h=k}^{k+p/2-1} u_ih - sum_{h=k+p/2}^{k+p-1} u_ih."""
     p, n, dim = sol.p, sol.n, sol.dim
@@ -154,17 +125,12 @@ def _check_instance(sol, inst):
         raise ValueError(f"solution shape (p={sol.p}, n={sol.n}) does not match instance (p={inst.p}, n={inst.n})")
 
 
-def feasibility_report(sol, inst: Instance | None = None) -> FeasibilityReport:
-    """Max residual per constraint family, measured from the vectors."""
-    if isinstance(sol, SdpSolutionPPlus):
-        return _feasibility_pplus(sol, inst)
-    if isinstance(sol, SdpSolutionP):
-        obj = objective_p(sol, inst) if inst is not None else None
-        return FeasibilityReport(kind="p", residuals=solution_residuals(sol), objective=obj)
-    raise TypeError(f"unsupported solution type {type(sol).__name__}")
-
-
-def _feasibility_pplus(sol: SdpSolutionPPlus, inst: Instance | None) -> FeasibilityReport:
+def feasibility_report(sol: SdpSolutionPPlus, inst: Instance | None = None) -> FeasibilityReport:
+    """Max residual per constraint family of an assignment-form solution, measured
+    from the vectors, and its objective when inst is given.  The constellation form's
+    residuals are relq.constellation.solution_residuals."""
+    if not isinstance(sol, SdpSolutionPPlus):
+        raise TypeError(f"unsupported solution type {type(sol).__name__}")
     p = sol.p
     sums = sol.u.sum(axis=1)  # (n, dim)
 
@@ -184,7 +150,7 @@ def _feasibility_pplus(sol: SdpSolutionPPlus, inst: Instance | None) -> Feasibil
     names = ("norm", "within_orthogonality", "nonneg", "shift_covariance", "sum_vector")
     residuals = dict(zip(names, _reduce_gram_rows(sol.u, row_residuals)))
     obj = objective_p_plus(sol, inst) if inst is not None else None
-    return FeasibilityReport(kind="pplus", residuals=residuals, objective=obj)
+    return FeasibilityReport(residuals=residuals, objective=obj)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import hitting_time_density
 from relq.brownian import (
     constants_table,
     discretization_margin_check,
-    hitting_time_density,
     prob_at_least_one,
     prob_three_or_more,
 )
@@ -262,8 +262,10 @@ def test_margin_check_validation():
         discretization_margin_check(s=100, eta=0.01, c=-1.0, trials=10, seed=0)
     with pytest.raises(ValueError):
         discretization_margin_check(s=100, eta=0.01, c=1e-4, trials=0, seed=0)
-    with pytest.raises(ValueError, match="seed"):
-        discretization_margin_check(s=100, eta=0.01, c=1e-4, trials=10, seed=-1)
+    # a float seed is refused, not truncated to the integer seed it would alias
+    for seed in (-1, 2**64, 1.5, np.float64(2.0)):
+        with pytest.raises(ValueError, match="seed"):
+            discretization_margin_check(s=100, eta=0.01, c=1e-4, trials=10, seed=seed)
 
 
 @pytest.mark.parametrize("eta,c", [(math.nan, 1e-4), (math.inf, 1e-4), (0.01, math.nan), (0.01, math.inf)])

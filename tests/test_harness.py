@@ -23,7 +23,6 @@ from relq.harness import (
     format_report_json,
     mc_correlation_gap,
     mc_sign_change,
-    parse_report_csv,
     report_gate_ok,
     reproduce_constants,
     write_report,
@@ -54,14 +53,19 @@ def test_report_csv_round_trip():
         name="demo",
         parameters={"k": 1},
         columns=["label", "value", "count", "flag"],
-        rows=[["a", 0.1 + 0.2, 7, True], ["b", -1.5e-300, 0, False]],
+        rows=[
+            ["a", 0.1 + 0.2, 7, True],
+            ["b", -1.5e-300, 0, False],
+            ["c", np.float64(0.1), np.int64(-3), np.bool_(True)],
+        ],
     )
-    text = format_report_csv(report)
-    columns, rows = parse_report_csv(text)
-    assert columns == report.columns
-    assert rows == report.rows
-    with pytest.raises(ValueError):
-        parse_report_csv("")
+    # shortest-repr floats, plain ints and True/False, numpy scalars as Python's, byte for byte
+    assert format_report_csv(report) == (
+        "label,value,count,flag\n"
+        "a,0.30000000000000004,7,True\n"
+        "b,-1.5e-300,0,False\n"
+        "c,0.1,-3,True\n"
+    )
 
 
 def test_write_report_emits_csv_and_json(tmp_path):
@@ -72,9 +76,7 @@ def test_write_report_emits_csv_and_json(tmp_path):
     assert set(summary) == {"name", "parameters", "provenance", "columns", "row_count"}
     assert summary["provenance"] == {"package": "relq", "version": __version__, "seed": 5, "stream_version": 4}
     assert summary["row_count"] == 1
-    columns, rows = parse_report_csv(csv_path.read_text())
-    assert columns == report.columns
-    assert rows == report.rows
+    assert csv_path.read_bytes() == format_report_csv(report).encode()
 
 
 def test_reports_are_byte_identical_on_rerun(tmp_path):

@@ -161,3 +161,26 @@ def test_solve_leaves_out_numpy_fft():
         "print('numpy.fft' in sys.modules)"
     )
     assert _run_python(code) == "False"
+
+
+def _init_imports() -> list[str]:
+    """The names that relq/__init__.py imports from the package's modules, in order."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def test_all_lists_exactly_the_imported_names():
+    assert len(relq.__all__) == len(set(relq.__all__))
+    assert [name for name in relq.__all__ if not hasattr(relq, name)] == []
+    imported = _init_imports()
+    assert len(imported) == len(set(imported))
+    assert set(imported) == set(relq.__all__) - {"__version__"}
+
+
+def test_readme_quick_start_runs():
+    # the README's one Python example, run as written against this tree
+    readme = (SRC.parent.parent / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from relq import" in code
+    assert len(_run_python(code).splitlines()) == 2

@@ -211,7 +211,8 @@ class TestGenerate:
             generate_instance(1, 4, 1, seed=0)
 
     def test_rejects_out_of_range_seeds(self):
-        for seed in (-1, 2**64):
+        # a float seed is refused, not truncated to the integer seed it would alias
+        for seed in (-1, 2**64, 1.5, np.float64(2.0)):
             with pytest.raises(ValueError, match="seed"):
                 generate_instance(3, 4, 2, seed=seed)
         a, _ = generate_instance(3, 4, 2, seed=2**64 - 1)

@@ -8,8 +8,9 @@ import pytest
 from scipy import stats
 
 import relq.rounding
+from oracles import integral_embedding, lift_solution
 from relq._kernels import canonical_values_batch, trace_stats_batch
-from relq.constellation import SdpSolutionP, _variable_difference_steps, canonical_constellation, lift_solution
+from relq.constellation import SdpSolutionP, _variable_difference_steps, canonical_constellation
 from relq.brownian import discretization_margin_check
 from relq.instance import Assignment, Instance, generate_instance
 from relq.rounding import (
@@ -23,7 +24,7 @@ from relq.rounding import (
     lifted_walk_values,
     round_lifted_solution,
 )
-from relq.sdp import convert_to_p, integral_embedding, solve_p_plus
+from relq.sdp import convert_to_p, solve_p_plus
 
 
 # --- sampler ---------------------------------------------------------------
