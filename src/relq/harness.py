@@ -132,10 +132,10 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     n = values.size
     if n == 0:
         return float("nan"), float("nan")
-    mean = float(math.fsum(values) / n)
+    mean = float(math.fsum(values.tolist()) / n)
     if n == 1:
         return mean, float("nan")
-    var = float(math.fsum((values - mean) ** 2) / (n - 1))
+    var = float(math.fsum(((values - mean) ** 2).tolist()) / (n - 1))
     return mean, math.sqrt(var / n)
 
 

@@ -26,6 +26,9 @@ normals of sampler.spawn(0), and the walks with no single crossing take
 their fallback positions, in (trial, variable) order, from
 sampler.spawn(1).  Philox is counter-based, so the two streams are
 disjoint and the trials, reading disjoint slices of them, are independent.
+Each sampler owns one Philox generator, built on its first draw, and the
+generator moves with the sampler, so a stream continues across calls and
+threads; one sampler must not be drawn from by two threads at once.
 A stream continues exactly however its draws are chunked, so a block of
 trials is one fill of the normals stream, the walk construction runs once
 over the block and one kernel call classifies every (trial, variable)
@@ -34,7 +37,6 @@ walk; the memory block size enters no position.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,24 +67,6 @@ _MAX_SPAWN_DEPTH = 2
 STREAM_VERSION = 4
 
 
-_local = threading.local()
-
-
-def _thread_scratch() -> tuple[np.random.Philox, np.random.Generator, dict]:
-    """This thread's scratch Philox, its Generator and a blank state.
-
-    The blank state is read once, before the scratch ever draws, so its
-    buffer is empty: a state read after a draw would carry buffered words
-    (and integers()'s spare uint32) into the next stream loaded from it.
-    """
-    try:
-        return _local.scratch
-    except AttributeError:
-        bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        _local.scratch = (bitgen, np.random.Generator(bitgen), bitgen.state)
-        return _local.scratch
-
-
 class GaussianSampler:
     """Deterministic N(0,1) source: Generator.standard_normal on Philox.
 
@@ -95,18 +79,17 @@ class GaussianSampler:
         counter = [0, tag 1 or 0, tag 2 or 0, _SAMPLER_DOMAIN + depth]
 
     Draws advance counter word 0 only, so two distinct samplers share no
-    number short of 2**66 draws from one of them.  A sampler holds no
-    generator: each draw loads its start, or the Philox state it saved
-    after its last draw, into the calling thread's scratch Philox and saves
-    the state back, so spawning costs almost nothing and a stream continues
-    exactly across calls, samplers and threads.  One sampler must not be
-    drawn from by two threads at once.
+    number short of 2**66 draws from one of them.  Each sampler owns one
+    Philox generator, built from its key and counter on its first draw,
+    so spawning costs almost nothing; the generator moves with the
+    sampler, so a stream continues exactly across calls and threads.  One
+    sampler must not be drawn from by two threads at once.
     """
 
     def __init__(self, seed: int):
         self.seed = _check_word("seed", seed)
         self.path: tuple[int, ...] = ()
-        self._state: dict | None = None
+        self._rng: np.random.Generator | None = None
 
     @property
     def key(self) -> tuple[int, int]:
@@ -120,16 +103,12 @@ class GaussianSampler:
         return (0, *tags, _SAMPLER_DOMAIN + len(self.path))
 
     def _generator(self) -> np.random.Generator:
-        """The thread's scratch Generator, set to where this stream stands."""
-        bitgen, rng, blank = _thread_scratch()
-        if self._state is None:
-            # the state setter takes tuples of ints, faster than arrays
-            blank["state"]["key"] = self.key
-            blank["state"]["counter"] = self.counter
-            bitgen.state = blank
-        else:
-            bitgen.state = self._state
-        return rng
+        """This sampler's Generator, built on the first draw."""
+        if self._rng is None:
+            key = np.array(self.key, dtype=np.uint64)
+            counter = np.array(self.counter, dtype=np.uint64)
+            self._rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        return self._rng
 
     def sample(self, dim: int) -> np.ndarray:
         if dim < 1:
@@ -139,18 +118,12 @@ class GaussianSampler:
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Overwrite the float64 C-contiguous out with the next out.size
         normals, in C order: exactly what sample(out.size) would return."""
-        rng = self._generator()
-        rng.standard_normal(out=out)
-        self._state = rng.bit_generator.state
-        return out
+        return self._generator().standard_normal(out=out)
 
     def uniform_below(self, n: int) -> int:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        rng = self._generator()
-        value = int(rng.integers(0, n))
-        self._state = rng.bit_generator.state
-        return value
+        return int(self._generator().integers(0, n))
 
     def spawn(self, tag: int) -> "GaussianSampler":
         if len(self.path) == _MAX_SPAWN_DEPTH:
@@ -158,7 +131,7 @@ class GaussianSampler:
         child = object.__new__(GaussianSampler)
         child.seed = self.seed
         child.path = self.path + (_check_word("tag", tag),)
-        child._state = None
+        child._rng = None
         return child
 
 
@@ -269,8 +242,8 @@ def _round_trials(
         half_walks = _half_walks(*_lifted_prefix(sol, steps, ell, z), 2.0)
         half = half_walks.shape[2]
         block_counts, first_plus, _ = trace_stats_batch(half_walks.reshape(-1, half), alpha)
-        for cell in np.flatnonzero(block_counts != 1).tolist():
-            first_plus[cell] = fallbacks.uniform_below(2 * half)
+        cells = np.flatnonzero(block_counts != 1)
+        first_plus[cells] = [fallbacks.uniform_below(2 * half) for _ in range(cells.size)]
         rows = slice(t0, t0 + len(z))
         positions[rows] = first_plus.reshape(-1, sol.n)
         counts[rows] = block_counts.reshape(-1, sol.n)

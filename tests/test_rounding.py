@@ -152,8 +152,9 @@ def test_spawn_paths_do_not_collide():
 
 
 def test_interleaved_streams_continue_across_samplers_and_threads():
-    # one thread's scratch Philox serves both samplers in turn; B's integers
-    # leave a spare uint32 buffered, which must not reach A
+    # each sampler's own generator moves with it, across samplers drawn in
+    # turn and to another thread; B's integers leave a spare uint32
+    # buffered, which must not reach A
     a, b = GaussianSampler(13).spawn(5), GaussianSampler(13).spawn(5).spawn(1)
     normals = [a.sample(7)]
     ints = [b.uniform_below(1000) for _ in range(3)]
@@ -172,8 +173,8 @@ def test_interleaved_streams_continue_across_samplers_and_threads():
 
 
 def test_threads_drawing_at_once_keep_their_streams():
-    # more threads than cores, switching often: a scratch Philox shared
-    # between threads would hand one thread's stream to another
+    # more threads than cores, switching often: a generator shared between
+    # samplers would hand one thread's stream to another
     def draw(seed, got):
         a, b = GaussianSampler(seed), GaussianSampler(seed).spawn(1)
         for _ in range(100):
@@ -700,13 +701,31 @@ def test_batch_depends_only_on_the_sampler_name_and_trials():
     np.testing.assert_array_equal(shorter.crossing_counts, first.crossing_counts[:200])
 
 
-def test_fallback_draws_build_no_generator(monkeypatch):
+def test_a_batch_builds_one_generator_per_stream(monkeypatch):
+    # the normals stream and the fallback stream each build their Philox
+    # once, however many fallbacks the batch draws
     sol = _triangle_solution()
-    outs = []
-    starts = _philox_states(lambda: outs.append(round_lifted_solution(sol, 2, GaussianSampler(seed=3), 200)), monkeypatch)
-    (out,) = outs
-    assert sum(status != ONE_CROSSING for status in out.statuses) >= 50
-    assert len(starts) <= 1  # this thread's scratch, on its first draw
+    for trials, least in ((200, 50), (600, 150)):
+        outs = []
+        starts = _philox_states(
+            lambda: outs.append(round_lifted_solution(sol, 2, GaussianSampler(seed=3), trials)), monkeypatch
+        )
+        (out,) = outs
+        assert sum(status != ONE_CROSSING for status in out.statuses) >= least
+        documented = [_documented_philox(3, (tag,)).state["state"] for tag in (0, 1)]
+        assert [(s["key"].tolist(), s["counter"].tolist()) for s in starts] == [
+            (d["key"].tolist(), d["counter"].tolist()) for d in documented
+        ]
+
+
+def test_spawning_builds_no_generator(monkeypatch):
+    def spawn_many():
+        root = GaussianSampler(seed=9)
+        for tag in range(500):
+            child = root.spawn(tag)
+            child.spawn(tag)
+
+    assert _philox_states(spawn_many, monkeypatch) == []
 
 
 def test_batch_rejects_samplers_with_no_room_for_fallbacks(monkeypatch):
