@@ -28,7 +28,8 @@ before the seam, -l_R; those in the mirrored half sit at half + the
 '+'->'-' run starts.
 
 The argument checks the modules share live here too: _check_alpha for a
-crossing threshold, _check_word for a seed or stream tag, one Philox word.
+crossing threshold, _check_int for an integer argument, and _check_word
+for a seed or stream tag, one Philox word.
 """
 
 import operator
@@ -42,12 +43,17 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
-def _check_word(name: str, value: int) -> int:
-    """value as a Python int in [0, 2**64), the range of one Philox key or counter word."""
+def _check_int(name: str, value: int) -> int:
+    """value as a Python int; a float, even 4.0, is refused rather than truncated."""
     try:
-        value = operator.index(value)  # 1.5 would otherwise alias 1
+        return operator.index(value)  # 1.5 would otherwise alias 1
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_word(name: str, value: int) -> int:
+    """value as a Python int in [0, 2**64), the range of one Philox key or counter word."""
+    value = _check_int(name, value)
     if not 0 <= value < 1 << 64:
         raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
     return value

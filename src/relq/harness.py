@@ -305,24 +305,25 @@ def conjecture_experiment(
 ) -> Report:
     """Distance between rounded positions of an analytically correlated pair.
 
-    For each angle, variable j's walk uses increments cos(theta)*r1 +
-    sin(theta)*r2 (the walk map is linear in the ambient Gaussian, so this
-    equals the walk of the rotated constellation).  Trials where both walks
-    show exactly one extreme sign change contribute the normalized circular
-    distance between the two positions; each cell reports the conditioned
-    mean next to the fraction-of-circle bound theta/(2*pi).
+    Variable i's walk W1 is built from increments r1, and for each angle
+    variable j's walk is cos(theta)*W1 + sin(theta)*W2, with W2 built from
+    increments r2: the walk map is linear in the ambient Gaussian, so this
+    is the walk of cos(theta)*r1 + sin(theta)*r2 and of the rotated
+    constellation.  Trials where both walks show exactly one extreme sign
+    change contribute the normalized circular distance between the two
+    positions; each cell reports the conditioned mean next to the
+    fraction-of-circle bound theta/(2*pi).
 
-    r1 is common to all cells (common random numbers): it comes from
-    spawn(0) of the seed's sampler and its walks are built once, so
-    marginal_one_rate is one number for the whole grid and differences
-    between cells have lower variance.  Cell c draws its r2 from
-    spawn(c + 1), so a cell's row depends on its angle and grid position
-    only, not on the other cells' angles.  Draws go one block of about 2^18
-    walk values at a time: the block's r1, then each cell's r2 in grid
-    order, each filled on a worker thread while the walks of the one before
-    it are built.  The construction is audited once per call; if the audit
-    fails, every row reads audit_ok False with NaN means, and neither that
-    nor an empty grid draws anything.
+    Every cell shares r1, from spawn(0) of the seed's sampler, and r2,
+    from spawn(1) (common random numbers), and W1 and W2 are built once
+    per block, so marginal_one_rate is one number for the whole grid,
+    differences between cells have lower variance, and a cell's row
+    depends on its angle only, not on the grid around it.  Draws go one
+    block of about 2^18 walk values at a time, r1 then r2, each filled on
+    a worker thread while the walks of the one before it are built.  The
+    construction is audited once per call; if the audit fails, every row
+    reads audit_ok False with NaN means, and neither that nor an empty
+    grid draws anything.
     """
     if s < 100 or s % 2:
         raise ValueError(f"s must be even and >= 100, got {s}")
@@ -336,26 +337,23 @@ def conjecture_experiment(
     sampler = GaussianSampler(seed)
     half = s // 2
     audit_ok = _audit_correlated_pair(s)
-    cells = range(len(thetas) if audit_ok else 0)
-    # r1 first, then each cell's r2, block after block
-    samplers = [sampler.spawn(0)] + [sampler.spawn(c + 1) for c in cells]
-    sizes = _block_sizes(trials, _block_rows(half)) if cells else []
+    streams = (sampler.spawn(0), sampler.spawn(1))  # r1, r2
+    sizes = _block_sizes(trials, _block_rows(half)) if thetas and audit_ok else []
     both = [0] * len(thetas)
     # the empty first piece gives a cell that drew nothing a NaN mean
     dists = [[np.empty(0)] for _ in thetas]
     one_i = 0
-    with _prefetched((smp, rows, half) for rows in sizes for smp in samplers) as normals:
-        for rows in sizes:
-            r1 = next(normals)
-            ci, fi, _ = trace_stats_batch(canonical_values_batch(r1), alpha)
+    with _prefetched((smp, rows, half) for rows in sizes for smp in streams) as normals:
+        for _ in sizes:
+            w1 = canonical_values_batch(next(normals))
+            ci, fi, _ = trace_stats_batch(w1, alpha)
             one_i += int(np.sum(ci == 1))
-            scratch = np.empty((rows, half))
-            for c in cells:
-                r2 = next(normals)
-                r2 *= math.sin(thetas[c])
-                np.multiply(r1, math.cos(thetas[c]), out=scratch)
-                r2 += scratch  # cos_t * r1 + sin_t * r2, bit for bit
-                cj, fj, _ = trace_stats_batch(canonical_values_batch(r2), alpha)
+            w2 = canonical_values_batch(next(normals))
+            wj, scratch = np.empty_like(w1), np.empty_like(w1)
+            for c, theta in enumerate(thetas):
+                np.multiply(w1, math.cos(theta), out=wj)
+                wj += np.multiply(w2, math.sin(theta), out=scratch)
+                cj, fj, _ = trace_stats_batch(wj, alpha)
                 mask = (ci == 1) & (cj == 1)
                 both[c] += int(np.sum(mask))
                 delta = (fj[mask] - fi[mask]) % s

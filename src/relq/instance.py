@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from relq._kernels import _check_word
+from relq._kernels import _check_int, _check_word
 
 # enumeration budget for the exhaustive solver and domain-size guard for scaling
 BRUTE_FORCE_LIMIT = 10**8
@@ -46,11 +46,13 @@ class Instance:
     equations: list[tuple[int, int, int]]
 
     def __post_init__(self):
+        self.p = _check_int("domain size", self.p)
+        self.n = _check_int("variable count", self.n)
+        self.equations = [tuple(_check_int("equation entry", x) for x in eq) for eq in self.equations]
         if self.p <= 0 or self.p % 2 != 0:
             raise ValueError(f"domain size must be a positive even integer, got {self.p}")
         if self.n < 1:
             raise ValueError(f"need at least one variable, got {self.n}")
-        self.equations = [tuple(eq) for eq in self.equations]
         for i, j, d in self.equations:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"equation ({i}, {j}, {d}) references a missing variable")
@@ -71,7 +73,7 @@ class Assignment:
     positions: list[int]
 
     def __post_init__(self):
-        self.positions = [int(x) for x in self.positions]
+        self.positions = [_check_int("position", x) for x in self.positions]
 
 
 @dataclass
@@ -154,6 +156,7 @@ def scale_instance(inst: Instance, ell: int) -> Instance:
     Slacks scale with the domain, so every assignment value is preserved under
     x -> ell*x and the optimum is unchanged.
     """
+    ell = _check_int("scale factor", ell)
     if ell < 1:
         raise ValueError(f"scale factor must be >= 1, got {ell}")
     s = ell * inst.p

@@ -64,7 +64,9 @@ _MAX_SPAWN_DEPTH = 2
 #    and cell c's r2 from spawn(c + 1)
 # 4: as 3, with round_lifted_solution reading a batch's normals from
 #    spawn(0) and its fallbacks from spawn(1) of one sampler
-STREAM_VERSION = 4
+# 5: as 4, with conjecture_experiment's r2 shared by all cells from
+#    spawn(1) and cell c's walk cos*W1 + sin*W2 of the walks of r1 and r2
+STREAM_VERSION = 5
 
 
 class GaussianSampler:

@@ -74,7 +74,7 @@ def test_write_report_emits_csv_and_json(tmp_path):
     assert csv_path.exists() and json_path.exists()
     summary = json.loads(json_path.read_text())
     assert set(summary) == {"name", "parameters", "provenance", "columns", "row_count"}
-    assert summary["provenance"] == {"package": "relq", "version": __version__, "seed": 5, "stream_version": 4}
+    assert summary["provenance"] == {"package": "relq", "version": __version__, "seed": 5, "stream_version": 5}
     assert summary["row_count"] == 1
     assert csv_path.read_bytes() == format_report_csv(report).encode()
 
@@ -136,8 +136,8 @@ SIGN_CHANGE_S200_SEED3 = [
 CONJECTURE_S200_SEED3 = [
     [0.2617993877991494, 0.9659258262890683, 200, 2000, 1851, 0.9255, 0.9545,
      0.042690437601296594, 0.0017909330812418906, 0.041666666666666664, True],
-    [0.7853981633974483, 0.7071067811865476, 200, 2000, 1832, 0.916, 0.9545,
-     0.12628548034934498, 0.0028622617113283153, 0.125, True],
+    [0.7853981633974483, 0.7071067811865476, 200, 2000, 1828, 0.914, 0.9545,
+     0.12699945295404813, 0.0028851700157316853, 0.125, True],
 ]
 
 # 5000 trials at s = 100 fit in one draw block (2^18 // 50 rows)
@@ -185,12 +185,18 @@ def test_conjecture_experiment_multi_block_rows_pinned():
 
 
 def test_conjecture_cells_share_one_r1():
-    # five draw blocks at s = 2000; r1 comes from spawn(0) for every cell
+    # five draw blocks at s = 2000; every cell reads r1 from spawn(0) and
+    # r2 from spawn(1)
     grid = (math.pi / 2, 0.0, math.pi / 4)
     cells = _cells(conjecture_experiment(grid, s=2000, trials=1100, seed=6))
-    r1 = GaussianSampler(6).spawn(0).sample(1100 * 1000).reshape(1100, 1000)
-    counts, _, _ = trace_stats_batch(canonical_values_batch(r1), 1.0)
-    assert {cell["marginal_one_rate"] for cell in cells} == {int(np.sum(counts == 1)) / 1100}
+    root = GaussianSampler(6)
+    w1, w2 = (canonical_values_batch(root.spawn(tag).sample(1100 * 1000).reshape(1100, 1000)) for tag in (0, 1))
+    ci, fi, _ = trace_stats_batch(w1, 1.0)
+    assert {cell["marginal_one_rate"] for cell in cells} == {int(np.sum(ci == 1)) / 1100}
+    for cell in cells:
+        cj, fj, _ = trace_stats_batch(math.cos(cell["theta"]) * w1 + math.sin(cell["theta"]) * w2, 1.0)
+        mask = (ci == 1) & (cj == 1)
+        assert cell["conditioned"] == int(np.sum(mask))
     # at angle 0 walk j is walk i, so exactly r1's one-crossing trials count
     assert cells[1]["conditioning_rate"] == cells[1]["marginal_one_rate"]
     # at pi/2 walk j follows r2 alone; were r2 drawn from r1's stream the
@@ -199,14 +205,33 @@ def test_conjecture_cells_share_one_r1():
 
 
 def test_conjecture_rows_do_not_depend_on_later_cells_or_block_size(monkeypatch):
-    # cell c's r2 comes from spawn(c + 1) and each stream continues across
-    # blocks, so neither a longer grid nor other blocks move a row
+    # every cell reads the same two streams and each stream continues
+    # across blocks, so neither the rest of the grid, its order nor the
+    # block size moves a row: each equals its single-angle run's row
     grid = (math.pi / 12, math.pi / 6, math.pi / 4)
     three = conjecture_experiment(grid, s=2000, trials=1100, seed=5)
     two = conjecture_experiment(grid[:2], s=2000, trials=1100, seed=5)
     _assert_rows_exact(three.rows[:2], two.rows)
+    for theta, row in zip(grid, three.rows):
+        _assert_rows_exact([row], conjecture_experiment((theta,), s=2000, trials=1100, seed=5).rows)
+    _assert_rows_exact(conjecture_experiment(grid[::-1], s=2000, trials=1100, seed=5).rows, three.rows[::-1])
     monkeypatch.setattr(relq.harness, "_BLOCK_VALUES", 1 << 15)
     _assert_rows_exact(conjecture_experiment(grid, s=2000, trials=1100, seed=5).rows, three.rows)
+
+
+@pytest.mark.parametrize("grid", [(math.pi / 6,), (math.pi / 12, math.pi / 6, math.pi / 4)])
+def test_conjecture_fills_two_arrays_per_block_whatever_the_grid(grid, monkeypatch):
+    # 1100 trials at s = 2000 span five draw blocks: one r1 and one r2 each
+    fills = []
+    fill = GaussianSampler.fill
+
+    def counted_fill(self, out):
+        fills.append((self.path, out.shape))
+        return fill(self, out)
+
+    monkeypatch.setattr(GaussianSampler, "fill", counted_fill)
+    conjecture_experiment(grid, s=2000, trials=1100, seed=5)
+    assert fills == [((tag,), (rows, 1000)) for rows in (262, 262, 262, 262, 52) for tag in (0, 1)]
 
 
 @pytest.mark.parametrize("block_values", [1 << 15, 1 << 19])

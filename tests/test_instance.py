@@ -124,6 +124,25 @@ class TestEvaluate:
             evaluate(inst, Assignment([0]))
         with pytest.raises(ValueError):
             evaluate(inst, Assignment([0, 4]))
+        # a float position is refused, not truncated
+        for x in (1.5, 4.0):
+            with pytest.raises(ValueError, match="position must be an integer"):
+                Assignment([0, x])
+
+
+class TestInstance:
+    def test_rejects_non_integers(self):
+        for p, n, eq in ((4.0, 2, (0, 1, 1)), (4, 2.0, (0, 1, 1)), (4, 2, (0, 1, 1.5)), (4, 2, (0, 1.0, 1))):
+            with pytest.raises(ValueError, match="must be an integer"):
+                Instance(p=p, n=n, equations=[eq])
+
+    def test_integer_inputs_give_python_ints(self):
+        inst = Instance(p=4, n=3, equations=[(0, 1, 2), [1, 2, 3]])
+        assert repr(inst) == "Instance(p=4, n=3, equations=[(0, 1, 2), (1, 2, 3)])"
+        as_numpy = Instance(p=np.int64(4), n=np.int64(3), equations=[tuple(np.array([0, 1, 2])), np.array([1, 2, 3])])
+        assert repr(as_numpy) == repr(inst)
+        assert format_instance(as_numpy) == format_instance(inst)
+        assert repr(Assignment(np.array([3, 0]))) == repr(Assignment([3, 0]))
 
 
 class TestBruteForce:
@@ -190,6 +209,11 @@ class TestScale:
             scale_instance(inst, 0)
         with pytest.raises(ValueError):
             scale_instance(inst, 10**9)
+        # a float factor would make a float domain that format_instance
+        # writes as text parse_instance rejects
+        for ell in (1.5, 4.0):
+            with pytest.raises(ValueError, match="scale factor must be an integer"):
+                scale_instance(inst, ell)
 
 
 class TestGenerate:
