@@ -59,9 +59,13 @@ def _check_word(name: str, value: int) -> int:
     return value
 
 
-def _half_walks(anchor: np.ndarray, prefix: np.ndarray, step: float) -> np.ndarray:
-    """Forward halves shaped like prefix: anchor, then anchor + step*prefix[..., k-1]."""
-    values = np.empty_like(prefix)
+def _half_walks(anchor: np.ndarray, prefix: np.ndarray, step: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward halves shaped like prefix: anchor, then anchor + step*prefix[..., k-1].
+
+    They are written to out when it is given, an array shaped like prefix
+    that does not overlap it.
+    """
+    values = np.empty_like(prefix) if out is None else out
     values[..., 0] = anchor
     tail = values[..., 1:]
     np.multiply(prefix[..., :-1], step, out=tail)
@@ -74,14 +78,20 @@ def _labels(values: np.ndarray, alpha: float) -> np.ndarray:
     return (values >= alpha).view(np.int8) - (values <= -alpha).view(np.int8)
 
 
-def canonical_values_batch(increments: np.ndarray) -> np.ndarray:
-    """Forward-half walk values (trials, half) from normal increments (trials, half)."""
+def canonical_values_batch(increments: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward-half walk values (trials, half) from normal increments (trials, half).
+
+    With out, a float64 array shaped like increments, the values are written
+    to out and a float64 increments array is summed in place, so that it
+    then holds its running sums; the values are bit for bit the same either
+    way.
+    """
     increments = np.asarray(increments, dtype=np.float64)
     if increments.ndim != 2 or increments.shape[1] < 1:
         raise ValueError("increments must be a (trials, half) array")
     c = np.sqrt(2.0 / (2 * increments.shape[1]))  # sqrt(2/s)
-    prefix = np.cumsum(increments, axis=1)
-    return _half_walks(c * prefix[:, -1], prefix, -2.0 * c)
+    prefix = np.cumsum(increments, axis=1, out=None if out is None else increments)
+    return _half_walks(c * prefix[:, -1], prefix, -2.0 * c, out)
 
 
 def trace_stats_batch(half_values: np.ndarray, alpha: float):

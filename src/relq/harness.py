@@ -4,6 +4,15 @@ Every driver returns a Report that is a pure function of its parameters and
 seed: floats are carried at full precision (shortest-repr in CSV, native in
 JSON), no timestamps or environment data enter the artifact, and rerunning
 with the same arguments reproduces the output byte for byte.
+
+The Monte-Carlo drivers (mc_sign_change, mc_correlation_gap and
+conjecture_experiment) split their trials into blocks of a fixed size, a
+stream constant.  Block g reads its own Philox substream, spawned in the
+caller's thread from the seed's sampler, and runs whole on a worker
+thread, one per CPU available to the process and at most _MAX_WORKERS.
+Counter-based substreams are disjoint, so the blocks are independent, and
+the caller combines their tallies in block order: no number depends on the
+worker count or on the scheduling.
 """
 
 from __future__ import annotations
@@ -12,14 +21,14 @@ import csv
 import io
 import json
 import math
-from contextlib import contextmanager
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from relq import __version__
-from relq._kernels import _check_alpha, canonical_values_batch, trace_stats_batch
+from relq._kernels import _check_alpha, _check_int, canonical_values_batch, trace_stats_batch
 from relq.brownian import constants_table, prob_at_least_one, prob_three_or_more
 from relq.constellation import canonical_constellation
 from relq.instance import (
@@ -37,15 +46,23 @@ from relq.sdp import (
     solve_p_plus,
 )
 
-# walk values per block of rows: 2 MB of float64, and two arrays of normals
-# are live, the one the kernels read and the one being filled.  Each driver
-# reads every sampler stream in order across blocks, so this size sets
-# memory and speed but no seeded number
+# normals per block of walks.  Block g of mc_sign_change reads
+# _BLOCK_VALUES // s rows of s increments from spawn(g), and block g of
+# conjecture_experiment as many rows of r1 and of r2, s/2 each, from
+# spawn(0).spawn(g) and spawn(1).spawn(g).  Every block reads its own
+# substream from its start, so this size decides which normals feed which
+# walk: it is part of the stream layout, and changing it changes seeded
+# numbers (STREAM_VERSION 6)
 _BLOCK_VALUES = 1 << 18
-# pairs per block in mc_correlation_gap.  Its mean adds up per-block np.sum
-# partial sums, so this size fixes the summation order, and with it the last
-# bits of the report; it stays apart from _BLOCK_VALUES for that reason
+# pairs per block in mc_correlation_gap, which reads block g from
+# spawn(g): a stream constant like _BLOCK_VALUES.  The mean adds up
+# per-block np.sum partial sums, so it also fixes the summation order
 _GAP_BLOCK_ROWS = 1 << 18
+# most worker threads one MC driver call runs.  Each worker owns its block
+# buffers, 4 MB in mc_sign_change and conjecture_experiment, plus the
+# kernels' temporaries, so this bounds a call's memory on a machine with
+# many CPUs.  The worker count changes no number
+_MAX_WORKERS = 4
 # end_to_end_ratio's sandwich: the optimum may exceed the relaxation value by this much
 _SANDWICH_TOL = 1e-3
 # conjecture_experiment's audit: largest error allowed in a sampled norm or Gram entry
@@ -61,35 +78,61 @@ def _block_sizes(trials: int, block: int) -> list[int]:
     return [min(block, trials - done) for done in range(0, trials, block)]
 
 
-@contextmanager
-def _prefetched(draws):
-    """Arrays of normals for an ordered sequence of (sampler, rows, width) draws.
+def _workers() -> int:
+    """One worker per CPU this process may run on, at most _MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_WORKERS))
 
-    Yields an iterator over the filled (rows, width) arrays, in draw order.
-    Each array is allocated in the caller's thread; one pool worker fills
-    the next array while the caller works on the current one (numpy
-    releases the GIL in standard_normal and in the walk kernels).  Fills
-    run one at a time in draw order, so every sampler stream is read in
-    order and each array holds exactly what sampler.sample(rows * width)
-    would return.  A failed fill raises on the next() that would have
-    returned its array, and leaving the block joins the worker however it
-    is left.
+
+def _worker_buffers(blocks: int, arrays: int, shape: tuple[int, int]) -> list[tuple]:
+    """Per worker, a tuple of `arrays` empty float64 arrays of `shape`; no more workers than blocks."""
+    return [tuple(np.empty(shape) for _ in range(arrays)) for _ in range(min(_workers(), blocks))]
+
+
+def _block_map(job, blocks: list[tuple], buffers: list[tuple]) -> list:
+    """[job(*block, *its worker's buffers) for block in blocks], in block order.
+
+    Each block runs whole on one worker thread: it draws from the
+    substreams its tuple names, builds and classifies its walks and returns
+    its small tallies, which the caller combines in block order.  numpy
+    releases the GIL in the fills and in the walk kernels, so the workers
+    run in parallel.  There is one worker per buffer set and at most one
+    block in flight per worker, so a block owns its worker's buffers until
+    it returns.  A block reads only its own substreams, so no result
+    depends on the worker count or on which worker ran which block.  After
+    a failure nothing new is submitted; the blocks in flight are joined,
+    and then the first error in block order is raised.
     """
     # imported here: concurrent.futures pulls in logging, which no other relq path needs
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
-    def filled(pool):
-        pending = None
-        for sampler, rows, width in draws:
-            done = None if pending is None else pending.result()
-            pending = pool.submit(sampler.fill, np.empty((rows, width)))
-            if done is not None:
-                yield done
-        if pending is not None:
-            yield pending.result()
-
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="relq-normals") as pool:
-        yield filled(pool)
+    results: list = [None] * len(blocks)
+    errors: dict = {}
+    free = list(buffers)
+    running: dict = {}
+    submitted = 0
+    with ThreadPoolExecutor(max_workers=len(buffers), thread_name_prefix="relq-block") as pool:
+        while True:
+            while free and submitted < len(blocks) and not errors:
+                bufs = free.pop()
+                running[pool.submit(job, *blocks[submitted], *bufs)] = submitted, bufs
+                submitted += 1
+            if not running:
+                break
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                g, bufs = running.pop(future)
+                free.append(bufs)
+                if future.exception() is None:
+                    results[g] = future.result()
+                else:
+                    errors[g] = future.exception()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @dataclass
@@ -102,6 +145,8 @@ class ExperimentConfig:
     ell: int = 1
 
     def __post_init__(self):
+        self.trials = _check_int("trials", self.trials)
+        self.ell = _check_int("ell", self.ell)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         _check_alpha(self.alpha)
@@ -191,7 +236,8 @@ def mc_sign_change(s: int, trials: int, seed: int, alpha: float = 1.0) -> Report
 
     s counts the forward-walk steps (the Gaussian increments per trial); the
     circular trace has 2*s positions, the second half being the antipodal
-    mirror of the first.  Blocks of traces come from one sequential stream;
+    mirror of the first.  Block g of traces reads its increments from
+    spawn(g) of the seed's sampler, on a worker thread (see _block_map);
     the report carries frequencies of {0, 1, >=2} extreme sign changes at
     the given threshold, and separately of the event that the first half of
     the trace alternates three or more times.  Reference values are the
@@ -199,20 +245,23 @@ def mc_sign_change(s: int, trials: int, seed: int, alpha: float = 1.0) -> Report
     so the frequencies approach them from a finite-step bias of order
     1/sqrt(s).
     """
+    s, trials = _check_int("s", s), _check_int("trials", trials)
     if s < 100:
         raise ValueError(f"s must be >= 100, got {s}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_alpha(alpha)
     sampler = GaussianSampler(seed)
-    zero = one = two_plus = alt3 = 0
-    with _prefetched((sampler, rows, s) for rows in _block_sizes(trials, _block_rows(s))) as blocks:
-        for incr in blocks:
-            counts, _, half_runs = trace_stats_batch(canonical_values_batch(incr), alpha)
-            zero += int(np.sum(counts == 0))
-            one += int(np.sum(counts == 1))
-            two_plus += int(np.sum(counts >= 2))
-            alt3 += int(np.sum(half_runs >= 3))
+    sizes = _block_sizes(trials, _block_rows(s))
+
+    def block(smp, rows, normals, walks):
+        values = canonical_values_batch(smp.fill(normals[:rows]), out=walks[:rows])
+        counts, _, half_runs = trace_stats_batch(values, alpha)
+        return [int(np.sum(event)) for event in (counts == 0, counts == 1, counts >= 2, half_runs >= 3)]
+
+    blocks = [(sampler.spawn(g), rows) for g, rows in enumerate(sizes)]
+    tallies = _block_map(block, blocks, _worker_buffers(len(sizes), 2, (sizes[0], s)))
+    zero, one, two_plus, alt3 = map(sum, zip(*tallies))
     p1 = prob_at_least_one()
     p3 = prob_three_or_more()
     stats = [
@@ -243,7 +292,12 @@ def correlation_gap_closed_form(theta: float) -> float:
 
 
 def mc_correlation_gap(theta: float, trials: int, seed: int) -> Report:
-    """MC estimate of the mean absolute projection gap at angle theta."""
+    """MC estimate of the mean absolute projection gap at angle theta.
+
+    Block g of _GAP_BLOCK_ROWS pairs reads spawn(g) of the seed's sampler,
+    on a worker thread (see _block_map).
+    """
+    trials = _check_int("trials", trials)
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     if trials < 1:
@@ -251,13 +305,15 @@ def mc_correlation_gap(theta: float, trials: int, seed: int) -> Report:
     sampler = GaussianSampler(seed)
     c1 = 1.0 - math.cos(theta)
     c2 = math.sin(theta)
-    sums: list[float] = []
-    sq_sums: list[float] = []
-    with _prefetched((sampler, rows, 2) for rows in _block_sizes(trials, _GAP_BLOCK_ROWS)) as blocks:
-        for r in blocks:
-            gap = np.abs(c1 * r[:, 0] - c2 * r[:, 1])
-            sums.append(float(np.sum(gap)))
-            sq_sums.append(float(np.sum(gap * gap)))
+    sizes = _block_sizes(trials, _GAP_BLOCK_ROWS)
+
+    def block(smp, rows, normals):
+        r = smp.fill(normals[:rows])
+        gap = np.abs(c1 * r[:, 0] - c2 * r[:, 1])
+        return float(np.sum(gap)), float(np.sum(gap * gap))
+
+    blocks = [(sampler.spawn(g), rows) for g, rows in enumerate(sizes)]
+    sums, sq_sums = zip(*_block_map(block, blocks, _worker_buffers(len(sizes), 1, (sizes[0], 2))))
     mean = math.fsum(sums) / trials
     if trials > 1:
         var = max(math.fsum(sq_sums) - trials * mean * mean, 0.0) / (trials - 1)
@@ -314,17 +370,17 @@ def conjecture_experiment(
     positions; each cell reports the conditioned mean next to the
     fraction-of-circle bound theta/(2*pi).
 
-    Every cell shares r1, from spawn(0) of the seed's sampler, and r2,
-    from spawn(1) (common random numbers), and W1 and W2 are built once
-    per block, so marginal_one_rate is one number for the whole grid,
-    differences between cells have lower variance, and a cell's row
-    depends on its angle only, not on the grid around it.  Draws go one
-    block of about 2^18 walk values at a time, r1 then r2, each filled on
-    a worker thread while the walks of the one before it are built.  The
-    construction is audited once per call; if the audit fails, every row
-    reads audit_ok False with NaN means, and neither that nor an empty
-    grid draws anything.
+    Every cell shares r1 and r2 (common random numbers), and W1 and W2 are
+    built once per block, so marginal_one_rate is one number for the whole
+    grid, differences between cells have lower variance, and a cell's row
+    depends on its angle only, not on the grid around it.  Block g holds
+    _BLOCK_VALUES // s trials, reads their r1 from spawn(0).spawn(g) and
+    their r2 from spawn(1).spawn(g) of the seed's sampler, and runs whole
+    on a worker thread (see _block_map).  The construction is audited once
+    per call; if the audit fails, every row reads audit_ok False with NaN
+    means and nothing is drawn.  An empty grid neither audits nor draws.
     """
+    s, trials = _check_int("s", s), _check_int("trials", trials)
     if s < 100 or s % 2:
         raise ValueError(f"s must be even and >= 100, got {s}")
     if trials < 1:
@@ -336,32 +392,38 @@ def conjecture_experiment(
             raise ValueError(f"angles must lie in [0, pi], got {theta}")
     sampler = GaussianSampler(seed)
     half = s // 2
-    audit_ok = _audit_correlated_pair(s)
-    streams = (sampler.spawn(0), sampler.spawn(1))  # r1, r2
-    sizes = _block_sizes(trials, _block_rows(half)) if thetas and audit_ok else []
-    both = [0] * len(thetas)
+    # an empty grid has no row to carry the audit's verdict
+    audit_ok = bool(thetas) and _audit_correlated_pair(s)
+    sizes = _block_sizes(trials, _block_rows(s)) if audit_ok else []
+    trig = [(math.cos(theta), math.sin(theta)) for theta in thetas]
+
+    def block(smp1, smp2, rows, a, b, c, d):
+        # a and b take r1 and r2, then their running sums, then each cell's
+        # walk and its scratch; c and d take W1 and W2
+        w1 = canonical_values_batch(smp1.fill(a[:rows]), out=c[:rows])
+        ci, fi, _ = trace_stats_batch(w1, alpha)
+        w2 = canonical_values_batch(smp2.fill(b[:rows]), out=d[:rows])
+        wj, scratch = a[:rows], b[:rows]
+        cells = []
+        for cos, sin in trig:
+            np.multiply(w1, cos, out=wj)
+            wj += np.multiply(w2, sin, out=scratch)
+            cj, fj, _ = trace_stats_batch(wj, alpha)
+            mask = (ci == 1) & (cj == 1)
+            delta = (fj[mask] - fi[mask]) % s
+            cells.append(np.minimum(delta, s - delta) / s)
+        return int(np.sum(ci == 1)), cells
+
+    r1, r2 = sampler.spawn(0), sampler.spawn(1)
+    blocks = [(r1.spawn(g), r2.spawn(g), rows) for g, rows in enumerate(sizes)]
+    tallies = _block_map(block, blocks, _worker_buffers(len(sizes), 4, (sizes[0], half))) if sizes else []
+    one_i = sum(one for one, _ in tallies)
     # the empty first piece gives a cell that drew nothing a NaN mean
-    dists = [[np.empty(0)] for _ in thetas]
-    one_i = 0
-    with _prefetched((smp, rows, half) for rows in sizes for smp in streams) as normals:
-        for _ in sizes:
-            w1 = canonical_values_batch(next(normals))
-            ci, fi, _ = trace_stats_batch(w1, alpha)
-            one_i += int(np.sum(ci == 1))
-            w2 = canonical_values_batch(next(normals))
-            wj, scratch = np.empty_like(w1), np.empty_like(w1)
-            for c, theta in enumerate(thetas):
-                np.multiply(w1, math.cos(theta), out=wj)
-                wj += np.multiply(w2, math.sin(theta), out=scratch)
-                cj, fj, _ = trace_stats_batch(wj, alpha)
-                mask = (ci == 1) & (cj == 1)
-                both[c] += int(np.sum(mask))
-                delta = (fj[mask] - fi[mask]) % s
-                dists[c].append(np.minimum(delta, s - delta) / s)
+    dists = [np.concatenate([np.empty(0), *(cells[c] for _, cells in tallies)]) for c in range(len(thetas))]
     rows_out = [
-        [theta, math.cos(theta), s, trials, both[c], both[c] / trials, one_i / trials]
-        + [*_mean_stderr(np.concatenate(dists[c])), theta / (2.0 * math.pi), audit_ok]
-        for c, theta in enumerate(thetas)
+        [theta, math.cos(theta), s, trials, dist.size, dist.size / trials, one_i / trials]
+        + [*_mean_stderr(dist), theta / (2.0 * math.pi), audit_ok]
+        for theta, dist in zip(thetas, dists)
     ]
     return Report(
         name="conjecture_experiment",

@@ -173,6 +173,7 @@ def generate_instance(
     With planted=True the targets are consistent with a hidden assignment,
     which then scores exactly m.  Deterministic per seed.
     """
+    n, p, m = _check_int("n", n), _check_int("p", p), _check_int("m", m)
     if n < 2:
         raise ValueError(f"need at least two variables, got {n}")
     if p <= 0 or p % 2 != 0:

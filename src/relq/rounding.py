@@ -66,7 +66,12 @@ _MAX_SPAWN_DEPTH = 2
 #    spawn(0) and its fallbacks from spawn(1) of one sampler
 # 5: as 4, with conjecture_experiment's r2 shared by all cells from
 #    spawn(1) and cell c's walk cos*W1 + sin*W2 of the walks of r1 and r2
-STREAM_VERSION = 5
+# 6: as 5, with every block of the MC drivers reading its own substream:
+#    block g of mc_sign_change and mc_correlation_gap from spawn(g), and
+#    conjecture_experiment's r1 and r2 of block g from spawn(0).spawn(g)
+#    and spawn(1).spawn(g); harness._BLOCK_VALUES normals per walk block,
+#    r1 and r2 together, and harness._GAP_BLOCK_ROWS pairs per gap block
+STREAM_VERSION = 6
 
 
 class GaussianSampler:

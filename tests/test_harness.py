@@ -74,7 +74,7 @@ def test_write_report_emits_csv_and_json(tmp_path):
     assert csv_path.exists() and json_path.exists()
     summary = json.loads(json_path.read_text())
     assert set(summary) == {"name", "parameters", "provenance", "columns", "row_count"}
-    assert summary["provenance"] == {"package": "relq", "version": __version__, "seed": 5, "stream_version": 5}
+    assert summary["provenance"] == {"package": "relq", "version": __version__, "seed": 5, "stream_version": 6}
     assert summary["row_count"] == 1
     assert csv_path.read_bytes() == format_report_csv(report).encode()
 
@@ -126,33 +126,45 @@ def test_mc_sign_change_validation_and_determinism():
 
 # Report rows of small seeded runs, pinned so that a kernel rewrite that
 # changes any crossing statistic, or the stream use, shows up here.
+# Captured on stream version 6: block g of 2^18 normals reads its own
+# substream.  5000 trials at s = 200 span four blocks of 1310 rows and one
+# of 1070.
 SIGN_CHANGE_S200_SEED3 = [
-    ["count_zero", 125 / 5000, 0.002207940216581962, 0.01438318809447181],
-    ["count_one", 4841 / 5000, 0.0024814818153675857, 0.9678828980765735],
-    ["count_two_plus", 34 / 5000, 0.001162218568084334, 0.017733913828954728],
-    ["half_alternations_three_plus", 34 / 5000, 0.001162218568084334, 0.017733913828954728],
+    ["count_zero", 146 / 5000, 0.002381065307798171, 0.01438318809447181],
+    ["count_one", 4804 / 5000, 0.0027445713690847982, 0.9678828980765735],
+    ["count_two_plus", 50 / 5000, 0.0014071247279470289, 0.017733913828954728],
+    ["half_alternations_three_plus", 50 / 5000, 0.0014071247279470289, 0.017733913828954728],
 ]
 
 CONJECTURE_S200_SEED3 = [
-    [0.2617993877991494, 0.9659258262890683, 200, 2000, 1851, 0.9255, 0.9545,
-     0.042690437601296594, 0.0017909330812418906, 0.041666666666666664, True],
-    [0.7853981633974483, 0.7071067811865476, 200, 2000, 1828, 0.914, 0.9545,
-     0.12699945295404813, 0.0028851700157316853, 0.125, True],
+    [0.2617993877991494, 0.9659258262890683, 200, 2000, 1847, 0.9235, 0.9495,
+     0.04093665403356795, 0.0017118067706392622, 0.041666666666666664, True],
+    [0.7853981633974483, 0.7071067811865476, 200, 2000, 1831, 0.9155, 0.9495,
+     0.1257181867831786, 0.0028683670786391877, 0.125, True],
 ]
 
-# 5000 trials at s = 100 fit in one draw block (2^18 // 50 rows)
+# 5000 trials at s = 100 span two blocks (2^18 // 100 = 2621 rows, then 2379)
 CONJECTURE_S100_SEED5 = [
-    [0.5235987755982988, 0.8660254037844387, 100, 5000, 4479, 0.8958, 0.9382,
-     0.08629158294262113, 0.0015651224967601575, 0.08333333333333333, True],
+    [0.5235987755982988, 0.8660254037844387, 100, 5000, 4522, 0.9044, 0.9434,
+     0.08480760725342769, 0.0015402315681152833, 0.08333333333333333, True],
 ]
 
-# 1100 trials at s = 2000 span five draw blocks, four of 262 rows and one
-# of 52, so this pins that r1 and r2 each continue their own stream across
-# blocks
+# 1100 trials at s = 2000 span nine blocks, eight of 131 rows and one of
+# 52, each with its own r1 and r2 substreams
 CONJECTURE_S2000_SEED5 = [
-    [0.5235987755982988, 0.8660254037844387, 2000, 1100, 1029, 0.9354545454545454, 0.9672727272727273,
-     0.08255004859086491, 0.003107704819961434, 0.08333333333333333, True],
+    [0.5235987755982988, 0.8660254037844387, 2000, 1100, 1037, 0.9427272727272727, 0.9663636363636363,
+     0.09044648023143684, 0.0033104728877106507, 0.08333333333333333, True],
 ]
+
+# blocks of conjecture_experiment(..., s=2000, trials=1100, ...)
+S2000_T1100_BLOCKS = [131] * 8 + [52]
+
+
+def _cap_workers(monkeypatch, cap):
+    # as if the process could run on 8 CPUs, so that the cap sets the count
+    monkeypatch.setattr(relq.harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(relq.harness, "_MAX_WORKERS", cap)
+    assert relq.harness._workers() == cap
 
 
 def _assert_rows_exact(got, want):
@@ -185,12 +197,18 @@ def test_conjecture_experiment_multi_block_rows_pinned():
 
 
 def test_conjecture_cells_share_one_r1():
-    # five draw blocks at s = 2000; every cell reads r1 from spawn(0) and
-    # r2 from spawn(1)
+    # nine blocks at s = 2000; every cell reads block g's r1 from
+    # spawn(0).spawn(g) and its r2 from spawn(1).spawn(g)
     grid = (math.pi / 2, 0.0, math.pi / 4)
     cells = _cells(conjecture_experiment(grid, s=2000, trials=1100, seed=6))
     root = GaussianSampler(6)
-    w1, w2 = (canonical_values_batch(root.spawn(tag).sample(1100 * 1000).reshape(1100, 1000)) for tag in (0, 1))
+    w1, w2 = (
+        np.concatenate([
+            canonical_values_batch(root.spawn(tag).spawn(g).sample(rows * 1000).reshape(rows, 1000))
+            for g, rows in enumerate(S2000_T1100_BLOCKS)
+        ])
+        for tag in (0, 1)
+    )
     ci, fi, _ = trace_stats_batch(w1, 1.0)
     assert {cell["marginal_one_rate"] for cell in cells} == {int(np.sum(ci == 1)) / 1100}
     for cell in cells:
@@ -204,10 +222,10 @@ def test_conjecture_cells_share_one_r1():
     assert abs(cells[0]["mean_distance"] - 0.25) <= 0.03
 
 
-def test_conjecture_rows_do_not_depend_on_later_cells_or_block_size(monkeypatch):
-    # every cell reads the same two streams and each stream continues
-    # across blocks, so neither the rest of the grid, its order nor the
-    # block size moves a row: each equals its single-angle run's row
+def test_conjecture_rows_do_not_depend_on_later_cells_or_worker_count(monkeypatch):
+    # every cell reads the same two substreams per block, and each block
+    # reads only its own, so neither the rest of the grid, its order nor
+    # the worker count moves a row: each equals its single-angle run's row
     grid = (math.pi / 12, math.pi / 6, math.pi / 4)
     three = conjecture_experiment(grid, s=2000, trials=1100, seed=5)
     two = conjecture_experiment(grid[:2], s=2000, trials=1100, seed=5)
@@ -215,13 +233,15 @@ def test_conjecture_rows_do_not_depend_on_later_cells_or_block_size(monkeypatch)
     for theta, row in zip(grid, three.rows):
         _assert_rows_exact([row], conjecture_experiment((theta,), s=2000, trials=1100, seed=5).rows)
     _assert_rows_exact(conjecture_experiment(grid[::-1], s=2000, trials=1100, seed=5).rows, three.rows[::-1])
-    monkeypatch.setattr(relq.harness, "_BLOCK_VALUES", 1 << 15)
-    _assert_rows_exact(conjecture_experiment(grid, s=2000, trials=1100, seed=5).rows, three.rows)
+    for cap in (1, 3):
+        _cap_workers(monkeypatch, cap)
+        _assert_rows_exact(conjecture_experiment(grid, s=2000, trials=1100, seed=5).rows, three.rows)
 
 
 @pytest.mark.parametrize("grid", [(math.pi / 6,), (math.pi / 12, math.pi / 6, math.pi / 4)])
 def test_conjecture_fills_two_arrays_per_block_whatever_the_grid(grid, monkeypatch):
-    # 1100 trials at s = 2000 span five draw blocks: one r1 and one r2 each
+    # 1100 trials at s = 2000 span nine blocks: one r1 and one r2 each, in
+    # whatever order the workers reach them
     fills = []
     fill = GaussianSampler.fill
 
@@ -231,19 +251,18 @@ def test_conjecture_fills_two_arrays_per_block_whatever_the_grid(grid, monkeypat
 
     monkeypatch.setattr(GaussianSampler, "fill", counted_fill)
     conjecture_experiment(grid, s=2000, trials=1100, seed=5)
-    assert fills == [((tag,), (rows, 1000)) for rows in (262, 262, 262, 262, 52) for tag in (0, 1)]
+    want = [((tag, g), (rows, 1000)) for g, rows in enumerate(S2000_T1100_BLOCKS) for tag in (0, 1)]
+    assert sorted(fills) == sorted(want)
 
 
-@pytest.mark.parametrize("block_values", [1 << 15, 1 << 19])
-def test_sign_change_and_correlation_rows_do_not_depend_on_block_size(monkeypatch, block_values):
-    # 2000 trials at s = 2000 span 8 blocks of 2^19 values or 125 of 2^15;
-    # the pair blocks of mc_correlation_gap fix its summation order, so they
-    # must not follow _BLOCK_VALUES
+@pytest.mark.parametrize("cap", [1, 3])
+def test_sign_change_and_correlation_rows_do_not_depend_on_the_worker_count(monkeypatch, cap):
+    # 2000 trials at s = 2000 span 16 blocks, and 600_001 pairs three
     sign = mc_sign_change(s=2000, trials=2000, seed=4).rows
-    gap = mc_correlation_gap(theta=1.0, trials=300_001, seed=4).rows
-    monkeypatch.setattr(relq.harness, "_BLOCK_VALUES", block_values)
+    gap = mc_correlation_gap(theta=1.0, trials=600_001, seed=4).rows
+    _cap_workers(monkeypatch, cap)
     _assert_rows_exact(mc_sign_change(s=2000, trials=2000, seed=4).rows, sign)
-    _assert_rows_exact(mc_correlation_gap(theta=1.0, trials=300_001, seed=4).rows, gap)
+    _assert_rows_exact(mc_correlation_gap(theta=1.0, trials=600_001, seed=4).rows, gap)
 
 
 def test_conjecture_empty_grid_draws_nothing(monkeypatch):
@@ -263,6 +282,23 @@ def test_conjecture_empty_grid_draws_nothing(monkeypatch):
     report = conjecture_experiment((), s=200, trials=1000, seed=3)
     assert report.rows == []
     assert draws == []
+
+
+def test_conjecture_empty_grid_skips_the_audit(monkeypatch):
+    # the audit builds the s x s/2 constellation, 256 MB at s = 8000, and
+    # an empty grid has no row to report its verdict in
+    built = []
+    real = relq.harness.canonical_constellation
+
+    def counted(p):
+        built.append(p)
+        return real(p)
+
+    monkeypatch.setattr(relq.harness, "canonical_constellation", counted)
+    assert conjecture_experiment((), s=8000, trials=10, seed=1).rows == []
+    assert built == []
+    conjecture_experiment((math.pi / 6,), s=200, trials=10, seed=1)
+    assert built == [200]
 
 
 def test_conjecture_audit_failure_fails_every_angle_and_draws_nothing(monkeypatch):
@@ -314,6 +350,45 @@ def test_bad_alpha_is_rejected_before_any_draw(alpha, monkeypatch):
     assert fills == []
 
 
+def test_non_integer_sizes_are_rejected_before_any_draw(monkeypatch):
+    draws = []
+    fill = GaussianSampler.fill
+
+    def counted_fill(self, out):
+        draws.append(out.size)
+        return fill(self, out)
+
+    monkeypatch.setattr(GaussianSampler, "fill", counted_fill)
+    calls = [
+        ("s", lambda: mc_sign_change(s=200.0, trials=10, seed=0)),
+        ("trials", lambda: mc_sign_change(s=200, trials=np.float64(10), seed=0)),
+        ("trials", lambda: mc_correlation_gap(theta=1.0, trials=10.5, seed=0)),
+        ("s", lambda: conjecture_experiment([0.5], s=200.0, trials=10, seed=0)),
+        ("trials", lambda: conjecture_experiment([0.5], s=200, trials=10.0, seed=0)),
+        ("trials", lambda: ExperimentConfig(trials=10.5)),
+        ("ell", lambda: ExperimentConfig(ell=2.0)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call()
+    assert draws == []
+
+
+def test_numpy_integer_sizes_give_the_same_reports():
+    runs = [
+        lambda i: mc_sign_change(s=i(200), trials=i(300), seed=1),
+        lambda i: mc_correlation_gap(theta=1.0, trials=i(300), seed=1),
+        lambda i: conjecture_experiment([0.5], s=i(200), trials=i(300), seed=1),
+        lambda i: end_to_end_ratio(TRIANGLE, ExperimentConfig(trials=i(40), seed=1, ell=i(2))),
+    ]
+    for run in runs:
+        want = run(int)
+        for kind in (np.int64, np.int32):
+            got = run(kind)
+            assert format_report_csv(got) == format_report_csv(want)
+            assert format_report_json(got) == format_report_json(want)
+
+
 MC_DRIVER_CALLS = {
     "sign_change": lambda: mc_sign_change(s=2000, trials=1000, seed=2),
     "correlation_gap": lambda: mc_correlation_gap(theta=1.0, trials=600_000, seed=2),
@@ -330,28 +405,44 @@ def test_mc_drivers_join_their_draw_thread(driver):
 
 @pytest.mark.parametrize("driver", list(MC_DRIVER_CALLS))
 def test_mc_drivers_raise_a_failed_draw_and_join(driver, monkeypatch):
-    # every driver above makes at least three draws
+    # every driver above draws at least three times, from three blocks or
+    # more; a draw's block is the last tag of its sampler's path
     fill = GaussianSampler.fill
     calls = []
+    lock = threading.Lock()
 
     def failing_fill(self, out):
-        calls.append(out.size)
-        if len(calls) == 3:
+        with lock:
+            calls.append(self.path[-1])
+            failed = len(calls) == 3
+        if failed:
             raise RuntimeError("draw failed")
         return fill(self, out)
 
     monkeypatch.setattr(GaussianSampler, "fill", failing_fill)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="draw failed"):
-        MC_DRIVER_CALLS[driver]()
-    assert threading.active_count() == before
-    assert len(calls) == 3
+    workers = relq.harness._workers()
+    for cap in (1, relq.harness._MAX_WORKERS):
+        monkeypatch.setattr(relq.harness, "_MAX_WORKERS", cap)
+        calls.clear()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            MC_DRIVER_CALLS[driver]()
+        assert threading.active_count() == before
+        if cap == 1:
+            # one block at a time: nothing is drawn after the failure
+            assert len(calls) == 3
+        else:
+            # only blocks already in flight, at most one per other worker,
+            # may still start drawing after the failure
+            late = set(calls[3:]) - set(calls[:3])
+            assert len(late) <= workers - 1, calls
 
 
 def test_concurrent_mc_drivers_keep_their_bits(monkeypatch):
-    # four driver calls at once, each with its own draw worker, hand over
-    # blocks of 20 to 40 rows under a short switch interval
+    # four driver calls at once, each with three workers of its own, run
+    # blocks of 20 rows under a short switch interval
     monkeypatch.setattr(relq.harness, "_BLOCK_VALUES", 1 << 12)
+    _cap_workers(monkeypatch, 3)
     calls = [lambda seed=seed: mc_sign_change(s=200, trials=1500, seed=seed).rows for seed in range(2)]
     calls += [lambda seed=seed: conjecture_experiment((math.pi / 6, math.pi / 3), s=200, trials=600, seed=seed).rows
               for seed in range(2)]
@@ -439,6 +530,15 @@ def test_mc_drivers_stream_in_bounded_memory():
         # r1 and r2 are drawn a block at a time: 4096 trials' r1 alone is 32 MB
         conj = _traced_peak_mb(lambda: conjecture_experiment((math.pi / 6,), s=2000, trials=trials, seed=1))
         assert conj <= 32.0, trials
+
+
+def test_mc_drivers_stay_in_bounded_memory_at_the_worker_cap(monkeypatch):
+    # as many CPUs as the cap allows: each worker holds its own buffers
+    _cap_workers(monkeypatch, relq.harness._MAX_WORKERS)
+    assert _traced_peak_mb(lambda: mc_sign_change(s=2000, trials=4096, seed=1)) <= 32.0
+    assert _traced_peak_mb(lambda: mc_correlation_gap(theta=1.0, trials=1_000_000, seed=1)) <= 32.0
+    conj = _traced_peak_mb(lambda: conjecture_experiment((math.pi / 6,), s=2000, trials=4096, seed=1))
+    assert conj <= 32.0
 
 
 def test_end_to_end_rounds_in_bounded_memory():

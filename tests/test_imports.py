@@ -144,7 +144,7 @@ def _run_python(code: str) -> str:
 
 def test_cli_import_leaves_out_concurrent_futures_and_logging():
     # concurrent.futures (and the logging it pulls in) load only when a
-    # Monte Carlo driver starts its draw worker
+    # Monte Carlo driver starts its block workers
     code = "import sys, relq.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
     assert _run_python(code) == "[]"
 

@@ -242,6 +242,24 @@ class TestGenerate:
         a, _ = generate_instance(3, 4, 2, seed=2**64 - 1)
         assert a.m == 2
 
+    def test_rejects_non_integer_sizes_before_drawing(self, monkeypatch):
+        # m = 6.0 used to fail with a TypeError from range(m)
+        drawn = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *a, **k: drawn.append(k) or philox(*a, **k))
+        for kwargs in ({"n": 4.0}, {"p": 8.0}, {"m": 6.0}, {"m": np.float64(6)}):
+            args = dict({"n": 4, "p": 8, "m": 6}, **kwargs)
+            name = next(iter(kwargs))
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                generate_instance(**args, seed=1)
+        assert drawn == []
+
+    def test_numpy_integer_sizes_give_the_same_instance(self):
+        a = generate_instance(np.int64(4), np.int32(8), np.uint8(6), seed=21, planted=True)
+        b = generate_instance(4, 8, 6, seed=21, planted=True)
+        assert repr(a) == repr(b)
+        assert format_instance(a[0]) == format_instance(b[0])
+
     def test_rejects_negative_equation_count(self):
         with pytest.raises(ValueError, match="equation count"):
             generate_instance(3, 4, -1, seed=0)
