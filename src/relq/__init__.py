@@ -4,9 +4,7 @@ __version__ = "0.1.0"
 
 from relq.brownian import (
     ConstantRow,
-    MarginCheckResult,
     constants_table,
-    discretization_margin_check,
     prob_at_least_one,
     prob_three_or_more,
 )
@@ -93,9 +91,7 @@ __all__ = [
     "round_lifted_solution",
     # barrier-crossing analysis
     "ConstantRow",
-    "MarginCheckResult",
     "constants_table",
-    "discretization_margin_check",
     "prob_at_least_one",
     "prob_three_or_more",
     # experiments

@@ -11,18 +11,13 @@ Everything here is closed form: iterated reflection through the
 alternating barriers gives the conditional crossing probabilities given
 the endpoint, their integrals over the endpoint in (-1, 1) are normal
 densities and tail differences, and the endpoints beyond a barrier add
-normal tails.  A Monte Carlo margin check quantifies how much a finite
-step count can lose against the continuous bound.
+normal tails.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from relq._kernels import _check_word
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
@@ -130,117 +125,3 @@ def constants_table() -> list[ConstantRow]:
         ConstantRow("info_double_triple_minuend_reading_b", 0.0177274, 2.0 * triple_plus, kind="info"),
     ]
     return rows
-
-
-# ---------------------------------------------------------------------------
-# discretization margin Monte Carlo
-
-
-@dataclass
-class MarginCheckResult:
-    frequency: float
-    stderr: float
-    trials: int
-    s: int
-    eta: float
-    c: float
-    step_bound: float
-    regime_ok: bool
-
-
-def _sample_tail_normal(rng: np.random.Generator, q: np.ndarray) -> np.ndarray:
-    """|Z| with Z standard normal conditioned on |Z| >= q, elementwise."""
-    out = np.empty_like(q)
-    todo = np.arange(q.size)
-    while todo.size:
-        qq = q[todo]
-        easy = qq <= 1.0
-        z = np.empty(todo.size)
-        if easy.any():
-            z[easy] = np.abs(rng.standard_normal(int(easy.sum())))
-        hard = ~easy
-        if hard.any():
-            u = rng.random(int(hard.sum()))
-            z[hard] = np.sqrt(qq[hard] ** 2 - 2.0 * np.log1p(-u))
-        accept = np.empty(todo.size, dtype=bool)
-        accept[easy] = z[easy] >= qq[easy]
-        if hard.any():
-            v = rng.random(int(hard.sum()))
-            accept[hard] = v <= qq[hard] / z[hard]
-        out[todo[accept]] = z[accept]
-        todo = todo[~accept]
-    return out
-
-
-def discretization_margin_check(
-    s: int, eta: float, c: float, trials: int, seed: int
-) -> MarginCheckResult:
-    """How often the first grid value after a barrier hit stays past the barrier.
-
-    Per trial: endpoint a ~ N(0,1) restricted to |a| <= 10; the widened
-    barrier level is beta = a/2 + 1/2 + eta; the hit time tau is drawn from
-    the conditional hitting law given the endpoint (scaled inverse-chi
-    proposal, bridge-weight rejection); the walk value at the next grid
-    multiple of 1/s follows the bridge increment law.  Counts how often that
-    value still exceeds the unwidened barrier a/2 + 1/2.  The regime flag
-    records whether s >= 20/(c * eta^2).
-    """
-    if s < 1 or trials < 1:
-        raise ValueError("s and trials must be positive")
-    if not (0 < eta < math.inf and 0 < c < math.inf):
-        raise ValueError(f"eta and c must be positive and finite, got eta={eta}, c={c}")
-    seed = _check_word("seed", seed)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xD15C], dtype=np.uint64)))
-    hits = 0
-    done = 0
-    while done < trials:
-        batch = min(max(4096, trials - done), 1 << 16)
-        a = rng.standard_normal(batch)
-        a = a[np.abs(a) <= 10.0]
-        beta = 0.5 * a + 0.5 + eta
-        keep = np.abs(beta) > 1e-12
-        a, beta = a[keep], beta[keep]
-        q = np.abs(beta)
-        z = _sample_tail_normal(rng, q)
-        tau = (q / z) ** 2
-        # rejection against the bridge weight keeps tau consistent with the endpoint
-        delta = np.abs(beta - a)
-        bound = np.where(delta >= 1.0, np.exp(-0.5 * delta * delta), np.exp(-0.5) / np.maximum(delta, 1e-300))
-        rem = 1.0 - tau
-        weight = np.where(
-            rem > 0,
-            np.exp(-0.5 * delta * delta / np.maximum(rem, 1e-300)) / np.sqrt(np.maximum(rem, 1e-300)),
-            0.0,
-        )
-        acc = rng.random(a.size) * bound <= weight
-        a, beta, tau = a[acc], beta[acc], tau[acc]
-        if a.size == 0:
-            continue
-        grid = np.ceil(s * tau) / s
-        value = np.empty(a.size)
-        clamped = grid >= 1.0
-        value[clamped] = a[clamped]
-        open_ = ~clamped
-        if open_.any():
-            u = grid[open_] - tau[open_]
-            remo = 1.0 - tau[open_]
-            mean = beta[open_] + u * (a[open_] - beta[open_]) / remo
-            var = np.maximum(u * (remo - u) / remo, 0.0)
-            value[open_] = mean + np.sqrt(var) * rng.standard_normal(int(open_.sum()))
-        b = beta - eta
-        take = min(trials - done, a.size)
-        hits += int(np.sum(value[:take] >= b[:take]))
-        done += take
-    freq = hits / trials
-    stderr = math.sqrt(max(freq * (1.0 - freq), 0.0) / trials)
-    step_bound = 20.0 / (c * eta * eta)
-    return MarginCheckResult(
-        frequency=freq,
-        stderr=stderr,
-        trials=trials,
-        s=s,
-        eta=eta,
-        c=c,
-        step_bound=step_bound,
-        regime_ok=s >= step_bound,
-    )

@@ -52,10 +52,9 @@ _STATUS_BY_COUNT = (NO_CROSSING, ONE_CROSSING, MANY_CROSSINGS)  # indexed by min
 # walk values plus normals per block of trials in round_lifted_solution
 _BLOCK_VALUES = 1 << 14
 # Philox counter word 3 of every sampler stream: this tag plus the spawn
-# depth.  Every sampler key is [seed, 0]; the package's other Philox
-# consumers (generate_instance, discretization_margin_check) key word 1
-# with 0xB5 and 0xD15C and start at counter 0, so they share neither a
-# key nor a counter with any sampler.
+# depth.  Every sampler key is [seed, 0]; the package's one other Philox
+# consumer, generate_instance, keys word 1 with 0xB5 and starts at
+# counter 0, so it shares neither a key nor a counter with any sampler.
 _SAMPLER_DOMAIN = 0x72656C71 << 32  # "relq"
 _MAX_SPAWN_DEPTH = 2
 # 1: Box-Muller over Philox keyed [seed, stream * 2**20 + tag + 1];

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import hitting_time_density, integral_embedding, lift_solution, objective_p
-from relq.brownian import constants_table, discretization_margin_check
+from oracles import discretization_margin_check, hitting_time_density, integral_embedding, lift_solution, objective_p
+from relq.brownian import constants_table
 from relq.cli import main as cli_main
 from relq.constellation import canonical_constellation, solution_residuals, target_gram
 from relq.harness import conjecture_experiment, mc_correlation_gap, mc_sign_change

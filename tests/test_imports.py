@@ -1,4 +1,4 @@
-"""Module hygiene: no dead imports or private names, and light ``relq.cli`` imports and solves.
+"""Module hygiene: no dead imports, private names or public names, and light ``relq.cli`` imports and solves.
 
 No linter runs on this package, so the unused-import and unread-name
 checks are done here with ``ast``.  A name imported only so that another
@@ -175,6 +175,53 @@ def test_all_lists_exactly_the_imported_names():
     imported = _init_imports()
     assert len(imported) == len(set(imported))
     assert set(imported) == set(relq.__all__) - {"__version__"}
+
+
+# public names that no module of the package reads, each with why it stays
+UNREAD_PUBLIC = {
+    "detect_extreme_sign_changes": "perfbench/tracer.py patches it; ROADMAP item 13 moves it to the test oracles",
+}
+
+
+def _unread_public_names(paths: list[Path], names) -> list[str]:
+    """The names that no module in paths reads, as a loaded name or an attribute."""
+    read = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        read |= _used_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(set(names) - read)
+
+
+def test_every_public_name_is_read_by_the_package():
+    # "no public API that only tests call": a name the package never reads
+    # belongs in tests/oracles.py, not in relq.__all__
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert _unread_public_names(modules, relq.__all__) == sorted(UNREAD_PUBLIC)
+
+
+def test_the_checker_sees_an_unread_public_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Result:\n"
+        "    value: float\n"
+        "def closed_form() -> \"Result\":\n"
+        "    return Result(1.0)\n"
+        "def only_tests_call_me():\n"
+        "    return closed_form()\n"
+        "def stored():\n"
+        "    return 0\n"
+    )
+    # b reads closed_form as an attribute and only writes `stored`
+    (tmp_path / "b.py").write_text(
+        "import a\n"
+        "def run():\n"
+        "    a.stored = None\n"
+        "    return a.closed_form()\n"
+    )
+    names = ["Result", "closed_form", "only_tests_call_me", "stored"]
+    assert _unread_public_names([tmp_path / "a.py", tmp_path / "b.py"], names) == ["only_tests_call_me", "stored"]
 
 
 def test_readme_quick_start_runs():

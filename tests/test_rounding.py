@@ -8,10 +8,9 @@ import pytest
 from scipy import stats
 
 import relq.rounding
-from oracles import integral_embedding, lift_solution
+from oracles import discretization_margin_check, integral_embedding, lift_solution
 from relq._kernels import canonical_values_batch, trace_stats_batch
 from relq.constellation import SdpSolutionP, _variable_difference_steps, canonical_constellation
-from relq.brownian import discretization_margin_check
 from relq.instance import Assignment, Instance, generate_instance
 from relq.rounding import (
     _SAMPLER_DOMAIN,
@@ -215,8 +214,9 @@ def _philox_states(fn, monkeypatch):
     return starts
 
 
-# the package's other Philox consumers, and the spawn tag that used to share
-# each one's key: spawn(t) was keyed [seed, t + 1]
+# the other Philox consumers, and the spawn tag that used to share each
+# one's key: spawn(t) was keyed [seed, t + 1].  generate_instance is the
+# package's one; the margin check is the test oracle of criterion 9
 CONSUMERS = {
     "generate_instance": (lambda seed: generate_instance(3, 4, 2, seed=seed), 0xB5 - 1),
     "margin_check": (lambda seed: discretization_margin_check(s=200, eta=0.5, c=1.0, trials=50, seed=seed), 0xD15C - 1),
