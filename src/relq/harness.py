@@ -7,9 +7,9 @@ with the same arguments reproduces the output byte for byte.
 
 The Monte-Carlo drivers (mc_sign_change, mc_correlation_gap and
 conjecture_experiment) split their trials into blocks of a fixed size, a
-stream constant.  Block g reads its own Philox substream, spawned in the
-caller's thread from the seed's sampler, and runs whole on a worker
-thread, one per CPU available to the process and at most _MAX_WORKERS.
+stream constant.  Block g runs whole on a worker thread, one per CPU
+available to the process and at most _MAX_WORKERS, and reads its own
+Philox substream, which the worker spawns from the seed's sampler.
 Counter-based substreams are disjoint, so the blocks are independent, and
 the caller combines their tallies in block order: no number depends on the
 worker count or on the scheduling.
@@ -22,6 +22,7 @@ import io
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,11 +74,6 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_VALUES // width)
 
 
-def _block_sizes(trials: int, block: int) -> list[int]:
-    """Rows of each block when trials rows are drawn block rows at a time."""
-    return [min(block, trials - done) for done in range(0, trials, block)]
-
-
 def _workers() -> int:
     """One worker per CPU this process may run on, at most _MAX_WORKERS."""
     try:
@@ -87,49 +83,49 @@ def _workers() -> int:
     return max(1, min(cpus, _MAX_WORKERS))
 
 
-def _worker_buffers(blocks: int, arrays: int, shape: tuple[int, int]) -> list[tuple]:
-    """Per worker, a tuple of `arrays` empty float64 arrays of `shape`; no more workers than blocks."""
-    return [tuple(np.empty(shape) for _ in range(arrays)) for _ in range(min(_workers(), blocks))]
+def _block_map(job, trials: int, rows: int, arrays: int, width: int) -> list:
+    """[job(g, rows_g, *buffers) for each block g of trials], in block order.
 
-
-def _block_map(job, blocks: list[tuple], buffers: list[tuple]) -> list:
-    """[job(*block, *its worker's buffers) for block in blocks], in block order.
-
-    Each block runs whole on one worker thread: it draws from the
-    substreams its tuple names, builds and classifies its walks and returns
-    its small tallies, which the caller combines in block order.  numpy
-    releases the GIL in the fills and in the walk kernels, so the workers
-    run in parallel.  There is one worker per buffer set and at most one
-    block in flight per worker, so a block owns its worker's buffers until
-    it returns.  A block reads only its own substreams, so no result
-    depends on the worker count or on which worker ran which block.  After
-    a failure nothing new is submitted; the blocks in flight are joined,
-    and then the first error in block order is raised.
+    Blocks hold rows trials each, the last one the rest.  Each worker
+    thread owns one set of `arrays` float64 buffers of rows x width and runs
+    job on the next block until none is left or a block has failed.  numpy
+    releases the GIL in the fills and the walk kernels, so the workers run
+    in parallel; a block reads only its own substreams, so no result
+    depends on which worker ran it.  The workers are joined, and then the
+    first error in block order is raised.
     """
-    # imported here: concurrent.futures pulls in logging, which no other relq path needs
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-    results: list = [None] * len(blocks)
+    sizes = [min(rows, trials - done) for done in range(0, trials, rows)]
+    todo = list(reversed(range(len(sizes))))
+    results: list = [None] * len(sizes)
     errors: dict = {}
-    free = list(buffers)
-    running: dict = {}
-    submitted = 0
-    with ThreadPoolExecutor(max_workers=len(buffers), thread_name_prefix="relq-block") as pool:
-        while True:
-            while free and submitted < len(blocks) and not errors:
-                bufs = free.pop()
-                running[pool.submit(job, *blocks[submitted], *bufs)] = submitted, bufs
-                submitted += 1
-            if not running:
-                break
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                g, bufs = running.pop(future)
-                free.append(bufs)
-                if future.exception() is None:
-                    results[g] = future.result()
-                else:
-                    errors[g] = future.exception()
+
+    def work(*buffers):
+        while not errors:
+            try:
+                g = todo.pop()
+            except IndexError:
+                return
+            try:
+                results[g] = job(g, sizes[g], *buffers)
+            except BaseException as exc:
+                errors[g] = exc
+
+    # the buffers are allocated in this thread: allocated on the workers,
+    # they raised walk_mc's peak RSS from 60 to 68 MB on two CPUs
+    threads = [
+        threading.Thread(target=work, args=[np.empty((sizes[0], width)) for _ in range(arrays)], name="relq-block")
+        for _ in range(min(_workers(), len(sizes)))
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        todo.clear()  # no block starts once the caller stops waiting
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
     if errors:
         raise errors[min(errors)]
     return results
@@ -241,9 +237,11 @@ def mc_sign_change(s: int, trials: int, seed: int, alpha: float = 1.0) -> Report
     the report carries frequencies of {0, 1, >=2} extreme sign changes at
     the given threshold, and separately of the event that the first half of
     the trace alternates three or more times.  Reference values are the
-    closed-form barrier-crossing probabilities; they are continuum limits,
-    so the frequencies approach them from a finite-step bias of order
-    1/sqrt(s).
+    closed-form barrier-crossing probabilities for barriers alpha apart,
+    the widened gap 1 + 2*eta with eta = (alpha - 1)/2; they are continuum
+    limits, so the frequencies approach them from a finite-step bias of
+    order 1/sqrt(s).  Below alpha = 1 the closed forms do not apply, and
+    the reference column reads NaN.
     """
     s, trials = _check_int("s", s), _check_int("trials", trials)
     if s < 100:
@@ -252,18 +250,16 @@ def mc_sign_change(s: int, trials: int, seed: int, alpha: float = 1.0) -> Report
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_alpha(alpha)
     sampler = GaussianSampler(seed)
-    sizes = _block_sizes(trials, _block_rows(s))
 
-    def block(smp, rows, normals, walks):
-        values = canonical_values_batch(smp.fill(normals[:rows]), out=walks[:rows])
+    def block(g, rows, normals, walks):
+        values = canonical_values_batch(sampler.spawn(g).fill(normals[:rows]), out=walks[:rows])
         counts, _, half_runs = trace_stats_batch(values, alpha)
         return [int(np.sum(event)) for event in (counts == 0, counts == 1, counts >= 2, half_runs >= 3)]
 
-    blocks = [(sampler.spawn(g), rows) for g, rows in enumerate(sizes)]
-    tallies = _block_map(block, blocks, _worker_buffers(len(sizes), 2, (sizes[0], s)))
+    tallies = _block_map(block, trials, _block_rows(s), 2, s)
     zero, one, two_plus, alt3 = map(sum, zip(*tallies))
-    p1 = prob_at_least_one()
-    p3 = prob_three_or_more()
+    eta = (alpha - 1.0) / 2.0
+    p1, p3 = (prob_at_least_one(eta), prob_three_or_more(eta)) if eta >= 0 else (math.nan, math.nan)
     stats = [
         ("count_zero", zero / trials, 1.0 - p1),
         ("count_one", one / trials, p1 - p3),
@@ -305,15 +301,13 @@ def mc_correlation_gap(theta: float, trials: int, seed: int) -> Report:
     sampler = GaussianSampler(seed)
     c1 = 1.0 - math.cos(theta)
     c2 = math.sin(theta)
-    sizes = _block_sizes(trials, _GAP_BLOCK_ROWS)
 
-    def block(smp, rows, normals):
-        r = smp.fill(normals[:rows])
+    def block(g, rows, normals):
+        r = sampler.spawn(g).fill(normals[:rows])
         gap = np.abs(c1 * r[:, 0] - c2 * r[:, 1])
         return float(np.sum(gap)), float(np.sum(gap * gap))
 
-    blocks = [(sampler.spawn(g), rows) for g, rows in enumerate(sizes)]
-    sums, sq_sums = zip(*_block_map(block, blocks, _worker_buffers(len(sizes), 1, (sizes[0], 2))))
+    sums, sq_sums = zip(*_block_map(block, trials, _GAP_BLOCK_ROWS, 1, 2))
     mean = math.fsum(sums) / trials
     if trials > 1:
         var = max(math.fsum(sq_sums) - trials * mean * mean, 0.0) / (trials - 1)
@@ -394,15 +388,15 @@ def conjecture_experiment(
     half = s // 2
     # an empty grid has no row to carry the audit's verdict
     audit_ok = bool(thetas) and _audit_correlated_pair(s)
-    sizes = _block_sizes(trials, _block_rows(s)) if audit_ok else []
     trig = [(math.cos(theta), math.sin(theta)) for theta in thetas]
+    r1, r2 = sampler.spawn(0), sampler.spawn(1)
 
-    def block(smp1, smp2, rows, a, b, c, d):
+    def block(g, rows, a, b, c, d):
         # a and b take r1 and r2, then their running sums, then each cell's
         # walk and its scratch; c and d take W1 and W2
-        w1 = canonical_values_batch(smp1.fill(a[:rows]), out=c[:rows])
+        w1 = canonical_values_batch(r1.spawn(g).fill(a[:rows]), out=c[:rows])
         ci, fi, _ = trace_stats_batch(w1, alpha)
-        w2 = canonical_values_batch(smp2.fill(b[:rows]), out=d[:rows])
+        w2 = canonical_values_batch(r2.spawn(g).fill(b[:rows]), out=d[:rows])
         wj, scratch = a[:rows], b[:rows]
         cells = []
         for cos, sin in trig:
@@ -414,9 +408,7 @@ def conjecture_experiment(
             cells.append(np.minimum(delta, s - delta) / s)
         return int(np.sum(ci == 1)), cells
 
-    r1, r2 = sampler.spawn(0), sampler.spawn(1)
-    blocks = [(r1.spawn(g), r2.spawn(g), rows) for g, rows in enumerate(sizes)]
-    tallies = _block_map(block, blocks, _worker_buffers(len(sizes), 4, (sizes[0], half))) if sizes else []
+    tallies = _block_map(block, trials, _block_rows(s), 4, half) if audit_ok else []
     one_i = sum(one for one, _ in tallies)
     # the empty first piece gives a cell that drew nothing a NaN mean
     dists = [np.concatenate([np.empty(0), *(cells[c] for _, cells in tallies)]) for c in range(len(thetas))]

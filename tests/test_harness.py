@@ -114,6 +114,21 @@ def test_mc_sign_change_matches_closed_form_at_scale():
     assert freqs["count_one"] == pytest.approx(prob_at_least_one() - prob_three_or_more(), abs=0.005)
 
 
+def test_mc_sign_change_reference_follows_alpha():
+    # the walk's two barriers sit alpha apart, the widened gap 1 + 2*eta of
+    # the closed forms, so alpha = 1.5 is eta = 0.25
+    report = mc_sign_change(s=2000, trials=20_000, seed=2, alpha=1.5)
+    cells = {row[0]: row for row in report.rows}
+    p1, p3 = prob_at_least_one(0.25), prob_three_or_more(0.25)
+    want = {"count_zero": 1.0 - p1, "count_one": p1 - p3, "count_two_plus": p3, "half_alternations_three_plus": p3}
+    assert {name: row[3] for name, row in cells.items()} == want
+    # the finite-step bias, of order 1/sqrt(s), is about 0.014 here (0.004
+    # at s = 32000); the alpha = 1 closed form, 0.0144, is 0.22 off
+    assert cells["count_zero"][1] == pytest.approx(1.0 - p1, abs=0.03)
+    # below alpha = 1 the barriers overlap and no closed form applies
+    assert all(math.isnan(row[3]) for row in mc_sign_change(s=200, trials=100, seed=2, alpha=0.5).rows)
+
+
 def test_mc_sign_change_validation_and_determinism():
     with pytest.raises(ValueError):
         mc_sign_change(s=99, trials=10, seed=0)
@@ -406,7 +421,9 @@ def test_mc_drivers_join_their_draw_thread(driver):
 @pytest.mark.parametrize("driver", list(MC_DRIVER_CALLS))
 def test_mc_drivers_raise_a_failed_draw_and_join(driver, monkeypatch):
     # every driver above draws at least three times, from three blocks or
-    # more; a draw's block is the last tag of its sampler's path
+    # more; a draw's block is the last tag of its sampler's path.  A
+    # KeyboardInterrupt on a worker is not an Exception, and it too must
+    # reach the caller after the workers are joined
     fill = GaussianSampler.fill
     calls = []
     lock = threading.Lock()
@@ -416,16 +433,16 @@ def test_mc_drivers_raise_a_failed_draw_and_join(driver, monkeypatch):
             calls.append(self.path[-1])
             failed = len(calls) == 3
         if failed:
-            raise RuntimeError("draw failed")
+            raise error("draw failed")
         return fill(self, out)
 
     monkeypatch.setattr(GaussianSampler, "fill", failing_fill)
     before = threading.active_count()
-    workers = relq.harness._workers()
-    for cap in (1, relq.harness._MAX_WORKERS):
+    workers, top = relq.harness._workers(), relq.harness._MAX_WORKERS
+    for error, cap in [(RuntimeError, 1), (RuntimeError, top), (KeyboardInterrupt, top)]:
         monkeypatch.setattr(relq.harness, "_MAX_WORKERS", cap)
         calls.clear()
-        with pytest.raises(RuntimeError, match="draw failed"):
+        with pytest.raises(error, match="draw failed"):
             MC_DRIVER_CALLS[driver]()
         assert threading.active_count() == before
         if cap == 1:

@@ -143,9 +143,16 @@ def _run_python(code: str) -> str:
 
 
 def test_cli_import_leaves_out_concurrent_futures_and_logging():
-    # concurrent.futures (and the logging it pulls in) load only when a
-    # Monte Carlo driver starts its block workers
-    code = "import sys, relq.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    # the Monte Carlo drivers run their blocks on plain threads, so neither
+    # the import nor a driver run loads concurrent.futures or the logging
+    # it pulls in
+    code = (
+        "import sys, relq.cli\n"
+        "from relq.harness import conjecture_experiment, mc_sign_change\n"
+        "mc_sign_change(s=200, trials=3000, seed=1)\n"
+        "conjecture_experiment([0.5], s=200, trials=3000, seed=1)\n"
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    )
     assert _run_python(code) == "[]"
 
 
