@@ -25,7 +25,9 @@ the circle has 2R runs (R odd) or 2R - 2 runs (R even), and half of them
 are up-crossings.  The up-crossings in the forward half are the '-'->'+'
 run starts, where the first run's circular predecessor is the label just
 before the seam, -l_R; those in the mirrored half sit at half + the
-'+'->'-' run starts.
+'+'->'-' run starts.  A run starts only at an entry, a nonzero label at its
+row's start or after a different label: at a row's first entry, and at each
+entry whose label differs from the previous entry's.
 
 The argument checks the modules share live here too: _check_alpha for a
 crossing threshold, _check_int for an integer argument, and _check_word
@@ -109,20 +111,18 @@ def trace_stats_batch(half_values: np.ndarray, alpha: float):
     trials, half = half_values.shape
     labels = _labels(half_values, alpha)
 
-    # the nonzero labels in row-major order; a run starts where the label
-    # changes or a new row begins
-    flat = labels.ravel()
-    nz = np.flatnonzero(flat)
-    seq = flat[nz]
-    per_row = np.count_nonzero(labels, axis=1)
-    row_first = (np.cumsum(per_row) - per_row)[per_row > 0]
-    is_start = np.empty(seq.size, dtype=bool)
-    np.not_equal(seq[1:], seq[:-1], out=is_start[1:])
-    is_start[row_first] = True
+    # the entries in row-major order; a run starts at a row's first entry
+    # and wherever an entry's label differs from the previous entry's
+    entry = labels != 0
+    entry[:, 1:] &= labels[:, 1:] != labels[:, :-1]
+    pos = np.flatnonzero(entry)
+    seq = labels.ravel()[pos]
+    row, col = np.divmod(pos, half)
+    is_start = np.ones(pos.size, dtype=bool)
+    is_start[1:] = (seq[1:] != seq[:-1]) | (row[1:] != row[:-1])
     starts = np.flatnonzero(is_start)
 
-    run_label = seq[starts]
-    run_row, run_col = np.divmod(nz[starts], half)
+    run_label, run_row, run_col = seq[starts], row[starts], col[starts]
     half_runs = np.bincount(run_row, minlength=trials)
     counts = np.where(half_runs % 2 == 1, half_runs, np.maximum(half_runs - 1, 0))
 

@@ -1,5 +1,7 @@
 """Half-walk kernel correctness against explicit walks and the full-circle detector."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,61 @@ def test_stats_match_full_circle_reference(alpha):
     # the random walks reach several counts, and first up-crossings in both halves
     assert len(set(counts[:2000].tolist())) >= 2
     assert (first[:2000] >= half).any() and ((first[:2000] >= 0) & (first[:2000] < half)).any()
+
+
+def _assert_match_references(rows, alpha):
+    counts, first, runs = trace_stats_batch(rows, alpha)
+    for t, row in enumerate(rows):
+        events = detect_extreme_sign_changes(np.concatenate((row, -row)), alpha)
+        assert counts[t] == len(events), t
+        assert first[t] == (min(t_plus for _, t_plus in events) if events else -1), t
+        assert runs[t] == _half_runs_reference(row, alpha), t
+
+
+# frozen batches whose rows must stay apart: (rows, alpha, counts, first_plus, half_runs)
+BATCH_CASES = [
+    (
+        [
+            [0.0, -2.0, 0.0, 2.0],  # ends '+'
+            [2.0, 2.0, 0.0, -2.0],  # starts '+': a run of its own, then ends '-'
+            [0.0, 0.0, 0.0, 0.0],  # no nonzero label between two rows with runs
+            [-2.0, 0.0, 0.0, -2.0],  # starts '-' like the last row with runs ended
+        ],
+        1.0,
+        [1, 1, 0, 1],
+        [3, 7, -1, 4],
+        [2, 2, 0, 1],
+    ),
+    ([[2.0], [2.0], [0.0], [-2.0], [-2.0]], 1.0, [1, 1, 0, 1, 1], [0, 0, -1, 1, 1], [1, 1, 0, 1, 1]),  # one column
+]
+
+
+@pytest.mark.parametrize("rows,alpha,counts,first,runs", BATCH_CASES)
+def test_stats_frozen_batches_keep_rows_apart(rows, alpha, counts, first, runs):
+    got = trace_stats_batch(np.array(rows), alpha)
+    for out, want in zip(got, (counts, first, runs)):
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, want)
+    _assert_match_references(np.array(rows), alpha)
+
+
+def test_stats_match_references_on_dense_labels():
+    # values in {-2, ..., 2} at alpha = 1: four labels in five are nonzero,
+    # and most of those differ from their left neighbour, so most are entries
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        rows = rng.integers(-2, 3, size=(rng.integers(1, 9), rng.integers(1, 13))).astype(np.float64)
+        _assert_match_references(rows, 1.0)
+
+
+def test_stats_temporaries_stay_within_four_bytes_per_value():
+    # labels, the entry mask and one comparison take a byte per value each;
+    # an int64 index per nonzero label (three in four at alpha = 0.3) does not fit
+    values = canonical_values_batch(np.random.default_rng(13).standard_normal((131, 2000)))
+    tracemalloc.start()
+    try:
+        trace_stats_batch(values, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * values.size, peak / values.size
