@@ -29,7 +29,6 @@ from relq.harness import (
 )
 from relq.instance import (
     Assignment,
-    EvalBreakdown,
     Instance,
     brute_force_optimum,
     circular_distance,
@@ -61,7 +60,6 @@ __all__ = [
     "__version__",
     # instances
     "Assignment",
-    "EvalBreakdown",
     "Instance",
     "brute_force_optimum",
     "circular_distance",

@@ -82,6 +82,8 @@ def prob_three_or_more(eta: float = 0.0) -> float:
 # ---------------------------------------------------------------------------
 # constants table
 
+QUOTED_TOLERANCE = 1e-4  # largest |computed - reference| of a passing quoted row
+
 
 @dataclass
 class ConstantRow:
@@ -94,13 +96,22 @@ class ConstantRow:
     def delta(self) -> float:
         return abs(self.computed - self.reference)
 
+    @property
+    def ok(self) -> bool:
+        """A quoted row agrees within QUOTED_TOLERANCE, a bound row has
+        computed >= reference, and an info row gates nothing."""
+        if self.kind == "quoted":
+            return self.delta <= QUOTED_TOLERANCE
+        if self.kind == "bound":
+            return self.computed >= self.reference
+        return True
+
 
 def constants_table() -> list[ConstantRow]:
     """Every quoted barrier-probability constant next to its computed value.
 
-    'quoted' rows must agree within 1e-4; the 'bound' row must have
-    computed >= reference; 'info' rows document two conflicting printed
-    readings of the same intermediate quantity and do not gate anything.
+    ConstantRow.ok is each row's gate; the 'info' rows document two
+    conflicting printed readings of the same intermediate quantity.
     """
     single_plus, double_plus, triple_plus = (_middle(k, 1.0) for k in (1, 2, 3))
     middle_one, middle_three = _middle_totals(1.0)

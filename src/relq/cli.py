@@ -40,7 +40,6 @@ from relq.rounding import GaussianSampler, lifted_walk_values, round_lifted_solu
 from relq.sdp import (
     _check_instance,
     MAX_ENGINE_CYCLES,
-    SdpSolutionPPlus,
     convert_to_p,
     load_solution,
     save_solution,
@@ -127,15 +126,13 @@ def _walk_rows(sol, ell: int, seed: int, alpha: float) -> list[list]:
 
 def _cmd_round(args) -> int:
     inst = load_instance(args.instance)
-    sol = load_solution(args.solution)
-    if isinstance(sol, SdpSolutionPPlus):
-        sol = convert_to_p(sol)
+    sol = convert_to_p(load_solution(args.solution))
     _check_instance(sol, inst)
     scaled = scale_instance(inst, args.ell)  # checks ell against DOMAIN_LIMIT before any lifting
     outcome = round_lifted_solution(sol, args.ell, GaussianSampler(args.seed), 1, alpha=args.alpha)
     positions = outcome.positions[0].tolist()
-    breakdown = evaluate(scaled, Assignment(positions=positions))
-    print(f"value {float(breakdown.total)!r}")
+    value = evaluate(scaled, Assignment(positions=positions))
+    print(f"value {float(value)!r}")
     print("positions " + " ".join(map(str, positions)))
     print("statuses " + " ".join(outcome.statuses))
     if args.emit_walk is not None:

@@ -76,30 +76,22 @@ class Assignment:
         self.positions = [_check_int("position", x) for x in self.positions]
 
 
-@dataclass
-class EvalBreakdown:
-    """Objective total plus (equation index, slack y, term) for every equation."""
+def evaluate(inst: Instance, asg: Assignment) -> Fraction:
+    """Exact objective of an assignment: each equation yields 1 - 2*y/p with y its circular slack.
 
-    total: Fraction
-    per_equation: list[tuple[int, int, Fraction]]
-
-
-def evaluate(inst: Instance, asg: Assignment) -> EvalBreakdown:
-    """Score an assignment: each equation yields 1 - 2*y/p with y its circular slack."""
+    A scalar loop kept apart from score_positions, so that each checks the other.
+    """
     if len(asg.positions) != inst.n:
         raise ValueError(f"expected {inst.n} positions, got {len(asg.positions)}")
     for x in asg.positions:
         if not (0 <= x < inst.p):
             raise ValueError(f"position {x} outside [0, {inst.p})")
-    per = []
     total = Fraction(0)
-    for idx, (i, j, d) in enumerate(inst.equations):
+    for i, j, d in inst.equations:
         delta = (asg.positions[j] - asg.positions[i] - d) % inst.p
         y = min(delta, inst.p - delta)
-        term = Fraction(inst.p - 2 * y, inst.p)
-        per.append((idx, y, term))
-        total += term
-    return EvalBreakdown(total=total, per_equation=per)
+        total += Fraction(inst.p - 2 * y, inst.p)
+    return total
 
 
 def _decode_states(inst: Instance, states: np.ndarray) -> np.ndarray:

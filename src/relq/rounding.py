@@ -17,14 +17,15 @@ with its exact mirror, so a walk written out is the walk that was rounded.
 
 Trials and streams.  round_lifted_solution(sol, ell, sampler, trials)
 reads two streams of one sampler and never advances the sampler itself,
-so its outcome is a function of the sampler's name and trials (relq round
-is trials = 1).  GaussianSampler(seed) draws from Philox keyed [seed, 0];
-spawn(tag) derives a substream, one or two levels deep, whose tags sit in
-the high words of the Philox counter next to a sampler domain tag (see
-GaussianSampler).  Trial t's normals are the t-th slice of dim*ell
-normals of sampler.spawn(0), and the walks with no single crossing take
-their fallback positions, in (trial, variable) order, from
-sampler.spawn(1).  Philox is counter-based, so the two streams are
+so its outcome, the positions in [0, ell*p) and crossing counts of every
+(trial, variable), is a function of the sampler's name and trials (relq
+round is trials = 1).  A sampler is its seed and spawn path: it draws from
+Philox keyed [seed, 0], and spawn(tag) derives a substream, one or two
+levels deep, whose tags sit in the high words of the Philox counter next
+to a sampler domain tag (see GaussianSampler).  Trial t's normals are
+the t-th slice of dim*ell normals of sampler.spawn(0), and the walks with
+no single crossing take their fallback positions, in (trial, variable)
+order, from sampler.spawn(1).  Philox is counter-based, so the two streams are
 disjoint and the trials, reading disjoint slices of them, are independent.
 Each sampler owns one Philox generator, built on its first draw, and the
 generator moves with the sampler, so a stream continues across calls and
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relq._kernels import _check_alpha, _check_word, _half_walks, _labels, trace_stats_batch
+from relq._kernels import _check_alpha, _check_int, _check_word, _half_walks, _labels, trace_stats_batch
 from relq.constellation import SdpSolutionP, _variable_difference_steps, solution_residuals
 
 ONE_CROSSING = "OneCrossing"
@@ -86,7 +87,7 @@ class GaussianSampler:
 
     Draws advance counter word 0 only, so two distinct samplers share no
     number short of 2**66 draws from one of them.  Each sampler owns one
-    Philox generator, built from its key and counter on its first draw,
+    Philox generator, built from that key and counter on its first draw,
     so spawning costs almost nothing; the generator moves with the
     sampler, so a stream continues exactly across calls and threads.  One
     sampler must not be drawn from by two threads at once.
@@ -97,27 +98,17 @@ class GaussianSampler:
         self.path: tuple[int, ...] = ()
         self._rng: np.random.Generator | None = None
 
-    @property
-    def key(self) -> tuple[int, int]:
-        """The Philox key [seed, 0] of this sampler's stream."""
-        return self.seed, 0
-
-    @property
-    def counter(self) -> tuple[int, int, int, int]:
-        """The Philox counter this sampler's stream starts from."""
-        tags = self.path + (0,) * (_MAX_SPAWN_DEPTH - len(self.path))
-        return (0, *tags, _SAMPLER_DOMAIN + len(self.path))
-
     def _generator(self) -> np.random.Generator:
         """This sampler's Generator, built on the first draw."""
         if self._rng is None:
-            key = np.array(self.key, dtype=np.uint64)
-            counter = np.array(self.counter, dtype=np.uint64)
+            tags = self.path + (0,) * (_MAX_SPAWN_DEPTH - len(self.path))
+            key = np.array([self.seed, 0], dtype=np.uint64)
+            counter = np.array([0, *tags, _SAMPLER_DOMAIN + len(self.path)], dtype=np.uint64)
             self._rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
         return self._rng
 
     def sample(self, dim: int) -> np.ndarray:
-        if dim < 1:
+        if _check_int("dim", dim) < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         return self.fill(np.empty(dim))
 
@@ -143,9 +134,8 @@ class GaussianSampler:
 
 @dataclass
 class RoundingOutcome:
-    """Positions in [0, s) and crossing counts, (trials, n) int64."""
+    """Positions in [0, ell*p) and crossing counts, (trials, n) int64."""
 
-    s: int
     positions: np.ndarray
     crossing_counts: np.ndarray
 
@@ -224,7 +214,7 @@ def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray) -> np.ndarray
     float noise they are the inner products of r with the lifted vectors,
     which are never built.
     """
-    if ell < 1:
+    if _check_int("ell", ell) < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     expected = sol.dim * ell
     if r.shape != (expected,):
@@ -269,13 +259,13 @@ def round_lifted_solution(
     residual fails); the lifted walks are exact functions of it, so no
     lifted vectors are built.
     """
-    if ell < 1:
+    if _check_int("ell", ell) < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    if trials < 1:
+    if _check_int("trials", trials) < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_alpha(alpha)
     worst = float(np.max(list(solution_residuals(sol).values())))
     if not worst <= 1e-5:
         raise ValueError(f"solution infeasible: max residual {worst:.3e}")
     positions, counts = _round_trials(sol, _variable_difference_steps(sol), ell, sampler, trials, alpha)
-    return RoundingOutcome(s=ell * sol.p, positions=positions, crossing_counts=counts)
+    return RoundingOutcome(positions=positions, crossing_counts=counts)

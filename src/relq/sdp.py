@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from relq._kernels import _check_int
 from relq.constellation import (
     SdpSolutionP,
     _reduce_gram_rows,
@@ -77,7 +78,7 @@ class SdpSolutionPPlus:
 @dataclass
 class FeasibilityReport:
     residuals: dict[str, float]
-    objective: float | None = None
+    objective: float
     iterations: int = 0
     converged: bool = True
     objective_trace: list[float] = field(default_factory=list)
@@ -125,9 +126,9 @@ def _check_instance(sol, inst):
         raise ValueError(f"solution shape (p={sol.p}, n={sol.n}) does not match instance (p={inst.p}, n={inst.n})")
 
 
-def feasibility_report(sol: SdpSolutionPPlus, inst: Instance | None = None) -> FeasibilityReport:
+def feasibility_report(sol: SdpSolutionPPlus, inst: Instance) -> FeasibilityReport:
     """Max residual per constraint family of an assignment-form solution, measured
-    from the vectors, and its objective when inst is given.  The constellation form's
+    from the vectors, and its objective on inst.  The constellation form's
     residuals are relq.constellation.solution_residuals."""
     if not isinstance(sol, SdpSolutionPPlus):
         raise TypeError(f"unsupported solution type {type(sol).__name__}")
@@ -149,8 +150,7 @@ def feasibility_report(sol: SdpSolutionPPlus, inst: Instance | None = None) -> F
 
     names = ("norm", "within_orthogonality", "nonneg", "shift_covariance", "sum_vector")
     residuals = dict(zip(names, _reduce_gram_rows(sol.u, row_residuals)))
-    obj = objective_p_plus(sol, inst) if inst is not None else None
-    return FeasibilityReport(residuals=residuals, objective=obj)
+    return FeasibilityReport(residuals=residuals, objective=objective_p_plus(sol, inst))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,7 @@ def solve_p_plus(inst: Instance, max_iterations: int = MAX_ENGINE_CYCLES) -> tup
     polished objective.  Deterministic; p*n <= SIZE_GUARD bounds the solve
     time and the (n, p, dim) output, dim <= p*n.
     """
-    if max_iterations < 0:
+    if _check_int("max_iterations", max_iterations) < 0:
         raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
     p, n = inst.p, inst.n
     if p * n > SIZE_GUARD:
@@ -341,23 +341,19 @@ def solve_p_plus(inst: Instance, max_iterations: int = MAX_ENGINE_CYCLES) -> tup
 # solution files
 
 
-def format_solution(sol) -> str:
+def format_solution(sol: SdpSolutionPPlus) -> str:
     """Text form: header, sizes, then one line of coordinates per (variable, label)."""
-    if isinstance(sol, SdpSolutionPPlus):
-        kind, arr = "pplus", sol.u
-    elif isinstance(sol, SdpSolutionP):
-        kind, arr = "p", sol.v
-    else:
+    if not isinstance(sol, SdpSolutionPPlus):
         raise TypeError(f"unsupported solution type {type(sol).__name__}")
-    lines = [f"{SOLUTION_MAGIC} {SOLUTION_VERSION}", f"{sol.p} {sol.n} {sol.dim} {kind}"]
+    lines = [f"{SOLUTION_MAGIC} {SOLUTION_VERSION}", f"{sol.p} {sol.n} {sol.dim} pplus"]
     for i in range(sol.n):
         for h in range(sol.p):
-            lines.append(" ".join(repr(float(x)) for x in arr[i, h]))
+            lines.append(" ".join(repr(float(x)) for x in sol.u[i, h]))
     return "\n".join(lines) + "\n"
 
 
-def parse_solution(text: str):
-    """Parse the text form; every coordinate must be finite."""
+def parse_solution(text: str) -> SdpSolutionPPlus:
+    """Parse the text form of assignment vectors; every coordinate must be finite."""
     nums, rows = _text_rows(text, "solution", SOLUTION_MAGIC, SOLUTION_VERSION)
     try:
         *sizes, kind = rows[1].split()
@@ -366,8 +362,8 @@ def parse_solution(text: str):
         raise ValueError(f"bad size line {rows[1]!r}") from exc
     if p < 2 or p % 2 or n < 1 or dim < 1:
         raise ValueError(f"bad size line {rows[1]!r}: need an even p >= 2, n >= 1 and dim >= 1")
-    if kind not in ("pplus", "p"):
-        raise ValueError(f"unknown solution kind {kind!r}")
+    if kind != "pplus":
+        raise ValueError(f"unknown solution kind {kind!r}, expected 'pplus'")
     body = rows[2:]
     if len(body) != n * p:
         raise ValueError(f"expected {n * p} vector lines, found {len(body)}")
@@ -383,14 +379,12 @@ def parse_solution(text: str):
         if not np.isfinite(row).all():
             raise ValueError(f"non-finite coordinate on line {nums[r + 2]}")
         arr[r // p, r % p] = row
-    if kind == "pplus":
-        return SdpSolutionPPlus(p=p, n=n, dim=dim, u=arr)
-    return SdpSolutionP(p=p, n=n, dim=dim, v=arr)
+    return SdpSolutionPPlus(p=p, n=n, dim=dim, u=arr)
 
 
-def save_solution(sol, path: str | Path) -> None:
+def save_solution(sol: SdpSolutionPPlus, path: str | Path) -> None:
     Path(path).write_text(format_solution(sol))
 
 
-def load_solution(path: str | Path):
+def load_solution(path: str | Path) -> SdpSolutionPPlus:
     return parse_solution(Path(path).read_text())

@@ -100,7 +100,7 @@ def test_criterion_05_integral_embedding_consistency(capfd):
         m = int(rng.integers(1, 9))
         inst, _ = generate_instance(n=n, p=p, m=m, seed=1000 + k)
         asg = Assignment(positions=[int(x) for x in rng.integers(0, p, size=n)])
-        exact = float(evaluate(inst, asg).total)
+        exact = float(evaluate(inst, asg))
         sol = integral_embedding(inst, asg)
         worst_embed = max(worst_embed, abs(objective_p_plus(sol, inst) - exact))
         worst_convert = max(worst_convert, abs(objective_p(convert_to_p(sol), inst) - exact))

@@ -13,7 +13,8 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import discretization_margin_check, hitting_time_density
-from relq.brownian import constants_table, prob_at_least_one, prob_three_or_more
+from relq.brownian import QUOTED_TOLERANCE, ConstantRow, constants_table, prob_at_least_one, prob_three_or_more
+from relq.harness import reproduce_constants
 from relq._kernels import canonical_values_batch, trace_stats_batch
 
 # quoted reference values the closed forms must reproduce within 1e-4
@@ -222,6 +223,18 @@ def test_constants_table_matches_quoted_values():
     assert bound.computed >= bound.reference
     infos = [r for r in rows.values() if r.kind == "info"]
     assert len(infos) == 2
+
+
+def test_constant_row_ok_applies_the_rule_of_its_kind():
+    assert ConstantRow("q", 1.0, 1.0 + QUOTED_TOLERANCE / 2).ok
+    assert not ConstantRow("q", 1.0, 1.0 - 2 * QUOTED_TOLERANCE).ok
+    assert ConstantRow("b", 0.96, 0.99, kind="bound").ok
+    assert not ConstantRow("b", 0.96, 0.95, kind="bound").ok
+    assert ConstantRow("i", 1.0, 5.0, kind="info").ok
+    # the report's ok column and tolerance are the rows' own
+    report = reproduce_constants()
+    assert report.parameters["tolerance"] == QUOTED_TOLERANCE
+    assert [row[-1] for row in report.rows] == [r.ok for r in constants_table()] == [True] * 14
 
 
 def test_margin_check_compliant_regime():

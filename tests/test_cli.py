@@ -98,6 +98,16 @@ def test_solve_round_pipeline(triangle_file, tmp_path, capsys):
     assert out.splitlines()[:3] == capsys.readouterr().out.splitlines()[:3]
 
 
+def test_round_refuses_a_constellation_form_file(triangle_file, tmp_path, capsys):
+    # relq solve --out writes assignment vectors ('pplus'); a 'p' file is not a solution file
+    sol_path = tmp_path / "vsol.txt"
+    sol_path.write_text("relqsol 1\n4 3 2 p\n" + "1 0\n" * 12)
+    assert main(["round", str(triangle_file), str(sol_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown solution kind 'p', expected 'pplus'\n"
+
+
 # `relq round` stdout for the solved triangle, captured on stream version 4
 # from the solver that factors the Hermitian frequency blocks; the dense
 # factor before it spanned the same Gram matrix in another basis

@@ -682,9 +682,10 @@ def test_reproduce_constants_report():
 
 
 def test_report_gate_logic():
-    base = Report(name="x", parameters={}, columns=["kind", "ok"], rows=[["quoted", True], ["info", False]])
+    # every row gates: an info row's ok is always True (ConstantRow.ok)
+    base = Report(name="x", parameters={}, columns=["kind", "ok"], rows=[["quoted", True], ["info", True]])
     assert report_gate_ok(base)
-    base.rows[0][1] = False
+    base.rows[1][1] = False
     assert not report_gate_ok(base)
     sandwich = Report(name="y", parameters={}, columns=["sandwich_ok"], rows=[[True]])
     assert report_gate_ok(sandwich)

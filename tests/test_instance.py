@@ -23,7 +23,7 @@ def reference_optimum(inst):
     """Independent exhaustive oracle: pure-python enumeration over all p^n assignments."""
     best = Fraction(-1)
     for pos in itertools.product(range(inst.p), repeat=inst.n):
-        val = evaluate(inst, Assignment(list(pos))).total
+        val = evaluate(inst, Assignment(list(pos)))
         if val > best:
             best = val
     return best
@@ -70,28 +70,34 @@ class TestCircularDistance:
 class TestEvaluate:
     def test_satisfied_equation_scores_one(self):
         inst = Instance(p=8, n=2, equations=[(0, 1, 3)])
-        out = evaluate(inst, Assignment([1, 4]))
-        assert out.total == 1
-        assert out.per_equation == [(0, 0, Fraction(1))]
+        assert evaluate(inst, Assignment([1, 4])) == Fraction(1)
 
     def test_antipodal_slack_scores_zero(self):
         inst = Instance(p=8, n=2, equations=[(0, 1, 0)])
-        out = evaluate(inst, Assignment([0, 4]))
-        assert out.total == 0
-        assert out.per_equation[0][1] == 4
+        assert evaluate(inst, Assignment([0, 4])) == Fraction(0)
+
+    def test_every_slack_gives_its_term(self):
+        # one equation, either direction: the total is the term 1 - 2*y/p of its slack y
+        for p in (2, 4, 8, 10):
+            for d, x0, x1 in itertools.product(range(p), repeat=3):
+                for i, j in ((0, 1), (1, 0)):
+                    pos = [x0, x1]
+                    y = circular_distance((pos[i] + d) % p, pos[j], p)
+                    total = evaluate(Instance(p=p, n=2, equations=[(i, j, d)]), Assignment(pos))
+                    assert isinstance(total, Fraction)
+                    assert total == Fraction(p - 2 * y, p)
 
     def test_term_range_and_breakdown_sum(self):
+        # the total is the sum of the one-equation totals, each in [0, 1]
         random.seed(11)
         for _ in range(50):
             p = 2 * random.randint(1, 12)
             n = random.randint(2, 5)
             inst, _ = generate_instance(n, p, random.randint(1, 8), seed=random.randrange(10**6))
             asg = Assignment([random.randrange(p) for _ in range(n)])
-            out = evaluate(inst, asg)
-            assert sum(t for _, _, t in out.per_equation) == out.total
-            for _, y, t in out.per_equation:
-                assert 0 <= t <= 1
-                assert t == Fraction(p - 2 * y, p)
+            terms = [evaluate(Instance(p=p, n=n, equations=[eq]), asg) for eq in inst.equations]
+            assert all(0 <= t <= 1 for t in terms)
+            assert evaluate(inst, asg) == sum(terms)
 
     def test_shift_invariance_exact(self):
         random.seed(12)
@@ -102,7 +108,7 @@ class TestEvaluate:
             pos = [random.randrange(p) for _ in range(n)]
             t = random.randrange(p)
             shifted = [(x + t) % p for x in pos]
-            assert evaluate(inst, Assignment(pos)).total == evaluate(inst, Assignment(shifted)).total
+            assert evaluate(inst, Assignment(pos)) == evaluate(inst, Assignment(shifted))
 
     def test_batch_scores_match_exact_totals(self):
         random.seed(14)
@@ -114,7 +120,7 @@ class TestEvaluate:
             scores = score_positions(inst, rows)
             assert scores.dtype == np.int64 and scores.shape == (20,)
             for row, score in zip(rows.tolist(), scores.tolist()):
-                total = evaluate(inst, Assignment(row)).total
+                total = evaluate(inst, Assignment(row))
                 assert Fraction(score, p) == total
                 assert score / p == float(total)  # the float e2e averages
 
@@ -152,12 +158,12 @@ class TestBruteForce:
         inst = Instance(p=4, n=3, equations=[(0, 1, 2), (1, 2, 2), (2, 0, 2)])
         asg, val = brute_force_optimum(inst)
         assert val == 2
-        assert evaluate(inst, asg).total == 2
+        assert evaluate(inst, asg) == 2
 
     def test_planted_instances_score_m(self):
         for seed in range(5):
             inst, hidden = generate_instance(n=4, p=8, m=7, seed=seed, planted=True)
-            assert evaluate(inst, hidden).total == 7
+            assert evaluate(inst, hidden) == 7
             _, val = brute_force_optimum(inst)
             assert val == 7
 
@@ -169,7 +175,7 @@ class TestBruteForce:
             inst, _ = generate_instance(n, p, random.randint(1, 6), seed=random.randrange(10**6))
             asg, val = brute_force_optimum(inst)
             assert val == reference_optimum(inst)
-            assert evaluate(inst, asg).total == val
+            assert evaluate(inst, asg) == val
 
     def test_budget_guard(self):
         inst = Instance(p=1000, n=4, equations=[(0, 1, 0)])
@@ -192,8 +198,8 @@ class TestScale:
             inst, _ = generate_instance(n, p, 5, seed=random.randrange(10**6))
             scaled = scale_instance(inst, ell)
             pos = [random.randrange(p) for _ in range(n)]
-            v1 = evaluate(inst, Assignment(pos)).total
-            v2 = evaluate(scaled, Assignment([ell * x for x in pos])).total
+            v1 = evaluate(inst, Assignment(pos))
+            v2 = evaluate(scaled, Assignment([ell * x for x in pos]))
             assert v1 == v2
 
     def test_optimum_preserved(self):

@@ -50,7 +50,7 @@ def _random_cases(count):
 def test_embedding_objective_matches_evaluate_on_100_cases():
     for inst, asg in _random_cases(100):
         sol = integral_embedding(inst, asg)
-        want = float(evaluate(inst, asg).total)
+        want = float(evaluate(inst, asg))
         got = objective_p_plus(sol, inst)
         assert abs(got - want) <= 1e-9
 
@@ -595,7 +595,7 @@ def test_feasibility_flags_violations():
     rep = feasibility_report(sol, inst)
     assert rep.residuals["norm"] > 0.1
     with pytest.raises(TypeError):
-        feasibility_report("not a solution")
+        feasibility_report("not a solution", inst)
     with pytest.raises(TypeError):
         feasibility_report(convert_to_p(sol), inst)
 
@@ -617,8 +617,7 @@ def _assert_residuals_match_oracle(sol, inst=None):
         rep = feasibility_report(sol, inst)
         residuals, worst = rep.residuals, rep.max_residual
         want = _oracle_pplus_residuals(sol)
-        if inst is not None:
-            assert rep.objective.hex() == _oracle_objective_p_plus(sol, inst).hex()
+        assert rep.objective.hex() == _oracle_objective_p_plus(sol, inst).hex()
     else:
         residuals = solution_residuals(sol)
         worst = _max_residual(residuals)
@@ -684,9 +683,10 @@ def test_feasibility_report_memory_stays_near_one_row_of_blocks():
     # an all-pairs (n, n, p, p) batch would need n*u.nbytes here, 128 MiB
     u = np.random.default_rng(64).standard_normal((64, 64, 64)) / 8.0
     sol = SdpSolutionPPlus(p=64, n=64, dim=64, u=u)
+    inst = Instance(p=64, n=64, equations=[(i, (i + 1) % 64, i) for i in range(64)])
     tracemalloc.start()
     try:
-        feasibility_report(sol)
+        feasibility_report(sol, inst)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -706,14 +706,14 @@ def test_solution_roundtrip_pplus(tmp_path):
     np.testing.assert_array_equal(back.u, sol.u)
 
 
-def test_solution_roundtrip_p(tmp_path):
+def test_solution_files_hold_assignment_vectors_only():
+    # relq round converts what relq solve writes; the constellation form stays in memory
     inst = Instance(p=4, n=2, equations=[(0, 1, 1)])
     vsol = convert_to_p(integral_embedding(inst, Assignment(positions=[1, 3])))
-    path = tmp_path / "vsol.txt"
-    save_solution(vsol, path)
-    back = load_solution(path)
-    assert isinstance(back, SdpSolutionP)
-    np.testing.assert_array_equal(back.v, vsol.v)
+    with pytest.raises(TypeError, match="SdpSolutionP"):
+        format_solution(vsol)
+    with pytest.raises(ValueError, match="^unknown solution kind 'p', expected 'pplus'$"):
+        parse_solution("relqsol 1\n4 2 2 p\n" + "0 0\n" * 8)
 
 
 def test_solution_text_is_stable():
@@ -754,7 +754,7 @@ def test_parse_solution_names_the_line_of_a_bad_coordinate():
     with pytest.raises(ValueError, match="^bad coordinate on line 5$"):
         parse_solution("relqsol 1\n2 2 2 pplus\n0 0\n0 0\n0 abc\n0 0\n")
     with pytest.raises(ValueError, match="^bad coordinate on line 4$"):
-        parse_solution("relqsol 1\n2 1 2 p\n\n1,0 0\n0 1\n")
+        parse_solution("relqsol 1\n2 1 2 pplus\n\n1,0 0\n0 1\n")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
