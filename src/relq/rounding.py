@@ -34,6 +34,18 @@ A stream continues exactly however its draws are chunked, so a block of
 trials is one fill of the normals stream, the walk construction runs once
 over the block and one kernel call classifies every (trial, variable)
 walk; the memory block size enters no position.
+
+Prefix scan.  A block's walk steps come out of one broadcast matrix
+product walk by walk, as (trials, n, ell*p/2).  np.cumsum along a walk
+is one chain of dependent adds, about 2.5 ns a value.  A block of at
+least _COLUMN_SCAN_WALKS walks is therefore copied sub-step-major, as
+(ell*p/2, trials, n), and summed down its rows, one vector add per
+sub-step over every walk of the block: the same additions in the same
+order, so the same bits.  On a 2-CPU container the round_e2e block
+(2728 walks of 16 values) is summed in 29 us this way and in 114 us by
+the cumsum.  Each add also costs a fixed few hundred ns, so a block of
+fewer walks, such as ell = 1000 (two trials a block) or one trial, keeps
+the cumsum along each walk.
 """
 
 from __future__ import annotations
@@ -50,8 +62,16 @@ NO_CROSSING = "NoCrossing"
 MANY_CROSSINGS = "ManyCrossings"
 _STATUS_BY_COUNT = (NO_CROSSING, ONE_CROSSING, MANY_CROSSINGS)  # indexed by min(count, 2)
 
-# walk values plus normals per block of trials in round_lifted_solution
-_BLOCK_VALUES = 1 << 14
+# walk values plus normals per block of trials in round_lifted_solution:
+# 682 trials at n = 4, p = 8, ell = 4.  Against 2**14 it cuts that
+# 2000-trial call from 2.96 to 2.76 ms; 2**18 would lift the traced peak
+# of a 2000-trial ell = 4 e2e from 1.6 to 4.1 MB.
+_BLOCK_VALUES = 1 << 16
+# blocks of at least this many walks sum their prefixes by _column_scan.
+# Prefix plus walk build, columns against cumsum, crossed between 64 and
+# 96 walks at ell = 1, 128 and 192 at ell = 4 and 7, and 190 and 260 at
+# ell = 25 to 100; at 512 walks the columns took 15-30 % less.
+_COLUMN_SCAN_WALKS = 256
 # Philox counter word 3 of every sampler stream: this tag plus the spawn
 # depth.  Every sampler key is [seed, 0]; the package's one other Philox
 # consumer, generate_instance, keys word 1 with 0xB5 and starts at
@@ -118,7 +138,7 @@ class GaussianSampler:
         return self._generator().standard_normal(out=out)
 
     def uniform_below(self, n: int) -> int:
-        if n < 1:
+        if _check_int("n", n) < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         return int(self._generator().integers(0, n))
 
@@ -184,24 +204,46 @@ def detect_extreme_sign_changes(values: np.ndarray, alpha: float) -> list[tuple[
     return events
 
 
+def _column_scan(sub_steps: np.ndarray, prefix: np.ndarray) -> None:
+    """prefix[k] = prefix[k-1] + sub_steps[k] down axis 0, one vector add per sub-step."""
+    prefix[...] = sub_steps
+    for k in range(1, len(prefix)):
+        prefix[k] += prefix[k - 1]
+
+
 def _lifted_prefix(
-    sol: SdpSolutionP, steps: np.ndarray, ell: int, normals: np.ndarray
+    sol: SdpSolutionP, steps: np.ndarray, ell: int, normals: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Anchors (trials, n) and step prefix sums (trials, n, s/2) of the lifted walks.
+    """Anchors (trials, n) and step prefix sums (trials, n, ell*p/2) of the lifted walks.
 
     steps is _variable_difference_steps(sol), (n, p/2, dim); normals is
     (trials, dim*ell).  The forward half-walks are _half_walks(anchor,
     prefix, 2.0).  Every (p/2 x dim) @ (dim x ell) product is one BLAS call
     and every anchor one dot product, as for a single trial, so a block of
     trials gives bit for bit the values of its trials taken one at a time.
+
+    A block of at least _COLUMN_SCAN_WALKS walks is summed sub-step-major
+    by _column_scan, one vector add per sub-step over every walk, into a
+    (ell*p/2, trials, n) array, and prefix is its transposed view; that
+    array is the leading part of the float64 vector out, or new when out
+    is None.  A block of fewer walks is summed by one np.cumsum along each
+    walk.  Both branches make the same additions in the same order, so
+    the bits do not depend on the branch.
     """
-    R = normals.reshape(normals.shape[0], sol.dim, ell)
+    trials = normals.shape[0]
+    R = normals.reshape(trials, sol.dim, ell)
     scale = 1.0 / np.sqrt(ell)
-    sub = (steps[None] @ R[:, None]) * scale  # (trials, n, p/2, ell), row-major = sub-step order
+    sub = steps[None] @ R[:, None]  # (trials, n, p/2, ell), row-major = sub-step order
+    sub *= scale
     anchor_dot = R.sum(axis=2)[:, None, None, :] @ sol.v[None, :, 0, :, None]  # (trials, n, 1, 1)
     anchor = anchor_dot[:, :, 0, 0] * scale
-    prefix = np.cumsum(sub.reshape(sub.shape[0], sol.n, -1), axis=2)
-    return anchor, prefix
+    walk_steps = sub.reshape(trials, sol.n, -1)
+    if trials * sol.n < _COLUMN_SCAN_WALKS:
+        return anchor, np.cumsum(walk_steps, axis=2)
+    sub_steps = walk_steps.transpose(2, 0, 1)
+    prefix = np.empty(sub_steps.shape) if out is None else out[: sub_steps.size].reshape(sub_steps.shape)
+    _column_scan(sub_steps, prefix)
+    return anchor, prefix.transpose(1, 2, 0)
 
 
 def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray) -> np.ndarray:
@@ -227,22 +269,30 @@ def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray) -> np.ndarray
 def _round_trials(
     sol: SdpSolutionP, steps: np.ndarray, ell: int, sampler: GaussianSampler, trials: int, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and crossing counts (trials, n), in blocks of trials."""
-    dim = sol.dim * ell
-    block = max(1, _BLOCK_VALUES // (sol.n * sol.p * ell // 2 + dim))
+    """Positions and crossing counts (trials, n), in blocks of trials.
+
+    The normals, prefix and walk buffers are allocated once, for the
+    first block, and a shorter last block uses their leading part; the
+    prefix buffer only when a block takes _column_scan.
+    """
+    n, dim, half = sol.n, sol.dim * ell, sol.p * ell // 2
+    block = min(trials, max(1, _BLOCK_VALUES // (n * half + dim)))
     normals, fallbacks = sampler.spawn(0), sampler.spawn(1)
-    positions = np.empty((trials, sol.n), dtype=np.int64)
+    z_buf = np.empty((block, dim))
+    prefix_buf = np.empty(half * block * n) if block * n >= _COLUMN_SCAN_WALKS else None
+    walk_buf = np.empty((block, n, half))
+    positions = np.empty((trials, n), dtype=np.int64)
     counts = np.empty_like(positions)
     for t0 in range(0, trials, block):
-        z = normals.fill(np.empty((min(block, trials - t0), dim)))
-        half_walks = _half_walks(*_lifted_prefix(sol, steps, ell, z), 2.0)
-        half = half_walks.shape[2]
+        m = min(block, trials - t0)
+        z = normals.fill(z_buf[:m])
+        anchor, prefix = _lifted_prefix(sol, steps, ell, z, prefix_buf)
+        half_walks = _half_walks(anchor, prefix, 2.0, walk_buf[:m])
         block_counts, first_plus, _ = trace_stats_batch(half_walks.reshape(-1, half), alpha)
         cells = np.flatnonzero(block_counts != 1)
         first_plus[cells] = [fallbacks.uniform_below(2 * half) for _ in range(cells.size)]
-        rows = slice(t0, t0 + len(z))
-        positions[rows] = first_plus.reshape(-1, sol.n)
-        counts[rows] = block_counts.reshape(-1, sol.n)
+        positions[t0 : t0 + m] = first_plus.reshape(-1, n)
+        counts[t0 : t0 + m] = block_counts.reshape(-1, n)
     return positions, counts
 
 

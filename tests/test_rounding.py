@@ -438,10 +438,25 @@ def _triangle_solution():
     return convert_to_p(solve_p_plus(inst)[0])
 
 
-@pytest.mark.parametrize("ell", [1, 2, 5, 50])
-def test_lifted_walk_values_match_the_oracle_bit_for_bit(ell):
+# _COLUMN_SCAN_WALKS values: the package's own, and ones that force every
+# block onto the column adds (1) or onto the cumsum (huge)
+SCAN_WALKS = {"default": relq.rounding._COLUMN_SCAN_WALKS, "columns": 1, "cumsum": 1 << 62}
+
+
+def _scan_params(cases):
+    """pytest.params of (value, scan), with the id of a default scan being the value's alone."""
+    return [pytest.param(v, scan, id=f"{v}" if scan == "default" else f"{v}-{scan}") for v, scan in cases]
+
+
+LIFTED_SCANS = _scan_params([(ell, scan) for scan in ("default", "columns") for ell in (1, 2, 5, 50, 1000)])
+
+
+@pytest.mark.parametrize("ell,scan", LIFTED_SCANS)
+def test_lifted_walk_values_match_the_oracle_bit_for_bit(ell, scan, monkeypatch):
     # off the seam bit for bit; at s/2 the walk is the exact mirror -anchor,
-    # where the oracle carried anchor + 2*prefix
+    # where the oracle carried anchor + 2*prefix.  One trial's three walks
+    # take the cumsum unless the column adds are forced.
+    monkeypatch.setattr(relq.rounding, "_COLUMN_SCAN_WALKS", SCAN_WALKS[scan])
     sol = _triangle_solution()
     r = GaussianSampler(seed=8).sample(sol.dim * ell)
     values = lifted_walk_values(sol, ell, r)
@@ -568,8 +583,9 @@ def test_round_solution_rejects_non_finite_coordinates(bad):
         ("ell", lambda sol: lifted_walk_values(sol, 2.0, np.zeros(2 * sol.dim))),
         ("max_iterations", lambda sol: solve_p_plus(Instance(p=8, n=3, equations=[(0, 1, 3)]), 2.5)),
         ("dim", lambda sol: GaussianSampler(1).sample(2.5)),
+        ("n", lambda sol: GaussianSampler(1).uniform_below(2.5)),
     ],
-    ids=["round-ell", "round-trials", "lifted-walk-ell", "solve-max-iterations", "sample-dim"],
+    ids=["round-ell", "round-trials", "lifted-walk-ell", "solve-max-iterations", "sample-dim", "uniform-below-n"],
 )
 def test_float_counts_are_refused_by_name(name, call):
     # a float count is refused by name, before numpy sees it
@@ -676,11 +692,26 @@ def _sampler(name):
     return smp
 
 
-@pytest.mark.parametrize("block_values", [relq.rounding._BLOCK_VALUES, 50])
+# here blocks of 2**14 and 2**16 values take the column adds and blocks of
+# 50 values the cumsum, unless the other branch is forced
+BLOCK_SCANS = _scan_params(
+    [
+        (1 << 14, "default"),
+        (50, "default"),
+        (relq.rounding._BLOCK_VALUES, "default"),
+        (relq.rounding._BLOCK_VALUES, "cumsum"),
+        (50, "columns"),
+    ]
+)
+
+
+@pytest.mark.parametrize("block_values,scan", BLOCK_SCANS)
 @pytest.mark.parametrize("name,ell,alpha", BATCH_CASES)
-def test_batched_trials_match_the_per_trial_oracle(name, ell, alpha, block_values, monkeypatch):
+def test_batched_trials_match_the_per_trial_oracle(name, ell, alpha, block_values, scan, monkeypatch):
     # the positions of one sampler do not depend on the memory block size
+    # or on how the block's prefix sums are scanned
     monkeypatch.setattr(relq.rounding, "_BLOCK_VALUES", block_values)
+    monkeypatch.setattr(relq.rounding, "_COLUMN_SCAN_WALKS", SCAN_WALKS[scan])
     sol = _batch_solution(name)
     trials = 300
     for sampler_name in ORACLE_NAMES:
@@ -693,6 +724,44 @@ def test_batched_trials_match_the_per_trial_oracle(name, ell, alpha, block_value
             assert out.crossing_counts[t].tolist() == counts
             want_statuses += statuses
         assert out.statuses == want_statuses
+
+
+def _column_scan_calls(monkeypatch, call):
+    """The _column_scan calls that call() makes."""
+    calls = []
+    scan = relq.rounding._column_scan
+
+    def spy(sub_steps, prefix):
+        calls.append(sub_steps.shape)
+        scan(sub_steps, prefix)
+
+    monkeypatch.setattr(relq.rounding, "_column_scan", spy)
+    call()
+    monkeypatch.setattr(relq.rounding, "_column_scan", scan)
+    return calls
+
+
+def test_each_scan_branch_is_reached_by_block_shape(monkeypatch):
+    # the branch follows the walks in a block: the default parametrizations
+    # above reach both, and the forced ones each reach one
+    assert relq.rounding._COLUMN_SCAN_WALKS > 1
+    sol = _triangle_solution()
+    # 300 trials of three walks fill one default block: column adds
+    calls = _column_scan_calls(monkeypatch, lambda: round_lifted_solution(sol, 2, GaussianSampler(6), 300))
+    assert calls == [(sol.p, 300, sol.n)]
+    # blocks of 50 values hold a few trials: cumsum only
+    monkeypatch.setattr(relq.rounding, "_BLOCK_VALUES", 50)
+    assert _column_scan_calls(monkeypatch, lambda: round_lifted_solution(sol, 2, GaussianSampler(6), 300)) == []
+    monkeypatch.undo()
+    # at ell = 1000 a block holds a few trials, and one trial is three walks: cumsum
+    assert _column_scan_calls(monkeypatch, lambda: round_lifted_solution(sol, 1000, GaussianSampler(6), 6)) == []
+    r = GaussianSampler(seed=8).sample(sol.dim * 1000)
+    assert _column_scan_calls(monkeypatch, lambda: lifted_walk_values(sol, 1000, r)) == []
+    # forced, the column adds take every block, and the cumsum none
+    monkeypatch.setattr(relq.rounding, "_COLUMN_SCAN_WALKS", SCAN_WALKS["columns"])
+    assert len(_column_scan_calls(monkeypatch, lambda: lifted_walk_values(sol, 1000, r))) == 1
+    monkeypatch.setattr(relq.rounding, "_COLUMN_SCAN_WALKS", SCAN_WALKS["cumsum"])
+    assert _column_scan_calls(monkeypatch, lambda: round_lifted_solution(sol, 2, GaussianSampler(6), 300)) == []
 
 
 def test_batched_cases_reach_every_status_and_dim_parity():
