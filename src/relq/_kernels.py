@@ -30,8 +30,8 @@ row's start or after a different label: at a row's first entry, and at each
 entry whose label differs from the previous entry's.
 
 The argument checks the modules share live here too: _check_alpha for a
-crossing threshold, _check_int for an integer argument, and _check_word
-for a seed or stream tag, one Philox word.
+crossing threshold, _check_int for an integer argument and its lower
+bound, and _check_word for a seed or stream tag, one Philox word.
 """
 
 import operator
@@ -45,12 +45,15 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
-def _check_int(name: str, value: int) -> int:
-    """value as a Python int; a float, even 4.0, is refused rather than truncated."""
+def _check_int(name: str, value: int, least: int | None = None) -> int:
+    """value as a Python int, refused below least if that is given; a float, even 4.0, is refused, not truncated."""
     try:
-        return operator.index(value)  # 1.5 would otherwise alias 1
+        value = operator.index(value)  # 1.5 would otherwise alias 1
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _check_word(name: str, value: int) -> int:

@@ -184,8 +184,15 @@ def _cmd_e2e(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input too: one error line and exit 1 (subparsers inherit this)."""
+
+    def error(self, message: str):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="relq", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="relq", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"relq {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -88,11 +88,12 @@ def _block_map(job, trials: int, rows: int, arrays: int, width: int) -> list:
 
     Blocks hold rows trials each, the last one the rest.  Each worker
     thread owns one set of `arrays` float64 buffers of rows x width and runs
-    job on the next block until none is left or a block has failed.  numpy
-    releases the GIL in the fills and the walk kernels, so the workers run
-    in parallel; a block reads only its own substreams, so no result
-    depends on which worker ran it.  The workers are joined, and then the
-    first error in block order is raised.
+    job on the next block until none is left or a block has failed.  The
+    workers overlap in the Philox fills and element-wise kernels, which
+    release the GIL, and take turns in canonical_values_batch's 2-D
+    in-place np.cumsum, which holds it.  A block reads only its own
+    substreams, so no result depends on which worker ran it.  The workers
+    are joined, and then the first error in block order is raised.
     """
     sizes = [min(rows, trials - done) for done in range(0, trials, rows)]
     todo = list(reversed(range(len(sizes))))
@@ -111,7 +112,7 @@ def _block_map(job, trials: int, rows: int, arrays: int, width: int) -> list:
                 errors[g] = exc
 
     # the buffers are allocated in this thread: allocated on the workers,
-    # they raised walk_mc's peak RSS from 60 to 68 MB on two CPUs
+    # they raised walk_mc's peak RSS (BENCH_walk_mc_worker_loop.json)
     threads = [
         threading.Thread(target=work, args=[np.empty((sizes[0], width)) for _ in range(arrays)], name="relq-block")
         for _ in range(min(_workers(), len(sizes)))
@@ -141,13 +142,9 @@ class ExperimentConfig:
     ell: int = 1
 
     def __post_init__(self):
-        self.trials = _check_int("trials", self.trials)
-        self.ell = _check_int("ell", self.ell)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        self.trials = _check_int("trials", self.trials, 1)
+        self.ell = _check_int("ell", self.ell, 1)
         _check_alpha(self.alpha)
-        if self.ell < 1:
-            raise ValueError(f"ell must be >= 1, got {self.ell}")
 
 
 @dataclass
@@ -243,11 +240,7 @@ def mc_sign_change(s: int, trials: int, seed: int, alpha: float = 1.0) -> Report
     order 1/sqrt(s).  Below alpha = 1 the closed forms do not apply, and
     the reference column reads NaN.
     """
-    s, trials = _check_int("s", s), _check_int("trials", trials)
-    if s < 100:
-        raise ValueError(f"s must be >= 100, got {s}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    s, trials = _check_int("s", s, 100), _check_int("trials", trials, 1)
     _check_alpha(alpha)
     sampler = GaussianSampler(seed)
 
@@ -293,11 +286,9 @@ def mc_correlation_gap(theta: float, trials: int, seed: int) -> Report:
     Block g of _GAP_BLOCK_ROWS pairs reads spawn(g) of the seed's sampler,
     on a worker thread (see _block_map).
     """
-    trials = _check_int("trials", trials)
+    trials = _check_int("trials", trials, 1)
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     sampler = GaussianSampler(seed)
     c1 = 1.0 - math.cos(theta)
     c2 = math.sin(theta)
@@ -374,11 +365,9 @@ def conjecture_experiment(
     per call; if the audit fails, every row reads audit_ok False with NaN
     means and nothing is drawn.  An empty grid neither audits nor draws.
     """
-    s, trials = _check_int("s", s), _check_int("trials", trials)
+    s, trials = _check_int("s", s), _check_int("trials", trials, 1)
     if s < 100 or s % 2:
         raise ValueError(f"s must be even and >= 100, got {s}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     _check_alpha(alpha)
     thetas = list(theta_grid)
     for theta in thetas:

@@ -148,9 +148,7 @@ def scale_instance(inst: Instance, ell: int) -> Instance:
     Slacks scale with the domain, so every assignment value is preserved under
     x -> ell*x and the optimum is unchanged.
     """
-    ell = _check_int("scale factor", ell)
-    if ell < 1:
-        raise ValueError(f"scale factor must be >= 1, got {ell}")
+    ell = _check_int("scale factor", ell, 1)
     s = ell * inst.p
     if s > DOMAIN_LIMIT:
         raise ValueError(f"scaled domain {s} exceeds limit {DOMAIN_LIMIT}")

@@ -36,16 +36,14 @@ over the block and one kernel call classifies every (trial, variable)
 walk; the memory block size enters no position.
 
 Prefix scan.  A block's walk steps come out of one broadcast matrix
-product walk by walk, as (trials, n, ell*p/2).  np.cumsum along a walk
-is one chain of dependent adds, about 2.5 ns a value.  A block of at
-least _COLUMN_SCAN_WALKS walks is therefore copied sub-step-major, as
-(ell*p/2, trials, n), and summed down its rows, one vector add per
-sub-step over every walk of the block: the same additions in the same
-order, so the same bits.  On a 2-CPU container the round_e2e block
-(2728 walks of 16 values) is summed in 29 us this way and in 114 us by
-the cumsum.  Each add also costs a fixed few hundred ns, so a block of
-fewer walks, such as ell = 1000 (two trials a block) or one trial, keeps
-the cumsum along each walk.
+product walk by walk, as (trials, n, ell*p/2), and np.cumsum along a walk
+is one chain of dependent adds.  A block of at least _COLUMN_SCAN_WALKS
+walks is therefore copied sub-step-major, as (ell*p/2, trials, n), and
+summed down its rows, one vector add per sub-step over every walk: the
+same additions in the same order, so the same bits, and faster on
+round_e2e's blocks (BENCH_round_e2e_column_scan.json).  Each add has a
+fixed cost, so a block of fewer walks, such as ell = 1000 (two trials a
+block) or one trial, keeps the cumsum along each walk.
 """
 
 from __future__ import annotations
@@ -63,14 +61,11 @@ MANY_CROSSINGS = "ManyCrossings"
 _STATUS_BY_COUNT = (NO_CROSSING, ONE_CROSSING, MANY_CROSSINGS)  # indexed by min(count, 2)
 
 # walk values plus normals per block of trials in round_lifted_solution:
-# 682 trials at n = 4, p = 8, ell = 4.  Against 2**14 it cuts that
-# 2000-trial call from 2.96 to 2.76 ms; 2**18 would lift the traced peak
-# of a 2000-trial ell = 4 e2e from 1.6 to 4.1 MB.
+# 682 trials at n = 4, p = 8, ell = 4.  2**18 would lift a 2000-trial
+# ell = 4 e2e over test_end_to_end_rounds_in_bounded_memory's 4 MB bound
 _BLOCK_VALUES = 1 << 16
-# blocks of at least this many walks sum their prefixes by _column_scan.
-# Prefix plus walk build, columns against cumsum, crossed between 64 and
-# 96 walks at ell = 1, 128 and 192 at ell = 4 and 7, and 190 and 260 at
-# ell = 25 to 100; at 512 walks the columns took 15-30 % less.
+# blocks of at least this many walks sum their prefixes by _column_scan;
+# the scan overtook the cumsum between 64 and 260 walks, later as ell grows
 _COLUMN_SCAN_WALKS = 256
 # Philox counter word 3 of every sampler stream: this tag plus the spawn
 # depth.  Every sampler key is [seed, 0]; the package's one other Philox
@@ -128,9 +123,7 @@ class GaussianSampler:
         return self._rng
 
     def sample(self, dim: int) -> np.ndarray:
-        if _check_int("dim", dim) < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        return self.fill(np.empty(dim))
+        return self.fill(np.empty(_check_int("dim", dim, 1)))
 
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Overwrite the float64 C-contiguous out with the next out.size
@@ -138,8 +131,7 @@ class GaussianSampler:
         return self._generator().standard_normal(out=out)
 
     def uniform_below(self, n: int) -> int:
-        if _check_int("n", n) < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+        n = _check_int("n", n, 1)
         return int(self._generator().integers(0, n))
 
     def spawn(self, tag: int) -> "GaussianSampler":
@@ -256,8 +248,7 @@ def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray) -> np.ndarray
     float noise they are the inner products of r with the lifted vectors,
     which are never built.
     """
-    if _check_int("ell", ell) < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    ell = _check_int("ell", ell, 1)
     expected = sol.dim * ell
     if r.shape != (expected,):
         raise ValueError(f"r has shape {r.shape}, expected ({expected},)")
@@ -309,10 +300,7 @@ def round_lifted_solution(
     residual fails); the lifted walks are exact functions of it, so no
     lifted vectors are built.
     """
-    if _check_int("ell", ell) < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if _check_int("trials", trials) < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    ell, trials = _check_int("ell", ell, 1), _check_int("trials", trials, 1)
     _check_alpha(alpha)
     worst = float(np.max(list(solution_residuals(sol).values())))
     if not worst <= 1e-5:

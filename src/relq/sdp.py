@@ -44,7 +44,7 @@ from relq.instance import Instance, _text_rows
 
 SOLUTION_MAGIC = "relqsol"
 SOLUTION_VERSION = 1
-SIZE_GUARD = 1000  # p * n beyond this: the (n, p, dim <= p * n) vectors and the solve (50 s at 1000) leave desk scale
+SIZE_GUARD = 1000  # p * n beyond this: the (n, p, dim <= p * n) vectors and the solve leave desk scale (BENCH_solve_factor_blocks.json)
 MAX_ENGINE_CYCLES = 30000  # default cap on the splitting engine's cycles
 ENGINE_RHO = 1.0  # initial penalty; the engine rebalances it every 50 cycles
 ENGINE_TOL = 1e-10  # engine stops once primal and dual residuals are below this
@@ -318,8 +318,7 @@ def solve_p_plus(inst: Instance, max_iterations: int = MAX_ENGINE_CYCLES) -> tup
     polished objective.  Deterministic; p*n <= SIZE_GUARD bounds the solve
     time and the (n, p, dim) output, dim <= p*n.
     """
-    if _check_int("max_iterations", max_iterations) < 0:
-        raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
+    max_iterations = _check_int("max_iterations", max_iterations, 0)
     p, n = inst.p, inst.n
     if p * n > SIZE_GUARD:
         raise ValueError(f"p*n = {p * n} exceeds solver guard {SIZE_GUARD}")

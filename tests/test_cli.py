@@ -345,7 +345,7 @@ def test_missing_file_and_bad_angle(capsys):
     assert "error:" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["mc-correlation", "--theta", "sideways", "--trials", "10"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
 
 
 def test_zero_denominator_angle_is_a_usage_error():
@@ -359,7 +359,27 @@ def test_zero_denominator_angle_is_a_usage_error():
     }
     assert "Traceback" not in runs["pi/0"].stderr
     assert "pi/0" in runs["pi/0"].stderr
-    assert runs["pi/0"].returncode == runs["quarter"].returncode == 2
+    assert runs["pi/0"].returncode == runs["quarter"].returncode == 1
+
+
+@pytest.mark.parametrize(
+    "argv,token",
+    [
+        (["mc-signchange", "--trials", "1e5"], "'1e5'"),
+        (["e2e", "--alpha", "wide"], "'wide'"),
+        (["conjecture", "--theta", "pi/0"], "'pi/0'"),
+        (["frobnicate"], "'frobnicate'"),
+        (["e2e"], "instance"),
+    ],
+    ids=["int", "float", "angle", "unknown-command", "missing-positional"],
+)
+def test_usage_errors_are_one_line_and_exit_1(argv, token):
+    # exit 2 is kept for a failed gate, so a script can tell a typo from a failed check
+    proc = subprocess.run([sys.executable, "-m", "relq.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert token in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_installed_script_entry_point():

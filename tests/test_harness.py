@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -375,16 +376,23 @@ def test_non_integer_sizes_are_rejected_before_any_draw(monkeypatch):
 
     monkeypatch.setattr(GaussianSampler, "fill", counted_fill)
     calls = [
-        ("s", lambda: mc_sign_change(s=200.0, trials=10, seed=0)),
-        ("trials", lambda: mc_sign_change(s=200, trials=np.float64(10), seed=0)),
-        ("trials", lambda: mc_correlation_gap(theta=1.0, trials=10.5, seed=0)),
-        ("s", lambda: conjecture_experiment([0.5], s=200.0, trials=10, seed=0)),
-        ("trials", lambda: conjecture_experiment([0.5], s=200, trials=10.0, seed=0)),
-        ("trials", lambda: ExperimentConfig(trials=10.5)),
-        ("ell", lambda: ExperimentConfig(ell=2.0)),
+        ("s must be an integer, got 200.0", lambda: mc_sign_change(s=200.0, trials=10, seed=0)),
+        (f"trials must be an integer, got {np.float64(10)!r}", lambda: mc_sign_change(s=200, trials=np.float64(10), seed=0)),
+        ("trials must be an integer, got 10.5", lambda: mc_correlation_gap(theta=1.0, trials=10.5, seed=0)),
+        ("s must be an integer, got 200.0", lambda: conjecture_experiment([0.5], s=200.0, trials=10, seed=0)),
+        ("trials must be an integer, got 10.0", lambda: conjecture_experiment([0.5], s=200, trials=10.0, seed=0)),
+        ("trials must be an integer, got 10.5", lambda: ExperimentConfig(trials=10.5)),
+        ("ell must be an integer, got 2.0", lambda: ExperimentConfig(ell=2.0)),
+        # one below-bound case per site
+        ("s must be >= 100, got 99", lambda: mc_sign_change(s=99, trials=10, seed=0)),
+        ("trials must be >= 1, got 0", lambda: mc_sign_change(s=200, trials=np.int64(0), seed=0)),
+        ("trials must be >= 1, got -3", lambda: mc_correlation_gap(theta=1.0, trials=-3, seed=0)),
+        ("trials must be >= 1, got 0", lambda: conjecture_experiment([0.5], s=200, trials=0, seed=0)),
+        ("trials must be >= 1, got 0", lambda: ExperimentConfig(trials=0)),
+        ("ell must be >= 1, got 0", lambda: ExperimentConfig(ell=0)),
     ]
-    for name, call in calls:
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+    for message, call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
     assert draws == []
 

@@ -5,9 +5,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relq._kernels import canonical_values_batch, trace_stats_batch
+from relq._kernels import _check_int, canonical_values_batch, trace_stats_batch
 from relq.constellation import SdpSolutionP, canonical_constellation
 from relq.rounding import detect_extreme_sign_changes, lifted_walk_values
+
+
+def test_check_int_bound_is_optional_and_gives_a_python_int():
+    assert _check_int("k", -5) == -5
+    at_bound = _check_int("k", np.int32(3), 3)
+    assert at_bound == 3 and type(at_bound) is int
+    with pytest.raises(ValueError, match=r"^k must be >= 3, got 2$"):
+        _check_int("k", np.int64(2), 3)
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 3\.0$"):
+        _check_int("k", 3.0, 3)
 
 
 def test_values_match_explicit_dot_products():

@@ -1,5 +1,6 @@
 """Sampler determinism, walk construction, crossing detection, rounding."""
 
+import re
 import sys
 import threading
 
@@ -8,10 +9,11 @@ import pytest
 from scipy import stats
 
 import relq.rounding
+import relq.sdp
 from oracles import discretization_margin_check, integral_embedding, lift_solution
 from relq._kernels import canonical_values_batch, trace_stats_batch
 from relq.constellation import SdpSolutionP, _variable_difference_steps, canonical_constellation
-from relq.instance import Assignment, Instance, generate_instance
+from relq.instance import Assignment, Instance, generate_instance, scale_instance
 from relq.rounding import (
     _SAMPLER_DOMAIN,
     MANY_CROSSINGS,
@@ -576,21 +578,46 @@ def test_round_solution_rejects_non_finite_coordinates(bad):
 
 
 @pytest.mark.parametrize(
-    "name,call",
+    "message,call",
     [
-        ("ell", lambda sol: round_lifted_solution(sol, 2.0, GaussianSampler(1), 3)),
-        ("trials", lambda sol: round_lifted_solution(sol, 1, GaussianSampler(1), 2.5)),
-        ("ell", lambda sol: lifted_walk_values(sol, 2.0, np.zeros(2 * sol.dim))),
-        ("max_iterations", lambda sol: solve_p_plus(Instance(p=8, n=3, equations=[(0, 1, 3)]), 2.5)),
-        ("dim", lambda sol: GaussianSampler(1).sample(2.5)),
-        ("n", lambda sol: GaussianSampler(1).uniform_below(2.5)),
+        ("ell must be an integer, got 2.0", lambda sol: round_lifted_solution(sol, 2.0, GaussianSampler(1), 3)),
+        ("trials must be an integer, got 2.5", lambda sol: round_lifted_solution(sol, 1, GaussianSampler(1), 2.5)),
+        ("ell must be an integer, got 2.0", lambda sol: lifted_walk_values(sol, 2.0, np.zeros(2 * sol.dim))),
+        ("max_iterations must be an integer, got 2.5", lambda sol: solve_p_plus(Instance(p=8, n=3, equations=[(0, 1, 3)]), 2.5)),
+        ("dim must be an integer, got 2.5", lambda sol: GaussianSampler(1).sample(2.5)),
+        ("n must be an integer, got 2.5", lambda sol: GaussianSampler(1).uniform_below(2.5)),
+        ("ell must be >= 1, got 0", lambda sol: round_lifted_solution(sol, 0, GaussianSampler(1), 3)),
+        ("trials must be >= 1, got 0", lambda sol: round_lifted_solution(sol, 1, GaussianSampler(1), np.int64(0))),
+        ("ell must be >= 1, got -1", lambda sol: lifted_walk_values(sol, -1, np.zeros(sol.dim))),
+        ("max_iterations must be >= 0, got -1", lambda sol: solve_p_plus(Instance(p=8, n=3, equations=[(0, 1, 3)]), -1)),
+        ("dim must be >= 1, got 0", lambda sol: GaussianSampler(1).sample(0)),
+        ("n must be >= 1, got 0", lambda sol: GaussianSampler(1).uniform_below(0)),
+        ("scale factor must be >= 1, got 0", lambda sol: scale_instance(Instance(p=8, n=3, equations=[(0, 1, 3)]), 0)),
     ],
-    ids=["round-ell", "round-trials", "lifted-walk-ell", "solve-max-iterations", "sample-dim", "uniform-below-n"],
+    ids=[
+        "round-ell",
+        "round-trials",
+        "lifted-walk-ell",
+        "solve-max-iterations",
+        "sample-dim",
+        "uniform-below-n",
+        "round-ell-below",
+        "round-trials-below",
+        "lifted-walk-ell-below",
+        "solve-max-iterations-below",
+        "sample-dim-below",
+        "uniform-below-n-below",
+        "scale-factor-below",
+    ],
 )
-def test_float_counts_are_refused_by_name(name, call):
-    # a float count is refused by name, before numpy sees it
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+def test_float_counts_are_refused_by_name(message, call, monkeypatch):
+    # a float count, or one below its bound, is refused by name before anything is drawn or solved
+    work = []
+    monkeypatch.setattr(GaussianSampler, "_generator", lambda self: work.append("draw"))
+    monkeypatch.setattr(relq.sdp, "_splitting_engine", lambda *args: work.append("solve"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(_integral_p_solution(8, [0, 3, 5]))
+    assert work == []
 
 
 def test_round_solution_one_crossing_frequency():
