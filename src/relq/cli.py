@@ -64,6 +64,14 @@ def parse_angle(text: str) -> float:
         raise ValueError(f"cannot parse angle {text!r}") from None
 
 
+def _angle_arg(text: str) -> float:
+    """parse_angle for argparse, which prints the reason of an ArgumentTypeError only."""
+    try:
+        return parse_angle(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _emit(report: Report, args) -> None:
     if args.out is not None:
         csv_path, json_path = write_report(report, args.out)
@@ -243,14 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     sign.set_defaults(func=_cmd_mc_signchange)
 
     corr = subs.add_parser("mc-correlation", help="sample the correlated-endpoint gap")
-    corr.add_argument("--theta", type=parse_angle, required=True, help="angle, e.g. 0.7854 or pi/4")
+    corr.add_argument("--theta", type=_angle_arg, required=True, help="angle, e.g. 0.7854 or pi/4")
     corr.add_argument("--trials", type=int, default=100_000)
     corr.add_argument("--seed", type=int, default=0)
     _add_output_flags(corr)
     corr.set_defaults(func=_cmd_mc_correlation)
 
     conj = subs.add_parser("conjecture", help="conditioned distance of correlated walk pairs")
-    conj.add_argument("--theta", type=parse_angle, action="append", default=None, help="repeatable; defaults to pi/12 pi/6 pi/4")
+    conj.add_argument("--theta", type=_angle_arg, action="append", default=None, help="repeatable; defaults to pi/12 pi/6 pi/4")
     conj.add_argument("--s", type=int, default=2000, help="circular domain size")
     conj.add_argument("--trials", type=int, default=100_000)
     conj.add_argument("--seed", type=int, default=0)

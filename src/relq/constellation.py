@@ -48,18 +48,23 @@ def target_gram(p: int) -> np.ndarray:
     return 1.0 - 4.0 * d / p
 
 
-def canonical_constellation(p: int) -> np.ndarray:
-    """The sign-pattern family over domain p, vector k as row k of a (p, p/2)
-    float64 array; see the module docstring."""
+def canonical_constellation(p: int, labels=None) -> np.ndarray:
+    """The sign-pattern family over domain p, vector labels[a] as row a of a
+    (len(labels), p/2) float64 array, all p vectors in label order by
+    default; see the module docstring.
+
+    Row k has its first k mod p/2 entries negative and the rest positive,
+    negated when k >= p/2, so a subset of labels costs only its own rows.
+    """
     if p <= 0 or p % 2 != 0:
         raise ValueError(f"domain size must be a positive even integer, got {p}")
     half = p // 2
+    k = np.arange(p) if labels is None else np.asarray(labels, dtype=np.int64)
+    if k.size and not (0 <= k.min() and k.max() < p):
+        raise ValueError(f"labels must lie in [0, {p}), got {k.min()} to {k.max()}")
     c = np.sqrt(2.0 / p)
-    vectors = np.full((p, half), c)
-    for k in range(half + 1):
-        vectors[k, :k] = -c
-    for k in range(half + 1, p):
-        vectors[k] = -vectors[k - half]
+    vectors = np.where(np.arange(half) < (k % half)[:, None], -c, c)
+    np.negative(vectors, out=vectors, where=(k >= half)[:, None])
     return vectors
 
 

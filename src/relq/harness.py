@@ -10,14 +10,17 @@ conjecture_experiment) split their trials into blocks of a fixed size, a
 stream constant.  Block g runs whole on a worker thread, one per CPU
 available to the process and at most _MAX_WORKERS, and reads its own
 Philox substream, which the worker spawns from the seed's sampler.
-Counter-based substreams are disjoint, so the blocks are independent, and
-the caller combines their tallies in block order: no number depends on the
+Counter-based substreams are disjoint, so the blocks are independent.  Each
+worker adds its blocks' tallies to a running total as they finish, and the
+workers' totals are added after the join.  The tallies are integers, or
+partial sums that math.fsum reduces exactly, so no number depends on the
 worker count or on the scheduling.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -83,33 +86,47 @@ def _workers() -> int:
     return max(1, min(cpus, _MAX_WORKERS))
 
 
-def _block_map(job, trials: int, rows: int, arrays: int, width: int) -> list:
-    """[job(g, rows_g, *buffers) for each block g of trials], in block order.
+def _add_fields(total: list, tally) -> list:
+    return [a + b for a, b in zip(total, tally)]
 
-    Blocks hold rows trials each, the last one the rest.  Each worker
-    thread owns one set of `arrays` float64 buffers of rows x width and runs
-    job on the next block until none is left or a block has failed.  The
-    workers overlap in the Philox fills and element-wise kernels, which
-    release the GIL, and take turns in canonical_values_batch's 2-D
-    in-place np.cumsum, which holds it.  A block reads only its own
-    substreams, so no result depends on which worker ran it.  The workers
-    are joined, and then the first error in block order is raised.
+
+def _block_map(job, trials: int, rows: int, arrays: int, width: int) -> list:
+    """The field-by-field sum of job(g, rows_g, *buffers) over the blocks g of trials.
+
+    Blocks hold rows trials each, the last one the rest.  job returns a
+    sequence of fields, each added with +: an int or an integer array adds
+    exactly, and a list collects partial sums for math.fsum.  Each worker
+    thread owns one set of `arrays` float64 buffers of rows x width, runs
+    job on the next block until none is left or a block has failed, and
+    adds each block's fields to its own total when the block ends, so no
+    block's tally outlives it.  The workers overlap in the Philox fills and
+    element-wise kernels, which release the GIL, and take turns in
+    canonical_values_batch's 2-D in-place np.cumsum, which holds it.  A
+    block reads only its own substreams, and the fields add in any order to
+    the same numbers, so no result depends on which worker ran a block.
+    The workers are joined, then the first error in block order is raised,
+    and otherwise their totals are added.
     """
     sizes = [min(rows, trials - done) for done in range(0, trials, rows)]
     todo = list(reversed(range(len(sizes))))
-    results: list = [None] * len(sizes)
+    totals: list = []
     errors: dict = {}
 
     def work(*buffers):
+        total = None
         while not errors:
             try:
                 g = todo.pop()
             except IndexError:
-                return
+                break
             try:
-                results[g] = job(g, sizes[g], *buffers)
+                tally = job(g, sizes[g], *buffers)
             except BaseException as exc:
                 errors[g] = exc
+                return
+            total = list(tally) if total is None else _add_fields(total, tally)
+        if total is not None:
+            totals.append(total)
 
     # the buffers are allocated in this thread: allocated on the workers,
     # they raised walk_mc's peak RSS (BENCH_walk_mc_worker_loop.json)
@@ -129,7 +146,7 @@ def _block_map(job, trials: int, rows: int, arrays: int, width: int) -> list:
                 thread.join()
     if errors:
         raise errors[min(errors)]
-    return results
+    return functools.reduce(_add_fields, totals)
 
 
 @dataclass
@@ -166,14 +183,35 @@ def _binomial_stderr(freq: float, n: int) -> float:
     return math.sqrt(max(freq * (1.0 - freq), 0.0) / n)
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    n = values.size
+def _exact_sum(values: np.ndarray, counts: list[int]) -> float:
+    """Correctly rounded sum of counts[i] copies of each finite values[i].
+
+    Every float is an integer over a power of two, so over the largest of
+    those denominators, 2**(bits - 1), the sum is an exact integer, and
+    int / int rounds correctly: the same float as math.fsum of the
+    expanded values.
+    """
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    bits = max((den.bit_length() for _, den in ratios), default=1)
+    return sum(c * num << (bits - den.bit_length()) for c, (num, den) in zip(counts, ratios)) / (1 << (bits - 1))
+
+
+def _mean_stderr(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a sample that holds counts[i] copies of values[i].
+
+    Both sums are exact (_exact_sum), and each squared deviation is formed
+    once per value, so the result equals that of the expanded sample summed
+    by math.fsum, in any order.
+    """
+    keep = counts > 0
+    values, counts = values[keep], counts[keep].tolist()
+    n = sum(counts)
     if n == 0:
         return float("nan"), float("nan")
-    mean = float(math.fsum(values.tolist()) / n)
+    mean = _exact_sum(values, counts) / n
     if n == 1:
         return mean, float("nan")
-    var = float(math.fsum(((values - mean) ** 2).tolist()) / (n - 1))
+    var = _exact_sum((values - mean) ** 2, counts) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
@@ -249,8 +287,7 @@ def mc_sign_change(s: int, trials: int, seed: int, alpha: float = 1.0) -> Report
         counts, _, half_runs = trace_stats_batch(values, alpha)
         return [int(np.sum(event)) for event in (counts == 0, counts == 1, counts >= 2, half_runs >= 3)]
 
-    tallies = _block_map(block, trials, _block_rows(s), 2, s)
-    zero, one, two_plus, alt3 = map(sum, zip(*tallies))
+    zero, one, two_plus, alt3 = _block_map(block, trials, _block_rows(s), 2, s)
     eta = (alpha - 1.0) / 2.0
     p1, p3 = (prob_at_least_one(eta), prob_three_or_more(eta)) if eta >= 0 else (math.nan, math.nan)
     stats = [
@@ -296,9 +333,9 @@ def mc_correlation_gap(theta: float, trials: int, seed: int) -> Report:
     def block(g, rows, normals):
         r = sampler.spawn(g).fill(normals[:rows])
         gap = np.abs(c1 * r[:, 0] - c2 * r[:, 1])
-        return float(np.sum(gap)), float(np.sum(gap * gap))
+        return [float(np.sum(gap))], [float(np.sum(gap * gap))]
 
-    sums, sq_sums = zip(*_block_map(block, trials, _GAP_BLOCK_ROWS, 1, 2))
+    sums, sq_sums = _block_map(block, trials, _GAP_BLOCK_ROWS, 1, 2)
     mean = math.fsum(sums) / trials
     if trials > 1:
         var = max(math.fsum(sq_sums) - trials * mean * mean, 0.0) / (trials - 1)
@@ -326,12 +363,11 @@ def _audit_correlated_pair(s: int) -> bool:
     plus sin(theta) times a copy in the second s/2, so norms stay 1 and the
     cross inner products are cos(theta) times the constellation's own.
     Checking norms and the Gram law 1 - 4 d(k,l)/s on sampled labels at
-    full scale therefore covers every angle at once.
+    full scale therefore covers every angle at once.  Only the sampled
+    rows are built, about 8 of the constellation's s.
     """
     picks = list(range(0, s, max(1, s // 8)))
-    # fancy indexing copies the sampled rows, so the full s x s/2
-    # constellation is freed before the walks start
-    base = canonical_constellation(s)[picks]
+    base = canonical_constellation(s, picks)
     for a, k in enumerate(picks):
         if abs(float(base[a] @ base[a]) - 1.0) > _AUDIT_TOL:
             return False
@@ -351,9 +387,9 @@ def conjecture_experiment(
     increments r2: the walk map is linear in the ambient Gaussian, so this
     is the walk of cos(theta)*r1 + sin(theta)*r2 and of the rotated
     constellation.  Trials where both walks show exactly one extreme sign
-    change contribute the normalized circular distance between the two
-    positions; each cell reports the conditioned mean next to the
-    fraction-of-circle bound theta/(2*pi).
+    change contribute the normalized circular distance d/s between the two
+    positions, d an integer in [0, s/2]; each cell reports the conditioned
+    mean next to the fraction-of-circle bound theta/(2*pi).
 
     Every cell shares r1 and r2 (common random numbers), and W1 and W2 are
     built once per block, so marginal_one_rate is one number for the whole
@@ -361,9 +397,13 @@ def conjecture_experiment(
     depends on its angle only, not on the grid around it.  Block g holds
     _BLOCK_VALUES // s trials, reads their r1 from spawn(0).spawn(g) and
     their r2 from spawn(1).spawn(g) of the seed's sampler, and runs whole
-    on a worker thread (see _block_map).  The construction is audited once
-    per call; if the audit fails, every row reads audit_ok False with NaN
-    means and nothing is drawn.  An empty grid neither audits nor draws.
+    on a worker thread (see _block_map).  A block tallies each cell's
+    distances as a histogram over d, which its worker adds to a running
+    total, so memory depends on neither s nor the trials beyond the block
+    buffers and the s/2 + 1 bins a cell; the mean and stderr are summed
+    exactly from the bins.  The construction is audited once per call; if
+    the audit fails, every row reads audit_ok False with NaN means and
+    nothing is drawn.  An empty grid neither audits nor draws.
     """
     s, trials = _check_int("s", s), _check_int("trials", trials, 1)
     if s < 100 or s % 2:
@@ -387,24 +427,26 @@ def conjecture_experiment(
         ci, fi, _ = trace_stats_batch(w1, alpha)
         w2 = canonical_values_batch(r2.spawn(g).fill(b[:rows]), out=d[:rows])
         wj, scratch = a[:rows], b[:rows]
-        cells = []
-        for cos, sin in trig:
+        hists = np.empty((len(trig), half + 1), dtype=np.int64)
+        for cell, (cos, sin) in zip(hists, trig):
             np.multiply(w1, cos, out=wj)
             wj += np.multiply(w2, sin, out=scratch)
             cj, fj, _ = trace_stats_batch(wj, alpha)
             mask = (ci == 1) & (cj == 1)
             delta = (fj[mask] - fi[mask]) % s
-            cells.append(np.minimum(delta, s - delta) / s)
-        return int(np.sum(ci == 1)), cells
+            cell[:] = np.bincount(np.minimum(delta, s - delta), minlength=half + 1)
+        return int(np.sum(ci == 1)), hists
 
-    tallies = _block_map(block, trials, _block_rows(s), 4, half) if audit_ok else []
-    one_i = sum(one for one, _ in tallies)
-    # the empty first piece gives a cell that drew nothing a NaN mean
-    dists = [np.concatenate([np.empty(0), *(cells[c] for _, cells in tallies)]) for c in range(len(thetas))]
+    if audit_ok:
+        one_i, hists = _block_map(block, trials, _block_rows(s), 4, half)
+    else:
+        one_i, hists = 0, np.zeros((len(thetas), half + 1), dtype=np.int64)
+    # bin d holds the trials whose positions lie d/s of the circle apart
+    distances = np.arange(half + 1) / s
     rows_out = [
-        [theta, math.cos(theta), s, trials, dist.size, dist.size / trials, one_i / trials]
-        + [*_mean_stderr(dist), theta / (2.0 * math.pi), audit_ok]
-        for theta, dist in zip(thetas, dists)
+        [theta, math.cos(theta), s, trials, n, n / trials, one_i / trials]
+        + [*_mean_stderr(distances, hist), theta / (2.0 * math.pi), audit_ok]
+        for theta, hist, n in zip(thetas, hists, hists.sum(axis=1).tolist())
     ]
     return Report(
         name="conjecture_experiment",
@@ -453,9 +495,9 @@ def end_to_end_ratio(inst: Instance, cfg: ExperimentConfig) -> Report:
     sol_p = convert_to_p(sol)
     scaled = scale_instance(inst, cfg.ell)
     outcome = round_lifted_solution(sol_p, cfg.ell, sampler, cfg.trials, alpha=cfg.alpha)
-    # score / s is the correctly rounded value of the exact Fraction total
-    values = score_positions(scaled, outcome.positions) / scaled.p
-    mean, stderr = _mean_stderr(values)
+    # each score / p is correctly rounded, and so are _mean_stderr's sums
+    scores, counts = np.unique(score_positions(scaled, outcome.positions), return_counts=True)
+    mean, stderr = _mean_stderr(scores / scaled.p, counts)
     slack = 3.0 * stderr if math.isfinite(stderr) else 0.0
     sandwich_ok = bool(mean <= opt_f + slack and opt_f <= sdp_value + _SANDWICH_TOL)
     row = [

@@ -12,6 +12,11 @@ independent side of a check:
   residual checks (criterion 5).
 - objective_p: the constellation-form objective, which the conversion
   from the assignment form must preserve (criteria 5 and 7).
+- constellation_loop: the canonical constellation built row by row, the
+  reference for canonical_constellation's vectorized row rule.
+- mean_stderr_expanded: the conditioned mean and its standard error from
+  every value, summed by math.fsum, the reference for the harness's exact
+  histogram sums.
 - hitting_time_density: the first-passage density of Brownian motion,
   whose mass criterion 8 integrates against the reflection formula.
 - discretization_margin_check (with _sample_tail_normal and
@@ -94,6 +99,30 @@ def objective_p(sol: SdpSolutionP, inst: Instance) -> float:
     for i, j, d in inst.equations:
         total += 0.5 * (1.0 + float(sol.v[i, 0] @ sol.v[j, d]))
     return total
+
+
+def constellation_loop(p: int) -> np.ndarray:
+    """Row k for k <= p/2 has its first k entries negative; row k > p/2 negates row k - p/2."""
+    half = p // 2
+    c = np.sqrt(2.0 / p)
+    vectors = np.full((p, half), c)
+    for k in range(half + 1):
+        vectors[k, :k] = -c
+    for k in range(half + 1, p):
+        vectors[k] = -vectors[k - half]
+    return vectors
+
+
+def mean_stderr_expanded(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of values, each sum correctly rounded by math.fsum."""
+    n = values.size
+    if n == 0:
+        return float("nan"), float("nan")
+    mean = float(math.fsum(values.tolist()) / n)
+    if n == 1:
+        return mean, float("nan")
+    var = float(math.fsum(((values - mean) ** 2).tolist()) / (n - 1))
+    return mean, math.sqrt(var / n)
 
 
 def hitting_time_density(b: float, t: float) -> float:

@@ -360,6 +360,13 @@ def test_zero_denominator_angle_is_a_usage_error():
     assert "Traceback" not in runs["pi/0"].stderr
     assert "pi/0" in runs["pi/0"].stderr
     assert runs["pi/0"].returncode == runs["quarter"].returncode == 1
+    # the reason survives argparse, for both commands that take an angle
+    for command in ("mc-correlation", "conjecture"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "relq.cli", command, "--theta", "pi/0"], capture_output=True, text=True
+        )
+        assert proc.stderr == "error: argument --theta: cannot parse angle 'pi/0': zero denominator\n"
+        assert proc.returncode == 1
 
 
 @pytest.mark.parametrize(

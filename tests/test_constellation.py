@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import lift_solution
+from oracles import constellation_loop, lift_solution
 from relq.constellation import (
     SdpSolutionP,
     _variable_difference_steps,
@@ -78,6 +78,20 @@ def test_canonical_rejects_bad_p():
         canonical_constellation(7)
     with pytest.raises(ValueError):
         canonical_constellation(0)
+    for labels in ([0, 8], [-1]):
+        with pytest.raises(ValueError, match="labels"):
+            canonical_constellation(8, labels)
+
+
+@pytest.mark.parametrize("p", [2, 4, 8, 100, 102, 2000])
+def test_row_rule_matches_the_row_loop(p):
+    want = constellation_loop(p)
+    full = canonical_constellation(p)
+    assert full.shape == want.shape and full.tobytes() == want.tobytes()
+    # the labels the conjecture audit checks
+    picks = list(range(0, p, max(1, p // 8)))
+    rows = canonical_constellation(p, picks)
+    assert rows.shape == (len(picks), p // 2) and rows.tobytes() == want[picks].tobytes()
 
 
 @pytest.mark.parametrize("p", [4, 8, 12, 20])

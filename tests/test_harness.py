@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import relq.harness
+from oracles import mean_stderr_expanded
 from relq import __version__
 from relq._kernels import canonical_values_batch, trace_stats_batch
 from relq.brownian import prob_at_least_one, prob_three_or_more
 from relq.harness import (
+    _mean_stderr,
     ExperimentConfig,
     Report,
     conjecture_experiment,
@@ -301,14 +303,13 @@ def test_conjecture_empty_grid_draws_nothing(monkeypatch):
 
 
 def test_conjecture_empty_grid_skips_the_audit(monkeypatch):
-    # the audit builds the s x s/2 constellation, 256 MB at s = 8000, and
-    # an empty grid has no row to report its verdict in
+    # an empty grid has no row to report the audit's verdict in
     built = []
     real = relq.harness.canonical_constellation
 
-    def counted(p):
+    def counted(p, labels=None):
         built.append(p)
-        return real(p)
+        return real(p, labels)
 
     monkeypatch.setattr(relq.harness, "canonical_constellation", counted)
     assert conjecture_experiment((), s=8000, trials=10, seed=1).rows == []
@@ -323,9 +324,10 @@ def test_conjecture_audit_failure_fails_every_angle_and_draws_nothing(monkeypatc
     s = 200
     real = relq.harness.canonical_constellation
 
-    def broken(p):
-        vectors = real(p)
-        vectors[s // 8] *= -1.0
+    def broken(p, labels=None):
+        vectors = real(p, labels)
+        rows = np.arange(p) if labels is None else np.asarray(labels)
+        vectors[rows == s // 8] *= -1.0
         return vectors
 
     draws = []
@@ -557,6 +559,18 @@ def test_mc_drivers_stream_in_bounded_memory():
         assert conj <= 32.0, trials
 
 
+def test_conjecture_memory_is_flat_in_s_and_trials(monkeypatch):
+    # three angles on two workers, whose block buffers take 8.4 MB: the
+    # audit builds only its sampled rows, not the 16 MB constellation at
+    # s = 2000, and each worker folds its blocks' histograms as they end,
+    # so the peak does not grow with the trials
+    _cap_workers(monkeypatch, 2)
+    grid = (math.pi / 12, math.pi / 6, math.pi / 4)
+    for s, trials in ((2000, 4096), (200, 200_000)):
+        peak = _traced_peak_mb(lambda: conjecture_experiment(grid, s=s, trials=trials, seed=1))
+        assert peak <= 12.0, (s, trials, peak)
+
+
 def test_mc_drivers_stay_in_bounded_memory_at_the_worker_cap(monkeypatch):
     # as many CPUs as the cap allows: each worker holds its own buffers
     _cap_workers(monkeypatch, relq.harness._MAX_WORKERS)
@@ -595,6 +609,24 @@ def test_mc_correlation_gap_closed_forms():
         mc_correlation_gap(theta=-0.1, trials=10, seed=0)
     with pytest.raises(ValueError):
         mc_correlation_gap(theta=1.0, trials=0, seed=0)
+
+
+def test_histogram_mean_stderr_matches_the_expanded_fsum():
+    # conjecture's distances: fl(d/s) for integers d in [0, s/2], counted
+    rng = np.random.default_rng(16)
+    for case in range(3000):
+        s = 2 * int(rng.integers(50, 8001))
+        n = case if case < 2 else int(rng.integers(0, 3001))
+        d = rng.integers(0, int(rng.integers(0, s // 2)) + 1, size=n)
+        got = _mean_stderr(np.arange(s // 2 + 1) / s, np.bincount(d, minlength=s // 2 + 1))
+        assert repr(got) == repr(mean_stderr_expanded(d / s)), (s, n)
+    # end_to_end_ratio's values: integer scores over p, negative ones too
+    for p in (4, 8, 21, 24, 84, 1000):
+        for n in (0, 1, 2, 2000):
+            scores = rng.integers(-6 * p, 6 * p + 1, size=n)
+            values, counts = np.unique(scores, return_counts=True)
+            got = _mean_stderr(values / p, counts)
+            assert repr(got) == repr(mean_stderr_expanded(scores / p)), (p, n)
 
 
 def test_conjecture_experiment_zero_angle_and_shape():
