@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -93,34 +94,34 @@ def _add_fields(total: list, tally) -> list:
 def _block_map(job, trials: int, rows: int, arrays: int, width: int) -> list:
     """The field-by-field sum of job(g, rows_g, *buffers) over the blocks g of trials.
 
-    Blocks hold rows trials each, the last one the rest.  job returns a
+    Block g holds min(rows, trials - g*rows) trials.  job returns a
     sequence of fields, each added with +: an int or an integer array adds
     exactly, and a list collects partial sums for math.fsum.  Each worker
-    thread owns one set of `arrays` float64 buffers of rows x width, runs
-    job on the next block until none is left or a block has failed, and
-    adds each block's fields to its own total when the block ends, so no
-    block's tally outlives it.  The workers overlap in the Philox fills and
-    element-wise kernels, which release the GIL, and take turns in
-    canonical_values_batch's 2-D in-place np.cumsum, which holds it.  A
-    block reads only its own substreams, and the fields add in any order to
-    the same numbers, so no result depends on which worker ran a block.
-    The workers are joined, then the first error in block order is raised,
-    and otherwise their totals are added.
+    thread owns one set of `arrays` float64 buffers of min(rows, trials) x
+    width, claims the next block from a shared counter (next() on an
+    itertools.count is one C call under the GIL, so no block runs twice)
+    until none is left or a block has failed, and adds each block's fields
+    to its own total when the block ends: no state grows with the blocks.
+    The workers overlap in the Philox fills and element-wise kernels, which
+    release the GIL, and take turns in canonical_values_batch's 2-D
+    in-place np.cumsum, which holds it.  A block reads only its own
+    substreams, and the fields add in any order to the same numbers, so no
+    result depends on which worker ran a block.  The workers are joined,
+    then the first error in block order is raised, and otherwise their
+    totals are added.
     """
-    sizes = [min(rows, trials - done) for done in range(0, trials, rows)]
-    todo = list(reversed(range(len(sizes))))
+    blocks = -(-trials // rows)
+    claims = itertools.count()
     totals: list = []
     errors: dict = {}
 
     def work(*buffers):
         total = None
-        while not errors:
-            try:
-                g = todo.pop()
-            except IndexError:
+        for g in claims:
+            if errors or g >= blocks:
                 break
             try:
-                tally = job(g, sizes[g], *buffers)
+                tally = job(g, min(rows, trials - g * rows), *buffers)
             except BaseException as exc:
                 errors[g] = exc
                 return
@@ -131,8 +132,8 @@ def _block_map(job, trials: int, rows: int, arrays: int, width: int) -> list:
     # the buffers are allocated in this thread: allocated on the workers,
     # they raised walk_mc's peak RSS (BENCH_walk_mc_worker_loop.json)
     threads = [
-        threading.Thread(target=work, args=[np.empty((sizes[0], width)) for _ in range(arrays)], name="relq-block")
-        for _ in range(min(_workers(), len(sizes)))
+        threading.Thread(target=work, args=[np.empty((min(rows, trials), width)) for _ in range(arrays)], name="relq-block")
+        for _ in range(min(_workers(), blocks))
     ]
     try:
         for thread in threads:
@@ -140,7 +141,7 @@ def _block_map(job, trials: int, rows: int, arrays: int, width: int) -> list:
         for thread in threads:
             thread.join()
     finally:
-        todo.clear()  # no block starts once the caller stops waiting
+        blocks = 0  # no block starts once the caller stops waiting
         for thread in threads:
             if thread.is_alive():
                 thread.join()
@@ -175,8 +176,15 @@ class Report:
     provenance: dict = field(default_factory=dict)
 
 
-def _provenance(seed) -> dict:
-    return {"package": "relq", "version": __version__, "seed": seed, "stream_version": STREAM_VERSION}
+def _report(name: str, parameters: dict, records: list[dict], seed) -> Report:
+    """A Report whose columns are the first record's keys, in order, and whose rows are the records' values."""
+    return Report(
+        name=name,
+        parameters=parameters,
+        columns=list(records[0]),
+        rows=[list(record.values()) for record in records],
+        provenance={"package": "relq", "version": __version__, "seed": seed, "stream_version": STREAM_VERSION},
+    )
 
 
 def _binomial_stderr(freq: float, n: int) -> float:
@@ -296,16 +304,11 @@ def mc_sign_change(s: int, trials: int, seed: int, alpha: float = 1.0) -> Report
         ("count_two_plus", two_plus / trials, p3),
         ("half_alternations_three_plus", alt3 / trials, p3),
     ]
-    rows_out = [
-        [name, freq, _binomial_stderr(freq, trials), ref] for name, freq, ref in stats
+    records = [
+        {"statistic": name, "frequency": freq, "stderr": _binomial_stderr(freq, trials), "reference": ref}
+        for name, freq, ref in stats
     ]
-    return Report(
-        name="mc_sign_change",
-        parameters={"s": s, "trials": trials, "alpha": alpha, "seed": seed},
-        columns=["statistic", "frequency", "stderr", "reference"],
-        rows=rows_out,
-        provenance=_provenance(seed),
-    )
+    return _report("mc_sign_change", {"s": s, "trials": trials, "alpha": alpha, "seed": seed}, records, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +345,14 @@ def mc_correlation_gap(theta: float, trials: int, seed: int) -> Report:
         stderr = math.sqrt(var / trials)
     else:
         stderr = float("nan")
-    return Report(
-        name="mc_correlation_gap",
-        parameters={"theta": theta, "trials": trials, "seed": seed},
-        columns=["theta", "trials", "mean_abs_gap", "stderr", "closed_form"],
-        rows=[[theta, trials, mean, stderr, correlation_gap_closed_form(theta)]],
-        provenance=_provenance(seed),
-    )
+    record = {
+        "theta": theta,
+        "trials": trials,
+        "mean_abs_gap": mean,
+        "stderr": stderr,
+        "closed_form": correlation_gap_closed_form(theta),
+    }
+    return _report("mc_correlation_gap", {"theta": theta, "trials": trials, "seed": seed}, [record], seed)
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +407,22 @@ def conjecture_experiment(
     buffers and the s/2 + 1 bins a cell; the mean and stderr are summed
     exactly from the bins.  The construction is audited once per call; if
     the audit fails, every row reads audit_ok False with NaN means and
-    nothing is drawn.  An empty grid neither audits nor draws.
+    nothing is drawn.  An empty grid is refused before the audit and any
+    draw.
     """
     s, trials = _check_int("s", s), _check_int("trials", trials, 1)
     if s < 100 or s % 2:
         raise ValueError(f"s must be even and >= 100, got {s}")
     _check_alpha(alpha)
     thetas = list(theta_grid)
+    if not thetas:
+        raise ValueError("theta_grid must hold at least one angle")
     for theta in thetas:
         if not 0.0 <= theta <= math.pi:
             raise ValueError(f"angles must lie in [0, pi], got {theta}")
     sampler = GaussianSampler(seed)
     half = s // 2
-    # an empty grid has no row to carry the audit's verdict
-    audit_ok = bool(thetas) and _audit_correlated_pair(s)
+    audit_ok = _audit_correlated_pair(s)
     trig = [(math.cos(theta), math.sin(theta)) for theta in thetas]
     r1, r2 = sampler.spawn(0), sampler.spawn(1)
 
@@ -443,30 +449,24 @@ def conjecture_experiment(
         one_i, hists = 0, np.zeros((len(thetas), half + 1), dtype=np.int64)
     # bin d holds the trials whose positions lie d/s of the circle apart
     distances = np.arange(half + 1) / s
-    rows_out = [
-        [theta, math.cos(theta), s, trials, n, n / trials, one_i / trials]
-        + [*_mean_stderr(distances, hist), theta / (2.0 * math.pi), audit_ok]
-        for theta, hist, n in zip(thetas, hists, hists.sum(axis=1).tolist())
-    ]
-    return Report(
-        name="conjecture_experiment",
-        parameters={"s": s, "trials": trials, "alpha": alpha, "seed": seed, "theta_grid": thetas},
-        columns=[
-            "theta",
-            "cos_theta",
-            "s",
-            "trials",
-            "conditioned",
-            "conditioning_rate",
-            "marginal_one_rate",
-            "mean_distance",
-            "stderr",
-            "bound",
-            "audit_ok",
-        ],
-        rows=rows_out,
-        provenance=_provenance(seed),
-    )
+    records = []
+    for theta, hist, n in zip(thetas, hists, hists.sum(axis=1).tolist()):
+        mean, stderr = _mean_stderr(distances, hist)
+        records.append({
+            "theta": theta,
+            "cos_theta": math.cos(theta),
+            "s": s,
+            "trials": trials,
+            "conditioned": n,
+            "conditioning_rate": n / trials,
+            "marginal_one_rate": one_i / trials,
+            "mean_distance": mean,
+            "stderr": stderr,
+            "bound": theta / (2.0 * math.pi),
+            "audit_ok": audit_ok,
+        })
+    parameters = {"s": s, "trials": trials, "alpha": alpha, "seed": seed, "theta_grid": thetas}
+    return _report("conjecture_experiment", parameters, records, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -487,68 +487,34 @@ def end_to_end_ratio(inst: Instance, cfg: ExperimentConfig) -> Report:
     the report carries a sandwich flag: mean <= opt + 3*stderr and
     opt <= relaxation + 1e-3.  Ratios are informational only.
     """
-    sampler = GaussianSampler(cfg.seed)  # first, so a bad seed fails before the solve
+    # first, so that a bad seed or an oversized ell fails before the brute force and the solve
+    sampler = GaussianSampler(cfg.seed)
+    scaled = scale_instance(inst, cfg.ell)
     _, opt = brute_force_optimum(inst)
     opt_f = float(opt)
     sol, solver_report = solve_p_plus(inst)
     sdp_value = solver_report.objective
     sol_p = convert_to_p(sol)
-    scaled = scale_instance(inst, cfg.ell)
     outcome = round_lifted_solution(sol_p, cfg.ell, sampler, cfg.trials, alpha=cfg.alpha)
     # each score / p is correctly rounded, and so are _mean_stderr's sums
     scores, counts = np.unique(score_positions(scaled, outcome.positions), return_counts=True)
     mean, stderr = _mean_stderr(scores / scaled.p, counts)
     slack = 3.0 * stderr if math.isfinite(stderr) else 0.0
     sandwich_ok = bool(mean <= opt_f + slack and opt_f <= sdp_value + _SANDWICH_TOL)
-    row = [
-        inst.p,
-        inst.n,
-        inst.m,
-        cfg.ell,
-        cfg.trials,
-        cfg.alpha,
-        sdp_value,
-        opt_f,
-        mean,
-        stderr,
-        mean / opt_f if opt_f != 0.0 else float("nan"),
-        mean / sdp_value if sdp_value != 0.0 else float("nan"),
-        bool(solver_report.converged),
-        solver_report.max_residual,
-        sandwich_ok,
-    ]
-    return Report(
-        name="end_to_end_ratio",
-        parameters={
-            "p": inst.p,
-            "n": inst.n,
-            "m": inst.m,
-            "ell": cfg.ell,
-            "trials": cfg.trials,
-            "alpha": cfg.alpha,
-            "seed": cfg.seed,
-            "tol": _SANDWICH_TOL,
-        },
-        columns=[
-            "p",
-            "n",
-            "m",
-            "ell",
-            "trials",
-            "alpha",
-            "sdp_value",
-            "brute_optimum",
-            "mean_rounded",
-            "stderr",
-            "ratio_rounded_to_opt",
-            "ratio_rounded_to_sdp",
-            "solver_converged",
-            "solver_max_residual",
-            "sandwich_ok",
-        ],
-        rows=[row],
-        provenance=_provenance(cfg.seed),
-    )
+    setup = {"p": inst.p, "n": inst.n, "m": inst.m, "ell": cfg.ell, "trials": cfg.trials, "alpha": cfg.alpha}
+    record = {
+        **setup,
+        "sdp_value": sdp_value,
+        "brute_optimum": opt_f,
+        "mean_rounded": mean,
+        "stderr": stderr,
+        "ratio_rounded_to_opt": mean / opt_f if opt_f != 0.0 else float("nan"),
+        "ratio_rounded_to_sdp": mean / sdp_value if sdp_value != 0.0 else float("nan"),
+        "solver_converged": bool(solver_report.converged),
+        "solver_max_residual": solver_report.max_residual,
+        "sandwich_ok": sandwich_ok,
+    }
+    return _report("end_to_end_ratio", {**setup, "seed": cfg.seed, "tol": _SANDWICH_TOL}, [record], cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -557,14 +523,11 @@ def end_to_end_ratio(inst: Instance, cfg: ExperimentConfig) -> Report:
 
 def reproduce_constants() -> Report:
     """Computed barrier-crossing constants next to their reference values."""
-    rows = [[e.name, e.kind, e.reference, e.computed, e.delta, e.ok] for e in constants_table()]
-    return Report(
-        name="reproduce_constants",
-        parameters={"tolerance": QUOTED_TOLERANCE},
-        columns=["name", "kind", "reference", "computed", "abs_delta", "ok"],
-        rows=rows,
-        provenance=_provenance(None),
-    )
+    records = [
+        {"name": e.name, "kind": e.kind, "reference": e.reference, "computed": e.computed, "abs_delta": e.delta, "ok": e.ok}
+        for e in constants_table()
+    ]
+    return _report("reproduce_constants", {"tolerance": QUOTED_TOLERANCE}, records, None)
 
 
 def report_gate_ok(report: Report) -> bool:

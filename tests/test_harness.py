@@ -71,6 +71,36 @@ def test_report_csv_round_trip():
     )
 
 
+GAP_PI3_SEED5_SCHEMA = (
+    ["theta", "trials", "mean_abs_gap", "stderr", "closed_form"],
+    {"theta": 1.0471975511965976, "trials": 1000, "seed": 5},
+    """\
+{
+  "columns": [
+    "theta",
+    "trials",
+    "mean_abs_gap",
+    "stderr",
+    "closed_form"
+  ],
+  "name": "mc_correlation_gap",
+  "parameters": {
+    "seed": 5,
+    "theta": 1.0471975511965976,
+    "trials": 1000
+  },
+  "provenance": {
+    "package": "relq",
+    "seed": 5,
+    "stream_version": 6,
+    "version": "%(version)s"
+  },
+  "row_count": 1
+}
+""",
+)
+
+
 def test_write_report_emits_csv_and_json(tmp_path):
     report = mc_correlation_gap(theta=math.pi / 3, trials=1000, seed=5)
     csv_path, json_path = write_report(report, tmp_path / "gap.csv")
@@ -80,6 +110,7 @@ def test_write_report_emits_csv_and_json(tmp_path):
     assert summary["provenance"] == {"package": "relq", "version": __version__, "seed": 5, "stream_version": 6}
     assert summary["row_count"] == 1
     assert csv_path.read_bytes() == format_report_csv(report).encode()
+    _assert_schema(report, GAP_PI3_SEED5_SCHEMA)
 
 
 def test_reports_are_byte_identical_on_rerun(tmp_path):
@@ -154,12 +185,83 @@ SIGN_CHANGE_S200_SEED3 = [
     ["half_alternations_three_plus", 50 / 5000, 0.0014071247279470289, 0.017733913828954728],
 ]
 
+# the report's columns, parameters and JSON summary, pinned like its rows
+SIGN_CHANGE_S200_SEED3_SCHEMA = (
+    ["statistic", "frequency", "stderr", "reference"],
+    {"s": 200, "trials": 5000, "alpha": 1.0, "seed": 3},
+    """\
+{
+  "columns": [
+    "statistic",
+    "frequency",
+    "stderr",
+    "reference"
+  ],
+  "name": "mc_sign_change",
+  "parameters": {
+    "alpha": 1.0,
+    "s": 200,
+    "seed": 3,
+    "trials": 5000
+  },
+  "provenance": {
+    "package": "relq",
+    "seed": 3,
+    "stream_version": 6,
+    "version": "%(version)s"
+  },
+  "row_count": 4
+}
+""",
+)
+
 CONJECTURE_S200_SEED3 = [
     [0.2617993877991494, 0.9659258262890683, 200, 2000, 1847, 0.9235, 0.9495,
      0.04093665403356795, 0.0017118067706392622, 0.041666666666666664, True],
     [0.7853981633974483, 0.7071067811865476, 200, 2000, 1831, 0.9155, 0.9495,
      0.1257181867831786, 0.0028683670786391877, 0.125, True],
 ]
+
+CONJECTURE_S200_SEED3_SCHEMA = (
+    ["theta", "cos_theta", "s", "trials", "conditioned", "conditioning_rate", "marginal_one_rate",
+     "mean_distance", "stderr", "bound", "audit_ok"],
+    {"s": 200, "trials": 2000, "alpha": 1.0, "seed": 3, "theta_grid": [0.2617993877991494, 0.7853981633974483]},
+    """\
+{
+  "columns": [
+    "theta",
+    "cos_theta",
+    "s",
+    "trials",
+    "conditioned",
+    "conditioning_rate",
+    "marginal_one_rate",
+    "mean_distance",
+    "stderr",
+    "bound",
+    "audit_ok"
+  ],
+  "name": "conjecture_experiment",
+  "parameters": {
+    "alpha": 1.0,
+    "s": 200,
+    "seed": 3,
+    "theta_grid": [
+      0.2617993877991494,
+      0.7853981633974483
+    ],
+    "trials": 2000
+  },
+  "provenance": {
+    "package": "relq",
+    "seed": 3,
+    "stream_version": 6,
+    "version": "%(version)s"
+  },
+  "row_count": 2
+}
+""",
+)
 
 # 5000 trials at s = 100 span two blocks (2^18 // 100 = 2621 rows, then 2379)
 CONJECTURE_S100_SEED5 = [
@@ -194,14 +296,24 @@ def _assert_rows_exact(got, want):
             assert repr(g) == repr(w), (got_row, want_row)
 
 
+def _assert_schema(report, pinned, **values):
+    # pinned: the columns, the parameters, and the JSON summary with its
+    # package version (and any other values) left as %-fields
+    columns, parameters, summary = pinned
+    got = (report.columns, report.parameters, format_report_json(report))
+    assert got == (columns, parameters, summary % {"version": __version__, **values})
+
+
 def test_mc_sign_change_rows_pinned():
     report = mc_sign_change(s=200, trials=5000, seed=3)
     _assert_rows_exact(report.rows, SIGN_CHANGE_S200_SEED3)
+    _assert_schema(report, SIGN_CHANGE_S200_SEED3_SCHEMA)
 
 
 def test_conjecture_experiment_rows_pinned():
     report = conjecture_experiment((math.pi / 12, math.pi / 4), s=200, trials=2000, seed=3)
     _assert_rows_exact(report.rows, CONJECTURE_S200_SEED3)
+    _assert_schema(report, CONJECTURE_S200_SEED3_SCHEMA)
 
 
 def test_conjecture_experiment_multi_chunk_rows_pinned():
@@ -297,13 +409,13 @@ def test_conjecture_empty_grid_draws_nothing(monkeypatch):
 
     monkeypatch.setattr(GaussianSampler, "sample", counted_sample)
     monkeypatch.setattr(GaussianSampler, "fill", counted_fill)
-    report = conjecture_experiment((), s=200, trials=1000, seed=3)
-    assert report.rows == []
+    with pytest.raises(ValueError, match="^theta_grid must hold at least one angle$"):
+        conjecture_experiment((), s=200, trials=1000, seed=3)
     assert draws == []
 
 
 def test_conjecture_empty_grid_skips_the_audit(monkeypatch):
-    # an empty grid has no row to report the audit's verdict in
+    # an empty grid has no row to report the audit's verdict in, and is refused first
     built = []
     real = relq.harness.canonical_constellation
 
@@ -312,7 +424,8 @@ def test_conjecture_empty_grid_skips_the_audit(monkeypatch):
         return real(p, labels)
 
     monkeypatch.setattr(relq.harness, "canonical_constellation", counted)
-    assert conjecture_experiment((), s=8000, trials=10, seed=1).rows == []
+    with pytest.raises(ValueError, match="^theta_grid must hold at least one angle$"):
+        conjecture_experiment((), s=8000, trials=10, seed=1)
     assert built == []
     conjecture_experiment((math.pi / 6,), s=200, trials=10, seed=1)
     assert built == [200]
@@ -532,12 +645,63 @@ E2E_ROWS = {
                          0.9467000000000001, 0.841511111143829, True, 1.4580142648767946e-11, True],
 }
 
+# the columns, parameters and JSON summary of those reports, pinned like the
+# rows so that a schema change shows up too
+E2E_COLUMNS = [
+    "p", "n", "m", "ell", "trials", "alpha", "sdp_value", "brute_optimum", "mean_rounded", "stderr",
+    "ratio_rounded_to_opt", "ratio_rounded_to_sdp", "solver_converged", "solver_max_residual", "sandwich_ok",
+]
+
+# with p, n, m, ell and seed left as %-fields
+E2E_SUMMARY = """\
+{
+  "columns": [
+    "p",
+    "n",
+    "m",
+    "ell",
+    "trials",
+    "alpha",
+    "sdp_value",
+    "brute_optimum",
+    "mean_rounded",
+    "stderr",
+    "ratio_rounded_to_opt",
+    "ratio_rounded_to_sdp",
+    "solver_converged",
+    "solver_max_residual",
+    "sandwich_ok"
+  ],
+  "name": "end_to_end_ratio",
+  "parameters": {
+    "alpha": 1.0,
+    "ell": %(ell)d,
+    "m": %(m)d,
+    "n": %(n)d,
+    "p": %(p)d,
+    "seed": %(seed)d,
+    "tol": 0.001,
+    "trials": 2000
+  },
+  "provenance": {
+    "package": "relq",
+    "seed": %(seed)d,
+    "stream_version": 6,
+    "version": "%(version)s"
+  },
+  "row_count": 1
+}
+"""
+
 
 @pytest.mark.parametrize("name,ell,seed", list(E2E_ROWS))
 def test_end_to_end_rows_pinned(name, ell, seed):
     inst = generate_instance(n=4, p=8, m=6, seed=21, planted=True)[0] if name == "planted" else TRIANGLE
     report = end_to_end_ratio(inst, ExperimentConfig(trials=2000, seed=seed, ell=ell))
     _assert_rows_exact(report.rows, [E2E_ROWS[name, ell, seed]])
+    p, n, m = E2E_ROWS[name, ell, seed][:3]
+    parameters = {"p": p, "n": n, "m": m, "ell": ell, "trials": 2000, "alpha": 1.0, "seed": seed, "tol": 0.001}
+    _assert_schema(report, (E2E_COLUMNS, parameters, E2E_SUMMARY), **parameters)
 
 
 def _traced_peak_mb(fn) -> float:
@@ -571,6 +735,20 @@ def test_conjecture_memory_is_flat_in_s_and_trials(monkeypatch):
         assert peak <= 12.0, (s, trials, peak)
 
 
+def test_block_map_memory_is_flat_in_the_trials():
+    # 10^7 trials in blocks of 131 rows, as at s = 2000, are 76,336 blocks: a
+    # list with one entry per block alone would take megabytes.  The fields
+    # count each trial and each block once, whichever worker claimed it
+    totals = []
+
+    def job(g, rows):
+        return rows, 1
+
+    peak = _traced_peak_mb(lambda: totals.append(relq.harness._block_map(job, 10**7, 131, 0, 2000)))
+    assert totals == [[10**7, -(-10**7 // 131)]]
+    assert peak <= 0.1, peak
+
+
 def test_mc_drivers_stay_in_bounded_memory_at_the_worker_cap(monkeypatch):
     # as many CPUs as the cap allows: each worker holds its own buffers
     _cap_workers(monkeypatch, relq.harness._MAX_WORKERS)
@@ -591,6 +769,16 @@ def test_end_to_end_rejects_out_of_range_seeds():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed"):
             end_to_end_ratio(TRIANGLE, ExperimentConfig(trials=4, seed=seed))
+
+
+def test_end_to_end_refuses_an_oversized_ell_before_the_solve(monkeypatch):
+    calls = []
+    for name in ("brute_force_optimum", "solve_p_plus"):
+        real = getattr(relq.harness, name)
+        monkeypatch.setattr(relq.harness, name, lambda inst, name=name, real=real: calls.append(name) or real(inst))
+    with pytest.raises(ValueError, match="^scaled domain 4000000000 exceeds limit 1000000000$"):
+        end_to_end_ratio(TRIANGLE, ExperimentConfig(trials=10, seed=0, ell=10**9))
+    assert calls == []
 
 
 def test_mc_correlation_gap_closed_forms():
@@ -708,6 +896,35 @@ def test_end_to_end_rejects_non_finite_solver_output(bad, monkeypatch):
         end_to_end_ratio(TRIANGLE, ExperimentConfig(trials=4, seed=0))
 
 
+CONSTANTS_SCHEMA = (
+    ["name", "kind", "reference", "computed", "abs_delta", "ok"],
+    {"tolerance": 0.0001},
+    """\
+{
+  "columns": [
+    "name",
+    "kind",
+    "reference",
+    "computed",
+    "abs_delta",
+    "ok"
+  ],
+  "name": "reproduce_constants",
+  "parameters": {
+    "tolerance": 0.0001
+  },
+  "provenance": {
+    "package": "relq",
+    "seed": null,
+    "stream_version": 6,
+    "version": "%(version)s"
+  },
+  "row_count": 14
+}
+""",
+)
+
+
 def test_reproduce_constants_report():
     report = reproduce_constants()
     assert report_gate_ok(report)
@@ -719,6 +936,7 @@ def test_reproduce_constants_report():
     assert bound["kind"] == "bound" and bound["computed"] >= 0.96
     kinds = {c["kind"] for c in cells}
     assert kinds == {"quoted", "bound", "info"}
+    _assert_schema(report, CONSTANTS_SCHEMA)
 
 
 def test_report_gate_logic():
