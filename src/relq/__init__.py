@@ -28,7 +28,6 @@ from relq.harness import (
     write_report,
 )
 from relq.instance import (
-    Assignment,
     Instance,
     brute_force_optimum,
     circular_distance,
@@ -59,7 +58,6 @@ from relq.sdp import (
 __all__ = [
     "__version__",
     # instances
-    "Assignment",
     "Instance",
     "brute_force_optimum",
     "circular_distance",

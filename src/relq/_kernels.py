@@ -31,7 +31,8 @@ entry whose label differs from the previous entry's.
 
 The argument checks the modules share live here too: _check_alpha for a
 crossing threshold, _check_int for an integer argument and its lower
-bound, and _check_word for a seed or stream tag, one Philox word.
+bound, _check_domain for a domain size, a positive even integer, and
+_check_word for a seed or stream tag, one Philox word.
 """
 
 import operator
@@ -54,6 +55,14 @@ def _check_int(name: str, value: int, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
+
+
+def _check_domain(p: int) -> int:
+    """p as a Python int, refused unless it is a positive even integer."""
+    p = _check_int("domain size", p)
+    if p <= 0 or p % 2 != 0:
+        raise ValueError(f"domain size must be a positive even integer, got {p}")
+    return p
 
 
 def _check_word(name: str, value: int) -> int:

@@ -28,7 +28,6 @@ from relq.harness import (
     write_report,
 )
 from relq.instance import (
-    Assignment,
     brute_force_optimum,
     evaluate,
     format_instance,
@@ -92,7 +91,7 @@ def _cmd_gen(args) -> int:
     inst, hidden = generate_instance(n=args.n, p=args.p, m=args.m, seed=args.seed, planted=args.planted)
     text = format_instance(inst)
     if hidden is not None:
-        text += "# planted " + " ".join(str(x) for x in hidden.positions) + "\n"
+        text += "# planted " + " ".join(map(str, hidden)) + "\n"
     if args.out is not None:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")
@@ -103,10 +102,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_brute(args) -> int:
     inst = load_instance(args.instance)
-    asg, value = brute_force_optimum(inst)
+    positions, value = brute_force_optimum(inst)
     print(f"optimum {float(value)!r}")
     print(f"exact {value}")
-    print("positions " + " ".join(str(x) for x in asg.positions))
+    print("positions " + " ".join(map(str, positions)))
     return 0
 
 
@@ -139,7 +138,7 @@ def _cmd_round(args) -> int:
     scaled = scale_instance(inst, args.ell)  # checks ell against DOMAIN_LIMIT before any lifting
     outcome = round_lifted_solution(sol, args.ell, GaussianSampler(args.seed), 1, alpha=args.alpha)
     positions = outcome.positions[0].tolist()
-    value = evaluate(scaled, Assignment(positions=positions))
+    value = evaluate(scaled, positions)
     print(f"value {float(value)!r}")
     print("positions " + " ".join(map(str, positions)))
     print("statuses " + " ".join(outcome.statuses))

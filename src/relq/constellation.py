@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from relq._kernels import _check_domain, _check_int
+
 
 @dataclass
 class SdpSolutionP:
@@ -34,9 +36,8 @@ class SdpSolutionP:
     v: np.ndarray
 
     def __post_init__(self):
+        self.p, self.n, self.dim = _check_domain(self.p), _check_int("n", self.n, 1), _check_int("dim", self.dim, 1)
         self.v = np.asarray(self.v, dtype=np.float64)
-        if self.n < 1:
-            raise ValueError(f"need at least one variable, got {self.n}")
         if self.v.shape != (self.n, self.p, self.dim):
             raise ValueError(f"expected array of shape ({self.n}, {self.p}, {self.dim})")
 
@@ -56,8 +57,7 @@ def canonical_constellation(p: int, labels=None) -> np.ndarray:
     Row k has its first k mod p/2 entries negative and the rest positive,
     negated when k >= p/2, so a subset of labels costs only its own rows.
     """
-    if p <= 0 or p % 2 != 0:
-        raise ValueError(f"domain size must be a positive even integer, got {p}")
+    p = _check_domain(p)
     half = p // 2
     k = np.arange(p) if labels is None else np.asarray(labels, dtype=np.int64)
     if k.size and not (0 <= k.min() and k.max() < p):

@@ -1,22 +1,23 @@
 """Problem model for systems of difference equations on a cycle.
 
 An instance over an even domain size p is a list of equations (i, j, d)
-asking for x_j - x_i = d (mod p).  An assignment places every variable at
-an integer position in [0, p); each equation contributes 1 - 2*y/p to the
-objective, where y is the circular distance between the achieved
-difference and d.  Objective values are kept as exact fractions with
+asking for x_j - x_i = d (mod p).  An assignment, a list of ints, places
+every variable at an integer position in [0, p); each equation contributes
+1 - 2*y/p to the objective, where y is the circular distance between the
+achieved difference and d.  Objective values are kept as exact fractions with
 denominator p, so shift and scaling identities hold exactly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from relq._kernels import _check_int, _check_word
+from relq._kernels import _check_domain, _check_int, _check_word
 
 # enumeration budget for the exhaustive solver and domain-size guard for scaling
 BRUTE_FORCE_LIMIT = 10**8
@@ -29,8 +30,7 @@ FORMAT_VERSION = 1
 
 def circular_distance(a: int, b: int, p: int) -> int:
     """Arc distance min((b - a) mod p, (a - b) mod p) on the p-cycle."""
-    if p <= 0 or p % 2 != 0:
-        raise ValueError(f"domain size must be a positive even integer, got {p}")
+    p, a, b = _check_domain(p), _check_int("label", a), _check_int("label", b)
     if not (0 <= a < p and 0 <= b < p):
         raise ValueError(f"labels {a}, {b} outside [0, {p})")
     d = (b - a) % p
@@ -46,13 +46,9 @@ class Instance:
     equations: list[tuple[int, int, int]]
 
     def __post_init__(self):
-        self.p = _check_int("domain size", self.p)
-        self.n = _check_int("variable count", self.n)
+        self.p = _check_domain(self.p)
+        self.n = _check_int("variable count", self.n, 1)
         self.equations = [tuple(_check_int("equation entry", x) for x in eq) for eq in self.equations]
-        if self.p <= 0 or self.p % 2 != 0:
-            raise ValueError(f"domain size must be a positive even integer, got {self.p}")
-        if self.n < 1:
-            raise ValueError(f"need at least one variable, got {self.n}")
         for i, j, d in self.equations:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"equation ({i}, {j}, {d}) references a missing variable")
@@ -66,29 +62,21 @@ class Instance:
         return len(self.equations)
 
 
-@dataclass
-class Assignment:
-    """Integer positions, one per variable, each in [0, p)."""
-
-    positions: list[int]
-
-    def __post_init__(self):
-        self.positions = [_check_int("position", x) for x in self.positions]
-
-
-def evaluate(inst: Instance, asg: Assignment) -> Fraction:
-    """Exact objective of an assignment: each equation yields 1 - 2*y/p with y its circular slack.
+def evaluate(inst: Instance, positions: Sequence[int]) -> Fraction:
+    """Exact objective of positions, any sequence of one integer in [0, p) per variable (a float,
+    even 4.0, is refused): each equation yields 1 - 2*y/p with y its circular slack.
 
     A scalar loop kept apart from score_positions, so that each checks the other.
     """
-    if len(asg.positions) != inst.n:
-        raise ValueError(f"expected {inst.n} positions, got {len(asg.positions)}")
-    for x in asg.positions:
+    positions = [_check_int("position", x) for x in positions]
+    if len(positions) != inst.n:
+        raise ValueError(f"expected {inst.n} positions, got {len(positions)}")
+    for x in positions:
         if not (0 <= x < inst.p):
             raise ValueError(f"position {x} outside [0, {inst.p})")
     total = Fraction(0)
     for i, j, d in inst.equations:
-        delta = (asg.positions[j] - asg.positions[i] - d) % inst.p
+        delta = (positions[j] - positions[i] - d) % inst.p
         y = min(delta, inst.p - delta)
         total += Fraction(inst.p - 2 * y, inst.p)
     return total
@@ -120,8 +108,9 @@ def score_positions(inst: Instance, positions: np.ndarray) -> np.ndarray:
     return score
 
 
-def brute_force_optimum(inst: Instance) -> tuple[Assignment, Fraction]:
-    """Exhaustive optimum over p^(n-1) assignments with the first variable pinned at 0.
+def brute_force_optimum(inst: Instance) -> tuple[list[int], Fraction]:
+    """Exhaustive optimum over p^(n-1) assignments with the first variable pinned at 0:
+    the maximizing positions as a list of ints, and the optimum value.
 
     Deterministic tie-break: the first maximizer in mixed-radix order.  Raises
     if the enumeration exceeds the budget.
@@ -138,8 +127,7 @@ def brute_force_optimum(inst: Instance) -> tuple[Assignment, Fraction]:
         if scores[k] > best_score:
             best_score = int(scores[k])
             best_state = int(states[k])
-    positions = _decode_states(inst, np.array([best_state]))[0]
-    return Assignment(positions), Fraction(best_score, inst.p)
+    return _decode_states(inst, np.array([best_state]))[0].tolist(), Fraction(best_score, inst.p)
 
 
 def scale_instance(inst: Instance, ell: int) -> Instance:
@@ -157,22 +145,15 @@ def scale_instance(inst: Instance, ell: int) -> Instance:
 
 def generate_instance(
     n: int, p: int, m: int, seed: int, planted: bool = False
-) -> tuple[Instance, Assignment | None]:
+) -> tuple[Instance, list[int] | None]:
     """Random instance with m equations over random distinct pairs.
 
-    With planted=True the targets are consistent with a hidden assignment,
-    which then scores exactly m.  Deterministic per seed.
+    With planted=True the targets are consistent with hidden positions, returned
+    as a list of ints (None otherwise), which then score exactly m.  Deterministic per seed.
     """
-    n, p, m = _check_int("n", n), _check_int("p", p), _check_int("m", m)
-    if n < 2:
-        raise ValueError(f"need at least two variables, got {n}")
-    if p <= 0 or p % 2 != 0:
-        raise ValueError(f"domain size must be a positive even integer, got {p}")
-    if m < 0:
-        raise ValueError(f"equation count must be >= 0, got {m}")
+    n, p, m = _check_int("n", n, 2), _check_domain(_check_int("p", p)), _check_int("m", m, 0)
     seed = _check_word("seed", seed)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xB5], dtype=np.uint64)))
-    hidden = None
     positions = rng.integers(0, p, size=n) if planted else None
     equations = []
     for _ in range(m):
@@ -185,10 +166,7 @@ def generate_instance(
         else:
             d = int(rng.integers(0, p))
         equations.append((i, j, d))
-    inst = Instance(p=p, n=n, equations=equations)
-    if planted:
-        hidden = Assignment([int(x) for x in positions])
-    return inst, hidden
+    return Instance(p=p, n=n, equations=equations), positions.tolist() if planted else None
 
 
 def format_instance(inst: Instance) -> str:

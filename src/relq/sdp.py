@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from relq._kernels import _check_int
+from relq._kernels import _check_domain, _check_int
 from relq.constellation import (
     SdpSolutionP,
     _reduce_gram_rows,
@@ -60,7 +60,7 @@ RANK_CUTOFF = 1e-7
 
 @dataclass
 class SdpSolutionPPlus:
-    """Assignment vectors: u[i, h] is variable i's vector for label h."""
+    """Vectors of the assignment form: u[i, h] is variable i's vector for label h."""
 
     p: int
     n: int
@@ -68,9 +68,8 @@ class SdpSolutionPPlus:
     u: np.ndarray
 
     def __post_init__(self):
+        self.p, self.n, self.dim = _check_domain(self.p), _check_int("n", self.n, 1), _check_int("dim", self.dim, 1)
         self.u = np.asarray(self.u, dtype=np.float64)
-        if self.n < 1:
-            raise ValueError(f"need at least one variable, got {self.n}")
         if self.u.shape != (self.n, self.p, self.dim):
             raise ValueError(f"expected array of shape ({self.n}, {self.p}, {self.dim})")
 

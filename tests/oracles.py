@@ -33,7 +33,7 @@ import numpy as np
 
 from relq._kernels import _check_word
 from relq.constellation import SdpSolutionP, _variable_difference_steps
-from relq.instance import Assignment, Instance
+from relq.instance import Instance
 from relq.sdp import SdpSolutionPPlus, _check_instance
 
 
@@ -73,18 +73,18 @@ def lift_solution(sol: SdpSolutionP, ell: int) -> SdpSolutionP:
     return SdpSolutionP(p=s, n=n, dim=new_dim, v=out)
 
 
-def integral_embedding(inst: Instance, asg: Assignment) -> SdpSolutionPPlus:
+def integral_embedding(inst: Instance, positions: list[int]) -> SdpSolutionPPlus:
     """Embed an integer assignment: u_ih = e_{(x_i - h) mod p} / sqrt(p).
 
     The (x_i - h) direction makes u_i0 . u_jk select exactly k = x_j - x_i,
     so the relaxation objective equals the assignment's score.
     """
-    if len(asg.positions) != inst.n:
-        raise ValueError(f"expected {inst.n} positions, got {len(asg.positions)}")
+    if len(positions) != inst.n:
+        raise ValueError(f"expected {inst.n} positions, got {len(positions)}")
     p, n = inst.p, inst.n
     u = np.zeros((n, p, p))
     c = 1.0 / np.sqrt(p)
-    for i, x in enumerate(asg.positions):
+    for i, x in enumerate(positions):
         if not (0 <= x < p):
             raise ValueError(f"position {x} outside [0, {p})")
         for h in range(p):

@@ -17,7 +17,6 @@ from relq.cli import main as cli_main
 from relq.constellation import canonical_constellation, solution_residuals, target_gram
 from relq.harness import conjecture_experiment, mc_correlation_gap, mc_sign_change
 from relq.instance import (
-    Assignment,
     Instance,
     brute_force_optimum,
     evaluate,
@@ -99,7 +98,7 @@ def test_criterion_05_integral_embedding_consistency(capfd):
         p = int(rng.choice([4, 8]))
         m = int(rng.integers(1, 9))
         inst, _ = generate_instance(n=n, p=p, m=m, seed=1000 + k)
-        asg = Assignment(positions=[int(x) for x in rng.integers(0, p, size=n)])
+        asg = [int(x) for x in rng.integers(0, p, size=n)]
         exact = float(evaluate(inst, asg))
         sol = integral_embedding(inst, asg)
         worst_embed = max(worst_embed, abs(objective_p_plus(sol, inst) - exact))
@@ -143,7 +142,7 @@ def test_criterion_06_solver_beats_brute_force(capfd):
 
 def test_criterion_07_lifting_fidelity(capfd):
     inst, _ = generate_instance(n=3, p=8, m=5, seed=77)
-    asg = Assignment(positions=[1, 4, 6])
+    asg = [1, 4, 6]
     base = convert_to_p(integral_embedding(inst, asg))
     base_obj = objective_p(base, inst)
     worst = 0.0

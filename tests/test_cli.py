@@ -310,6 +310,16 @@ def test_constants_check_and_gate_wiring(capsys, monkeypatch):
     assert "FAILED" in capsys.readouterr().err
 
 
+def test_e2e_gate_failure_exits_2(triangle_file, capsys, monkeypatch):
+    # no ratio passes a negative tolerance, so the gate must fail and say so
+    monkeypatch.setattr("relq.harness._SANDWICH_TOL", -1.0)
+    assert main(["e2e", str(triangle_file), "--trials", "50", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "sandwich gate FAILED\n"
+    header, row = captured.out.splitlines()[-2:]
+    assert dict(zip(header.split(","), row.split(",")))["sandwich_ok"] == "False"
+
+
 def test_report_subcommands_write_identical_files_on_rerun(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["mc-signchange", "--s", "200", "--trials", "2000", "--seed", "6"]

@@ -78,6 +78,8 @@ def test_canonical_rejects_bad_p():
         canonical_constellation(7)
     with pytest.raises(ValueError):
         canonical_constellation(0)
+    with pytest.raises(ValueError, match=r"^domain size must be an integer, got 8\.0$"):
+        canonical_constellation(8.0)
     for labels in ([0, 8], [-1]):
         with pytest.raises(ValueError, match="labels"):
             canonical_constellation(8, labels)

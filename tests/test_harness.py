@@ -793,6 +793,10 @@ def test_mc_correlation_gap_closed_forms():
         cell = _cells(report)[0]
         rel = abs(cell["mean_abs_gap"] - cell["closed_form"]) / cell["closed_form"]
         assert rel <= 0.01
+    # one trial has a mean but no spread to estimate its error from
+    cell = _cells(mc_correlation_gap(theta=1.0, trials=1, seed=3))[0]
+    assert cell["trials"] == 1 and math.isfinite(cell["mean_abs_gap"]) and cell["mean_abs_gap"] >= 0.0
+    assert math.isnan(cell["stderr"])
     with pytest.raises(ValueError):
         mc_correlation_gap(theta=-0.1, trials=10, seed=0)
     with pytest.raises(ValueError):

@@ -180,7 +180,7 @@ def test_all_lists_exactly_the_imported_names():
     assert len(relq.__all__) == len(set(relq.__all__))
     assert [name for name in relq.__all__ if not hasattr(relq, name)] == []
     imported = _init_imports()
-    assert len(imported) == len(set(imported)) == 41  # __all__ is these and __version__
+    assert len(imported) == len(set(imported)) == 40  # __all__ is these and __version__
     assert set(imported) == set(relq.__all__) - {"__version__"}
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from relq.instance import (
-    Assignment,
     Instance,
     brute_force_optimum,
     circular_distance,
@@ -23,7 +22,7 @@ def reference_optimum(inst):
     """Independent exhaustive oracle: pure-python enumeration over all p^n assignments."""
     best = Fraction(-1)
     for pos in itertools.product(range(inst.p), repeat=inst.n):
-        val = evaluate(inst, Assignment(list(pos)))
+        val = evaluate(inst, list(pos))
         if val > best:
             best = val
     return best
@@ -59,22 +58,26 @@ class TestCircularDistance:
             assert circular_distance((a + t) % p, (b + t) % p, p) == circular_distance(a, b, p)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            circular_distance(0, 1, 7)
-        with pytest.raises(ValueError):
-            circular_distance(8, 0, 8)
-        with pytest.raises(ValueError):
-            circular_distance(0, -1, 8)
+        for args, message in (
+            ((0, 1, 7), r"^domain size must be a positive even integer, got 7$"),
+            ((0, 1, 0), r"^domain size must be a positive even integer, got 0$"),
+            ((0, 1, 8.0), r"^domain size must be an integer, got 8\.0$"),
+            ((8, 0, 8), r"^labels 8, 0 outside \[0, 8\)$"),
+            ((0, -1, 8), r"^labels 0, -1 outside \[0, 8\)$"),
+            ((0, 1.0, 8), r"^label must be an integer, got 1\.0$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                circular_distance(*args)
 
 
 class TestEvaluate:
     def test_satisfied_equation_scores_one(self):
         inst = Instance(p=8, n=2, equations=[(0, 1, 3)])
-        assert evaluate(inst, Assignment([1, 4])) == Fraction(1)
+        assert evaluate(inst, [1, 4]) == Fraction(1)
 
     def test_antipodal_slack_scores_zero(self):
         inst = Instance(p=8, n=2, equations=[(0, 1, 0)])
-        assert evaluate(inst, Assignment([0, 4])) == Fraction(0)
+        assert evaluate(inst, [0, 4]) == Fraction(0)
 
     def test_every_slack_gives_its_term(self):
         # one equation, either direction: the total is the term 1 - 2*y/p of its slack y
@@ -83,7 +86,7 @@ class TestEvaluate:
                 for i, j in ((0, 1), (1, 0)):
                     pos = [x0, x1]
                     y = circular_distance((pos[i] + d) % p, pos[j], p)
-                    total = evaluate(Instance(p=p, n=2, equations=[(i, j, d)]), Assignment(pos))
+                    total = evaluate(Instance(p=p, n=2, equations=[(i, j, d)]), pos)
                     assert isinstance(total, Fraction)
                     assert total == Fraction(p - 2 * y, p)
 
@@ -94,7 +97,7 @@ class TestEvaluate:
             p = 2 * random.randint(1, 12)
             n = random.randint(2, 5)
             inst, _ = generate_instance(n, p, random.randint(1, 8), seed=random.randrange(10**6))
-            asg = Assignment([random.randrange(p) for _ in range(n)])
+            asg = [random.randrange(p) for _ in range(n)]
             terms = [evaluate(Instance(p=p, n=n, equations=[eq]), asg) for eq in inst.equations]
             assert all(0 <= t <= 1 for t in terms)
             assert evaluate(inst, asg) == sum(terms)
@@ -108,7 +111,7 @@ class TestEvaluate:
             pos = [random.randrange(p) for _ in range(n)]
             t = random.randrange(p)
             shifted = [(x + t) % p for x in pos]
-            assert evaluate(inst, Assignment(pos)) == evaluate(inst, Assignment(shifted))
+            assert evaluate(inst, pos) == evaluate(inst, shifted)
 
     def test_batch_scores_match_exact_totals(self):
         random.seed(14)
@@ -120,20 +123,20 @@ class TestEvaluate:
             scores = score_positions(inst, rows)
             assert scores.dtype == np.int64 and scores.shape == (20,)
             for row, score in zip(rows.tolist(), scores.tolist()):
-                total = evaluate(inst, Assignment(row))
+                total = evaluate(inst, row)
                 assert Fraction(score, p) == total
                 assert score / p == float(total)  # the float e2e averages
 
     def test_rejects_mismatch(self):
         inst = Instance(p=4, n=2, equations=[(0, 1, 1)])
         with pytest.raises(ValueError):
-            evaluate(inst, Assignment([0]))
+            evaluate(inst, [0])
         with pytest.raises(ValueError):
-            evaluate(inst, Assignment([0, 4]))
+            evaluate(inst, [0, 4])
         # a float position is refused, not truncated
         for x in (1.5, 4.0):
             with pytest.raises(ValueError, match="position must be an integer"):
-                Assignment([0, x])
+                evaluate(inst, [0, x])
 
 
 class TestInstance:
@@ -148,7 +151,7 @@ class TestInstance:
         as_numpy = Instance(p=np.int64(4), n=np.int64(3), equations=[tuple(np.array([0, 1, 2])), np.array([1, 2, 3])])
         assert repr(as_numpy) == repr(inst)
         assert format_instance(as_numpy) == format_instance(inst)
-        assert repr(Assignment(np.array([3, 0]))) == repr(Assignment([3, 0]))
+        assert evaluate(inst, np.array([2, 0, 1])) == evaluate(inst, [2, 0, 1])
 
 
 class TestBruteForce:
@@ -185,7 +188,7 @@ class TestBruteForce:
     def test_first_variable_pinned(self):
         inst, _ = generate_instance(3, 8, 5, seed=42)
         asg, _ = brute_force_optimum(inst)
-        assert asg.positions[0] == 0
+        assert asg[0] == 0
 
 
 class TestScale:
@@ -198,8 +201,8 @@ class TestScale:
             inst, _ = generate_instance(n, p, 5, seed=random.randrange(10**6))
             scaled = scale_instance(inst, ell)
             pos = [random.randrange(p) for _ in range(n)]
-            v1 = evaluate(inst, Assignment(pos))
-            v2 = evaluate(scaled, Assignment([ell * x for x in pos]))
+            v1 = evaluate(inst, pos)
+            v2 = evaluate(scaled, [ell * x for x in pos])
             assert v1 == v2
 
     def test_optimum_preserved(self):
@@ -237,7 +240,7 @@ class TestGenerate:
             assert all(i != j for i, j, _ in inst.equations)
 
     def test_rejects_single_variable(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n must be >= 2, got 1$"):
             generate_instance(1, 4, 1, seed=0)
 
     def test_rejects_out_of_range_seeds(self):
@@ -267,7 +270,7 @@ class TestGenerate:
         assert format_instance(a[0]) == format_instance(b[0])
 
     def test_rejects_negative_equation_count(self):
-        with pytest.raises(ValueError, match="equation count"):
+        with pytest.raises(ValueError, match=r"^m must be >= 0, got -1$"):
             generate_instance(3, 4, -1, seed=0)
         inst, _ = generate_instance(3, 4, 0, seed=0)
         assert inst.m == 0
@@ -287,17 +290,27 @@ class TestTextFormat:
         assert inst == Instance(p=4, n=2, equations=[(0, 1, 3)])
 
     def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            parse_instance("relq 2\n4 2 0\n")
-        with pytest.raises(ValueError):
-            parse_instance("")
+        for text, message in (
+            ("relq 2\n4 2 0\n", r"^bad header 'relq 2', expected 'relq 1'$"),
+            ("", r"^empty instance text$"),
+            ("relq 1\n", r"^missing size line$"),
+            ("relq 1\n4 2\n", r"^bad size line '4 2'$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                parse_instance(text)
 
     def test_wrong_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^expected 2 equations, found 1$"):
             parse_instance("relq 1\n4 2 2\n0 1 3\n")
 
     def test_invalid_equation_rejected(self):
-        with pytest.raises(ValueError):
-            parse_instance("relq 1\n4 2 1\n0 0 1\n")
-        with pytest.raises(ValueError):
-            parse_instance("relq 1\n3 2 1\n0 1 1\n")
+        for text, message in (
+            ("relq 1\n4 2 1\n0 0 1\n", r"^equation \(0, 0, 1\) relates a variable to itself$"),
+            ("relq 1\n3 2 1\n0 1 1\n", r"^domain size must be a positive even integer, got 3$"),
+            ("relq 1\n4 0 0\n", r"^variable count must be >= 1, got 0$"),
+            ("relq 1\n4 2 1\n0 2 1\n", r"^equation \(0, 2, 1\) references a missing variable$"),
+            ("relq 1\n4 2 1\n0 1 4\n", r"^target difference 4 outside \[0, 4\)$"),
+            ("relq 1\n4 2 1\n0 1\n", r"^bad equation line '0 1'$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                parse_instance(text)

@@ -13,7 +13,7 @@ import relq.sdp
 from oracles import discretization_margin_check, integral_embedding, lift_solution
 from relq._kernels import canonical_values_batch, trace_stats_batch
 from relq.constellation import SdpSolutionP, _variable_difference_steps, canonical_constellation
-from relq.instance import Assignment, Instance, generate_instance, scale_instance
+from relq.instance import Instance, generate_instance, scale_instance
 from relq.rounding import (
     _SAMPLER_DOMAIN,
     MANY_CROSSINGS,
@@ -418,7 +418,7 @@ def _round_lifted_oracle(sol, ell, name, trials, alpha=1.0):
 
 def _integral_p_solution(p, positions):
     inst = Instance(p=p, n=len(positions), equations=[(0, 1, 0)])
-    return convert_to_p(integral_embedding(inst, Assignment(positions=positions)))
+    return convert_to_p(integral_embedding(inst, positions))
 
 
 def _rotated_pair(p, theta):

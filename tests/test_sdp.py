@@ -9,7 +9,7 @@ import pytest
 import relq.sdp
 from oracles import integral_embedding, lift_solution, objective_p
 from relq.constellation import SdpSolutionP, _shift_columns, _transpose_classes, solution_residuals, target_gram
-from relq.instance import Assignment, Instance, brute_force_optimum, circular_distance, evaluate, generate_instance
+from relq.instance import Instance, brute_force_optimum, circular_distance, evaluate, generate_instance
 from relq.sdp import (
     _class_layout,
     _class_weights,
@@ -43,7 +43,7 @@ def _random_cases(count):
         p = int(rng.choice([2, 4, 6, 8]))
         m = int(rng.integers(1, 9))
         inst, _ = generate_instance(n=n, p=p, m=m, seed=1000 + trial)
-        asg = Assignment(positions=[int(x) for x in rng.integers(0, p, size=n)])
+        asg = [int(x) for x in rng.integers(0, p, size=n)]
         yield inst, asg
 
 
@@ -78,15 +78,49 @@ def test_conversion_of_embedding_is_feasible_constellation():
 def test_embedding_rejects_bad_positions():
     inst = Instance(p=4, n=2, equations=[(0, 1, 1)])
     with pytest.raises(ValueError):
-        integral_embedding(inst, Assignment(positions=[0, 4]))
+        integral_embedding(inst, [0, 4])
     with pytest.raises(ValueError):
-        integral_embedding(inst, Assignment(positions=[0]))
+        integral_embedding(inst, [0])
+
+
+@pytest.mark.parametrize("cls", [SdpSolutionP, SdpSolutionPPlus])
+@pytest.mark.parametrize(
+    "sizes, shape, message",
+    [
+        ((3, 2, 3), (2, 3, 3), r"^domain size must be a positive even integer, got 3$"),
+        ((0, 2, 3), (2, 0, 3), r"^domain size must be a positive even integer, got 0$"),
+        ((4.0, 2, 3), (2, 4, 3), r"^domain size must be an integer, got 4\.0$"),
+        ((4, 0, 3), (0, 4, 3), r"^n must be >= 1, got 0$"),
+        ((4, 2.0, 3), (2, 4, 3), r"^n must be an integer, got 2\.0$"),
+        ((4, 2, 0), (2, 4, 0), r"^dim must be >= 1, got 0$"),
+        ((4, 2, 3), (2, 4, 2), r"^expected array of shape \(2, 4, 3\)$"),
+    ],
+)
+def test_vector_solutions_refuse_bad_sizes(cls, sizes, shape, message):
+    p, n, dim = sizes
+    with pytest.raises(ValueError, match=message):
+        cls(p, n, dim, np.zeros(shape))
+
+
+def test_odd_domain_family_is_refused_before_rounding():
+    # three labels meet the Gram law exactly (pairwise -1/3), but an odd p has
+    # no antipodes, and rounding such a family puts every position in [0, 2)
+    v = np.linalg.cholesky(target_gram(3))
+    np.testing.assert_allclose(v @ v.T, target_gram(3), atol=1e-15)
+    with pytest.raises(ValueError, match=r"^domain size must be a positive even integer, got 3$"):
+        SdpSolutionP(p=3, n=1, dim=3, v=v[None])
+
+
+def test_float_domain_is_refused_before_formatting():
+    # unrefused, format_solution would fail later with a TypeError from range(4.0)
+    with pytest.raises(ValueError, match=r"^domain size must be an integer, got 4\.0$"):
+        format_solution(SdpSolutionPPlus(p=4.0, n=1, dim=1, u=np.zeros((1, 4, 1))))
 
 
 def test_objective_rejects_mismatched_instance():
     inst = Instance(p=4, n=2, equations=[(0, 1, 1)])
     other = Instance(p=8, n=2, equations=[(0, 1, 1)])
-    sol = integral_embedding(inst, Assignment(positions=[0, 1]))
+    sol = integral_embedding(inst, [0, 1])
     with pytest.raises(ValueError):
         objective_p_plus(sol, other)
 
@@ -590,7 +624,7 @@ def test_solver_size_guard():
 
 def test_feasibility_flags_violations():
     inst = Instance(p=4, n=2, equations=[(0, 1, 1)])
-    sol = integral_embedding(inst, Assignment(positions=[0, 2]))
+    sol = integral_embedding(inst, [0, 2])
     sol.u[0, 0] *= 1.5
     rep = feasibility_report(sol, inst)
     assert rep.residuals["norm"] > 0.1
@@ -655,7 +689,7 @@ def test_residual_pass_matches_oracle_on_integral_embeddings():
 def test_residual_pass_propagates_a_nan_row():
     # the per-pair loops took Python max(0.0, nan) == 0.0 and read finite
     inst = Instance(p=4, n=3, equations=[(0, 1, 1)])
-    sol = integral_embedding(inst, Assignment(positions=[0, 1, 3]))
+    sol = integral_embedding(inst, [0, 1, 3])
     vsol = convert_to_p(sol)
     sol.u[1, 2, 0] = np.nan
     vsol.v[1, 2, 0] = np.nan
@@ -674,7 +708,7 @@ def test_non_finite_coordinate_gives_non_finite_max_residual(bad):
     sol, _ = solve_p_plus(inst, max_iterations=50)
     sol.u[2, 5, 1] = bad
     assert not np.isfinite(feasibility_report(sol, inst).max_residual)
-    vsol = convert_to_p(integral_embedding(inst, Assignment(positions=[1, 2, 3])))
+    vsol = convert_to_p(integral_embedding(inst, [1, 2, 3]))
     vsol.v[0, 3, 2] = bad
     assert not np.isfinite(_max_residual(solution_residuals(vsol)))
 
@@ -709,7 +743,7 @@ def test_solution_roundtrip_pplus(tmp_path):
 def test_solution_files_hold_assignment_vectors_only():
     # relq round converts what relq solve writes; the constellation form stays in memory
     inst = Instance(p=4, n=2, equations=[(0, 1, 1)])
-    vsol = convert_to_p(integral_embedding(inst, Assignment(positions=[1, 3])))
+    vsol = convert_to_p(integral_embedding(inst, [1, 3]))
     with pytest.raises(TypeError, match="SdpSolutionP"):
         format_solution(vsol)
     with pytest.raises(ValueError, match="^unknown solution kind 'p', expected 'pplus'$"):
@@ -718,7 +752,7 @@ def test_solution_files_hold_assignment_vectors_only():
 
 def test_solution_text_is_stable():
     inst = Instance(p=2, n=2, equations=[(0, 1, 1)])
-    sol = integral_embedding(inst, Assignment(positions=[0, 1]))
+    sol = integral_embedding(inst, [0, 1])
     assert format_solution(sol) == format_solution(sol)
     text = format_solution(sol)
     assert text.splitlines()[0] == "relqsol 1"
