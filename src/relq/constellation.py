@@ -56,10 +56,13 @@ def canonical_constellation(p: int, labels=None) -> np.ndarray:
 
     Row k has its first k mod p/2 entries negative and the rest positive,
     negated when k >= p/2, so a subset of labels costs only its own rows.
+    Each label must be an integer in [0, p); a float, even 1.0, is refused.
     """
     p = _check_domain(p)
     half = p // 2
-    k = np.arange(p) if labels is None else np.asarray(labels, dtype=np.int64)
+    k = np.arange(p)
+    if labels is not None:
+        k = np.array([_check_int(f"labels[{a}]", x) for a, x in enumerate(labels)], dtype=np.int64)
     if k.size and not (0 <= k.min() and k.max() < p):
         raise ValueError(f"labels must lie in [0, {p}), got {k.min()} to {k.max()}")
     c = np.sqrt(2.0 / p)

@@ -44,6 +44,13 @@ same additions in the same order, so the same bits, and faster on
 round_e2e's blocks (BENCH_round_e2e_column_scan.json).  Each add has a
 fixed cost, so a block of fewer walks, such as ell = 1000 (two trials a
 block) or one trial, keeps the cumsum along each walk.
+
+One workspace per call: every block's normals, products, prefix sums and
+walks are views of one np.empty.  glibc raises its mmap threshold to the
+largest mapped chunk freed and trims the heap top only above twice that,
+so one allocation sets both from its own size and stays resident, where
+separate buffers freed together trimmed the heap and the next call faulted
+them back in (BENCH_round_e2e_workspace.json).
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from relq._kernels import _check_alpha, _check_int, _check_word, _half_walks, _labels, trace_stats_batch
 from relq.constellation import SdpSolutionP, _variable_difference_steps, solution_residuals
@@ -61,8 +69,9 @@ MANY_CROSSINGS = "ManyCrossings"
 _STATUS_BY_COUNT = (NO_CROSSING, ONE_CROSSING, MANY_CROSSINGS)  # indexed by min(count, 2)
 
 # walk values plus normals per block of trials in round_lifted_solution:
-# 682 trials at n = 4, p = 8, ell = 4.  2**18 would lift a 2000-trial
-# ell = 4 e2e over test_end_to_end_rounds_in_bounded_memory's 4 MB bound
+# 682 trials at n = 4, p = 8, ell = 4, a 1.2 MB workspace with the three
+# walk-sized regions.  2**18 would lift a 2000-trial ell = 4 e2e to a
+# 4.9 MB traced peak, over test_end_to_end_rounds_in_bounded_memory's 4 MB
 _BLOCK_VALUES = 1 << 16
 # blocks of at least this many walks sum their prefixes by _column_scan;
 # the scan overtook the cumsum between 64 and 260 walks, later as ell grows
@@ -204,7 +213,7 @@ def _column_scan(sub_steps: np.ndarray, prefix: np.ndarray) -> None:
 
 
 def _lifted_prefix(
-    sol: SdpSolutionP, steps: np.ndarray, ell: int, normals: np.ndarray, out: np.ndarray | None = None
+    sol: SdpSolutionP, steps: np.ndarray, ell: int, normals: np.ndarray, sub: np.ndarray, prefix: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Anchors (trials, n) and step prefix sums (trials, n, ell*p/2) of the lifted walks.
 
@@ -214,26 +223,27 @@ def _lifted_prefix(
     and every anchor one dot product, as for a single trial, so a block of
     trials gives bit for bit the values of its trials taken one at a time.
 
-    A block of at least _COLUMN_SCAN_WALKS walks is summed sub-step-major
-    by _column_scan, one vector add per sub-step over every walk, into a
-    (ell*p/2, trials, n) array, and prefix is its transposed view; that
-    array is the leading part of the float64 vector out, or new when out
-    is None.  A block of fewer walks is summed by one np.cumsum along each
-    walk.  Both branches make the same additions in the same order, so
-    the bits do not depend on the branch.
+    The products are written to the region sub, (trials, n, p/2, ell), and
+    the sums to prefix, a flat region of trials*n*ell*p/2 values.  A block
+    of at least _COLUMN_SCAN_WALKS walks is summed by _column_scan, one
+    vector add per sub-step over every walk, into prefix shaped (ell*p/2,
+    trials, n), and the prefix returned is its transposed view.  A block
+    of fewer walks is summed by one np.cumsum along each walk, into prefix
+    shaped (trials, n, ell*p/2).  Both branches make the same additions in
+    the same order, so the bits do not depend on the branch.
     """
     trials = normals.shape[0]
     R = normals.reshape(trials, sol.dim, ell)
     scale = 1.0 / np.sqrt(ell)
-    sub = steps[None] @ R[:, None]  # (trials, n, p/2, ell), row-major = sub-step order
+    np.matmul(steps[None], R[:, None], out=sub)  # row-major = sub-step order
     sub *= scale
     anchor_dot = R.sum(axis=2)[:, None, None, :] @ sol.v[None, :, 0, :, None]  # (trials, n, 1, 1)
     anchor = anchor_dot[:, :, 0, 0] * scale
     walk_steps = sub.reshape(trials, sol.n, -1)
     if trials * sol.n < _COLUMN_SCAN_WALKS:
-        return anchor, np.cumsum(walk_steps, axis=2)
+        return anchor, np.cumsum(walk_steps, axis=2, out=prefix.reshape(walk_steps.shape))
     sub_steps = walk_steps.transpose(2, 0, 1)
-    prefix = np.empty(sub_steps.shape) if out is None else out[: sub_steps.size].reshape(sub_steps.shape)
+    prefix = prefix.reshape(sub_steps.shape)
     _column_scan(sub_steps, prefix)
     return anchor, prefix.transpose(1, 2, 0)
 
@@ -252,7 +262,8 @@ def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray) -> np.ndarray
     expected = sol.dim * ell
     if r.shape != (expected,):
         raise ValueError(f"r has shape {r.shape}, expected ({expected},)")
-    anchor, prefix = _lifted_prefix(sol, _variable_difference_steps(sol), ell, r[None])
+    sub, prefix = np.empty((1, sol.n, sol.p // 2, ell)), np.empty(sol.n * sol.p * ell // 2)
+    anchor, prefix = _lifted_prefix(sol, _variable_difference_steps(sol), ell, r[None], sub, prefix)
     half = _half_walks(anchor[0], prefix[0], 2.0)
     return np.concatenate((half, -half), axis=1)
 
@@ -262,24 +273,26 @@ def _round_trials(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positions and crossing counts (trials, n), in blocks of trials.
 
-    The normals, prefix and walk buffers are allocated once, for the
-    first block, and a shorter last block uses their leading part; the
-    prefix buffer only when a block takes _column_scan.
+    A block's regions are views of the call's one workspace: the normals
+    (block, dim*ell), the sub-step products (block, n, p/2, ell), the
+    prefix sums and the walk values, laid out like the prefix so that
+    _half_walks runs in memory order; after _column_scan trace_stats_batch
+    reads the transposed (walks, ell*p/2) view.  A shorter last block cuts
+    its regions from the leading part.
     """
     n, dim, half = sol.n, sol.dim * ell, sol.p * ell // 2
     block = min(trials, max(1, _BLOCK_VALUES // (n * half + dim)))
     normals, fallbacks = sampler.spawn(0), sampler.spawn(1)
-    z_buf = np.empty((block, dim))
-    prefix_buf = np.empty(half * block * n) if block * n >= _COLUMN_SCAN_WALKS else None
-    walk_buf = np.empty((block, n, half))
+    work = np.empty(block * (dim + 3 * n * half))
     positions = np.empty((trials, n), dtype=np.int64)
     counts = np.empty_like(positions)
     for t0 in range(0, trials, block):
         m = min(block, trials - t0)
-        z = normals.fill(z_buf[:m])
-        anchor, prefix = _lifted_prefix(sol, steps, ell, z, prefix_buf)
-        half_walks = _half_walks(anchor, prefix, 2.0, walk_buf[:m])
-        block_counts, first_plus, _ = trace_stats_batch(half_walks.reshape(-1, half), alpha)
+        z = normals.fill(work[: m * dim].reshape(m, dim))
+        sub, prefix, walks = work[m * dim : m * (dim + 3 * n * half)].reshape(3, -1)
+        anchor, prefix = _lifted_prefix(sol, steps, ell, z, sub.reshape(m, n, -1, ell), prefix)
+        walks = _half_walks(anchor, prefix, 2.0, as_strided(walks, prefix.shape, prefix.strides))
+        block_counts, first_plus, _ = trace_stats_batch(walks.reshape(-1, half), alpha)
         cells = np.flatnonzero(block_counts != 1)
         first_plus[cells] = [fallbacks.uniform_below(2 * half) for _ in range(cells.size)]
         positions[t0 : t0 + m] = first_plus.reshape(-1, n)

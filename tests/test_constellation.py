@@ -85,6 +85,18 @@ def test_canonical_rejects_bad_p():
             canonical_constellation(8, labels)
 
 
+def test_canonical_refuses_non_integer_labels():
+    # a float label was truncated (1.5 gave label 1's row) and a string parsed
+    with pytest.raises(ValueError, match=r"^labels\[0\] must be an integer, got 1\.5$"):
+        canonical_constellation(8, [1.5])
+    with pytest.raises(ValueError, match=r"^labels\[1\] must be an integer, got '3'$"):
+        canonical_constellation(8, [0, "3"])
+    # integer lists and integer arrays of any width still give the same rows
+    want = canonical_constellation(8)[[1, 3]]
+    for labels in ([1, 3], np.array([1, 3]), np.array([1, 3], dtype=np.int32)):
+        assert canonical_constellation(8, labels).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("p", [2, 4, 8, 100, 102, 2000])
 def test_row_rule_matches_the_row_loop(p):
     want = constellation_loop(p)

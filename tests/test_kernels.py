@@ -212,3 +212,19 @@ def test_stats_temporaries_stay_within_four_bytes_per_value():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * values.size, peak / values.size
+
+
+@pytest.mark.parametrize("half", [5, 6])
+def test_stats_read_a_transposed_view_like_a_contiguous_batch(half):
+    # the rounding stores its walks sub-step-major, (half, walks), and passes
+    # the transposed view; its rows must read as the same rows stored in order
+    quiet, once, alternating = np.zeros(half), np.r_[2.0, np.zeros(half - 1)], 2.0 * (-1.0) ** np.arange(half)
+    noise = np.random.default_rng(14).integers(-2, 3, size=(20, half)).astype(np.float64)
+    rows = np.vstack([quiet, once, alternating, noise])
+    stored = np.ascontiguousarray(rows.T)
+    view = stored.T
+    assert rows.flags.c_contiguous and not view.flags.c_contiguous and np.array_equal(view, rows)
+    want = trace_stats_batch(rows, 1.0)
+    assert {0, 1} <= set(want[0].tolist()) and want[0].max() >= 2
+    for got, expected in zip(trace_stats_batch(view, 1.0), want):
+        np.testing.assert_array_equal(got, expected)

@@ -791,6 +791,23 @@ def test_each_scan_branch_is_reached_by_block_shape(monkeypatch):
     assert _column_scan_calls(monkeypatch, lambda: round_lifted_solution(sol, 2, GaussianSampler(6), 300)) == []
 
 
+def test_one_call_takes_both_scan_branches_from_one_workspace(monkeypatch):
+    # full blocks of 100 trials (300 walks) take the column adds and the last
+    # block of one trial the cumsum; both cut their regions from the call's
+    # one workspace, so a stale region or a wrong slice would move a position
+    sol, ell, trials = _triangle_solution(), 2, 101
+    half = sol.p * ell // 2
+    monkeypatch.setattr(relq.rounding, "_BLOCK_VALUES", 100 * (sol.n * half + sol.dim * ell))
+    assert 100 * sol.n >= relq.rounding._COLUMN_SCAN_WALKS > sol.n
+    calls = _column_scan_calls(monkeypatch, lambda: round_lifted_solution(sol, ell, GaussianSampler(6), trials))
+    assert calls == [(half, 100, sol.n)]
+    for name in ORACLE_NAMES:
+        out = round_lifted_solution(sol, ell, _sampler(name), trials)
+        for t, (positions, _, counts) in enumerate(_round_lifted_oracle(sol, ell, name, trials)):
+            np.testing.assert_array_equal(out.positions[t], positions)
+            assert out.crossing_counts[t].tolist() == counts
+
+
 def test_batched_cases_reach_every_status_and_dim_parity():
     seen = set()
     for name, ell, alpha in BATCH_CASES:
