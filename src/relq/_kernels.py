@@ -14,9 +14,8 @@ Kernels:
     the walk, with anchor sqrt(2/s) * (sum of the row) and step
     -2*sqrt(2/s).
   trace_stats_batch: forward half + threshold -> per trial the circular
-    up-crossing count of the full antipodal trace, its first up-crossing
-    start index in [0, s), and the number of collapsed nonzero label runs
-    in the forward half.
+    up-crossing count of the full antipodal trace and its first up-crossing
+    start index in [0, s).
 
 Why the half suffices: collapse the forward half's nonzero labels into R
 alternating runs l_1, ..., l_R.  The full circle reads l_1..l_R, -l_1..-l_R,
@@ -109,12 +108,10 @@ def canonical_values_batch(increments: np.ndarray, out: np.ndarray | None = None
 
 
 def trace_stats_batch(half_values: np.ndarray, alpha: float):
-    """Per-trial (up-crossing count, first up-crossing index, half-trace runs).
+    """Per-trial (up-crossing count, first up-crossing index) of the full circular trace.
 
     half_values is the (trials, half) forward half of antipodal walks of
-    length 2*half.  The count and the first up-crossing index (-1 when
-    there is none) describe the full circular trace; the runs count the
-    linear forward half.
+    length 2*half; the first up-crossing index is -1 when there is none.
     """
     half_values = np.asarray(half_values, dtype=np.float64)
     if half_values.ndim != 2 or half_values.shape[1] < 1:
@@ -154,4 +151,4 @@ def trace_stats_batch(half_values: np.ndarray, alpha: float):
         keep = np.ones(rows.size, dtype=bool)
         np.not_equal(rows[1:], rows[:-1], out=keep[1:])
         first_plus[rows[keep]] = run_col[hit[keep]] + offset
-    return counts, first_plus, half_runs
+    return counts, first_plus

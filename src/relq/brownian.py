@@ -4,20 +4,24 @@ The circular walk of a canonical constellation converges, after centering
 at the anchor, to a Brownian motion pinned at time 1 to the endpoint a.
 Threshold events become barrier crossings: the walk shows at least one
 extreme sign change exactly when the pinned motion crosses the barrier
-a/2 + 1/2 (or its mirror a/2 - 1/2) before time 1, and three or more sign
-changes correspond to three alternating barrier crossings.
+a/2 + alpha/2 (or its mirror a/2 - alpha/2) before time 1, and three or
+more sign changes correspond to three alternating barrier crossings.
 
-Everything here is closed form: iterated reflection through the
-alternating barriers gives the conditional crossing probabilities given
-the endpoint, their integrals over the endpoint in (-1, 1) are normal
-densities and tail differences, and the endpoints beyond a barrier add
-normal tails.
+Everything here is closed form in the barrier gap alpha.  Reflection
+through the alternating barriers gives the crossing probabilities given the
+endpoint; over the endpoint they integrate to normal densities and tail
+differences (_middle), and inclusion-exclusion over the crossing depths
+telescopes the tail differences away.  What is left sums normal densities
+at the odd multiples of alpha, or, for small alpha, its Poisson dual.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+
+from relq._kernels import _check_alpha
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
@@ -32,51 +36,52 @@ def _tail(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT_2)
 
 
-def _middle(k: int, g: float) -> float:
-    """Integral of phi(a) * P(k alternating crossings, '+' first | a) over a in (-g, g).
+def _middle(k: int) -> float:
+    """Integral of phi(a) * P(k alternating crossings, '+' first | a) over a in (-1, 1), at gap 1.
 
-    g = 1 + 2*eta is the barrier gap.  Iterated reflection through the
-    barriers makes the conditional probability phi(e)/phi(a), with displaced
-    endpoint e = k*g for odd k and e = k*g + a for even k.  The integral is
-    therefore 2g * phi(k*g) for odd k and Phi((k+1)g) - Phi((k-1)g) for even
-    k; the '-' first side is its mirror image and integrates to the same.
+    Reflection makes the conditional probability phi(e)/phi(a), with
+    e = k for odd k and e = k + a for even k, so the integral is 2 * phi(k)
+    for odd k and Phi(k + 1) - Phi(k - 1) for even k; the '-' first side
+    is its mirror image and integrates to the same.
     """
     if k % 2:
-        return 2.0 * g * _phi(k * g)
-    return _tail((k - 1) * g) - _tail((k + 1) * g)
+        return 2.0 * _phi(k)
+    return _tail(k - 1) - _tail(k + 1)
 
 
-def _middle_totals(g: float) -> tuple[float, float]:
-    """The endpoint-in-(-g, g) parts of P(>= 1) and P(>= 3 crossings), both sides.
+def _converged(terms) -> float:
+    """The sum of terms up to the first one below 1e-300 in magnitude."""
+    return math.fsum(itertools.takewhile(lambda t: abs(t) >= 1e-300, terms))
 
-    Crossing both single barriers is the same event as finishing some
-    alternating double, and so on down; the inclusion-exclusion stops at
-    depth five, whose defect is below 1e-5.
+
+def _odd_densities(alpha: float, first: int) -> float:
+    """P(2*first + 1 or more crossings) = 4*alpha * sum over j >= first of phi((2j + 1) * alpha)."""
+    return 4.0 * (alpha * _converged(_phi((2 * j + 1) * alpha) for j in itertools.count(first)))
+
+
+def _prob_none(alpha: float) -> float:
+    """1 - P(>= 1) by Poisson summation of the odd sum: 2 * sum over m >= 1 of (-1)^(m+1) exp(-pi^2 m^2 / (2 alpha^2)).
+
+    The odd sum takes about 18.6/alpha terms and this one 11.8*alpha, both
+    15 near alpha = 1.25, where the probabilities switch from one to the other.
     """
-    i1, i2, i3, i4, i5 = (2.0 * _middle(k, g) for k in range(1, 6))
-    three = i3 - i4 + i5
-    return i1 - i2 + three, three
+    return 2.0 * _converged(
+        (-1) ** (m + 1) * math.exp(-0.5 * (math.pi * m / alpha) ** 2) for m in itertools.count(1)
+    )
 
 
-def prob_at_least_one(eta: float = 0.0) -> float:
-    """P(the pinned walk crosses a barrier before time 1), endpoint averaged.
-
-    Endpoints beyond a barrier have already crossed (the normal tails); the
-    middle range is the closed-form inclusion-exclusion of _middle_totals.
-    """
-    if not 0 <= eta < math.inf:
-        raise ValueError(f"eta must be >= 0 and finite, got {eta}")
-    g = 1.0 + 2.0 * eta
-    return 2.0 * _tail(g) + _middle_totals(g)[0]
+def prob_at_least_one(alpha: float = 1.0) -> float:
+    """P(the pinned walk crosses a barrier before time 1), endpoint averaged, barriers alpha apart."""
+    _check_alpha(alpha)
+    return 1.0 - _prob_none(alpha) if alpha < 1.25 else _odd_densities(alpha, 0)
 
 
-def prob_three_or_more(eta: float = 0.0) -> float:
-    """P(three or more alternating crossings before time 1), endpoint averaged."""
-    if not 0 <= eta < math.inf:
-        raise ValueError(f"eta must be >= 0 and finite, got {eta}")
-    g = 1.0 + 2.0 * eta
-    # endpoint beyond a barrier: one crossing is free, two more must follow
-    return 2.0 * _tail(3.0 * g) + _middle_totals(g)[1]
+def prob_three_or_more(alpha: float = 1.0) -> float:
+    """P(three or more alternating crossings before time 1), endpoint averaged, barriers alpha apart."""
+    _check_alpha(alpha)
+    if alpha < 1.25:  # exactly one crossing is the odd sum's first term, 4*alpha*phi(alpha)
+        return 1.0 - _prob_none(alpha) - 4.0 * alpha * _phi(alpha)
+    return _odd_densities(alpha, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +118,7 @@ def constants_table() -> list[ConstantRow]:
     ConstantRow.ok is each row's gate; the 'info' rows document two
     conflicting printed readings of the same intermediate quantity.
     """
-    single_plus, double_plus, triple_plus = (_middle(k, 1.0) for k in (1, 2, 3))
-    middle_one, middle_three = _middle_totals(1.0)
+    single_plus, double_plus, triple_plus = (_middle(k) for k in (1, 2, 3))
     total_one = prob_at_least_one()
     total_three = prob_three_or_more()
     rows = [
@@ -123,10 +127,10 @@ def constants_table() -> list[ConstantRow]:
         ConstantRow("double_barrier_middle_one_side", 0.157305, double_plus),
         ConstantRow("triple_barrier_middle_one_side", 0.0088637, triple_plus),
         ConstantRow("endpoint_tail_three_one_side", 0.0013499, _tail(3.0)),
-        ConstantRow("quadruple_barrier_middle_total", 0.00269922, 2.0 * _middle(4, 1.0)),
-        ConstantRow("quintuple_barrier_middle_total", 5.94688e-6, 2.0 * _middle(5, 1.0)),
-        ConstantRow("middle_total_at_least_one", 0.668302, middle_one),
-        ConstantRow("middle_total_three_or_more", 0.015035, middle_three),
+        ConstantRow("quadruple_barrier_middle_total", 0.00269922, 2.0 * _middle(4)),
+        ConstantRow("quintuple_barrier_middle_total", 5.94688e-6, 2.0 * _middle(5)),
+        ConstantRow("middle_total_at_least_one", 0.668302, total_one - 2.0 * _tail(1.0)),
+        ConstantRow("middle_total_three_or_more", 0.015035, total_three - 2.0 * _tail(3.0)),
         ConstantRow("at_least_one_total", 0.985612, total_one),
         ConstantRow("three_or_more_total", 0.017735, total_three),
         ConstantRow("exact_one_lower_bound", 0.96, total_one - total_three, kind="bound"),

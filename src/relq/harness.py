@@ -278,13 +278,10 @@ def mc_sign_change(s: int, trials: int, seed: int, alpha: float = 1.0) -> Report
     mirror of the first.  Block g of traces reads its increments from
     spawn(g) of the seed's sampler, on a worker thread (see _block_map);
     the report carries frequencies of {0, 1, >=2} extreme sign changes at
-    the given threshold, and separately of the event that the first half of
-    the trace alternates three or more times.  Reference values are the
-    closed-form barrier-crossing probabilities for barriers alpha apart,
-    the widened gap 1 + 2*eta with eta = (alpha - 1)/2; they are continuum
-    limits, so the frequencies approach them from a finite-step bias of
-    order 1/sqrt(s).  Below alpha = 1 the closed forms do not apply, and
-    the reference column reads NaN.
+    the given threshold.  Reference values are the closed-form
+    barrier-crossing probabilities for barriers alpha apart; they are
+    continuum limits, so the frequencies approach them from a finite-step
+    bias of order 1/sqrt(s).
     """
     s, trials = _check_int("s", s, 100), _check_int("trials", trials, 1)
     _check_alpha(alpha)
@@ -292,17 +289,15 @@ def mc_sign_change(s: int, trials: int, seed: int, alpha: float = 1.0) -> Report
 
     def block(g, rows, normals, walks):
         values = canonical_values_batch(sampler.spawn(g).fill(normals[:rows]), out=walks[:rows])
-        counts, _, half_runs = trace_stats_batch(values, alpha)
-        return [int(np.sum(event)) for event in (counts == 0, counts == 1, counts >= 2, half_runs >= 3)]
+        counts, _ = trace_stats_batch(values, alpha)
+        return [int(np.sum(event)) for event in (counts == 0, counts == 1, counts >= 2)]
 
-    zero, one, two_plus, alt3 = _block_map(block, trials, _block_rows(s), 2, s)
-    eta = (alpha - 1.0) / 2.0
-    p1, p3 = (prob_at_least_one(eta), prob_three_or_more(eta)) if eta >= 0 else (math.nan, math.nan)
+    zero, one, two_plus = _block_map(block, trials, _block_rows(s), 2, s)
+    p1, p3 = prob_at_least_one(alpha), prob_three_or_more(alpha)
     stats = [
         ("count_zero", zero / trials, 1.0 - p1),
         ("count_one", one / trials, p1 - p3),
         ("count_two_plus", two_plus / trials, p3),
-        ("half_alternations_three_plus", alt3 / trials, p3),
     ]
     records = [
         {"statistic": name, "frequency": freq, "stderr": _binomial_stderr(freq, trials), "reference": ref}
@@ -430,14 +425,14 @@ def conjecture_experiment(
         # a and b take r1 and r2, then their running sums, then each cell's
         # walk and its scratch; c and d take W1 and W2
         w1 = canonical_values_batch(r1.spawn(g).fill(a[:rows]), out=c[:rows])
-        ci, fi, _ = trace_stats_batch(w1, alpha)
+        ci, fi = trace_stats_batch(w1, alpha)
         w2 = canonical_values_batch(r2.spawn(g).fill(b[:rows]), out=d[:rows])
         wj, scratch = a[:rows], b[:rows]
         hists = np.empty((len(trig), half + 1), dtype=np.int64)
         for cell, (cos, sin) in zip(hists, trig):
             np.multiply(w1, cos, out=wj)
             wj += np.multiply(w2, sin, out=scratch)
-            cj, fj, _ = trace_stats_batch(wj, alpha)
+            cj, fj = trace_stats_batch(wj, alpha)
             mask = (ci == 1) & (cj == 1)
             delta = (fj[mask] - fi[mask]) % s
             cell[:] = np.bincount(np.minimum(delta, s - delta), minlength=half + 1)

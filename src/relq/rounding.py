@@ -292,7 +292,7 @@ def _round_trials(
         sub, prefix, walks = work[m * dim : m * (dim + 3 * n * half)].reshape(3, -1)
         anchor, prefix = _lifted_prefix(sol, steps, ell, z, sub.reshape(m, n, -1, ell), prefix)
         walks = _half_walks(anchor, prefix, 2.0, as_strided(walks, prefix.shape, prefix.strides))
-        block_counts, first_plus, _ = trace_stats_batch(walks.reshape(-1, half), alpha)
+        block_counts, first_plus = trace_stats_batch(walks.reshape(-1, half), alpha)
         cells = np.flatnonzero(block_counts != 1)
         first_plus[cells] = [fallbacks.uniform_below(2 * half) for _ in range(cells.size)]
         positions[t0 : t0 + m] = first_plus.reshape(-1, n)

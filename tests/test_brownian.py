@@ -5,6 +5,7 @@ written out by reflection; `scipy.integrate.quad` integrates it against the
 endpoint density, independently of the closed forms in relq.brownian.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,13 +46,13 @@ def _tail(x):
 class BarrierSequenceSpec:
     """m alternating barrier crossings, starting on the given side.
 
-    The barriers sit at a/2 + (1/2 + eta) and a/2 - (1/2 + eta) for endpoint
-    a; first='+' means the upper barrier is crossed first.
+    The barriers sit at a/2 + gap/2 and a/2 - gap/2 for endpoint a;
+    first='+' means the upper barrier is crossed first.
     """
 
     m: int
     first: str
-    eta: float = 0.0
+    gap: float = 1.0
 
 
 def conditional_barrier_probability(spec: BarrierSequenceSpec, a: float) -> float:
@@ -59,11 +60,11 @@ def conditional_barrier_probability(spec: BarrierSequenceSpec, a: float) -> floa
 
     Iterated reflection through the alternating barriers maps the event to a
     displaced endpoint e: phi(e)/phi(a), with e = m*g for odd m and
-    e = m*g +/- a for even m ('+' / '-' start), where g = 1 + 2*eta is the
-    barrier gap.  Valid for |a| < 1 + 2*eta; beyond that only m = 1 on the
-    matching side is defined (the endpoint already crossed: probability 1).
+    e = m*g +/- a for even m ('+' / '-' start), where g is the barrier gap.
+    Valid for |a| < g; beyond that only m = 1 on the matching side is
+    defined (the endpoint already crossed: probability 1).
     """
-    g = 1.0 + 2.0 * spec.eta
+    g = spec.gap
     if abs(a) >= g:
         if spec.m == 1 and ((spec.first == "+" and a >= g) or (spec.first == "-" and a <= -g)):
             return 1.0
@@ -77,18 +78,22 @@ def conditional_barrier_probability(spec: BarrierSequenceSpec, a: float) -> floa
     return min(1.0, _phi(e) / _phi(a))
 
 
-def _both_sides(m, eta, a):
-    return sum(conditional_barrier_probability(BarrierSequenceSpec(m, first, eta), a) for first in "+-")
+def _both_sides(m, gap, a):
+    return sum(conditional_barrier_probability(BarrierSequenceSpec(m, first, gap), a) for first in "+-")
 
 
-def _chain(depths, eta, a):
-    """Alternating sum of both-side probabilities: the inclusion-exclusion chain."""
-    return sum((-1) ** i * _both_sides(m, eta, a) for i, m in enumerate(depths))
+def _chain(first_depth, gap, a):
+    """Alternating sum of both-side probabilities from first_depth on, until they vanish: the inclusion-exclusion chain."""
+    terms = []
+    for m in itertools.count(first_depth):
+        term = _both_sides(m, gap, a)
+        if term == 0.0:
+            return math.fsum(terms)
+        terms.append((-1) ** (m - first_depth) * term)
 
 
-def _middle_quad(f, eta):
-    g = 1.0 + 2.0 * eta
-    value, _ = quad(lambda a: _phi(a) * f(a), -g, g, epsabs=1e-14, epsrel=1e-14)
+def _middle_quad(f, gap):
+    value, _ = quad(lambda a: _phi(a) * f(a), -gap, gap, epsabs=1e-14, epsrel=1e-14)
     return value
 
 
@@ -110,7 +115,7 @@ def test_hitting_time_mass_matches_tail_formula(b, T):
 
 
 def test_conditional_probability_point_values():
-    spec = lambda m, first, eta=0.0: BarrierSequenceSpec(m=m, first=first, eta=eta)
+    spec = lambda m, first: BarrierSequenceSpec(m=m, first=first)
     assert conditional_barrier_probability(spec(1, "+"), 0.0) == pytest.approx(0.6065307, abs=1e-6)
     assert conditional_barrier_probability(spec(2, "+"), 0.0) == pytest.approx(0.1353353, abs=1e-6)
     assert conditional_barrier_probability(spec(3, "+"), 0.0) == pytest.approx(0.0111090, abs=1e-6)
@@ -145,7 +150,7 @@ def test_conditional_probability_domain_routing():
     with pytest.raises(ValueError):
         conditional_barrier_probability(BarrierSequenceSpec(m=2, first="+"), 1.3)
     # widening moves the valid endpoint window outward
-    wide = BarrierSequenceSpec(m=2, first="+", eta=0.25)
+    wide = BarrierSequenceSpec(m=2, first="+", gap=1.5)
     assert conditional_barrier_probability(wide, 1.2) == pytest.approx(
         _phi(2.0 * 1.5 + 1.2) / _phi(1.2), abs=1e-12
     )
@@ -156,53 +161,68 @@ def test_crossing_totals():
     p3 = prob_three_or_more()
     assert p1 == pytest.approx(0.985612, abs=1e-4)
     assert p3 == pytest.approx(0.017735, abs=1e-4)
-    # frozen values of this implementation, pinned tighter than the quoted ones
-    assert p1 == pytest.approx(0.9856168, abs=2e-6)
-    assert p3 == pytest.approx(0.0177339, abs=2e-6)
+    # frozen values of the exact sums, pinned tighter than the quoted ones
+    assert p1 == pytest.approx(0.98561623864, abs=1e-11)
+    assert p3 == pytest.approx(0.01773334056, abs=1e-11)
     assert p1 - p3 == pytest.approx(0.967877, abs=2e-4)
     assert p1 - p3 >= 0.96
 
 
 def test_widened_barriers_small_eta_keeps_bounds():
-    # the widened-barrier bound holds for small widenings and decays smoothly
-    assert prob_at_least_one(1e-4) >= 0.9855
-    assert prob_at_least_one(1e-4) - prob_three_or_more(1e-4) >= 0.9855 - 0.0178
-    p1 = [prob_at_least_one(eta) for eta in (0.0, 1e-4, 5e-3, 1e-2)]
+    # barriers widened by eta on each side sit alpha = 1 + 2*eta apart; the
+    # bound holds for small widenings and decays smoothly
+    assert prob_at_least_one(1.0002) >= 0.9855
+    assert prob_at_least_one(1.0002) - prob_three_or_more(1.0002) >= 0.9855 - 0.0178
+    p1 = [prob_at_least_one(1.0 + 2.0 * eta) for eta in (0.0, 1e-4, 5e-3, 1e-2)]
     assert all(hi > lo for hi, lo in zip(p1, p1[1:]))
-    # at 0.01 the exact value has dropped below .9677 but stays well above .96
-    assert 0.96 <= prob_at_least_one(0.01) - prob_three_or_more(0.01) < 0.9677
-    with pytest.raises(ValueError):
-        prob_at_least_one(-0.1)
-    with pytest.raises(ValueError):
-        prob_three_or_more(-0.1)
+    # at eta = 0.01 the exact value has dropped below .9677 but stays well above .96
+    assert 0.96 <= prob_at_least_one(1.02) - prob_three_or_more(1.02) < 0.9677
+    for alpha in (0.0, -0.1):
+        with pytest.raises(ValueError, match="alpha"):
+            prob_at_least_one(alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            prob_three_or_more(alpha)
 
 
 @pytest.mark.parametrize("eta", [math.nan, math.inf])
 def test_probabilities_reject_non_finite_eta(eta):
-    with pytest.raises(ValueError, match="eta"):
-        prob_at_least_one(eta)
-    with pytest.raises(ValueError, match="eta"):
-        prob_three_or_more(eta)
+    alpha = 1.0 + 2.0 * eta
+    with pytest.raises(ValueError, match="alpha"):
+        prob_at_least_one(alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        prob_three_or_more(alpha)
 
 
-@pytest.mark.parametrize("eta", [0.0, 1e-4, 0.01, 0.1, 0.5])
+def test_probabilities_stay_in_range_at_every_gap():
+    # from the smallest subnormal gap to the largest float, on both sides of
+    # the switch between the odd sum and its dual at 1.25: numbers in [0, 1],
+    # P(>= 3) <= P(>= 1), both falling as the barriers move apart
+    gaps = [5e-324, 1e-12, 1e-3, 0.3, 1.0, 1.2499, 1.25, 2.0, 7.0, 1e12, 1.7e308]
+    p1 = [prob_at_least_one(alpha) for alpha in gaps]
+    p3 = [prob_three_or_more(alpha) for alpha in gaps]
+    assert all(0.0 <= three <= one <= 1.0 for one, three in zip(p1, p3))
+    for p in (p1, p3):
+        assert all(hi >= lo for hi, lo in zip(p, p[1:]))
+    assert p1[0] == p3[0] == 1.0 and p1[-1] == p3[-1] == 0.0
+
+
+# the barriers sit alpha = 1 + 2*eta apart; eta < 0 narrows them below 1
+@pytest.mark.parametrize("eta", [-0.35, -0.25, -0.1, 0.0, 1e-4, 0.01, 0.1, 0.5])
 def test_closed_forms_match_quadrature_of_the_reflection_chain(eta):
-    g = 1.0 + 2.0 * eta
-    p1 = 2.0 * _tail(g) + _middle_quad(lambda a: _chain((1, 2, 3, 4, 5), eta, a), eta)
-    p3 = 2.0 * _tail(3.0 * g) + _middle_quad(lambda a: _chain((3, 4, 5), eta, a), eta)
-    assert abs(prob_at_least_one(eta) - p1) <= 1e-12
-    assert abs(prob_three_or_more(eta) - p3) <= 1e-12
+    alpha = 1.0 + 2.0 * eta
+    p1 = 2.0 * _tail(alpha) + _middle_quad(lambda a: _chain(1, alpha, a), alpha)
+    p3 = 2.0 * _tail(3.0 * alpha) + _middle_quad(lambda a: _chain(3, alpha, a), alpha)
+    assert abs(prob_at_least_one(alpha) - p1) <= 1e-12
+    assert abs(prob_three_or_more(alpha) - p3) <= 1e-12
     if eta:
         return
-    one_side = lambda m: _middle_quad(
-        lambda a: conditional_barrier_probability(BarrierSequenceSpec(m, "+"), a), 0.0
-    )
+    one_side = lambda m: _middle_quad(lambda a: conditional_barrier_probability(BarrierSequenceSpec(m, "+"), a), 1.0)
     want = {
         "single_barrier_middle": one_side(1),
         "double_barrier_middle_one_side": one_side(2),
         "triple_barrier_middle_one_side": one_side(3),
-        "quadruple_barrier_middle_total": _middle_quad(lambda a: _both_sides(4, 0.0, a), 0.0),
-        "quintuple_barrier_middle_total": _middle_quad(lambda a: _both_sides(5, 0.0, a), 0.0),
+        "quadruple_barrier_middle_total": _middle_quad(lambda a: _both_sides(4, 1.0, a), 1.0),
+        "quintuple_barrier_middle_total": _middle_quad(lambda a: _both_sides(5, 1.0, a), 1.0),
         "middle_total_at_least_one": p1 - 2.0 * _tail(1.0),
         "middle_total_three_or_more": p3 - 2.0 * _tail(3.0),
     }
@@ -297,17 +317,15 @@ def test_discrete_walks_match_closed_form_totals():
     s, trials, chunk = 4000, 200_000, 4096
     rng = np.random.Generator(np.random.Philox(20240911))
     counts = np.zeros(0, dtype=np.int64)
-    half_runs = np.zeros(0, dtype=np.int64)
     done = 0
     while done < trials:
         rows = min(chunk, trials - done)
         increments = rng.standard_normal((rows, s // 2))
         values = canonical_values_batch(increments)
-        c, _, h = trace_stats_batch(values, 1.0)
+        c, _ = trace_stats_batch(values, 1.0)
         counts = np.concatenate([counts, c])
-        half_runs = np.concatenate([half_runs, h])
         done += rows
     at_least_one = float(np.mean(counts >= 1))
-    three_plus = float(np.mean(half_runs >= 3))
+    three_plus = float(np.mean(counts >= 2))
     assert at_least_one == pytest.approx(prob_at_least_one(), abs=0.005)
     assert three_plus == pytest.approx(prob_three_or_more(), abs=0.005)

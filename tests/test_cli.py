@@ -320,6 +320,14 @@ def test_e2e_gate_failure_exits_2(triangle_file, capsys, monkeypatch):
     assert dict(zip(header.split(","), row.split(",")))["sandwich_ok"] == "False"
 
 
+def test_mc_signchange_below_alpha_one_prints_three_numeric_rows(capsys):
+    assert main(["mc-signchange", "--s", "200", "--trials", "100", "--seed", "2", "--alpha", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "statistic,frequency,stderr,reference"
+    assert [line.split(",")[0] for line in lines[1:]] == ["count_zero", "count_one", "count_two_plus"]
+    assert "nan" not in "\n".join(lines).lower()
+
+
 def test_report_subcommands_write_identical_files_on_rerun(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["mc-signchange", "--s", "200", "--trials", "2000", "--seed", "6"]

@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 import relq.harness
 from oracles import mean_stderr_expanded
@@ -129,9 +130,7 @@ def test_mc_sign_change_statistics():
     cells = {row[0]: row for row in report.rows}
     freqs = {name: row[1] for name, row in cells.items()}
     assert freqs["count_zero"] + freqs["count_one"] + freqs["count_two_plus"] == pytest.approx(1.0, abs=1e-12)
-    # two or more cyclic up-crossings and three or more half-trace
-    # alternations are the same event, counted by two different routes
-    assert freqs["count_two_plus"] == freqs["half_alternations_three_plus"]
+    assert list(freqs) == ["count_zero", "count_one", "count_two_plus"]
     p1, p3 = prob_at_least_one(), prob_three_or_more()
     assert cells["count_zero"][3] == pytest.approx(1.0 - p1, abs=1e-12)
     assert cells["count_one"][3] == pytest.approx(p1 - p3, abs=1e-12)
@@ -148,19 +147,33 @@ def test_mc_sign_change_matches_closed_form_at_scale():
     assert freqs["count_one"] == pytest.approx(prob_at_least_one() - prob_three_or_more(), abs=0.005)
 
 
+def _closed_form_rows(alpha):
+    p1, p3 = prob_at_least_one(alpha), prob_three_or_more(alpha)
+    return {"count_zero": 1.0 - p1, "count_one": p1 - p3, "count_two_plus": p3}
+
+
 def test_mc_sign_change_reference_follows_alpha():
-    # the walk's two barriers sit alpha apart, the widened gap 1 + 2*eta of
-    # the closed forms, so alpha = 1.5 is eta = 0.25
+    # the walk's two barriers sit alpha apart, the gap of the closed forms
     report = mc_sign_change(s=2000, trials=20_000, seed=2, alpha=1.5)
     cells = {row[0]: row for row in report.rows}
-    p1, p3 = prob_at_least_one(0.25), prob_three_or_more(0.25)
-    want = {"count_zero": 1.0 - p1, "count_one": p1 - p3, "count_two_plus": p3, "half_alternations_three_plus": p3}
+    want = _closed_form_rows(1.5)
     assert {name: row[3] for name, row in cells.items()} == want
     # the finite-step bias, of order 1/sqrt(s), is about 0.014 here (0.004
     # at s = 32000); the alpha = 1 closed form, 0.0144, is 0.22 off
-    assert cells["count_zero"][1] == pytest.approx(1.0 - p1, abs=0.03)
-    # below alpha = 1 the barriers overlap and no closed form applies
-    assert all(math.isnan(row[3]) for row in mc_sign_change(s=200, trials=100, seed=2, alpha=0.5).rows)
+    assert cells["count_zero"][1] == pytest.approx(want["count_zero"], abs=0.03)
+    # below alpha = 1 the closed forms hold too.  Watched at s steps, the walk
+    # crosses about as often as a continuous path crosses barriers moved out
+    # by beta/sqrt(s) each (Broadie, Glasserman & Kou 1997), so the continuity-
+    # corrected form is the closed form at gap alpha + 2*beta/sqrt(s)
+    s, trials, alpha = 400, 100_000, 0.5
+    beta = -zeta(0.5) / math.sqrt(2.0 * math.pi)
+    corrected = _closed_form_rows(alpha + 2.0 * beta / math.sqrt(s))
+    report = mc_sign_change(s=s, trials=trials, seed=2, alpha=alpha)
+    assert {row[0]: row[3] for row in report.rows} == _closed_form_rows(alpha)
+    for name, freq, stderr, _ in report.rows:
+        # no trial shows zero crossings, so that row's stderr is 0; the
+        # corrected form predicts 3e-7
+        assert abs(freq - corrected[name]) <= (4.0 * stderr if stderr else 1e-6), (name, freq, corrected[name], stderr)
 
 
 def test_mc_sign_change_validation_and_determinism():
@@ -179,10 +192,9 @@ def test_mc_sign_change_validation_and_determinism():
 # substream.  5000 trials at s = 200 span four blocks of 1310 rows and one
 # of 1070.
 SIGN_CHANGE_S200_SEED3 = [
-    ["count_zero", 146 / 5000, 0.002381065307798171, 0.01438318809447181],
+    ["count_zero", 146 / 5000, 0.002381065307798171, 0.014383761361076774],
     ["count_one", 4804 / 5000, 0.0027445713690847982, 0.9678828980765735],
-    ["count_two_plus", 50 / 5000, 0.0014071247279470289, 0.017733913828954728],
-    ["half_alternations_three_plus", 50 / 5000, 0.0014071247279470289, 0.017733913828954728],
+    ["count_two_plus", 50 / 5000, 0.0014071247279470289, 0.017733340562349764],
 ]
 
 # the report's columns, parameters and JSON summary, pinned like its rows
@@ -210,7 +222,7 @@ SIGN_CHANGE_S200_SEED3_SCHEMA = (
     "stream_version": 6,
     "version": "%(version)s"
   },
-  "row_count": 4
+  "row_count": 3
 }
 """,
 )
@@ -339,10 +351,10 @@ def test_conjecture_cells_share_one_r1():
         ])
         for tag in (0, 1)
     )
-    ci, fi, _ = trace_stats_batch(w1, 1.0)
+    ci, fi = trace_stats_batch(w1, 1.0)
     assert {cell["marginal_one_rate"] for cell in cells} == {int(np.sum(ci == 1)) / 1100}
     for cell in cells:
-        cj, fj, _ = trace_stats_batch(math.cos(cell["theta"]) * w1 + math.sin(cell["theta"]) * w2, 1.0)
+        cj, fj = trace_stats_batch(math.cos(cell["theta"]) * w1 + math.sin(cell["theta"]) * w2, 1.0)
         mask = (ci == 1) & (cj == 1)
         assert cell["conditioned"] == int(np.sum(mask))
     # at angle 0 walk j is walk i, so exactly r1's one-crossing trials count

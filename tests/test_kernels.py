@@ -63,7 +63,7 @@ def test_values_rejects_bad_shape():
 
 
 # hand-labeled forward halves: (half values, alpha, count, first_plus, half_runs)
-# of the antipodal trace concat(half, -half)
+# of the antipodal trace concat(half, -half); the count follows from the runs
 STAT_CASES = [
     ([2.0, 0.0], 1.0, 1, 0, 1),  # wraps: - at 2, + at 0
     ([0.0, 2.0], 1.0, 1, 1, 1),  # wraps with first nonzero past 0
@@ -82,10 +82,10 @@ STAT_CASES = [
 
 @pytest.mark.parametrize("values,alpha,count,first,runs", STAT_CASES)
 def test_stats_frozen_cases(values, alpha, count, first, runs):
-    c, f, m = trace_stats_batch(np.array([values]), alpha)
-    assert c[0] == count
+    c, f = trace_stats_batch(np.array([values]), alpha)
+    assert c[0] == count == _count_from_runs(runs)
     assert f[0] == first
-    assert m[0] == runs
+    assert _half_runs_reference(values, alpha) == runs
 
 
 def test_stats_rejects_bad_input():
@@ -97,6 +97,12 @@ def test_stats_rejects_bad_input():
         trace_stats_batch(np.zeros((2, 4)), 0.0)
     with pytest.raises(ValueError):
         trace_stats_batch(np.zeros((2, 4)), float("nan"))
+
+
+def _count_from_runs(runs):
+    # antipodal traces force: count = runs for odd runs, runs - 1 for even
+    runs = np.asarray(runs)
+    return np.where(runs % 2 == 1, runs, np.maximum(runs - 1, 0))
 
 
 def _half_runs_reference(row, alpha):
@@ -111,15 +117,12 @@ def _half_runs_reference(row, alpha):
 
 
 def test_crossing_count_vs_half_runs_on_canonical_traces():
-    # antipodal traces force: count = runs for odd runs, runs - 1 for even
     rng = np.random.default_rng(9)
     for s in (8, 40, 200):
         inc = rng.standard_normal((400, s // 2))
         vals = canonical_values_batch(inc)
-        counts, _, runs = trace_stats_batch(vals, 1.0)
-        np.testing.assert_array_equal(runs, [_half_runs_reference(row, 1.0) for row in vals])
-        want = np.where(runs % 2 == 1, runs, np.maximum(runs - 1, 0))
-        np.testing.assert_array_equal(counts, want)
+        counts, _ = trace_stats_batch(vals, 1.0)
+        np.testing.assert_array_equal(counts, _count_from_runs([_half_runs_reference(row, 1.0) for row in vals]))
 
 
 def _edge_rows(half, alpha):
@@ -145,24 +148,22 @@ def test_stats_match_full_circle_reference(alpha):
     half = 25
     walks = canonical_values_batch(rng.standard_normal((2000, half)))
     rows = np.vstack([walks, _edge_rows(half, alpha)])
-    counts, first, runs = trace_stats_batch(rows, alpha)
+    counts, first = trace_stats_batch(rows, alpha)
     for t, row in enumerate(rows):
         events = detect_extreme_sign_changes(np.concatenate((row, -row)), alpha)
         assert counts[t] == len(events), t
         assert first[t] == (min(t_plus for _, t_plus in events) if events else -1), t
-        assert runs[t] == _half_runs_reference(row, alpha), t
     # the random walks reach several counts, and first up-crossings in both halves
     assert len(set(counts[:2000].tolist())) >= 2
     assert (first[:2000] >= half).any() and ((first[:2000] >= 0) & (first[:2000] < half)).any()
 
 
 def _assert_match_references(rows, alpha):
-    counts, first, runs = trace_stats_batch(rows, alpha)
+    counts, first = trace_stats_batch(rows, alpha)
     for t, row in enumerate(rows):
         events = detect_extreme_sign_changes(np.concatenate((row, -row)), alpha)
         assert counts[t] == len(events), t
         assert first[t] == (min(t_plus for _, t_plus in events) if events else -1), t
-        assert runs[t] == _half_runs_reference(row, alpha), t
 
 
 # frozen batches whose rows must stay apart: (rows, alpha, counts, first_plus, half_runs)
@@ -186,9 +187,12 @@ BATCH_CASES = [
 @pytest.mark.parametrize("rows,alpha,counts,first,runs", BATCH_CASES)
 def test_stats_frozen_batches_keep_rows_apart(rows, alpha, counts, first, runs):
     got = trace_stats_batch(np.array(rows), alpha)
-    for out, want in zip(got, (counts, first, runs)):
+    assert len(got) == 2
+    for out, want in zip(got, (counts, first)):
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(_count_from_runs(runs), counts)
+    assert [_half_runs_reference(row, alpha) for row in rows] == runs
     _assert_match_references(np.array(rows), alpha)
 
 

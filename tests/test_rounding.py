@@ -354,7 +354,7 @@ def test_detect_agrees_with_batch_kernel():
         half = canonical_values_batch(r[None])[0]
         for values in (cons @ r, np.concatenate((half, -half))):
             events = detect_extreme_sign_changes(values, 1.0)
-            counts, first, _ = trace_stats_batch(values[None, :30], 1.0)
+            counts, first = trace_stats_batch(values[None, :30], 1.0)
             assert counts[0] == len(events)
             assert first[0] == (min(t_plus for _, t_plus in events) if events else -1)
             if len(events) == 1:
@@ -634,7 +634,7 @@ def test_one_crossing_positions_are_uniform():
     trials = 10**5
     inc = GaussianSampler(seed=55).sample(trials * (s // 2)).reshape(trials, s // 2)
     vals = canonical_values_batch(inc)
-    counts, first, _ = trace_stats_batch(vals, 1.0)
+    counts, first = trace_stats_batch(vals, 1.0)
     pos = first[counts == 1]
     observed = np.bincount(pos, minlength=s)
     expected = pos.size / s
