@@ -14,19 +14,20 @@ Kernels:
     the walk, with anchor sqrt(2/s) * (sum of the row) and step
     -2*sqrt(2/s).
   trace_stats_batch: forward half + threshold -> per trial the circular
-    up-crossing count of the full antipodal trace and its first up-crossing
-    start index in [0, s).
+    up-crossing count of the full antipodal trace and, for a walk with
+    exactly one up-crossing, the start index in [0, s) of its '+' run
+    (-1 for every other walk).
 
 Why the half suffices: collapse the forward half's nonzero labels into R
 alternating runs l_1, ..., l_R.  The full circle reads l_1..l_R, -l_1..-l_R,
 and the two seams merge exactly when l_R = -l_1, i.e. when R is even.  So
 the circle has 2R runs (R odd) or 2R - 2 runs (R even), and half of them
-are up-crossings.  The up-crossings in the forward half are the '-'->'+'
-run starts, where the first run's circular predecessor is the label just
-before the seam, -l_R; those in the mirrored half sit at half + the
-'+'->'-' run starts.  A run starts only at an entry, a nonzero label at its
-row's start or after a different label: at a row's first entry, and at each
-entry whose label differs from the previous entry's.
+are up-crossings.  A walk crosses up exactly once when R is 1 or 2, and
+then the circle's one '+' run starts where l_R starts if l_R is '+', and
+half later if l_R is '-', since its mirror -l_R is '+' (for R = 2 the
+seam joins that mirror to l_1).  A run starts only at an entry, a nonzero
+label at its row's start or after a different label: at a row's first
+entry, and at each entry whose label differs from the previous entry's.
 
 The argument checks the modules share live here too: _check_alpha for a
 crossing threshold, _check_int for an integer argument and its lower
@@ -108,10 +109,13 @@ def canonical_values_batch(increments: np.ndarray, out: np.ndarray | None = None
 
 
 def trace_stats_batch(half_values: np.ndarray, alpha: float):
-    """Per-trial (up-crossing count, first up-crossing index) of the full circular trace.
+    """Per-trial (up-crossing count, '+'-run start) int64 arrays of the full circular trace.
 
     half_values is the (trials, half) forward half of antipodal walks of
-    length 2*half; the first up-crossing index is -1 when there is none.
+    length 2*half.  The second array holds, for a walk with exactly one
+    up-crossing, the index in [0, 2*half) where its '+' run starts, and -1
+    for every other walk: callers read a position only from a one-crossing
+    walk.
     """
     half_values = np.asarray(half_values, dtype=np.float64)
     if half_values.ndim != 2 or half_values.shape[1] < 1:
@@ -131,24 +135,13 @@ def trace_stats_batch(half_values: np.ndarray, alpha: float):
     is_start[1:] = (seq[1:] != seq[:-1]) | (row[1:] != row[:-1])
     starts = np.flatnonzero(is_start)
 
-    run_label, run_row, run_col = seq[starts], row[starts], col[starts]
-    half_runs = np.bincount(run_row, minlength=trials)
+    half_runs = np.bincount(row[starts], minlength=trials)
     counts = np.where(half_runs % 2 == 1, half_runs, np.maximum(half_runs - 1, 0))
 
-    # predecessor of each run: the run before it, or -l_R for a row's first
-    pred = np.empty_like(run_label)
-    pred[1:] = run_label[:-1]
-    first_run = np.cumsum(half_runs) - half_runs
-    last_run = first_run + half_runs - 1
-    has_runs = half_runs > 0
-    pred[first_run[has_runs]] = -run_label[last_run[has_runs]]
-
+    # a one-crossing walk has one or two forward runs, and its '+' run
+    # starts where the last of them starts, or half later if that run is '-'
+    one = np.flatnonzero(counts == 1)
+    last = starts[np.cumsum(half_runs)[one] - 1]
     first_plus = np.full(trials, -1, dtype=np.int64)
-    # mirrored-half up-crossings first, so forward-half ones overwrite them
-    for want, offset in ((-1, half), (1, 0)):
-        hit = np.flatnonzero((run_label == want) & (pred == -want))
-        rows = run_row[hit]
-        keep = np.ones(rows.size, dtype=bool)
-        np.not_equal(rows[1:], rows[:-1], out=keep[1:])
-        first_plus[rows[keep]] = run_col[hit[keep]] + offset
+    first_plus[one] = col[last] + half * (seq[last] < 0)
     return counts, first_plus

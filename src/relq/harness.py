@@ -329,9 +329,12 @@ def mc_correlation_gap(theta: float, trials: int, seed: int) -> Report:
     c2 = math.sin(theta)
 
     def block(g, rows, normals):
+        # in place: each worker's block makes one temporary, not five
         r = sampler.spawn(g).fill(normals[:rows])
-        gap = np.abs(c1 * r[:, 0] - c2 * r[:, 1])
-        return [float(np.sum(gap))], [float(np.sum(gap * gap))]
+        gap = np.multiply(r[:, 0], c1)
+        np.subtract(gap, np.multiply(r[:, 1], c2, out=r[:, 1]), out=gap)
+        np.abs(gap, out=gap)
+        return [float(np.sum(gap))], [float(np.sum(np.multiply(gap, gap, out=gap)))]
 
     sums, sq_sums = _block_map(block, trials, _GAP_BLOCK_ROWS, 1, 2)
     mean = math.fsum(sums) / trials

@@ -69,9 +69,10 @@ MANY_CROSSINGS = "ManyCrossings"
 _STATUS_BY_COUNT = (NO_CROSSING, ONE_CROSSING, MANY_CROSSINGS)  # indexed by min(count, 2)
 
 # walk values plus normals per block of trials in round_lifted_solution:
-# 682 trials at n = 4, p = 8, ell = 4, a 1.2 MB workspace with the three
-# walk-sized regions.  2**18 would lift a 2000-trial ell = 4 e2e to a
-# 4.9 MB traced peak, over test_end_to_end_rounds_in_bounded_memory's 4 MB
+# 682 trials at n = 4, p = 8, ell = 4, a 0.87 MB workspace with its two
+# walk-sized regions.  2**18 would put a 2000-trial ell = 4 e2e in one
+# block, a 3.96 MB traced peak against
+# test_end_to_end_rounds_in_bounded_memory's 4 MB
 _BLOCK_VALUES = 1 << 16
 # blocks of at least this many walks sum their prefixes by _column_scan;
 # the scan overtook the cumsum between 64 and 260 walks, later as ell grows
@@ -274,8 +275,9 @@ def _round_trials(
     """Positions and crossing counts (trials, n), in blocks of trials.
 
     A block's regions are views of the call's one workspace: the normals
-    (block, dim*ell), the sub-step products (block, n, p/2, ell), the
-    prefix sums and the walk values, laid out like the prefix so that
+    (block, dim*ell), the sub-step products (block, n, p/2, ell) and the
+    prefix sums.  Once summed, the products are not read again, so the
+    walk values overwrite their region, laid out like the prefix so that
     _half_walks runs in memory order; after _column_scan trace_stats_batch
     reads the transposed (walks, ell*p/2) view.  A shorter last block cuts
     its regions from the leading part.
@@ -283,15 +285,15 @@ def _round_trials(
     n, dim, half = sol.n, sol.dim * ell, sol.p * ell // 2
     block = min(trials, max(1, _BLOCK_VALUES // (n * half + dim)))
     normals, fallbacks = sampler.spawn(0), sampler.spawn(1)
-    work = np.empty(block * (dim + 3 * n * half))
+    work = np.empty(block * (dim + 2 * n * half))
     positions = np.empty((trials, n), dtype=np.int64)
     counts = np.empty_like(positions)
     for t0 in range(0, trials, block):
         m = min(block, trials - t0)
         z = normals.fill(work[: m * dim].reshape(m, dim))
-        sub, prefix, walks = work[m * dim : m * (dim + 3 * n * half)].reshape(3, -1)
+        sub, prefix = work[m * dim : m * (dim + 2 * n * half)].reshape(2, -1)
         anchor, prefix = _lifted_prefix(sol, steps, ell, z, sub.reshape(m, n, -1, ell), prefix)
-        walks = _half_walks(anchor, prefix, 2.0, as_strided(walks, prefix.shape, prefix.strides))
+        walks = _half_walks(anchor, prefix, 2.0, as_strided(sub, prefix.shape, prefix.strides))
         block_counts, first_plus = trace_stats_batch(walks.reshape(-1, half), alpha)
         cells = np.flatnonzero(block_counts != 1)
         first_plus[cells] = [fallbacks.uniform_below(2 * half) for _ in range(cells.size)]

@@ -153,27 +153,26 @@ def _closed_form_rows(alpha):
 
 
 def test_mc_sign_change_reference_follows_alpha():
-    # the walk's two barriers sit alpha apart, the gap of the closed forms
-    report = mc_sign_change(s=2000, trials=20_000, seed=2, alpha=1.5)
-    cells = {row[0]: row for row in report.rows}
-    want = _closed_form_rows(1.5)
-    assert {name: row[3] for name, row in cells.items()} == want
-    # the finite-step bias, of order 1/sqrt(s), is about 0.014 here (0.004
-    # at s = 32000); the alpha = 1 closed form, 0.0144, is 0.22 off
-    assert cells["count_zero"][1] == pytest.approx(want["count_zero"], abs=0.03)
-    # below alpha = 1 the closed forms hold too.  Watched at s steps, the walk
-    # crosses about as often as a continuous path crosses barriers moved out
-    # by beta/sqrt(s) each (Broadie, Glasserman & Kou 1997), so the continuity-
-    # corrected form is the closed form at gap alpha + 2*beta/sqrt(s)
-    s, trials, alpha = 400, 100_000, 0.5
+    # the walk's two barriers sit alpha apart, the gap of the closed forms.
+    # Watched at s steps, the walk crosses about as often as a continuous
+    # path crosses barriers moved out by beta/sqrt(s) each (Broadie,
+    # Glasserman & Kou 1997), so the continuity-corrected form is the closed
+    # form at gap alpha + 2*beta/sqrt(s).  The continuum forms miss by a bias
+    # of order 1/sqrt(s): P(0) is 0.0144 at alpha = 1, corrected 0.0184 at
+    # s = 2000 and 0.0382 at s = 100
     beta = -zeta(0.5) / math.sqrt(2.0 * math.pi)
-    corrected = _closed_form_rows(alpha + 2.0 * beta / math.sqrt(s))
-    report = mc_sign_change(s=s, trials=trials, seed=2, alpha=alpha)
-    assert {row[0]: row[3] for row in report.rows} == _closed_form_rows(alpha)
-    for name, freq, stderr, _ in report.rows:
-        # no trial shows zero crossings, so that row's stderr is 0; the
-        # corrected form predicts 3e-7
-        assert abs(freq - corrected[name]) <= (4.0 * stderr if stderr else 1e-6), (name, freq, corrected[name], stderr)
+    for s, trials in ((100, 100_000), (400, 50_000), (2000, 10_000)):
+        for alpha in (0.5, 1.0, 1.5):
+            report = mc_sign_change(s=s, trials=trials, seed=2, alpha=alpha)
+            assert {row[0]: row[3] for row in report.rows} == _closed_form_rows(alpha)
+            corrected = _closed_form_rows(alpha + 2.0 * beta / math.sqrt(s))
+            for name, freq, _, _ in report.rows:
+                # the binomial stderr at the reference, which stays positive
+                # where no trial shows the event (P(0) is 4.6e-6 at s = 100
+                # and alpha = 0.5)
+                ref = corrected[name]
+                band = 4.0 * math.sqrt(ref * (1.0 - ref) / trials)
+                assert abs(freq - ref) <= band, (s, alpha, name, freq, ref, band)
 
 
 def test_mc_sign_change_validation_and_determinism():

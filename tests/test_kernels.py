@@ -63,20 +63,23 @@ def test_values_rejects_bad_shape():
 
 
 # hand-labeled forward halves: (half values, alpha, count, first_plus, half_runs)
-# of the antipodal trace concat(half, -half); the count follows from the runs
+# of the antipodal trace concat(half, -half); the count follows from the runs,
+# and first_plus is the '+' run's start of a one-crossing walk, -1 otherwise
 STAT_CASES = [
     ([2.0, 0.0], 1.0, 1, 0, 1),  # wraps: - at 2, + at 0
     ([0.0, 2.0], 1.0, 1, 1, 1),  # wraps with first nonzero past 0
     ([-2.0, 0.0], 1.0, 1, 2, 1),  # the only up-crossing is in the mirror
-    ([2.0, -2.0, 2.0, -2.0], 1.0, 3, 2, 4),  # alternates every step; seams merge
+    ([2.0, -2.0, 2.0, -2.0], 1.0, 3, -1, 4),  # alternates every step; seams merge
     ([0.0, 0.5], 1.0, 0, -1, 0),  # never leaves the tube
     ([2.0, 2.0], 1.0, 1, 0, 1),  # one run in the half, no alternation
-    ([1.0, -1.0, 1.0], 1.0, 3, 0, 3),  # boundary values count; seams stay apart
+    ([1.0, -1.0, 1.0], 1.0, 3, -1, 3),  # boundary values count; seams stay apart
     ([0.0, 0.0, 0.0, 3.0, 0.0, 1.5], 1.0, 1, 3, 1),  # a run collapses across a gap
     ([0.0, -3.0, 0.0, 3.0, 0.0, 1.5], 1.0, 1, 3, 2),  # - then +: first up in the half
     ([2.0, -2.0], 1.0, 1, 3, 2),  # + then -: first up in the mirror
     ([0.99, -0.99, 0.0], 1.0, 0, -1, 0),  # just inside the tube
-    ([-1.0, 0.0, 1.0, 0.0, -1.0], 1.0, 3, 2, 3),
+    ([-1.0, 0.0, 1.0, 0.0, -1.0], 1.0, 3, -1, 3),
+    ([1.0, 0.0, -1.0], 1.0, 1, 5, 2),  # exact +-alpha beside a zero label: + then -
+    ([0.0, -1.0], 1.0, 1, 3, 1),  # exact -alpha after a zero label: + in the mirror
 ]
 
 
@@ -148,22 +151,20 @@ def test_stats_match_full_circle_reference(alpha):
     half = 25
     walks = canonical_values_batch(rng.standard_normal((2000, half)))
     rows = np.vstack([walks, _edge_rows(half, alpha)])
-    counts, first = trace_stats_batch(rows, alpha)
-    for t, row in enumerate(rows):
-        events = detect_extreme_sign_changes(np.concatenate((row, -row)), alpha)
-        assert counts[t] == len(events), t
-        assert first[t] == (min(t_plus for _, t_plus in events) if events else -1), t
-    # the random walks reach several counts, and first up-crossings in both halves
+    counts, first = _assert_match_references(rows, alpha)
+    # the random walks reach several counts, and one-crossing '+' runs in both halves
     assert len(set(counts[:2000].tolist())) >= 2
     assert (first[:2000] >= half).any() and ((first[:2000] >= 0) & (first[:2000] < half)).any()
 
 
 def _assert_match_references(rows, alpha):
+    # every count, and the '+' run's start where the walk crosses up once
     counts, first = trace_stats_batch(rows, alpha)
     for t, row in enumerate(rows):
         events = detect_extreme_sign_changes(np.concatenate((row, -row)), alpha)
         assert counts[t] == len(events), t
-        assert first[t] == (min(t_plus for _, t_plus in events) if events else -1), t
+        assert first[t] == (events[0][1] if len(events) == 1 else -1), t
+    return counts, first
 
 
 # frozen batches whose rows must stay apart: (rows, alpha, counts, first_plus, half_runs)

@@ -356,9 +356,7 @@ def test_detect_agrees_with_batch_kernel():
             events = detect_extreme_sign_changes(values, 1.0)
             counts, first = trace_stats_batch(values[None, :30], 1.0)
             assert counts[0] == len(events)
-            assert first[0] == (min(t_plus for _, t_plus in events) if events else -1)
-            if len(events) == 1:
-                assert first[0] == events[0][1]
+            assert first[0] == (events[0][1] if len(events) == 1 else -1)
 
 
 # --- the per-trial rounding loop, kept as the oracle of the batched path ----
