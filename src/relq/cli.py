@@ -7,6 +7,7 @@ hold (constants --check, e2e sandwich).
 """
 
 import argparse
+import csv
 import math
 import re
 import sys
@@ -17,6 +18,7 @@ from relq._kernels import _labels
 from relq.harness import (
     ExperimentConfig,
     Report,
+    _report_paths,
     conjecture_experiment,
     end_to_end_ratio,
     format_report_csv,
@@ -63,19 +65,22 @@ def parse_angle(text: str) -> float:
         raise ValueError(f"cannot parse angle {text!r}") from None
 
 
-def _angle_arg(text: str) -> float:
-    """parse_angle for argparse, which prints the reason of an ArgumentTypeError only."""
-    try:
-        return parse_angle(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg(parse):
+    """parse for argparse, which prints the reason of an ArgumentTypeError only."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def _emit(report: Report, args) -> None:
     if args.out is not None:
-        csv_path, json_path = write_report(report, args.out)
-        print(f"wrote {csv_path}")
-        print(f"wrote {json_path}")
+        for path in write_report(report, args.out):
+            print(f"wrote {path}")
     elif getattr(args, "json", False):
         sys.stdout.write(format_report_json(report))
     else:
@@ -83,7 +88,8 @@ def _emit(report: Report, args) -> None:
 
 
 def _add_output_flags(sub) -> None:
-    sub.add_argument("--out", type=Path, default=None, help="write CSV here plus a sibling .json summary")
+    out = _arg(lambda text: _report_paths(text)[0])  # refuses a .json path, its own summary path
+    sub.add_argument("--out", type=out, default=None, help="write CSV here plus a sibling .json summary")
     sub.add_argument("--json", action="store_true", help="print the JSON summary instead of CSV")
 
 
@@ -122,13 +128,14 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _walk_rows(sol, ell: int, seed: int, alpha: float) -> list[list]:
+def _write_walk(path: Path, sol, ell: int, seed: int, alpha: float) -> None:
     # the normals round_lifted_solution reads for its one trial
     values = lifted_walk_values(sol, ell, GaussianSampler(seed).spawn(0).sample(sol.dim * ell))
-    rows = []
-    for i, (walk, labels) in enumerate(zip(values.tolist(), _labels(values, alpha).tolist())):
-        rows += [[i, k, v, label] for k, (v, label) in enumerate(zip(walk, labels))]
-    return rows
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["variable", "k", "value", "label"])
+        for i, (walk, labels) in enumerate(zip(values, _labels(values, alpha))):
+            writer.writerows([i, k, repr(v), label] for k, (v, label) in enumerate(zip(walk.tolist(), labels.tolist())))
 
 
 def _cmd_round(args) -> int:
@@ -143,13 +150,7 @@ def _cmd_round(args) -> int:
     print("positions " + " ".join(map(str, positions)))
     print("statuses " + " ".join(outcome.statuses))
     if args.emit_walk is not None:
-        walk = Report(
-            name="walk_trace",
-            parameters={"ell": args.ell, "alpha": args.alpha, "p": inst.p},
-            columns=["variable", "k", "value", "label"],
-            rows=_walk_rows(sol, args.ell, args.seed, args.alpha),
-        )
-        Path(args.emit_walk).write_text(format_report_csv(walk))
+        _write_walk(args.emit_walk, sol, args.ell, args.seed, args.alpha)
         print(f"wrote {args.emit_walk}")
     return 0
 
@@ -250,14 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     sign.set_defaults(func=_cmd_mc_signchange)
 
     corr = subs.add_parser("mc-correlation", help="sample the correlated-endpoint gap")
-    corr.add_argument("--theta", type=_angle_arg, required=True, help="angle, e.g. 0.7854 or pi/4")
+    corr.add_argument("--theta", type=_arg(parse_angle), required=True, help="angle, e.g. 0.7854 or pi/4")
     corr.add_argument("--trials", type=int, default=100_000)
     corr.add_argument("--seed", type=int, default=0)
     _add_output_flags(corr)
     corr.set_defaults(func=_cmd_mc_correlation)
 
     conj = subs.add_parser("conjecture", help="conditioned distance of correlated walk pairs")
-    conj.add_argument("--theta", type=_angle_arg, action="append", default=None, help="repeatable; defaults to pi/12 pi/6 pi/4")
+    conj.add_argument("--theta", type=_arg(parse_angle), action="append", default=None, help="repeatable; defaults to pi/12 pi/6 pi/4")
     conj.add_argument("--s", type=int, default=2000, help="circular domain size")
     conj.add_argument("--trials", type=int, default=100_000)
     conj.add_argument("--seed", type=int, default=0)

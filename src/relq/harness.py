@@ -257,10 +257,17 @@ def format_report_json(report: Report) -> str:
     return json.dumps(summary, sort_keys=True, indent=2) + "\n"
 
 
+def _report_paths(csv_path: str | Path) -> tuple[Path, Path]:
+    """csv_path and its sibling .json summary path; a ValueError when they are one path."""
+    csv_path = Path(csv_path)
+    if csv_path.suffix == ".json":
+        raise ValueError(f"CSV path {str(csv_path)!r} is also its .json summary path")
+    return csv_path, csv_path.with_suffix(".json")
+
+
 def write_report(report: Report, csv_path: str | Path) -> tuple[Path, Path]:
     """Write the data CSV plus a sibling .json summary; returns both paths."""
-    csv_path = Path(csv_path)
-    json_path = csv_path.with_suffix(".json")
+    csv_path, json_path = _report_paths(csv_path)
     csv_path.write_text(format_report_csv(report))
     json_path.write_text(format_report_json(report))
     return csv_path, json_path

@@ -11,9 +11,9 @@ falls back to a uniform position drawn from a fallback stream.
 Rounding the ell-fold lift needs no lifted vectors: its walk is the anchor
 plus prefix sums of the base difference steps projected on r, split into
 ell sub-steps (ell = 1 is plain rounding).  The walk is antipodal, so only
-its forward half is built, by relq._kernels._half_walks, and the crossing
-kernel of relq._kernels reads it.  lifted_walk_values returns that half
-with its exact mirror, so a walk written out is the walk that was rounded.
+its forward half is built, by _lifted_walks, and the crossing kernel of
+relq._kernels reads it.  lifted_walk_values returns that half with its
+exact mirror, so a walk written out is the walk that was rounded.
 
 Trials and streams.  round_lifted_solution(sol, ell, sampler, trials)
 reads two streams of one sampler and never advances the sampler itself,
@@ -213,40 +213,39 @@ def _column_scan(sub_steps: np.ndarray, prefix: np.ndarray) -> None:
         prefix[k] += prefix[k - 1]
 
 
-def _lifted_prefix(
-    sol: SdpSolutionP, steps: np.ndarray, ell: int, normals: np.ndarray, sub: np.ndarray, prefix: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Anchors (trials, n) and step prefix sums (trials, n, ell*p/2) of the lifted walks.
+def _lifted_walks(sol: SdpSolutionP, steps: np.ndarray, ell: int, normals: np.ndarray, region: np.ndarray) -> np.ndarray:
+    """Forward half-walks (trials, n, ell*p/2) of the lifted solution, built in region.
 
     steps is _variable_difference_steps(sol), (n, p/2, dim); normals is
-    (trials, dim*ell).  The forward half-walks are _half_walks(anchor,
-    prefix, 2.0).  Every (p/2 x dim) @ (dim x ell) product is one BLAS call
-    and every anchor one dot product, as for a single trial, so a block of
-    trials gives bit for bit the values of its trials taken one at a time.
+    (trials, dim*ell); region is flat, 2*trials*n*ell*p/2 values.  Every
+    (p/2 x dim) @ (dim x ell) product is one BLAS call and every anchor
+    one dot product, as for a single trial, so a block of trials gives bit
+    for bit the values of its trials taken one at a time.
 
-    The products are written to the region sub, (trials, n, p/2, ell), and
-    the sums to prefix, a flat region of trials*n*ell*p/2 values.  A block
-    of at least _COLUMN_SCAN_WALKS walks is summed by _column_scan, one
-    vector add per sub-step over every walk, into prefix shaped (ell*p/2,
-    trials, n), and the prefix returned is its transposed view.  A block
-    of fewer walks is summed by one np.cumsum along each walk, into prefix
-    shaped (trials, n, ell*p/2).  Both branches make the same additions in
-    the same order, so the bits do not depend on the branch.
+    The products fill region's first half, (trials, n, p/2, ell), and
+    their prefix sums its second.  A block of at least _COLUMN_SCAN_WALKS
+    walks is summed by _column_scan, one vector add per sub-step over
+    every walk, into (ell*p/2, trials, n), and the prefix is its
+    transposed view; fewer walks take one np.cumsum along each walk, into
+    (trials, n, ell*p/2).  Both make the same additions in the same order.
+    The walks then overwrite the products, laid out like the prefix so
+    that _half_walks runs in memory order.
     """
     trials = normals.shape[0]
+    sub, prefix = region.reshape(2, -1)
     R = normals.reshape(trials, sol.dim, ell)
     scale = 1.0 / np.sqrt(ell)
-    np.matmul(steps[None], R[:, None], out=sub)  # row-major = sub-step order
-    sub *= scale
-    anchor_dot = R.sum(axis=2)[:, None, None, :] @ sol.v[None, :, 0, :, None]  # (trials, n, 1, 1)
-    anchor = anchor_dot[:, :, 0, 0] * scale
-    walk_steps = sub.reshape(trials, sol.n, -1)
+    products = np.matmul(steps[None], R[:, None], out=sub.reshape(trials, sol.n, -1, ell))  # row-major = sub-step order
+    products *= scale
+    anchor = (R.sum(axis=2)[:, None, None, :] @ sol.v[None, :, 0, :, None])[:, :, 0, 0] * scale
+    walk_steps = products.reshape(trials, sol.n, -1)
     if trials * sol.n < _COLUMN_SCAN_WALKS:
-        return anchor, np.cumsum(walk_steps, axis=2, out=prefix.reshape(walk_steps.shape))
-    sub_steps = walk_steps.transpose(2, 0, 1)
-    prefix = prefix.reshape(sub_steps.shape)
-    _column_scan(sub_steps, prefix)
-    return anchor, prefix.transpose(1, 2, 0)
+        prefix = np.cumsum(walk_steps, axis=2, out=prefix.reshape(walk_steps.shape))
+    else:
+        prefix = prefix.reshape(-1, trials, sol.n)
+        _column_scan(walk_steps.transpose(2, 0, 1), prefix)
+        prefix = prefix.transpose(1, 2, 0)
+    return _half_walks(anchor, prefix, 2.0, as_strided(sub, prefix.shape, prefix.strides))
 
 
 def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray) -> np.ndarray:
@@ -260,12 +259,9 @@ def lifted_walk_values(sol: SdpSolutionP, ell: int, r: np.ndarray) -> np.ndarray
     which are never built.
     """
     ell = _check_int("ell", ell, 1)
-    expected = sol.dim * ell
-    if r.shape != (expected,):
-        raise ValueError(f"r has shape {r.shape}, expected ({expected},)")
-    sub, prefix = np.empty((1, sol.n, sol.p // 2, ell)), np.empty(sol.n * sol.p * ell // 2)
-    anchor, prefix = _lifted_prefix(sol, _variable_difference_steps(sol), ell, r[None], sub, prefix)
-    half = _half_walks(anchor[0], prefix[0], 2.0)
+    if r.shape != (sol.dim * ell,):
+        raise ValueError(f"r has shape {r.shape}, expected ({sol.dim * ell},)")
+    half = _lifted_walks(sol, _variable_difference_steps(sol), ell, r[None], np.empty(sol.n * sol.p * ell))[0]
     return np.concatenate((half, -half), axis=1)
 
 
@@ -274,13 +270,10 @@ def _round_trials(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positions and crossing counts (trials, n), in blocks of trials.
 
-    A block's regions are views of the call's one workspace: the normals
-    (block, dim*ell), the sub-step products (block, n, p/2, ell) and the
-    prefix sums.  Once summed, the products are not read again, so the
-    walk values overwrite their region, laid out like the prefix so that
-    _half_walks runs in memory order; after _column_scan trace_stats_batch
-    reads the transposed (walks, ell*p/2) view.  A shorter last block cuts
-    its regions from the leading part.
+    A block's normals (block, dim*ell) and the region _lifted_walks
+    builds its walks in are views of the call's one workspace, and
+    trace_stats_batch reads the walks as (walks, ell*p/2).  A shorter
+    last block cuts its regions from the leading part.
     """
     n, dim, half = sol.n, sol.dim * ell, sol.p * ell // 2
     block = min(trials, max(1, _BLOCK_VALUES // (n * half + dim)))
@@ -291,9 +284,7 @@ def _round_trials(
     for t0 in range(0, trials, block):
         m = min(block, trials - t0)
         z = normals.fill(work[: m * dim].reshape(m, dim))
-        sub, prefix = work[m * dim : m * (dim + 2 * n * half)].reshape(2, -1)
-        anchor, prefix = _lifted_prefix(sol, steps, ell, z, sub.reshape(m, n, -1, ell), prefix)
-        walks = _half_walks(anchor, prefix, 2.0, as_strided(sub, prefix.shape, prefix.strides))
+        walks = _lifted_walks(sol, steps, ell, z, work[m * dim : m * (dim + 2 * n * half)])
         block_counts, first_plus = trace_stats_batch(walks.reshape(-1, half), alpha)
         cells = np.flatnonzero(block_counts != 1)
         first_plus[cells] = [fallbacks.uniform_below(2 * half) for _ in range(cells.size)]

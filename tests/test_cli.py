@@ -179,6 +179,24 @@ def test_emit_walk_rows_give_the_printed_rounding(ell, tmp_path, capsys):
     assert "OneCrossing" in seen
 
 
+def test_emit_walk_is_written_in_bounded_memory(tmp_path, capsys):
+    # the walk values are 0.26 MB at ell = 1000; holding the whole trace as
+    # Python rows before writing it peaks at 8.6 MB
+    inst_path, sol_path, walk_path = tmp_path / "inst.txt", tmp_path / "sol.txt", tmp_path / "walk.csv"
+    assert main(["gen", "--n", "4", "--p", "8", "--m", "6", "--seed", "21", "--planted", "--out", str(inst_path)]) == 0
+    assert main(["solve", str(inst_path), "--out", str(sol_path)]) == 0
+    argv = ["round", str(inst_path), str(sol_path), "--seed", "3", "--ell", "1000", "--emit-walk", str(walk_path)]
+    assert main(argv) == 0  # warm
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walk_path.read_text().count("\n") == 1 + 4 * 8 * 1000
+    assert peak < 2_000_000
+
+
 def test_round_rejects_a_malformed_solution_file(triangle_file, tmp_path, capsys):
     sol_path = tmp_path / "sol.txt"
     sol_path.write_text("relqsol 1\n4 3 pplus\n")
@@ -341,6 +359,24 @@ def test_report_subcommands_write_identical_files_on_rerun(tmp_path):
     assert main(args + ["--out", str(c)]) == 0
     assert main(args + ["--out", str(d)]) == 0
     assert c.read_bytes() == d.read_bytes()
+
+
+@pytest.mark.parametrize("command", [["constants"], ["mc-correlation", "--theta", "pi/4", "--trials", "1000", "--seed", "1"]])
+def test_out_refuses_a_path_that_is_its_own_json_summary(command, tmp_path, capsys, monkeypatch):
+    # the JSON summary would overwrite a CSV written to r.json; refused before any experiment runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("the experiment ran before --out was checked")
+
+    monkeypatch.setattr("relq.cli.reproduce_constants", no_run)
+    monkeypatch.setattr("relq.cli.mc_correlation_gap", no_run)
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out", str(out)])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument --out: CSV path '{out}' is also its .json summary path\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_conjecture_default_grid(capsys):

@@ -114,6 +114,14 @@ def test_write_report_emits_csv_and_json(tmp_path):
     _assert_schema(report, GAP_PI3_SEED5_SCHEMA)
 
 
+def test_write_report_refuses_a_csv_path_that_is_its_own_summary(tmp_path):
+    # the JSON summary would overwrite a CSV written to r.json
+    report = Report(name="x", parameters={}, columns=["a"], rows=[[1]])
+    with pytest.raises(ValueError, match="is also its .json summary path"):
+        write_report(report, tmp_path / "r.json")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reports_are_byte_identical_on_rerun(tmp_path):
     a = mc_correlation_gap(theta=math.pi / 3, trials=2000, seed=5)
     b = mc_correlation_gap(theta=math.pi / 3, trials=2000, seed=5)
